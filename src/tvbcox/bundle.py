@@ -178,7 +178,7 @@ def classify(b):
         if rational_rank(sub) < b.d:
             uniform = False
             break
-    hypersurface = b.d == 1 and b.s == b.rank + 1
+    hypersurface = b.d == 1
     return BundleClass(sparse, uniform, hypersurface, b.rank)
 
 

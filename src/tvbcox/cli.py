@@ -269,7 +269,7 @@ def cmd_gz_subduct(args):
 
 def cmd_suite(args):
     started = time.monotonic()
-    results = suite.run_suite(args.level, jobs=args.jobs)
+    results = suite.run_suite(args.level)
     if args.report:
         emit_report(make_report("suite", args.level, results, started), args.report)
     if results["passed"]:
@@ -358,7 +358,6 @@ def build_parser():
 
     p = sub.add_parser("suite", help="run the verification suite")
     p.add_argument("--level", choices=["fast", "full"], default="fast")
-    p.add_argument("--jobs", type=int, default=1, help="size of the worker pool")
     p.add_argument("--report")
     p.set_defaults(fn=cmd_suite)
 

@@ -8,16 +8,16 @@ vector); products are rewritten against two relation families until words
 reach a canonical form.
 """
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from .cox import t_name, x_name, yy_name
+from .linalg import RatMatrix, left_kernel_basis
 from .poly import (
-    BlockOrder,
     LexOrder,
     PolyRing,
     RingMap,
     normal_form,
+    poly_to_text,
     ring_map_kernel,
     symbolic_det,
 )
@@ -382,12 +382,7 @@ def diagonal_order(target_ring, n):
         for i in range(1, n)
         for j in range(1, n + 1)
     ]
-    return BlockOrder(
-        [
-            (t_idx, LexOrder(range(len(t_idx)))),
-            (y_idx, LexOrder(range(len(y_idx)))),
-        ]
-    )
+    return LexOrder(t_idx + y_idx)
 
 
 def lead_pattern(gen, n, psi=None, verify=None):
@@ -450,30 +445,22 @@ def lead_pattern(gen, n, psi=None, verify=None):
 
 
 def euler_flag_relation(n, tau, psi=None):
-    """The quadric sum over j outside tau of +-x_j P_{tau+j}, signs solved
-    so the presentation image vanishes."""
+    """The Euler-type quadric x_0 P_{0+tau} + sum over j outside tau of
+    (-1)^#{t in tau : t < j} x_j P_{tau+j}.
+
+    The signs are the Laplace expansion of the 0-column minor, whose column
+    is minus the sum of the others; `relation_families` checks the result
+    against the presentation map.
+    """
     tau = frozenset(tau)
     if not tau <= frozenset(range(1, n + 1)) or len(tau) > n - 2:
         raise ValueError("tau must be a subset of [n] with |tau| <= n - 2")
-    psi = psi or build_psi(n)
-    source = psi.source
-    cols_j = [0] + [j for j in range(1, n + 1) if j not in tau]
-    terms = []
-    for j in cols_j:
-        cols = frozenset({j} | tau) if j else frozenset({0} | tau)
-        terms.append(source.var(x_name(j)) * source.var(p_name(cols)))
-    for signs in _sign_choices(len(terms)):
-        candidate = source.zero()
-        for s, term in zip(signs, terms):
-            candidate = candidate + s * term
-        if psi(candidate) == 0:
-            return candidate
-    raise AssertionError(f"no sign assignment makes the tau = {sorted(tau)} quadric vanish")
-
-
-def _sign_choices(k):
-    for bits in range(2 ** (k - 1)):
-        yield [1] + [1 if (bits >> i) & 1 else -1 for i in range(k - 1)]
+    source = psi.source if psi else flag_ring(n)
+    relation = source.var(x_name(0)) * source.var(p_name({0} | tau))
+    for j in sorted(set(range(1, n + 1)) - tau):
+        sign = (-1) ** sum(t < j for t in tau)
+        relation = relation + sign * source.var(x_name(j)) * source.var(p_name(tau | {j}))
+    return relation
 
 
 def quadratic_plucker_relations(n, psi=None):
@@ -502,8 +489,8 @@ def quadratic_plucker_relations(n, psi=None):
         monomials = [source.var(a) * source.var(b) for a, b in pairs]
         images = [psi(mono) for mono in monomials]
         support = sorted({m for img in images for m in img.terms})
-        matrix = [[img.terms.get(m, Fraction(0)) for m in support] for img in images]
-        for coeffs in _left_kernel_basis(matrix):
+        matrix = RatMatrix.from_rows([[img.terms.get(m, 0) for m in support] for img in images])
+        for coeffs in left_kernel_basis(matrix):
             rel = source.zero()
             for c, mono in zip(coeffs, monomials):
                 rel = rel + c * mono
@@ -515,50 +502,18 @@ def _cols_of(p_var_name):
     return [int(c) for c in p_var_name[1:]]
 
 
-def _left_kernel_basis(matrix):
-    """Rows v with v * matrix = 0, reduced deterministically (RREF)."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
-    # Gaussian elimination on [matrix | I], read kernel rows off zero rows
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(nrows)]
-        for i, row in enumerate(matrix)
-    ]
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(pivot_row, nrows) if aug[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        aug[pivot_row], aug[pivot] = aug[pivot], aug[pivot_row]
-        inv = Fraction(1) / aug[pivot_row][col]
-        aug[pivot_row] = [x * inv for x in aug[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[pivot_row])]
-        pivot_row += 1
-    kernel = []
-    for r in range(pivot_row, nrows):
-        if all(x == 0 for x in aug[r][:ncols]):
-            vec = aug[r][ncols:]
-            scale = next(x for x in vec if x != 0)
-            kernel.append([x / scale for x in vec])
-    return kernel
-
-
 def relation_families(n, psi=None):
     """All emitted relations: quadratic Plucker exchanges plus the
-    Euler-type quadrics; every element has presentation image zero."""
+    Euler-type quadrics; raises AssertionError unless every element has
+    presentation image zero."""
     psi = psi or build_psi(n)
     rels = quadratic_plucker_relations(n, psi)
     for size in range(0, n - 1):
         for tau in combinations(range(1, n + 1), size):
             rels.append(euler_flag_relation(n, tau, psi))
-    for rel in rels:
-        if psi(rel) != 0:
-            raise AssertionError("emitted relation does not vanish")
+    bad = [poly_to_text(r) for r in rels if psi(r) != 0]
+    if bad:
+        raise AssertionError(f"relations with nonzero image: {bad[:3]}")
     return rels
 
 

@@ -1,4 +1,5 @@
-"""Exact rational matrices: parsing, dense storage, fraction-free rank."""
+"""Exact rational matrices: parsing, dense storage, and fraction-free
+elimination for ranks and left kernels."""
 
 from fractions import Fraction
 from math import lcm
@@ -136,27 +137,61 @@ def rational_rank(m):
     """
     if m.rows == 0 or m.cols == 0:
         return 0
-    # Clear denominators row by row; rank is invariant under row scaling.
+    return _bareiss(_integer_rows(m.row(i) for i in range(m.rows)), m.cols)
+
+
+def left_kernel_basis(m):
+    """Basis of the row vectors v with v * m = 0, for a RatMatrix m.
+
+    Bareiss elimination on [m | I]: the rows left zero in the columns of m
+    carry the kernel vectors in the identity part.  There is one vector per
+    unit of rank deficiency, each scaled so its first nonzero entry is 1.
+    """
+    identity = RatMatrix.identity(m.rows)
+    work = _integer_rows(m.row(i) + identity.row(i) for i in range(m.rows))
+    rank = _bareiss(work, m.cols)
+    kernel = []
+    for row in work[rank:]:
+        vec = row[m.cols :]
+        lead = next(x for x in vec if x)
+        kernel.append([Fraction(x, lead) for x in vec])
+    return kernel
+
+
+def _integer_rows(rows):
+    """Clear denominators row by row; row scaling keeps the row space."""
     work = []
-    for i in range(m.rows):
-        row = m.row(i)
-        scale = lcm(*(abs(x.denominator) for x in row)) if row else 1
-        work.append([int(x * scale) for x in row])
+    for row in rows:
+        scale = lcm(*(x.denominator for x in row))
+        work.append([x.numerator * (scale // x.denominator) for x in row])
+    return work
+
+
+def _bareiss(work, ncols):
+    """Fraction-free forward elimination of integer rows, in place.
+
+    Pivots are taken in the first ncols columns only; later columns ride
+    along.  Every division is exact (Bareiss 1968).  Returns the rank: the
+    rows from there on are zero in the first ncols columns.
+    """
+    nrows = len(work)
+    width = len(work[0]) if work else 0
     rank = 0
     prev = 1
     col = 0
-    nrows, ncols = m.rows, m.cols
     while rank < nrows and col < ncols:
         pivot_row = next((r for r in range(rank, nrows) if work[r][col] != 0), None)
         if pivot_row is None:
             col += 1
             continue
         work[rank], work[pivot_row] = work[pivot_row], work[rank]
-        piv = work[rank][col]
+        pivot = work[rank]
+        piv = pivot[col]
         for r in range(rank + 1, nrows):
-            factor = work[r][col]
-            for c in range(col, ncols):
-                work[r][c] = (piv * work[r][c] - factor * work[rank][c]) // prev
+            row = work[r]
+            factor = row[col]
+            for c in range(col, width):
+                row[c] = (piv * row[c] - factor * pivot[c]) // prev
         prev = piv
         rank += 1
         col += 1

@@ -3,11 +3,15 @@
 These deliberately use different algorithms from the library: permutation
 sums instead of cofactor expansion, minor enumeration instead of
 elimination, tableau enumeration instead of hook contents, subset
-enumeration instead of branch and bound.
+enumeration instead of branch and bound, sign search through the
+presentation map instead of the Laplace expansion.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
+
+from tvbcox.cox import x_name
+from tvbcox.gz import p_name
 
 
 def det_permutation_sum(rows):
@@ -111,3 +115,21 @@ def partitions_brute(d, max_rows):
 
     rec(d, d, [])
     return found
+
+
+def euler_quadric_by_sign_search(n, tau, psi):
+    """The Euler-type quadric over tau with its signs found by search: the
+    first sign vector, +1 on x_0 P_{0+tau}, whose presentation image
+    vanishes; None when no sign vector does."""
+    source = psi.source
+    tau = frozenset(tau)
+    cols_j = [0] + [j for j in range(1, n + 1) if j not in tau]
+    terms = [source.var(x_name(j)) * source.var(p_name({j} | tau)) for j in cols_j]
+    for bits in range(2 ** (len(terms) - 1)):
+        signs = [1] + [1 if (bits >> i) & 1 else -1 for i in range(len(terms) - 1)]
+        candidate = source.zero()
+        for sign, term in zip(signs, terms):
+            candidate = candidate + sign * term
+        if psi(candidate) == 0:
+            return candidate
+    return None

@@ -2,7 +2,7 @@ from itertools import combinations, combinations_with_replacement
 
 import pytest
 
-from tvbcox import poly
+from tvbcox import gz, poly
 from tvbcox.gz import (
     GZPattern,
     MarkedGenerator,
@@ -31,6 +31,7 @@ from tvbcox.gz import (
 )
 from tvbcox.poly import Ideal, grevlex, ideal_equal
 from tvbcox.suite import gz_relation_check
+from oracles import euler_quadric_by_sign_search
 
 
 def subsets(n):
@@ -121,6 +122,16 @@ def test_euler_flag_relation_vanishes():
             for tau in combinations(range(1, n + 1), size):
                 rel = euler_flag_relation(n, tau, psi)
                 assert psi(rel) == 0
+
+
+def test_euler_flag_relation_matches_sign_search():
+    # closed-form Laplace signs against the brute-force search through psi
+    for n, expected in ((2, 1), (3, 4), (4, 11), (5, 26)):
+        psi = build_psi(n)
+        taus = [tau for size in range(0, n - 1) for tau in combinations(range(1, n + 1), size)]
+        assert len(taus) == expected
+        for tau in taus:
+            assert euler_flag_relation(n, tau, psi) == euler_quadric_by_sign_search(n, tau, psi)
 
 
 def test_relation_families_vanish():
@@ -272,6 +283,16 @@ def test_negative_control_sign_flip_detected():
     tampered = poly.RingMap(psi.source, psi.target, tampered_images)
     with pytest.raises(AssertionError):
         gz_relation_check(2, tampered)
+
+
+def test_gz_relation_check_reuses_psi(monkeypatch):
+    psi = build_psi(3)
+
+    def rebuilt(n):
+        raise RuntimeError("psi rebuilt")
+
+    monkeypatch.setattr(gz, "build_psi", rebuilt)
+    assert gz_relation_check(3, psi) == 9
 
 
 def test_pattern_sum_invariance_across_traces():

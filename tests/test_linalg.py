@@ -7,6 +7,7 @@ from tvbcox.linalg import (
     IntMatrix,
     RatMatrix,
     format_rational,
+    left_kernel_basis,
     parse_rational,
     rational_rank,
 )
@@ -104,3 +105,31 @@ def test_column_submatrix():
     m = RatMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     sub = m.column_submatrix([2, 0])
     assert sub.row_list() == [[3, 1], [6, 4]]
+
+
+def test_left_kernel_basis_random():
+    rng = random.Random(17)
+    for _ in range(40):
+        rows = rng.randrange(1, 6)
+        cols = rng.randrange(1, 5)
+        data = [
+            [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if rows > 2:
+            # a row combined from two others, so the rank drops
+            i, j, k = rng.sample(range(rows), 3)
+            a, b = Fraction(rng.randrange(-3, 4), 2), Fraction(rng.randrange(-3, 4))
+            data[i] = [a * x + b * y for x, y in zip(data[j], data[k])]
+        kernel = left_kernel_basis(RatMatrix.from_rows(data))
+        assert len(kernel) == rows - rank_by_minors(data)
+        assert rank_by_minors(kernel) == len(kernel)
+        for v in kernel:
+            assert next(x for x in v if x) == 1
+            for c in range(cols):
+                assert sum(v[r] * data[r][c] for r in range(rows)) == 0
+
+
+def test_left_kernel_basis_empty_matrices():
+    assert left_kernel_basis(RatMatrix(0, 3, [])) == []
+    assert left_kernel_basis(RatMatrix(2, 0, [])) == [[1, 0], [0, 1]]
