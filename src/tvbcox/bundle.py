@@ -91,8 +91,12 @@ def restricted_rank(b, rays):
     return rational_rank(b.m.column_submatrix([j - 1 for j in sorted(cols)]))
 
 
-def _rank_table(b):
-    """restricted_rank for every nonempty subset of rays, keyed by frozenset."""
+def rank_table(b):
+    """restricted_rank for every nonempty subset of rays, keyed by frozenset.
+
+    It costs 2^n - 1 ranks; build it once and pass it to
+    is_complete_intersection and ci_stability.
+    """
     table = {}
     rays = list(range(1, b.n + 1))
     for size in range(1, b.n + 1):
@@ -101,7 +105,7 @@ def _rank_table(b):
     return table
 
 
-def is_complete_intersection(b, summands=1, _table=None):
+def is_complete_intersection(b, summands=1, table=None):
     """Complete-intersection test for the bundle tensored with K^summands.
 
     The criterion quantifies over ray subsets A with |A| >= 2 and i in A:
@@ -110,7 +114,8 @@ def is_complete_intersection(b, summands=1, _table=None):
     """
     if summands < 1:
         raise ValueError("the number of summands must be at least 1")
-    table = _table if _table is not None else _rank_table(b)
+    if table is None:
+        table = rank_table(b)
     for subset, m_a in table.items():
         if len(subset) < 2:
             continue
@@ -121,15 +126,16 @@ def is_complete_intersection(b, summands=1, _table=None):
     return True
 
 
-def ci_stability(b, with_witness=False):
+def ci_stability(b, with_witness=False, table=None):
     """Largest l such that the l-fold sum is still a complete intersection.
 
     Computed two ways, which must agree: by incrementing l, and by the
     closed form min over (i, A) with m_{i} > m_A of
     ceil((|A|-1)/(m_{i}-m_A)) - 1.  Returns math.inf when no pair binds.
     """
-    table = _rank_table(b)
-    if not is_complete_intersection(b, 1, _table=table):
+    if table is None:
+        table = rank_table(b)
+    if not is_complete_intersection(b, 1, table):
         raise ValueError("not a complete intersection at l = 1")
     best = math.inf
     witness = None
@@ -146,11 +152,11 @@ def ci_stability(b, with_witness=False):
     if best is not math.inf:
         # cross-check the closed form by direct iteration
         for ell in range(1, best + 1):
-            if not is_complete_intersection(b, ell, _table=table):
+            if not is_complete_intersection(b, ell, table):
                 raise AssertionError(
                     f"closed form {best} disagrees with iteration at l = {ell}"
                 )
-        if is_complete_intersection(b, best + 1, _table=table):
+        if is_complete_intersection(b, best + 1, table):
             raise AssertionError(f"still CI at l = {best + 1}, closed form {best}")
     if with_witness:
         return best, witness

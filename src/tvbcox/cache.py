@@ -1,7 +1,9 @@
 """Disk cache for reduced Groebner bases.
 
 Entries are plain-text polynomial lists keyed by a content hash of
-(ring, generators, order, caps), so stale entries cannot be served.
+(ring, generators, order), so stale entries cannot be served.  The caps
+are not part of the key: the reduced basis is canonical, and the caps only
+decide whether it can be computed.
 Writes go through a temporary file and an atomic replace.
 """
 
@@ -21,7 +23,7 @@ class GBCache:
             directory = os.environ.get(ENV_VAR) or DEFAULT_DIRNAME
         self.directory = directory
 
-    def _key(self, ring, gens, order, max_degree, max_basis):
+    def _key(self, ring, gens, order):
         h = hashlib.sha256()
         h.update(",".join(ring.names).encode())
         h.update(b"\n")
@@ -29,14 +31,13 @@ class GBCache:
             h.update(text.encode())
             h.update(b"\n")
         h.update(order.signature().encode())
-        h.update(f"|{max_degree}|{max_basis}".encode())
         return h.hexdigest()
 
     def _path(self, key):
         return os.path.join(self.directory, f"gb-{key}.txt")
 
-    def load(self, ring, gens, order, max_degree, max_basis):
-        path = self._path(self._key(ring, gens, order, max_degree, max_basis))
+    def load(self, ring, gens, order):
+        path = self._path(self._key(ring, gens, order))
         if not os.path.exists(path):
             return None
         with open(path, encoding="utf-8") as fh:
@@ -48,9 +49,9 @@ class GBCache:
         except ValueError:
             return None
 
-    def store(self, ring, gens, order, max_degree, max_basis, basis):
+    def store(self, ring, gens, order, basis):
         os.makedirs(self.directory, exist_ok=True)
-        path = self._path(self._key(ring, gens, order, max_degree, max_basis))
+        path = self._path(self._key(ring, gens, order))
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:

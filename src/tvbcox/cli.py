@@ -99,12 +99,13 @@ def emit_report(report, path=None):
 
 def _analysis(b):
     cls = bundle.classify(b)
-    ci1 = bundle.is_complete_intersection(b, 1)
+    table = bundle.rank_table(b)
+    ci1 = bundle.is_complete_intersection(b, 1, table)
     results = {"label": b.label, "n": b.n, "s": b.s, "d": b.d, "rank": b.rank}
     results["class"] = cls.as_dict()
     results["complete_intersection"] = ci1
     if ci1:
-        stab, witness = bundle.ci_stability(b, with_witness=True)
+        stab, witness = bundle.ci_stability(b, with_witness=True, table=table)
         results["ci_stability"] = "infinity" if stab is math.inf else stab
         results["ci_stability_methods"] = "iterative and closed form agree"
         if witness:
@@ -123,13 +124,14 @@ def cmd_analyze(args):
 def cmd_ci_stability(args):
     started = time.monotonic()
     b, text = load_bundle(args.path)
-    if not bundle.is_complete_intersection(b, 1):
+    table = bundle.rank_table(b)
+    if not bundle.is_complete_intersection(b, 1, table):
         report = make_report(
             "ci-stability", text, {"complete_intersection": False}, started
         )
         emit_report(report, args.report)
         return EXIT_CHECK_FAILED
-    stab, witness = bundle.ci_stability(b, with_witness=True)
+    stab, witness = bundle.ci_stability(b, with_witness=True, table=table)
     results = {
         "ci_stability": "infinity" if stab is math.inf else stab,
         "witness": {"i": witness[0], "A": list(witness[1])} if witness else None,

@@ -13,14 +13,14 @@ from itertools import combinations
 from . import poly
 from .poly import (
     Ideal,
-    LexOrder,
+    MatrixOrder,
     PolyRing,
     RingMap,
-    WeightOrder,
     grevlex,
     ideal_equal,
     is_groebner_basis,
     leading_monomials,
+    lex,
     monomial_dimension,
     ring_map_kernel,
     symbolic_det,
@@ -202,6 +202,8 @@ def tangent_cox_ideal(n: int, m: int):
     m = n: Euler relations plus det Y(j) - e_j x_j W with signs solved
     against the presentation map.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n = {n}")
     if not 1 <= m <= n:
         raise ValueError("presentation is only produced for 1 <= m <= n")
     phi = build_phi(n, m)
@@ -232,7 +234,10 @@ def delta_weights(ring):
 
 
 def delta_order(ring):
-    return WeightOrder(delta_weights(ring), grevlex(ring), minimize=True)
+    """Minimal delta-weight leads, grevlex breaks ties: the row -w on top
+    of the grevlex rows."""
+    minus_w = [-w for w in delta_weights(ring)]
+    return MatrixOrder((minus_w,) + grevlex(ring).rows)
 
 
 def delta_initial_ideal(ideal, **kw):
@@ -314,11 +319,8 @@ def row_completing_order(ring, n):
     Under this order every top-row-sum has lead term in column 1 and every
     maximal minor leads with a diagonal-style term.
     """
-    precedence = []
-    for i in range(1, n + 1):
-        for j in list(range(1, n + 1)) + [0]:
-            precedence.append(ring.index[y_name(i, j)])
-    return LexOrder(precedence)
+    names = [y_name(i, j) for i in range(1, n + 1) for j in list(range(1, n + 1)) + [0]]
+    return lex(ring, names)
 
 
 def canonicalize_columns(n, subset):

@@ -13,9 +13,9 @@ from itertools import combinations, combinations_with_replacement
 from .cox import t_name, x_name, yy_name
 from .linalg import RatMatrix, left_kernel_basis
 from .poly import (
-    LexOrder,
     PolyRing,
     RingMap,
+    lex,
     normal_form,
     poly_to_text,
     ring_map_kernel,
@@ -376,13 +376,9 @@ def diagonal_order(target_ring, n):
     """Every t beats every y; the y block is lex, rows top down, columns
     left to right, so top-justified minors lead with their diagonal and the
     first missing column decides between competing minors."""
-    t_idx = [target_ring.index[t_name(j)] for j in range(n + 1)]
-    y_idx = [
-        target_ring.index[yy_name(i, j)]
-        for i in range(1, n)
-        for j in range(1, n + 1)
-    ]
-    return LexOrder(t_idx + y_idx)
+    t_names = [t_name(j) for j in range(n + 1)]
+    y_names = [yy_name(i, j) for i in range(1, n) for j in range(1, n + 1)]
+    return lex(target_ring, t_names + y_names)
 
 
 def lead_pattern(gen, n, psi=None, verify=None):
@@ -531,15 +527,14 @@ class SubductionError(ValueError):
 
 
 def _apply_step(steps, word, n, rule, removed, added):
-    before = word_pattern_sum(word, n)
+    # the word's pattern sum is kept iff the step's own generators balance
+    if word_pattern_sum(removed, n) != word_pattern_sum(added, n):
+        raise AssertionError(f"rewrite step broke the pattern sum: {rule}")
     new_word = list(word)
     for gen in removed:
         new_word.remove(gen)
     new_word.extend(added)
     new_word = sort_word(new_word)
-    after = word_pattern_sum(new_word, n)
-    if before != after:
-        raise AssertionError(f"rewrite step broke the pattern sum: {rule}")
     steps.append(
         {
             "rule": rule,

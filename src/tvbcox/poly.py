@@ -248,117 +248,69 @@ class Polynomial:
 # term orders
 
 
-class TermOrder:
-    """Total order on monomials via a sort key; max(key) is the lead term."""
+class MatrixOrder:
+    """Term order given by an integer matrix (Robbiano 1985).
 
-    name = "order"
+    A monomial's key is the tuple of row . exps, compared lexicographically;
+    max(key) is the lead term.  Lex, grevlex, weight and block orders are
+    all matrix orders, built by the constructors below.
+    """
 
-    def key(self, exps):
-        raise NotImplementedError
+    __slots__ = ("rows", "key")
+
+    def __init__(self, rows):
+        self.rows = tuple(tuple(int(a) for a in row) for row in rows)
+        self.key = _compile_key(self.rows)
 
     def signature(self):
         """Stable text form, used in cache keys."""
-        raise NotImplementedError
+        return "matrix(" + ";".join(",".join(map(str, row)) for row in self.rows) + ")"
 
 
-class LexOrder(TermOrder):
-    """Lexicographic; perm lists variable indices, most significant first."""
-
-    name = "lex"
-
-    def __init__(self, perm):
-        self.perm = tuple(perm)
-
-    def key(self, exps):
-        return tuple(exps[i] for i in self.perm)
-
-    def signature(self):
-        return f"lex({','.join(map(str, self.perm))})"
-
-
-class GrevlexOrder(TermOrder):
-    """Graded reverse lexicographic over a significance permutation."""
-
-    name = "grevlex"
-
-    def __init__(self, perm):
-        self.perm = tuple(perm)
-        self._rev = tuple(reversed(self.perm))
-
-    def key(self, exps):
-        return (sum(exps), tuple(-exps[i] for i in self._rev))
-
-    def signature(self):
-        return f"grevlex({','.join(map(str, self.perm))})"
+def _compile_key(rows):
+    # The key runs on every step of normal_form, so it is compiled once into
+    # one flat tuple expression over the nonzero entries, e.g.
+    # lambda e: (e[0]+e[1]+e[2], -e[2], -e[1]); a Python loop over the rows
+    # per call is an order of magnitude slower.  The entries are ints, so
+    # the generated source holds nothing but indices and integers.
+    parts = []
+    for row in rows:
+        terms = []
+        for i, a in enumerate(row):
+            if a:
+                coeff = "" if a == 1 else "-" if a == -1 else f"{a}*"
+                terms.append(f"{coeff}e[{i}]")
+        parts.append("+".join(terms).replace("+-", "-") or "0")
+    return eval(f"lambda e: ({''.join(p + ',' for p in parts)})")
 
 
-class WeightOrder(TermOrder):
-    """Weight vector first, then a tie-break order.
-
-    minimize=True makes *low* weight lead; that is the convention needed for
-    degeneration-style initial ideals where the weighted variables collapse.
-    """
-
-    name = "weight"
-
-    def __init__(self, weights, tie_break, minimize=False):
-        self.weights = tuple(Fraction(w) for w in weights)
-        self.tie_break = tie_break
-        self.minimize = minimize
-
-    def weight_of(self, exps):
-        return sum(w * e for w, e in zip(self.weights, exps))
-
-    def key(self, exps):
-        w = self.weight_of(exps)
-        return ((-w if self.minimize else w), self.tie_break.key(exps))
-
-    def signature(self):
-        w = ",".join(str(x) for x in self.weights)
-        return f"weight([{w}],min={self.minimize},{self.tie_break.signature()})"
-
-
-class BlockOrder(TermOrder):
-    """Concatenation of sub-orders on disjoint variable blocks.
-
-    With the first block holding the variables to eliminate, this is an
-    elimination order: any monomial meeting the first block beats every
-    monomial that avoids it.
-    """
-
-    name = "block"
-
-    def __init__(self, blocks):
-        # blocks: list of (index tuple, order on vectors of that length)
-        self.blocks = [(tuple(idx), order) for idx, order in blocks]
-
-    def key(self, exps):
-        return tuple(order.key(tuple(exps[i] for i in idx)) for idx, order in self.blocks)
-
-    def signature(self):
-        parts = ";".join(
-            f"[{','.join(map(str, idx))}]{order.signature()}" for idx, order in self.blocks
-        )
-        return f"block({parts})"
+def _grevlex_rows(nvars, idx):
+    """Grevlex on the variables idx (most significant first): their degree,
+    then minus each exponent from the last variable back."""
+    block = set(idx)
+    rows = [[int(i in block) for i in range(nvars)]]
+    for i in reversed(idx):
+        row = [0] * nvars
+        row[i] = -1
+        rows.append(row)
+    return rows
 
 
 def grevlex(ring):
-    return GrevlexOrder(range(ring.nvars))
+    return MatrixOrder(_grevlex_rows(ring.nvars, range(ring.nvars)))
 
 
 def lex(ring, names=None):
-    if names is None:
-        return LexOrder(range(ring.nvars))
-    return LexOrder(ring.index[n] for n in names)
+    """Lex with the given variables in falling significance (all by default)."""
+    idx = range(ring.nvars) if names is None else [ring.index[n] for n in names]
+    return MatrixOrder([[1 if j == i else 0 for j in range(ring.nvars)] for i in idx])
 
 
 def elimination_order(ring, drop_names):
     """Block order with the dropped variables leading, grevlex inside blocks."""
     drop = [ring.index[n] for n in drop_names]
     keep = [i for i in range(ring.nvars) if i not in set(drop)]
-    return BlockOrder(
-        [(drop, GrevlexOrder(range(len(drop)))), (keep, GrevlexOrder(range(len(keep))))]
-    )
+    return MatrixOrder(_grevlex_rows(ring.nvars, drop) + _grevlex_rows(ring.nvars, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -575,11 +527,11 @@ class Ideal:
         if sig not in self._gb:
             gb = None
             if cache is not None:
-                gb = cache.load(self.ring, self.gens, order, max_degree, max_basis)
+                gb = cache.load(self.ring, self.gens, order)
             if gb is None:
                 gb = buchberger(self.gens, order, max_degree, max_basis)
                 if cache is not None:
-                    cache.store(self.ring, self.gens, order, max_degree, max_basis, gb)
+                    cache.store(self.ring, self.gens, order, gb)
             self._gb[sig] = gb
         return self._gb[sig]
 
@@ -625,8 +577,7 @@ def weight_initial(f, weights):
     """Sum of the terms of minimal weight (degeneration convention)."""
     if not f.terms:
         return f
-    ws = [Fraction(w) for w in weights]
-    weighted = [(sum(w * e for w, e in zip(ws, m)), m) for m in f.terms]
+    weighted = [(sum(w * e for w, e in zip(weights, m)), m) for m in f.terms]
     wmin = min(w for w, _ in weighted)
     return Polynomial(f.ring, {m: f.terms[m] for w, m in weighted if w == wmin})
 

@@ -4,7 +4,8 @@ These deliberately use different algorithms from the library: permutation
 sums instead of cofactor expansion, minor enumeration instead of
 elimination, tableau enumeration instead of hook contents, subset
 enumeration instead of branch and bound, sign search through the
-presentation map instead of the Laplace expansion.
+presentation map instead of the Laplace expansion, and textbook monomial
+comparisons instead of matrix-order keys.
 """
 
 from fractions import Fraction
@@ -133,3 +134,45 @@ def euler_quadric_by_sign_search(n, tau, psi):
         if psi(candidate) == 0:
             return candidate
     return None
+
+
+def lex_greater(a, b, perm):
+    """a > b in lex over the variables perm, most significant first: the
+    first nonzero entry of a - b, read along perm, is positive."""
+    for i in perm:
+        if a[i] != b[i]:
+            return a[i] > b[i]
+    return False
+
+
+def grevlex_greater(a, b, perm):
+    """a > b in grevlex over perm: the higher degree wins; at equal degree
+    the last nonzero entry of a - b, read along perm, is negative."""
+    deg_a = sum(a[i] for i in perm)
+    deg_b = sum(b[i] for i in perm)
+    if deg_a != deg_b:
+        return deg_a > deg_b
+    for i in reversed(perm):
+        if a[i] != b[i]:
+            return a[i] < b[i]
+    return False
+
+
+def block_greater(a, b, blocks):
+    """a > b in the product of grevlex orders on the blocks, first block
+    first: a later block decides only when the earlier ones tie."""
+    for block in blocks:
+        if grevlex_greater(a, b, block):
+            return True
+        if grevlex_greater(b, a, block):
+            return False
+    return False
+
+
+def min_weight_greater(a, b, weights, tie_break):
+    """a > b when a has the smaller weight; equal weights go to tie_break."""
+    w_a = sum(w * e for w, e in zip(weights, a))
+    w_b = sum(w * e for w, e in zip(weights, b))
+    if w_a != w_b:
+        return w_a < w_b
+    return tie_break(a, b)

@@ -126,6 +126,12 @@ def test_cox_tangent_rejects_m_above_n(capsys):
     assert "input error" in err
 
 
+def test_cox_tangent_names_bad_n(capsys):
+    code, _, err = run(capsys, "cox", "tangent", "--n", "0", "--m", "1")
+    assert code == EXIT_USAGE
+    assert "input error: need n >= 1, got n = 0" in err
+
+
 def test_cox_lemma_command(capsys):
     code, out, _ = run(capsys, "cox", "lemma-js", "--n", "2", "--set", "1,2")
     assert code == EXIT_OK

@@ -241,6 +241,21 @@ def test_straightening_preserves_pattern_sum():
     assert steps  # at least the straightening step ran
 
 
+def test_rewrite_step_that_breaks_the_pattern_sum_raises():
+    n = 5
+    word = parse_word("[{1,4},0],[{2,3},0],[-2]")
+    pair = list(word[:2])
+    join = MarkedGenerator.flag(frozenset({1, 3}))
+    meet = MarkedGenerator.flag(frozenset({2, 4}))
+    new_word = gz._apply_step([], word, n, "union-intersection", pair, [join, meet])
+    assert word_pattern_sum(new_word, n) == word_pattern_sum(word, n)
+    with pytest.raises(AssertionError, match="broke the pattern sum"):
+        gz._apply_step([], word, n, "dropped meet", pair, [join])
+    wrong = MarkedGenerator.flag(frozenset({2, 3}))
+    with pytest.raises(AssertionError, match="broke the pattern sum"):
+        gz._apply_step([], word, n, "wrong meet", pair, [join, wrong])
+
+
 def test_critical_pair_with_two_marks():
     res = subduct(parse_word("[-2],[{1,2},1]"), parse_word("[-1],[{1,2},2]"), 3)
     assert res["success"]

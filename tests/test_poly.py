@@ -6,10 +6,9 @@ from tvbcox.cache import GBCache
 from tvbcox.poly import (
     CapExceeded,
     Ideal,
-    LexOrder,
+    MatrixOrder,
     PolyRing,
     RingMap,
-    WeightOrder,
     buchberger,
     eliminate,
     elimination_order,
@@ -26,7 +25,15 @@ from tvbcox.poly import (
     transplant,
     weight_initial,
 )
-from oracles import det_permutation_sum, monomial_dimension_brute
+from tvbcox.cox import delta_order, delta_weights
+from oracles import (
+    block_greater,
+    det_permutation_sum,
+    grevlex_greater,
+    lex_greater,
+    min_weight_greater,
+    monomial_dimension_brute,
+)
 
 
 @pytest.fixture
@@ -75,9 +82,54 @@ def test_lex_and_grevlex_keys(xyz):
 
 def test_weight_order_minimize(xyz):
     x, y, _ = xyz.gens()
-    o = WeightOrder([1, 0, 0], grevlex(xyz), minimize=True)
+    o = MatrixOrder(((-1, 0, 0),) + grevlex(xyz).rows)  # the row -w, then grevlex
     f = x + y  # weight 1 vs 0; minimal-weight convention leads with y
     assert f.leading_term(o)[0] == (0, 1, 0)
+
+
+def test_order_keys_match_textbook_comparators():
+    rng = random.Random(17)
+    ring = PolyRing(["a", "b", "c", "d", "e", "W", "W_12"])
+    names = ring.names
+    every = list(range(ring.nvars))
+    weights = delta_weights(ring)
+    for _ in range(30):
+        perm = rng.sample(every, len(every))
+        drop = rng.sample(every, rng.randrange(1, len(every)))
+        keep = [i for i in every if i not in drop]
+        scaled = [rng.randrange(-3, 4) for _ in every]
+        elim = elimination_order(ring, [names[i] for i in drop])
+        cases = [
+            (lex(ring, [names[i] for i in perm]), lambda a, b: lex_greater(a, b, perm)),
+            (grevlex(ring), lambda a, b: grevlex_greater(a, b, every)),
+            # with every variable dropped the one block is grevlex over perm
+            (
+                elimination_order(ring, [names[i] for i in perm]),
+                lambda a, b: grevlex_greater(a, b, perm),
+            ),
+            (elim, lambda a, b: block_greater(a, b, [drop, keep])),
+            (
+                delta_order(ring),
+                lambda a, b: min_weight_greater(
+                    a, b, weights, lambda a, b: grevlex_greater(a, b, every)
+                ),
+            ),
+            (
+                MatrixOrder(([-w for w in scaled],) + grevlex(ring).rows),
+                lambda a, b: min_weight_greater(
+                    a, b, scaled, lambda a, b: grevlex_greater(a, b, every)
+                ),
+            ),
+        ]
+        for _ in range(40):
+            a = tuple(rng.randrange(3) for _ in every)
+            b = tuple(rng.randrange(3) for _ in every)
+            for order, greater in cases:
+                assert (order.key(a) > order.key(b)) == greater(a, b)
+                assert (order.key(a) == order.key(b)) == (a == b)
+            # the elimination property: meeting the dropped block wins
+            if any(a[i] for i in drop) and not any(b[i] for i in drop):
+                assert elim.key(a) > elim.key(b)
 
 
 def test_normal_form_examples(xyz):
@@ -298,3 +350,16 @@ def test_gb_cache_roundtrip(tmp_path, xyz):
         path.write_text("garbage\n")
     again = Ideal(xyz, [x * x - y, y * y - z])
     assert again.groebner(order, cache=cache) == gb1
+
+
+def test_gb_cache_ignores_caps(tmp_path, xyz):
+    """The reduced basis is canonical: one stored under the default caps is
+    served under a degree cap too low to compute it."""
+    x, y, z = xyz.gens()
+    gens = [x * y - z, y * z - x, x * z - y]
+    order = grevlex(xyz)
+    with pytest.raises(CapExceeded):
+        Ideal(xyz, gens).groebner(order, max_degree=2)
+    cache = GBCache(str(tmp_path / "gb"))
+    gb = Ideal(xyz, gens).groebner(order, cache=cache)
+    assert Ideal(xyz, gens).groebner(order, max_degree=2, max_basis=1, cache=cache) == gb

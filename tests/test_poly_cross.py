@@ -11,7 +11,18 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from tvbcox.poly import Ideal, PolyRing, buchberger, grevlex, lex, normal_form
+from sympy.polys.orderings import ProductOrder
+from sympy.polys.orderings import grevlex as sympy_grevlex
+
+from tvbcox.poly import (
+    Ideal,
+    PolyRing,
+    buchberger,
+    elimination_order,
+    grevlex,
+    lex,
+    normal_form,
+)
 
 
 NAMES = ["x", "y", "z", "w"]
@@ -60,22 +71,44 @@ def test_reduced_basis_matches_sympy(order_name):
         if not gens:
             continue
         order = lex(ring) if order_name == "lex" else grevlex(ring)
-        ours = buchberger(gens, order)
-        theirs = sympy.groebner(
-            [to_sympy(g, syms) for g in gens], *syms, order=order_name
-        )
-        expected = {
-            frozenset(from_sympy(e, ring, syms).monic(order).terms.items())
-            for e in theirs.exprs
-            if e != 0
-        }
-        got = {frozenset(g.terms.items()) for g in ours}
-        if not expected:
-            assert got == set() or got == {
-                frozenset(ring.one().terms.items())
-            }  # sympy returns [] for the zero ideal
+        assert_same_reduced_basis(gens, order, order_name, ring, syms, trial)
+
+
+def assert_same_reduced_basis(gens, order, sympy_order, ring, syms, trial):
+    ours = buchberger(gens, order)
+    theirs = sympy.groebner([to_sympy(g, syms) for g in gens], *syms, order=sympy_order)
+    expected = {
+        frozenset(from_sympy(e, ring, syms).monic(order).terms.items())
+        for e in theirs.exprs
+        if e != 0
+    }
+    got = {frozenset(g.terms.items()) for g in ours}
+    if not expected:
+        # sympy returns [] for the zero ideal
+        assert got == set() or got == {frozenset(ring.one().terms.items())}
+        return
+    assert got == expected, f"trial {trial}: {got} != {expected}"
+
+
+def test_elimination_basis_matches_sympy_product_order():
+    """elimination_order is grevlex on the dropped block, then grevlex on
+    the rest: sympy's ProductOrder of two grevlex orders."""
+    rng = random.Random(113)
+    for trial in range(25):
+        nvars = rng.randrange(2, 5)
+        ring = PolyRing(NAMES[:nvars])
+        syms = sympy.symbols(NAMES[:nvars])
+        drop = sorted(rng.sample(range(nvars), rng.randrange(1, nvars)))
+        keep = [i for i in range(nvars) if i not in drop]
+        gens = random_system(ring, rng, rng.randrange(1, 4))
+        if not gens:
             continue
-        assert got == expected, f"trial {trial}: {got} != {expected}"
+        order = elimination_order(ring, [NAMES[i] for i in drop])
+        product = ProductOrder(
+            (sympy_grevlex, lambda m: tuple(m[i] for i in drop)),
+            (sympy_grevlex, lambda m: tuple(m[i] for i in keep)),
+        )
+        assert_same_reduced_basis(gens, order, product, ring, syms, trial)
 
 
 def test_membership_of_random_combinations():
