@@ -10,6 +10,10 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import IntMatrix, RatMatrix, rational_rank
+from .poly import CapExceeded
+
+# Largest number of ray or column subsets rank_table and classify enumerate.
+SUBSET_CAP = 2**16
 
 
 class BundleData:
@@ -97,6 +101,11 @@ def rank_table(b):
     It costs 2^n - 1 ranks; build it once and pass it to
     is_complete_intersection and ci_stability.
     """
+    count = 2**b.n - 1
+    if count > SUBSET_CAP:
+        raise CapExceeded(
+            f"{b.n} rays give {count} ray subsets, over the cap {SUBSET_CAP}", size=count
+        )
     table = {}
     rays = list(range(1, b.n + 1))
     for size in range(1, b.n + 1):
@@ -177,6 +186,11 @@ def classify(b):
     sparse = all(
         sum(1 for x in b.diagram.row(i) if x != 0) <= 1 for i in range(b.n)
     )
+    count = math.comb(b.s, b.d)
+    if count > SUBSET_CAP:
+        raise CapExceeded(
+            f"C({b.s}, {b.d}) = {count} column subsets, over the cap {SUBSET_CAP}", size=count
+        )
     uniform = True
     cols = range(b.s)
     for subset in combinations(cols, b.d):

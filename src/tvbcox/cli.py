@@ -12,7 +12,6 @@ import sys
 import time
 
 from . import __version__, bundle, cox, gz, poly, schur, suite
-from .cache import GBCache
 from .linalg import IntMatrix, RatMatrix, format_rational, parse_rational
 
 EXIT_OK = 0
@@ -175,15 +174,12 @@ def cmd_cox_tangent(args):
     }
     order = poly.grevlex(spec.ring)
     if args.emit == "gb":
-        cache = GBCache() if args.cache else None
-        gens = spec.ideal().groebner(order, cache=cache)
+        gens = spec.ideal().groebner(order)
     else:
         gens = spec.gens
     results["generators"] = [poly.poly_to_text(g, order) for g in gens]
     if args.verify_kernel:
-        results["kernel"] = cox.verify_kernel(
-            args.n, allow_large=args.allow_large, cache=GBCache() if args.cache else None
-        )
+        results["kernel"] = cox.verify_kernel(args.n, allow_large=args.allow_large)
         if not results["kernel"]["equal"]:
             emit_report(make_report("cox tangent", f"{args.n},{args.m}", results, started), args.report)
             return EXIT_CHECK_FAILED
@@ -316,7 +312,6 @@ def build_parser():
     p.add_argument("--verify-kernel", action="store_true")
     p.add_argument("--allow-large", action="store_true", help="enable n = 3 elimination")
     p.add_argument("--emit", choices=["generators", "gb"], default="generators")
-    p.add_argument("--cache", action="store_true", help="use the Groebner basis disk cache")
     p.add_argument("--report")
     p.set_defaults(fn=cmd_cox_tangent)
 

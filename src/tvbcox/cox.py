@@ -240,10 +240,10 @@ def delta_order(ring):
     return MatrixOrder((minus_w,) + grevlex(ring).rows)
 
 
-def delta_initial_ideal(ideal, **kw):
+def delta_initial_ideal(ideal):
     """Initial ideal for the minimal-weight degeneration of the W-variables."""
     order = delta_order(ideal.ring)
-    gb = ideal.groebner(order, **kw)
+    gb = ideal.groebner(order)
     w = delta_weights(ideal.ring)
     return Ideal(ideal.ring, [weight_initial(g, w) for g in gb])
 
@@ -251,7 +251,7 @@ def delta_initial_ideal(ideal, **kw):
 KERNEL_DEFAULT_CAP = 2
 
 
-def verify_kernel(n, allow_large=False, cache=None, max_degree=poly.DEFAULT_DEGREE_CAP):
+def verify_kernel(n, allow_large=False):
     """Check that ker(phi) equals the tangent Cox ideal, by elimination.
 
     n = 2 by default; n = 3 only behind allow_large (it is near the desk
@@ -263,38 +263,38 @@ def verify_kernel(n, allow_large=False, cache=None, max_degree=poly.DEFAULT_DEGR
         )
     start = time.monotonic()
     spec = tangent_cox_ideal(n, n)
-    kernel = ring_map_kernel(spec.phi, max_degree=max_degree, cache=cache)
+    kernel = ring_map_kernel(spec.phi)
     t_kernel = time.monotonic() - start
     order = grevlex(spec.ring)
     start = time.monotonic()
     claimed = spec.ideal()
-    equal = ideal_equal(kernel, claimed, order, cache=cache)
+    equal = ideal_equal(kernel, claimed, order)
     t_compare = time.monotonic() - start
     return {
         "n": n,
         "kernel_generators": len(kernel.gens),
         "claimed_generators": len(claimed.gens),
-        "kernel_gb_size": len(kernel.groebner(order, cache=cache)),
+        "kernel_gb_size": len(kernel.groebner(order)),
         "equal": equal,
         "seconds_elimination": round(t_kernel, 3),
         "seconds_compare": round(t_compare, 3),
     }
 
 
-def initial_comparison(n, cache=None):
+def initial_comparison(n):
     """Check in_delta(ker phi) = quiver ideal and its zero-set dimension.
 
     The degeneration is flat here: the initial ideal's zero set has the
     same dimension as the kernel's, which is reported alongside.
     """
     spec = tangent_cox_ideal(n, n)
-    kernel = ring_map_kernel(spec.phi, cache=cache)
-    initial = delta_initial_ideal(kernel, cache=cache)
+    kernel = ring_map_kernel(spec.phi)
+    initial = delta_initial_ideal(kernel)
     quiver = quiver_ideal(n)
     order = grevlex(spec.ring)
-    equal = ideal_equal(initial, quiver, order, cache=cache)
-    dim = poly.zero_set_dimension(initial, order, cache=cache)
-    generic_dim = poly.zero_set_dimension(kernel, order, cache=cache)
+    equal = ideal_equal(initial, quiver, order)
+    dim = poly.zero_set_dimension(initial, order)
+    generic_dim = poly.zero_set_dimension(kernel, order)
     return {
         "n": n,
         "equal": equal,
@@ -516,7 +516,7 @@ def apply_signed_match(f, match, target_ring):
     return f.substitute(images)
 
 
-def pluecker_match(cache=None):
+def pluecker_match():
     """Signed bijection from the m = n = 2 presentation onto Gr(2,5).
 
     Returns a report with the substitution; raises if none exists.
@@ -528,7 +528,7 @@ def pluecker_match(cache=None):
         return {"found": False}
     mapped = Ideal(target.ring, [apply_signed_match(g, match, target.ring) for g in spec.gens])
     order = grevlex(target.ring)
-    equal = ideal_equal(mapped, target, order, cache=cache)
+    equal = ideal_equal(mapped, target, order)
     return {
         "found": True,
         "ideal_equal": equal,

@@ -8,6 +8,7 @@ vector); products are rewritten against two relation families until words
 reach a canonical form.
 """
 
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .cox import t_name, x_name, yy_name
@@ -117,12 +118,6 @@ class ExtendedPattern:
         self.pattern = pattern
         self.zvec = tuple(zvec)
 
-    def __add__(self, other):
-        return ExtendedPattern(
-            self.pattern + other.pattern,
-            tuple(a + b for a, b in zip(self.zvec, other.zvec)),
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, ExtendedPattern)
@@ -201,7 +196,10 @@ class MarkedGenerator:
             ):
                 raise ValueError("flag set must be a nonempty strict subset of [n]")
 
+    @lru_cache(maxsize=None)
     def extended_pattern(self, n):
+        """Memoized per (generator, n): word sums call this on every
+        generator, and patterns are immutable values."""
         if self.kind == "neg":
             return ExtendedPattern(GZPattern.zero(n), _unit_vec(n, self.value, -1))
         pattern = generator_pattern(self.sigma, n)
@@ -295,10 +293,12 @@ def word_to_text(word):
 
 
 def word_pattern_sum(word, n):
-    total = ExtendedPattern(GZPattern.zero(n), (0,) * (n + 1))
-    for gen in word:
-        total = total + gen.extended_pattern(n)
-    return total
+    """Entrywise sum of the generators' extended patterns, built once."""
+    parts = [gen.extended_pattern(n) for gen in word]
+    if not parts:
+        return ExtendedPattern(GZPattern.zero(n), (0,) * (n + 1))
+    rows = [tuple(map(sum, zip(*col))) for col in zip(*(p.pattern.rows for p in parts))]
+    return ExtendedPattern(GZPattern(rows), tuple(map(sum, zip(*(p.zvec for p in parts)))))
 
 
 def sort_word(word):
@@ -513,9 +513,9 @@ def relation_families(n, psi=None):
     return rels
 
 
-def psi_kernel(n, cache=None, **kw):
+def psi_kernel(n):
     """ker(psi) by elimination; desk scale only at n = 2."""
-    return ring_map_kernel(build_psi(n), cache=cache, **kw)
+    return ring_map_kernel(build_psi(n))
 
 
 # ---------------------------------------------------------------------------

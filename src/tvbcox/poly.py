@@ -7,6 +7,7 @@ to evaluate ring maps like x_j -> t_j^-1); everything order-related
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 
 class CapExceeded(Exception):
@@ -262,10 +263,6 @@ class MatrixOrder:
         self.rows = tuple(tuple(int(a) for a in row) for row in rows)
         self.key = _compile_key(self.rows)
 
-    def signature(self):
-        """Stable text form, used in cache keys."""
-        return "matrix(" + ";".join(",".join(map(str, row)) for row in self.rows) + ")"
-
 
 def _compile_key(rows):
     # The key runs on every step of normal_form, so it is compiled once into
@@ -296,7 +293,10 @@ def _grevlex_rows(nvars, idx):
     return rows
 
 
+@lru_cache(maxsize=None)
 def grevlex(ring):
+    """Grevlex on all variables; built once per ring, since orders are
+    immutable and compiling the key is not free."""
     return MatrixOrder(_grevlex_rows(ring.nvars, range(ring.nvars)))
 
 
@@ -512,7 +512,7 @@ def is_groebner_basis(gens, order):
 
 
 class Ideal:
-    """Generator list plus per-order cached reduced Groebner bases."""
+    """Generator list plus its reduced Groebner bases, memoized per order."""
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -522,40 +522,32 @@ class Ideal:
                 raise ValueError("generator from the wrong ring")
         self._gb = {}
 
-    def groebner(self, order, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BASIS_CAP, cache=None):
-        sig = order.signature()
-        if sig not in self._gb:
-            gb = None
-            if cache is not None:
-                gb = cache.load(self.ring, self.gens, order)
-            if gb is None:
-                gb = buchberger(self.gens, order, max_degree, max_basis)
-                if cache is not None:
-                    cache.store(self.ring, self.gens, order, gb)
-            self._gb[sig] = gb
-        return self._gb[sig]
+    def groebner(self, order):
+        if order.rows not in self._gb:
+            self._gb[order.rows] = buchberger(self.gens, order)
+        return self._gb[order.rows]
 
-    def contains(self, f, order=None, **kw):
+    def contains(self, f, order=None):
         order = order or grevlex(self.ring)
-        return not normal_form(f, self.groebner(order, **kw), order)
+        return not normal_form(f, self.groebner(order), order)
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens in {self.ring!r})"
 
 
-def ideal_equal(a, b, order=None, **kw):
+def ideal_equal(a, b, order=None):
     """Mutual membership of generators via reduced Groebner bases."""
     if a.ring != b.ring:
         raise ValueError("ideals in different rings")
     order = order or grevlex(a.ring)
-    gb_a = a.groebner(order, **kw)
-    gb_b = b.groebner(order, **kw)
+    gb_a = a.groebner(order)
+    gb_b = b.groebner(order)
     return all(not normal_form(g, gb_b, order) for g in a.gens) and all(
         not normal_form(g, gb_a, order) for g in b.gens
     )
 
 
-def eliminate(ideal, drop_names, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BASIS_CAP, cache=None):
+def eliminate(ideal, drop_names):
     """Generators of ideal ∩ K[vars without drop_names].
 
     Pure polynomial elimination via a block order.  Callers that need
@@ -567,7 +559,7 @@ def eliminate(ideal, drop_names, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAUL
     if unknown:
         raise ValueError(f"unknown variables: {sorted(unknown)}")
     order = elimination_order(ideal.ring, sorted(drop, key=ideal.ring.index.get))
-    gb = ideal.groebner(order, max_degree, max_basis, cache=cache)
+    gb = ideal.groebner(order)
     drop_idx = {ideal.ring.index[n] for n in drop}
     kept = [g for g in gb if not (g.variables() & drop_idx)]
     return Ideal(ideal.ring, kept)
@@ -622,10 +614,10 @@ def leading_monomials(gens, order):
     return [g.leading_term(order)[0] for g in gens if g]
 
 
-def zero_set_dimension(ideal, order=None, **kw):
+def zero_set_dimension(ideal, order=None):
     """Dimension of the zero set, via the initial ideal of a Groebner basis."""
     order = order or grevlex(ideal.ring)
-    gb = ideal.groebner(order, **kw)
+    gb = ideal.groebner(order)
     return monomial_dimension(leading_monomials(gb, order), ideal.ring.nvars)
 
 
@@ -709,7 +701,7 @@ def transplant(f, target_ring, rename=None):
     return Polynomial(target_ring, out)
 
 
-def ring_map_kernel(phi, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BASIS_CAP, cache=None):
+def ring_map_kernel(phi):
     """Kernel of a ring map into a (Laurent) polynomial ring, by elimination.
 
     Builds the graph ideal in a combined ring.  A target variable t occurring
@@ -768,7 +760,7 @@ def ring_map_kernel(phi, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BASIS_
         gens.append(t * u - combined.one())
     drop = list(tgt.names) + aux
     graph = Ideal(combined, gens)
-    kernel = eliminate(graph, drop, max_degree, max_basis, cache=cache)
+    kernel = eliminate(graph, drop)
     return Ideal(src, [transplant(g, src) for g in kernel.gens])
 
 
@@ -804,52 +796,3 @@ def poly_to_text(f, order=None):
         text += f" {sign} {body}"
     return text
 
-
-def poly_from_text(ring, text):
-    """Parse the canonical text form back into a Polynomial."""
-    s = text.strip()
-    if s == "0":
-        return ring.zero()
-    # split into signed chunks at top level (no parentheses in this syntax)
-    chunks = []
-    sign = 1
-    buf = []
-    i = 0
-    if s.startswith("-"):
-        sign = -1
-        i = 1
-    elif s.startswith("+"):
-        i = 1
-    while i < len(s):
-        ch = s[i]
-        if ch in "+-" and i > 0 and s[i - 1] == " ":
-            chunks.append((sign, "".join(buf).strip()))
-            buf = []
-            sign = 1 if ch == "+" else -1
-        else:
-            buf.append(ch)
-        i += 1
-    chunks.append((sign, "".join(buf).strip()))
-    terms = []
-    for sgn, chunk in chunks:
-        if not chunk:
-            raise ValueError(f"empty term in {text!r}")
-        coeff = Fraction(sgn)
-        exps = [0] * ring.nvars
-        for factor in chunk.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise ValueError(f"empty factor in {text!r}")
-            if factor[0].isdigit():
-                coeff *= Fraction(factor)
-                continue
-            if "^" in factor:
-                name, _, power = factor.partition("^")
-                e = int(power)
-            else:
-                name, e = factor, 1
-            if name not in ring.index:
-                raise ValueError(f"unknown variable {name!r}")
-            exps[ring.index[name]] += e
-        terms.append((tuple(exps), coeff))
-    return ring.from_terms(terms)

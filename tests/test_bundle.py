@@ -21,6 +21,7 @@ from tvbcox.bundle import (
     uniform_sparse_stability,
 )
 from tvbcox.linalg import IntMatrix, RatMatrix
+from tvbcox.poly import CapExceeded
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +151,12 @@ def test_classify_non_uniform():
     d = IntMatrix.from_rows([[1, 0, 0]])
     cls = classify(BundleData(m, d))
     assert not cls.uniform
+
+
+def test_classify_caps_column_subsets():
+    b = uniform_sparse_bundle(9, 20)
+    with pytest.raises(CapExceeded, match="167960 column subsets"):
+        classify(b)
 
 
 def test_make_bundle_kinds():

@@ -120,6 +120,15 @@ def test_cox_tangent_kernel_cap(capsys):
     assert "cap exceeded" in err
 
 
+def test_analyze_caps_ray_subsets(capsys, tmp_path):
+    path = tmp_path / "tangent16.json"
+    path.write_text(serialize_bundle(tangent_bundle(16)))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_CAP
+    assert out == ""
+    assert "17 rays" in err
+
+
 def test_cox_tangent_rejects_m_above_n(capsys):
     code, _, err = run(capsys, "cox", "tangent", "--n", "2", "--m", "3")
     assert code == EXIT_USAGE
@@ -189,19 +198,3 @@ def test_report_file_written(capsys, ex514_path, tmp_path):
     assert code == EXIT_OK
     assert out == ""
     assert json.loads(report_path.read_text())["command"] == "analyze"
-
-
-def test_cache_dir_env_override(capsys, tmp_path, monkeypatch):
-    cache_dir = tmp_path / "gbcache"
-    monkeypatch.setenv("TVBCOX_CACHE_DIR", str(cache_dir))
-    code, out1, _ = run(
-        capsys, "cox", "tangent", "--n", "2", "--m", "2", "--emit", "gb", "--cache"
-    )
-    assert code == EXIT_OK
-    assert cache_dir.is_dir() and any(cache_dir.iterdir())
-    code, out2, _ = run(
-        capsys, "cox", "tangent", "--n", "2", "--m", "2", "--emit", "gb", "--cache"
-    )
-    assert code == EXIT_OK
-    results = lambda text: json.loads(text)["results"]
-    assert results(out1) == results(out2)
