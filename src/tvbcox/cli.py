@@ -240,7 +240,7 @@ def cmd_gz_verify(args):
     n = args.n
     psi = gz.build_psi(n)
     for gen in gz.all_generators(n):
-        gz.lead_pattern(gen, n, psi=psi, verify=n <= 4)
+        gz.lead_pattern(gen, n, psi=psi)
     relations = suite.gz_relation_check(n, psi)
     sweep = gz.confluence_sweep(n, args.max_word_length)
     results = {

@@ -268,7 +268,7 @@ def verify_kernel(n, allow_large=False):
     order = grevlex(spec.ring)
     start = time.monotonic()
     claimed = spec.ideal()
-    equal = ideal_equal(kernel, claimed, order)
+    equal = ideal_equal(kernel, claimed)
     t_compare = time.monotonic() - start
     return {
         "n": n,
@@ -292,7 +292,7 @@ def initial_comparison(n):
     initial = delta_initial_ideal(kernel)
     quiver = quiver_ideal(n)
     order = grevlex(spec.ring)
-    equal = ideal_equal(initial, quiver, order)
+    equal = ideal_equal(initial, quiver)
     dim = poly.zero_set_dimension(initial, order)
     generic_dim = poly.zero_set_dimension(kernel, order)
     return {
@@ -527,8 +527,7 @@ def pluecker_match():
     if match is None:
         return {"found": False}
     mapped = Ideal(target.ring, [apply_signed_match(g, match, target.ring) for g in spec.gens])
-    order = grevlex(target.ring)
-    equal = ideal_equal(mapped, target, order)
+    equal = ideal_equal(mapped, target)
     return {
         "found": True,
         "ideal_equal": equal,

@@ -381,18 +381,15 @@ def diagonal_order(target_ring, n):
     return lex(target_ring, t_names + y_names)
 
 
-def lead_pattern(gen, n, psi=None, verify=None):
+def lead_pattern(gen, n, psi=None):
     """Extended pattern of a generator's initial term.
 
-    With verify on (default for n <= 4) the declared pattern is checked
-    against the actual initial term of the presentation image under the
-    diagonal order.
+    For n <= 4 the declared pattern is checked against the actual initial
+    term of the presentation image under the diagonal order.
     """
     gen.check(n)
     declared = gen.extended_pattern(n)
-    if verify is None:
-        verify = n <= 4
-    if verify:
+    if n <= 4:
         psi = psi or build_psi(n)
         target = psi.target
         image = psi(psi.source.var(gen.variable_name()))

@@ -8,6 +8,7 @@ to evaluate ring maps like x_j -> t_j^-1); everything order-related
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 
 
 class CapExceeded(Exception):
@@ -98,9 +99,6 @@ class Polynomial:
         self.ring = ring
         self.terms = terms
 
-    def is_zero(self):
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -183,11 +181,6 @@ class Polynomial:
 
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items()))))
-
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
 
     def variables(self):
         """Indices of variables that actually occur."""
@@ -343,8 +336,12 @@ def normal_form(f, gens, order):
     first divisor (in list order) whose lead term divides it.
     """
     _require_orthant([f] + list(gens))
-    divisors = [(g.leading_term(order), g) for g in gens if g]
-    ring = f.ring
+    return _reduce(f, [(g.leading_term(order), g) for g in gens if g], order)
+
+
+def _reduce(f, divisors, order):
+    """The division loop of normal_form, over divisors ((lead, coeff), g)
+    whose lead terms are known and whose exponents were checked already."""
     work = dict(f.terms)
     remainder = {}
     while work:
@@ -366,20 +363,22 @@ def normal_form(f, gens, order):
                 break
         else:
             remainder[m] = c
-    return Polynomial(ring, remainder)
+    return Polynomial(f.ring, remainder)
 
 
-def s_polynomial(f, g, order):
-    (lt_f, lc_f) = f.leading_term(order)
-    (lt_g, lc_g) = g.leading_term(order)
+def _s_polynomial(a, b):
+    """S-polynomial of two divisors ((lead, coeff), g)."""
+    (lt_f, lc_f), f = a
+    (lt_g, lc_g), g = b
     l = _mono_lcm(lt_f, lt_g)
     mf = f.ring.monomial(_mono_div(l, lt_f), Fraction(1) / lc_f)
     mg = f.ring.monomial(_mono_div(l, lt_g), Fraction(1) / lc_g)
     return mf * f - mg * g
 
 
-def _gm_update(basis, lead, pairs, new_index):
-    """Gebauer-Moeller pair update after appending basis[new_index]."""
+def _gm_update(lead, pairs, new_index):
+    """Gebauer-Moeller pair update after appending the basis element with
+    lead term lead[new_index]."""
     t = lead[new_index]
     fresh = []
     for i in range(new_index):
@@ -419,90 +418,75 @@ DEFAULT_BASIS_CAP = 4000
 def buchberger(gens, order, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BASIS_CAP):
     """Reduced Groebner basis of the ideal generated by gens.
 
-    Raises CapExceeded (with the offending degree or size) instead of
-    truncating when the pair queue escapes the configured caps.
+    The inputs enter the basis one at a time through the same step as the
+    S-polynomials after them (Gebauer & Moeller 1988): reduce against the
+    basis so far, and a nonzero remainder joins it, monic, with its lead
+    term, and updates the pairs.  Raises CapExceeded (with the offending
+    degree or size) instead of truncating when the pair queue escapes the
+    configured caps.
     """
     _require_orthant(gens)
-    basis = [g.monic(order) for g in gens if g]
-    basis = _interreduce(basis, order)
-    if not basis:
-        return []
-    lead = [g.leading_term(order)[0] for g in basis]
+    basis = []  # divisors ((lead, 1), g), g monic
+    lead = []
     pairs = []
-    for k in range(1, len(basis)):
-        pairs = _gm_update(basis, lead, pairs, k)
-    while pairs:
-        pairs.sort(key=lambda p: (sum(p[2]), order.key(p[2])), reverse=True)
-        i, j, l = pairs.pop()
-        if max_degree is not None and sum(l) > max_degree:
-            raise CapExceeded(
-                f"S-pair degree {sum(l)} exceeds cap {max_degree}", degree=sum(l)
-            )
-        s = s_polynomial(basis[i], basis[j], order)
-        r = normal_form(s, basis, order)
-        if r:
-            if max_basis is not None and len(basis) >= max_basis:
+
+    def s_polynomials():
+        while pairs:
+            pairs.sort(key=lambda p: (sum(p[2]), order.key(p[2])), reverse=True)
+            i, j, l = pairs.pop()
+            if max_degree is not None and sum(l) > max_degree:
                 raise CapExceeded(
-                    f"basis size {len(basis)} exceeds cap {max_basis}", size=len(basis)
+                    f"S-pair degree {sum(l)} exceeds cap {max_degree}", degree=sum(l)
                 )
-            basis.append(r.monic(order))
-            lead.append(r.leading_term(order)[0])
-            pairs = _gm_update(basis, lead, pairs, len(basis) - 1)
+            yield _s_polynomial(basis[i], basis[j])
+
+    for f in chain(gens, s_polynomials()):
+        r = _reduce(f, basis, order)
+        if not r:
+            continue
+        if max_basis is not None and len(basis) >= max_basis:
+            raise CapExceeded(
+                f"basis size {len(basis)} exceeds cap {max_basis}", size=len(basis)
+            )
+        lt, lc = r.leading_term(order)
+        if lc != 1:
+            r = r * (Fraction(1) / lc)
+        basis.append(((lt, Fraction(1)), r))
+        lead.append(lt)
+        pairs[:] = _gm_update(lead, pairs, len(basis) - 1)
     return _reduce_basis(basis, order)
 
 
-def _interreduce(polys, order):
-    polys = [p for p in polys if p]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(polys)):
-            others = polys[:i] + polys[i + 1 :]
-            r = normal_form(polys[i], others, order)
-            if r != polys[i]:
-                changed = True
-                if r:
-                    polys[i] = r.monic(order)
-                else:
-                    polys = others
-                break
-    return polys
-
-
 def _reduce_basis(basis, order):
-    """Minimalize and tail-reduce; the result is the canonical reduced GB."""
-    items = sorted(
-        ((g.leading_term(order)[0], g) for g in basis),
-        key=lambda t: (sum(t[0]), order.key(t[0])),
-    )
+    """Minimalize and tail-reduce divisors ((lead, 1), g) of a Groebner
+    basis; the result is the canonical reduced GB."""
+    items = sorted(basis, key=lambda d: (sum(d[0][0]), order.key(d[0][0])))
     minimal = []
-    for lt, g in items:
-        if any(_divides(lt2, lt) for lt2, _ in minimal):
+    for d in items:
+        if any(_divides(m[0][0], d[0][0]) for m in minimal):
             continue
-        minimal.append((lt, g))
-    polys = [g for _, g in minimal]
-    reduced = []
-    for i, g in enumerate(polys):
-        others = polys[:i] + polys[i + 1 :]
-        r = normal_form(g, others, order)
-        if r:
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_term(order)[0]))
-    return reduced
+        minimal.append(d)
+    # no other lead divides a minimal lead, so each remainder keeps its
+    # lead term and stays monic
+    reduced = [
+        (lead, _reduce(g, minimal[:i] + minimal[i + 1 :], order))
+        for i, (lead, g) in enumerate(minimal)
+    ]
+    reduced.sort(key=lambda d: order.key(d[0][0]))
+    return [g for _, g in reduced]
 
 
 def is_groebner_basis(gens, order):
     """True iff every S-pair of gens reduces to zero against gens."""
     gens = [g for g in gens if g]
     _require_orthant(gens)
-    lead = [g.leading_term(order)[0] for g in gens]
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            l = _mono_lcm(lead[i], lead[j])
-            if l == tuple(a + b for a, b in zip(lead[i], lead[j])):
+    divisors = [(g.leading_term(order), g) for g in gens]
+    for i, ((lt_i, _), _) in enumerate(divisors):
+        for j in range(i + 1, len(divisors)):
+            lt_j = divisors[j][0][0]
+            if _mono_lcm(lt_i, lt_j) == tuple(a + b for a, b in zip(lt_i, lt_j)):
                 continue  # coprime lead terms always reduce to zero
-            s = s_polynomial(gens[i], gens[j], order)
-            if normal_form(s, gens, order):
+            if _reduce(_s_polynomial(divisors[i], divisors[j]), divisors, order):
                 return False
     return True
 
@@ -527,19 +511,16 @@ class Ideal:
             self._gb[order.rows] = buchberger(self.gens, order)
         return self._gb[order.rows]
 
-    def contains(self, f, order=None):
-        order = order or grevlex(self.ring)
-        return not normal_form(f, self.groebner(order), order)
-
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens in {self.ring!r})"
 
 
-def ideal_equal(a, b, order=None):
-    """Mutual membership of generators via reduced Groebner bases."""
+def ideal_equal(a, b):
+    """Mutual membership of generators via reduced Groebner bases (grevlex;
+    whether two ideals are equal does not depend on the order)."""
     if a.ring != b.ring:
         raise ValueError("ideals in different rings")
-    order = order or grevlex(a.ring)
+    order = grevlex(a.ring)
     gb_a = a.groebner(order)
     gb_b = b.groebner(order)
     return all(not normal_form(g, gb_b, order) for g in a.gens) and all(

@@ -38,14 +38,6 @@ def partitions_bounded(d: int, max_rows: int):
     return out
 
 
-def partition_weight(parts):
-    return sum(parts)
-
-
-def row_count(parts):
-    return len(normalize_partition(parts))
-
-
 def hook_length(parts, i: int, j: int) -> int:
     """Hook length of cell (i, j), 0-based, in the diagram of parts."""
     arm = parts[i] - j - 1

@@ -145,7 +145,7 @@ def check_gz(level):
     for n in ns:
         psi = gz.build_psi(n)
         for gen in gz.all_generators(n):
-            gz.lead_pattern(gen, n, psi=psi, verify=True)
+            gz.lead_pattern(gen, n, psi=psi)
         relations = gz_relation_check(n, psi)
         sweep = gz.confluence_sweep(n, 3)
         assert sweep["confluent"], f"non-confluent at n={n}: {sweep['clashes'][:1]}"
@@ -153,7 +153,7 @@ def check_gz(level):
     if level == "full":
         psi4 = gz.build_psi(4)
         for gen in gz.all_generators(4):
-            gz.lead_pattern(gen, 4, psi=psi4, verify=True)
+            gz.lead_pattern(gen, 4, psi=psi4)
         report["initial_terms_checked_to"] = 4
     # lift property at n = 2
     psi = gz.build_psi(2)

@@ -110,7 +110,7 @@ def test_criterion_9_gz_suite():
     for n in (2, 3):
         psi = gz.build_psi(n)
         for gen in gz.all_generators(n):
-            pattern = gz.lead_pattern(gen, n, psi=psi, verify=True)
+            pattern = gz.lead_pattern(gen, n, psi=psi)
             ok = ok and pattern.pattern.interlaces()
         gz_relation_check(n, psi)
         ok = ok and gz.confluence_sweep(n, 3)["confluent"]

@@ -159,18 +159,18 @@ def test_lead_pattern_verified_up_to_n4():
     for n in (2, 3, 4):
         psi = build_psi(n)
         for gen in all_generators(n):
-            declared = lead_pattern(gen, n, psi=psi, verify=True)
+            declared = lead_pattern(gen, n, psi=psi)
             assert declared == gen.extended_pattern(n)
 
 
 def test_lead_pattern_spec_displays():
     n = 3
-    x2 = lead_pattern(MarkedGenerator.neg(2), n, verify=False)
+    x2 = lead_pattern(MarkedGenerator.neg(2), n)
     assert x2.zvec == (0, 0, -1, 0)
-    p = lead_pattern(MarkedGenerator.flag({1, 3}, 0), n, verify=False)
+    p = lead_pattern(MarkedGenerator.flag({1, 3}, 0), n)
     assert p.pattern == generator_pattern({1, 3}, n)
     assert p.zvec == (0, 1, 0, 1)
-    marked = lead_pattern(MarkedGenerator.flag({1, 2}, 2), n, verify=False)
+    marked = lead_pattern(MarkedGenerator.flag({1, 2}, 2), n)
     assert marked.pattern == generator_pattern({1, 2}, n)
     assert marked.zvec == (1, 1, 0, 0)
 

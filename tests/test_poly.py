@@ -144,7 +144,10 @@ def test_buchberger_already_basis(xyz):
     x, y, z = xyz.gens()
     o = lex(xyz)
     gb = buchberger([x - y, y - z], o)
-    assert ideal_equal(Ideal(xyz, gb), Ideal(xyz, [x - y, y - z]), o)
+    # the lead terms x and y are coprime, so no S-pair is formed; only tail
+    # reduction turns x - y into x - z
+    assert gb == [y - z, x - z]
+    assert ideal_equal(Ideal(xyz, gb), Ideal(xyz, [x - y, y - z]))
     assert is_groebner_basis(gb, o)
 
 
@@ -279,6 +282,29 @@ def test_buchberger_cap_exceeded(xyz):
     with pytest.raises(CapExceeded) as info:
         buchberger([x * y - z, y * z - x, x * z - y], grevlex(xyz), max_degree=2)
     assert info.value.degree is not None
+
+
+def test_buchberger_basis_cap_exceeded(xyz):
+    x, y, z = xyz.gens()
+    with pytest.raises(CapExceeded) as info:
+        buchberger([x * y - z, y * z - x, x * z - y], grevlex(xyz), max_basis=3)
+    assert info.value.size == 3
+
+
+def test_engine_entry_points_reject_laurent_input(xyz):
+    x, y, z = xyz.gens()
+    laurent = x**-1 + y
+    o = grevlex(xyz)
+    calls = [
+        lambda: normal_form(laurent, [y - z], o),
+        lambda: normal_form(x * y, [laurent], o),
+        lambda: buchberger([y - z, laurent], o),
+        lambda: is_groebner_basis([y - z, laurent], o),
+        lambda: Ideal(xyz, [y - z, laurent]).groebner(o),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="Laurent"):
+            call()
 
 
 def test_elimination_order_blocks(xyz):
