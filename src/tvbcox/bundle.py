@@ -114,6 +114,29 @@ def rank_table(b):
     return table
 
 
+def _ci_profile(b, table):
+    """Each distinct (|A|, m_i, m_A) over ray subsets A with |A| >= 2 and
+    i in A, the only thing the CI criterion reads, mapped to its first
+    (i, A) in table order, i in the iteration order of the frozenset A."""
+    if table is None:
+        table = rank_table(b)
+    m_ray = [None] + [table[frozenset((i,))] for i in range(1, b.n + 1)]
+    profile = {}
+    for subset, m_a in table.items():
+        if len(subset) >= 2:
+            for i in subset:
+                profile.setdefault((len(subset), m_ray[i], m_a), (i, subset))
+    return profile
+
+
+def _ci_holds(profile, summands):
+    return all(1 + summands * m_i < size + summands * m_a for size, m_i, m_a in profile)
+
+
+def _pair_bound(size, m_i, m_a):
+    return -((size - 1) // -(m_i - m_a)) - 1  # ceil((size - 1)/(m_i - m_a)) - 1
+
+
 def is_complete_intersection(b, summands=1, table=None):
     """Complete-intersection test for the bundle tensored with K^summands.
 
@@ -123,53 +146,33 @@ def is_complete_intersection(b, summands=1, table=None):
     """
     if summands < 1:
         raise ValueError("the number of summands must be at least 1")
-    if table is None:
-        table = rank_table(b)
-    for subset, m_a in table.items():
-        if len(subset) < 2:
-            continue
-        for i in subset:
-            m_i = table[frozenset((i,))]
-            if not (1 + summands * m_i < len(subset) + summands * m_a):
-                return False
-    return True
+    return _ci_holds(_ci_profile(b, table), summands)
 
 
-def ci_stability(b, with_witness=False, table=None):
-    """Largest l such that the l-fold sum is still a complete intersection.
+def ci_stability(b, table=None):
+    """(l, witness): the largest l such that the l-fold sum is still a
+    complete intersection, and the first pair (i, A) that binds it.
 
-    Computed two ways, which must agree: by incrementing l, and by the
-    closed form min over (i, A) with m_{i} > m_A of
-    ceil((|A|-1)/(m_{i}-m_A)) - 1.  Returns math.inf when no pair binds.
+    Computed two ways, which must agree: the closed form min over (i, A)
+    with m_{i} > m_A of ceil((|A|-1)/(m_{i}-m_A)) - 1, and the criterion
+    itself at every l up to one past it.  (math.inf, None) when no pair binds.
     """
-    if table is None:
-        table = rank_table(b)
-    if not is_complete_intersection(b, 1, table):
+    profile = _ci_profile(b, table)
+    if not _ci_holds(profile, 1):
         raise ValueError("not a complete intersection at l = 1")
     best = math.inf
     witness = None
-    for subset, m_a in table.items():
-        if len(subset) < 2:
-            continue
-        for i in subset:
-            m_i = table[frozenset((i,))]
-            if m_i > m_a:
-                bound = -((len(subset) - 1) // -(m_i - m_a)) - 1  # ceil - 1
-                if bound < best:
-                    best = bound
-                    witness = (i, tuple(sorted(subset)))
+    for (size, m_i, m_a), (i, subset) in profile.items():
+        if m_i > m_a:
+            bound = _pair_bound(size, m_i, m_a)
+            if bound < best:
+                best = bound
+                witness = (i, tuple(sorted(subset)))
     if best is not math.inf:
-        # cross-check the closed form by direct iteration
-        for ell in range(1, best + 1):
-            if not is_complete_intersection(b, ell, table):
-                raise AssertionError(
-                    f"closed form {best} disagrees with iteration at l = {ell}"
-                )
-        if is_complete_intersection(b, best + 1, table):
-            raise AssertionError(f"still CI at l = {best + 1}, closed form {best}")
-    if with_witness:
-        return best, witness
-    return best
+        holds = [_ci_holds(profile, ell) for ell in range(1, best + 2)]
+        if holds != [True] * best + [False]:
+            raise AssertionError(f"closed form {best}, but CI at l = 1..{best + 1} is {holds}")
+    return best, witness
 
 
 def uniform_sparse_stability(r: int, s: int) -> int:

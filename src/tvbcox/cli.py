@@ -96,47 +96,41 @@ def emit_report(report, path=None):
         sys.stdout.write(text)
 
 
-def _analysis(b):
-    cls = bundle.classify(b)
+def _stability(b):
+    """The ci-stability results, or None when b is not a complete intersection."""
     table = bundle.rank_table(b)
-    ci1 = bundle.is_complete_intersection(b, 1, table)
-    results = {"label": b.label, "n": b.n, "s": b.s, "d": b.d, "rank": b.rank}
-    results["class"] = cls.as_dict()
-    results["complete_intersection"] = ci1
-    if ci1:
-        stab, witness = bundle.ci_stability(b, with_witness=True, table=table)
-        results["ci_stability"] = "infinity" if stab is math.inf else stab
-        results["ci_stability_methods"] = "iterative and closed form agree"
-        if witness:
-            results["witness"] = {"i": witness[0], "A": list(witness[1])}
-    return results
+    if not bundle.is_complete_intersection(b, 1, table):
+        return None
+    stab, witness = bundle.ci_stability(b, table)
+    return {
+        "ci_stability": "infinity" if stab is math.inf else stab,
+        "witness": {"i": witness[0], "A": list(witness[1])} if witness else None,
+    }
 
 
 def cmd_analyze(args):
     started = time.monotonic()
     b, text = load_bundle(args.path)
-    report = make_report("analyze", text, _analysis(b), started)
-    emit_report(report, args.report)
+    results = {"label": b.label, "n": b.n, "s": b.s, "d": b.d, "rank": b.rank}
+    results["class"] = bundle.classify(b).as_dict()
+    stability = _stability(b)
+    results["complete_intersection"] = stability is not None
+    if stability is not None:
+        results["ci_stability"] = stability["ci_stability"]
+        results["ci_stability_methods"] = "iterative and closed form agree"
+        if stability["witness"]:
+            results["witness"] = stability["witness"]
+    emit_report(make_report("analyze", text, results, started), args.report)
     return EXIT_OK
 
 
 def cmd_ci_stability(args):
     started = time.monotonic()
     b, text = load_bundle(args.path)
-    table = bundle.rank_table(b)
-    if not bundle.is_complete_intersection(b, 1, table):
-        report = make_report(
-            "ci-stability", text, {"complete_intersection": False}, started
-        )
-        emit_report(report, args.report)
-        return EXIT_CHECK_FAILED
-    stab, witness = bundle.ci_stability(b, with_witness=True, table=table)
-    results = {
-        "ci_stability": "infinity" if stab is math.inf else stab,
-        "witness": {"i": witness[0], "A": list(witness[1])} if witness else None,
-    }
-    emit_report(make_report("ci-stability", text, results, started), args.report)
-    return EXIT_OK
+    results = _stability(b)
+    failed = {"complete_intersection": False}
+    emit_report(make_report("ci-stability", text, results or failed, started), args.report)
+    return EXIT_OK if results else EXIT_CHECK_FAILED
 
 
 def cmd_region(args):

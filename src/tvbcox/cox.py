@@ -79,16 +79,6 @@ def euler_generators(ring, n, m):
     return gens
 
 
-def euler_ideal(n, m):
-    if n < 1 or m < 1:
-        raise ValueError("need n, m >= 1")
-    ring = PolyRing(
-        [x_name(j) for j in range(n + 1)]
-        + [y_name(i, j) for i in range(1, m + 1) for j in range(n + 1)]
-    )
-    return Ideal(ring, euler_generators(ring, n, m))
-
-
 def det_forget_column(ring, n, j):
     """det of the n x n minor of [Y_ij] obtained by forgetting column j."""
     cols = [c for c in range(n + 1) if c != j]

@@ -12,7 +12,7 @@ from itertools import chain
 
 
 class CapExceeded(Exception):
-    """A Buchberger run hit its degree or size cap."""
+    """A computation hit one of its degree or size caps."""
 
     def __init__(self, message, degree=None, size=None):
         super().__init__(message)
@@ -609,7 +609,7 @@ def zero_set_dimension(ideal, order=None):
 DET_SIDE_CAP = 6
 
 
-def symbolic_det(rows, side_cap=DET_SIDE_CAP):
+def symbolic_det(rows):
     """Exact determinant of a square matrix of Polynomials.
 
     Standard alternating cofactor expansion along the first row.
@@ -619,15 +619,15 @@ def symbolic_det(rows, side_cap=DET_SIDE_CAP):
         raise ValueError("matrix is not square")
     if n == 0:
         raise ValueError("empty matrix")
-    if n > side_cap:
-        raise ValueError(f"side {n} exceeds cap {side_cap}")
+    if n > DET_SIDE_CAP:
+        raise CapExceeded(f"determinant side {n} exceeds cap {DET_SIDE_CAP}", size=n)
     if n == 1:
         return rows[0][0]
     ring = rows[0][0].ring
     result = ring.zero()
     for j in range(n):
         minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        cofactor = symbolic_det(minor, side_cap)
+        cofactor = symbolic_det(minor)
         term = rows[0][j] * cofactor
         result = result + (term if j % 2 == 0 else -term)
     return result

@@ -15,7 +15,7 @@ def check_example_514(level):
     b = bundle.example_514_bundle()
     assert bundle.is_complete_intersection(b, 1), "CI fails at one summand"
     assert not bundle.is_complete_intersection(b, 2), "CI unexpectedly holds at two summands"
-    stab, witness = bundle.ci_stability(b, with_witness=True)
+    stab, witness = bundle.ci_stability(b)
     assert stab == 1, f"stability {stab} != 1"
     assert witness[1] == (1, 2, 3), f"witness {witness}"
     return {"stability": stab, "witness": witness}
@@ -24,7 +24,7 @@ def check_example_514(level):
 def check_tangent_stability(level):
     values = {}
     for n in range(2, 7):
-        stab = bundle.ci_stability(bundle.tangent_bundle(n))
+        stab, _ = bundle.ci_stability(bundle.tangent_bundle(n))
         assert stab == n - 1, f"tangent({n}) stability {stab} != {n - 1}"
         values[n] = stab
     return {"stability": values}
@@ -37,7 +37,7 @@ def check_uniform_sparse_region(level):
         for s in range(d + 2, 9):
             closed = bundle.uniform_sparse_stability(s - d, s)
             b = bundle.uniform_sparse_bundle(d, s)
-            iterated = bundle.ci_stability(b)
+            iterated, _ = bundle.ci_stability(b)
             assert closed == iterated, f"(d={d}, s={s}): closed {closed} != iterated {iterated}"
             agreements += 1
     return {"instances": agreements}

@@ -21,7 +21,7 @@ def test_criterion_1_example_514():
     ok = (
         bundle.is_complete_intersection(b, 1)
         and not bundle.is_complete_intersection(b, 2)
-        and bundle.ci_stability(b) == 1
+        and bundle.ci_stability(b)[0] == 1
     )
     verdict(1, ok, "example 5.14 CI and stability", time.monotonic() - start, 1.0)
 
@@ -29,7 +29,7 @@ def test_criterion_1_example_514():
 def test_criterion_2_tangent_stability():
     start = time.monotonic()
     ok = all(
-        bundle.ci_stability(bundle.tangent_bundle(n)) == n - 1 for n in range(2, 7)
+        bundle.ci_stability(bundle.tangent_bundle(n))[0] == n - 1 for n in range(2, 7)
     )
     verdict(2, ok, "tangent bundle stability n = 2..6", time.monotonic() - start, 1.0)
 
@@ -40,7 +40,7 @@ def test_criterion_3_uniform_sparse_region():
     for d in range(1, 4):
         for s in range(d + 2, 9):
             closed = bundle.uniform_sparse_stability(s - d, s)
-            ok = ok and closed == bundle.ci_stability(bundle.uniform_sparse_bundle(d, s))
+            ok = ok and closed == bundle.ci_stability(bundle.uniform_sparse_bundle(d, s))[0]
     verdict(3, ok, "uniform sparse closed form vs brute force", time.monotonic() - start, 10.0)
 
 

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from tvbcox import bundle
 from tvbcox.bundle import (
     BundleData,
     ci_stability,
@@ -12,6 +13,7 @@ from tvbcox.bundle import (
     example_514_bundle,
     is_complete_intersection,
     make_bundle,
+    rank_table,
     region_csv,
     region_svg,
     region_table,
@@ -73,12 +75,12 @@ def test_ci_monotone_in_summands(ex514):
 
 
 def test_ci_stability_values(ex514):
-    stab, witness = ci_stability(ex514, with_witness=True)
+    stab, witness = ci_stability(ex514)
     assert stab == 1
     assert witness == (1, (1, 2, 3))
     for n in range(2, 7):
-        assert ci_stability(tangent_bundle(n)) == n - 1
-    assert ci_stability(uniform_sparse_bundle(2, 6)) == 2
+        assert ci_stability(tangent_bundle(n))[0] == n - 1
+    assert ci_stability(uniform_sparse_bundle(2, 6)) == (2, (1, (1, 2, 3, 4, 5, 6)))
 
 
 def test_ci_stability_requires_ci():
@@ -94,7 +96,33 @@ def test_ci_stability_requires_ci():
 def test_ci_stability_infinite():
     # a single ray has no subsets of size two, so nothing ever binds
     b = BundleData(RatMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[0, 1]]))
-    assert ci_stability(b) is math.inf
+    assert ci_stability(b) == (math.inf, None)
+
+
+def test_ci_stability_cross_check_rejects_a_wrong_closed_form(monkeypatch):
+    pair_bound = bundle._pair_bound
+    for shift in (-1, 1):
+        monkeypatch.setattr(bundle, "_pair_bound", lambda *t, k=shift: pair_bound(*t) + k)
+        with pytest.raises(AssertionError, match="closed form"):
+            ci_stability(tangent_bundle(3))
+
+
+def test_ci_stability_reads_the_table_once(monkeypatch):
+    class CountingTable(dict):
+        passes = 0
+
+        def items(self):
+            CountingTable.passes += 1
+            return super().items()
+
+    def no_call(*args):
+        raise AssertionError("ci_stability called is_complete_intersection")
+
+    b = tangent_bundle(4)
+    table = CountingTable(rank_table(b))
+    monkeypatch.setattr(bundle, "is_complete_intersection", no_call)
+    assert ci_stability(b, table) == (3, (1, (1, 2, 3, 4, 5)))
+    assert CountingTable.passes == 1
 
 
 def test_uniform_sparse_stability_closed_form():
@@ -110,7 +138,7 @@ def test_uniform_sparse_matches_iteration():
     for d in range(1, 4):
         for s in range(d + 2, 9):
             b = uniform_sparse_bundle(d, s)
-            assert ci_stability(b) == uniform_sparse_stability(s - d, s)
+            assert ci_stability(b)[0] == uniform_sparse_stability(s - d, s)
 
 
 def test_uniform_sparse_closed_form_independent_of_placement():
@@ -124,7 +152,7 @@ def test_uniform_sparse_closed_form_independent_of_placement():
         rng.shuffle(cols)
         positions = [(c, rng.randrange(1, 5)) for c in cols]
         b = uniform_sparse_bundle(d, s, positions)
-        assert ci_stability(b) == uniform_sparse_stability(s - d, s)
+        assert ci_stability(b)[0] == uniform_sparse_stability(s - d, s)
 
 
 def test_classify_tangent():
@@ -132,7 +160,7 @@ def test_classify_tangent():
         cls = classify(tangent_bundle(n))
         assert cls.sparse and cls.uniform and cls.hypersurface
         assert cls.rank == n
-        assert ci_stability(tangent_bundle(n)) == cls.rank - 1
+        assert ci_stability(tangent_bundle(n))[0] == cls.rank - 1
 
 
 def test_classify_example(ex514):

@@ -129,6 +129,14 @@ def test_analyze_caps_ray_subsets(capsys, tmp_path):
     assert "17 rays" in err
 
 
+def test_determinant_cap_exits_3(capsys):
+    for argv in (["tangent", "--n", "7", "--m", "7"], ["quiver", "--n", "7"]):
+        code, out, err = run(capsys, "cox", *argv)
+        assert code == EXIT_CAP
+        assert out == ""
+        assert "cap exceeded: determinant side 7 exceeds cap 6" in err
+
+
 def test_cox_tangent_rejects_m_above_n(capsys):
     code, _, err = run(capsys, "cox", "tangent", "--n", "2", "--m", "3")
     assert code == EXIT_USAGE

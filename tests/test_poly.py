@@ -271,8 +271,9 @@ def test_symbolic_det_matches_permutation_sum(xyz):
 def test_symbolic_det_cap():
     ring = PolyRing([f"a{i}" for i in range(9)])
     gens = ring.gens()
-    with pytest.raises(ValueError):
+    with pytest.raises(CapExceeded) as exc:
         symbolic_det([[gens[0]] * 7] * 7)
+    assert exc.value.size == 7
     with pytest.raises(ValueError):
         symbolic_det([[gens[0], gens[1]]])
 
