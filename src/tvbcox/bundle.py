@@ -129,6 +129,10 @@ def _ci_profile(b, table):
     return profile
 
 
+class NotCompleteIntersection(ValueError):
+    """The bundle is not a complete intersection even at one summand."""
+
+
 def _ci_holds(profile, summands):
     return all(1 + summands * m_i < size + summands * m_a for size, m_i, m_a in profile)
 
@@ -155,11 +159,12 @@ def ci_stability(b, table=None):
 
     Computed two ways, which must agree: the closed form min over (i, A)
     with m_{i} > m_A of ceil((|A|-1)/(m_{i}-m_A)) - 1, and the criterion
-    itself at every l up to one past it.  (math.inf, None) when no pair binds.
+    itself at every l up to one past it.  (math.inf, None) when no pair binds;
+    NotCompleteIntersection when the bundle is not CI at l = 1.
     """
     profile = _ci_profile(b, table)
     if not _ci_holds(profile, 1):
-        raise ValueError("not a complete intersection at l = 1")
+        raise NotCompleteIntersection("not a complete intersection at l = 1")
     best = math.inf
     witness = None
     for (size, m_i, m_a), (i, subset) in profile.items():

@@ -97,11 +97,12 @@ def emit_report(report, path=None):
 
 
 def _stability(b):
-    """The ci-stability results, or None when b is not a complete intersection."""
-    table = bundle.rank_table(b)
-    if not bundle.is_complete_intersection(b, 1, table):
+    """The ci-stability results, or None when b is not a complete intersection.
+    One CI profile serves both: ci_stability tests l = 1 before anything else."""
+    try:
+        stab, witness = bundle.ci_stability(b)
+    except bundle.NotCompleteIntersection:
         return None
-    stab, witness = bundle.ci_stability(b, table)
     return {
         "ci_stability": "infinity" if stab is math.inf else stab,
         "witness": {"i": witness[0], "A": list(witness[1])} if witness else None,

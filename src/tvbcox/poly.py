@@ -8,7 +8,8 @@ to evaluate ring maps like x_j -> t_j^-1); everything order-related
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from heapq import heapify, heappop
+from itertools import chain, combinations, compress, count
 
 
 class CapExceeded(Exception):
@@ -321,6 +322,23 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+@lru_cache(maxsize=None)
+def _bits(nvars):
+    return tuple(1 << i for i in range(nvars))
+
+
+def _support(m):
+    """Bitmask of the variables of m (bit i iff m[i] > 0), a plain int of
+    any width: a divides b only if a's support is a subset of b's."""
+    return sum(compress(_bits(len(m)), m))
+
+
+def _divisor(g, order):
+    """g as a divisor (lead, coeff, support of lead, g)."""
+    lt, lc = g.leading_term(order)
+    return lt, lc, _support(lt), g
+
+
 def _mono_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
@@ -336,19 +354,22 @@ def normal_form(f, gens, order):
     first divisor (in list order) whose lead term divides it.
     """
     _require_orthant([f] + list(gens))
-    return _reduce(f, [(g.leading_term(order), g) for g in gens if g], order)
+    return _reduce(f, [_divisor(g, order) for g in gens if g], order)
 
 
 def _reduce(f, divisors, order):
-    """The division loop of normal_form, over divisors ((lead, coeff), g)
-    whose lead terms are known and whose exponents were checked already."""
+    """The division loop of normal_form, over divisors (lead, coeff, mask, g)
+    whose exponents were checked already.  A divisor whose lead support
+    is not inside the term's is skipped before its exponents are compared:
+    the short exponent vector filter (Bachmann & Schoenemann 1998)."""
     work = dict(f.terms)
     remainder = {}
     while work:
         m = max(work, key=order.key)
         c = work.pop(m)
-        for (lt, lc), g in divisors:
-            if _divides(lt, m):
+        outside = ~_support(m)
+        for lt, lc, mask, g in divisors:
+            if not mask & outside and _divides(lt, m):
                 factor = c / lc
                 shift = _mono_div(m, lt)
                 for gm, gc in g.terms.items():
@@ -367,48 +388,45 @@ def _reduce(f, divisors, order):
 
 
 def _s_polynomial(a, b):
-    """S-polynomial of two divisors ((lead, coeff), g)."""
-    (lt_f, lc_f), f = a
-    (lt_g, lc_g), g = b
+    """S-polynomial of two divisors (lead, coeff, mask, g)."""
+    lt_f, lc_f, _, f = a
+    lt_g, lc_g, _, g = b
     l = _mono_lcm(lt_f, lt_g)
     mf = f.ring.monomial(_mono_div(l, lt_f), Fraction(1) / lc_f)
     mg = f.ring.monomial(_mono_div(l, lt_g), Fraction(1) / lc_g)
     return mf * f - mg * g
 
 
-def _gm_update(lead, pairs, new_index):
-    """Gebauer-Moeller pair update after appending the basis element with
-    lead term lead[new_index]."""
-    t = lead[new_index]
-    fresh = []
-    for i in range(new_index):
-        fresh.append((i, new_index, _mono_lcm(lead[i], t)))
+def _gm_update(basis, queue):
+    """Gebauer-Moeller pair update after appending basis[-1]: filters the
+    queued pairs (..., i, j, lcm) in place and returns the new pairs
+    (i, j, lcm) in the order they join the queue."""
+    new, t = len(basis) - 1, basis[-1][0]
     # drop old pairs whose lcm is strictly covered by the new lead term
-    kept = []
-    for i, j, l in pairs:
-        if (
-            _divides(t, l)
-            and _mono_lcm(lead[i], t) != l
-            and _mono_lcm(lead[j], t) != l
-        ):
-            continue
-        kept.append((i, j, l))
-    # prune the fresh pairs among themselves (Gebauer-Moeller M and F)
-    fresh.sort(key=lambda p: sum(p[2]))
-    pruned = []
-    for i, j, l in fresh:
-        if any(_divides(l2, l) and l2 != l for _, _, l2 in pruned):
-            continue
-        if any(l2 == l for _, _, l2 in pruned):
-            continue
-        pruned.append((i, j, l))
-    # Buchberger's first criterion: coprime lead terms
-    pruned = [
-        (i, j, l)
-        for i, j, l in pruned
-        if l != tuple(a + b for a, b in zip(lead[i], lead[j]))
+    queue[:] = [
+        p
+        for p in queue
+        if not _divides(t, p[-1])
+        or _mono_lcm(basis[p[-3]][0], t) == p[-1]
+        or _mono_lcm(basis[p[-2]][0], t) == p[-1]
     ]
-    return kept + pruned
+    # prune the new pairs among themselves (Gebauer-Moeller M and F): one
+    # whose lcm an earlier kept lcm divides, or equals, goes
+    fresh = [(i, new, _mono_lcm(basis[i][0], t)) for i in range(new)]
+    pruned = []
+    for p in sorted(fresh, key=lambda p: sum(p[2])):
+        if not any(_divides(q[2], p[2]) for q in pruned):
+            pruned.append(p)
+    # Buchberger's first criterion: coprime lead terms, i.e. disjoint supports
+    return [p for p in pruned if basis[p[0]][2] & basis[-1][2]]
+
+
+def _queue_pairs(queue, fresh, order, arrivals):
+    """Push the new pairs (i, j, lcm), keyed once by (degree, order key) of
+    the lcm, and heapify.  The negated arrival number pops the pair queued
+    last first among equal keys, as a stable reverse sort and pop does."""
+    queue.extend((sum(l), order.key(l), -next(arrivals), i, j, l) for i, j, l in fresh)
+    heapify(queue)
 
 
 DEFAULT_DEGREE_CAP = 120
@@ -426,17 +444,16 @@ def buchberger(gens, order, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BAS
     configured caps.
     """
     _require_orthant(gens)
-    basis = []  # divisors ((lead, 1), g), g monic
-    lead = []
-    pairs = []
+    basis = []  # divisors (lead, 1, mask, g), g monic
+    queue = []  # heap of pairs (degree, key, -arrival, i, j, lcm)
+    arrivals = count()
 
     def s_polynomials():
-        while pairs:
-            pairs.sort(key=lambda p: (sum(p[2]), order.key(p[2])), reverse=True)
-            i, j, l = pairs.pop()
-            if max_degree is not None and sum(l) > max_degree:
+        while queue:
+            degree, _, _, i, j, _ = heappop(queue)
+            if max_degree is not None and degree > max_degree:
                 raise CapExceeded(
-                    f"S-pair degree {sum(l)} exceeds cap {max_degree}", degree=sum(l)
+                    f"S-pair degree {degree} exceeds cap {max_degree}", degree=degree
                 )
             yield _s_polynomial(basis[i], basis[j])
 
@@ -448,31 +465,27 @@ def buchberger(gens, order, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BAS
             raise CapExceeded(
                 f"basis size {len(basis)} exceeds cap {max_basis}", size=len(basis)
             )
-        lt, lc = r.leading_term(order)
-        if lc != 1:
-            r = r * (Fraction(1) / lc)
-        basis.append(((lt, Fraction(1)), r))
-        lead.append(lt)
-        pairs[:] = _gm_update(lead, pairs, len(basis) - 1)
+        basis.append(_divisor(r.monic(order), order))
+        _queue_pairs(queue, _gm_update(basis, queue), order, arrivals)
     return _reduce_basis(basis, order)
 
 
 def _reduce_basis(basis, order):
-    """Minimalize and tail-reduce divisors ((lead, 1), g) of a Groebner
+    """Minimalize and tail-reduce divisors (lead, 1, mask, g) of a Groebner
     basis; the result is the canonical reduced GB."""
-    items = sorted(basis, key=lambda d: (sum(d[0][0]), order.key(d[0][0])))
+    items = sorted(basis, key=lambda d: (sum(d[0]), order.key(d[0])))
     minimal = []
     for d in items:
-        if any(_divides(m[0][0], d[0][0]) for m in minimal):
+        if any(_divides(m[0], d[0]) for m in minimal):
             continue
         minimal.append(d)
     # no other lead divides a minimal lead, so each remainder keeps its
     # lead term and stays monic
     reduced = [
-        (lead, _reduce(g, minimal[:i] + minimal[i + 1 :], order))
-        for i, (lead, g) in enumerate(minimal)
+        (d[0], _reduce(d[3], minimal[:i] + minimal[i + 1 :], order))
+        for i, d in enumerate(minimal)
     ]
-    reduced.sort(key=lambda d: order.key(d[0][0]))
+    reduced.sort(key=lambda d: order.key(d[0]))
     return [g for _, g in reduced]
 
 
@@ -480,15 +493,12 @@ def is_groebner_basis(gens, order):
     """True iff every S-pair of gens reduces to zero against gens."""
     gens = [g for g in gens if g]
     _require_orthant(gens)
-    divisors = [(g.leading_term(order), g) for g in gens]
-    for i, ((lt_i, _), _) in enumerate(divisors):
-        for j in range(i + 1, len(divisors)):
-            lt_j = divisors[j][0][0]
-            if _mono_lcm(lt_i, lt_j) == tuple(a + b for a, b in zip(lt_i, lt_j)):
-                continue  # coprime lead terms always reduce to zero
-            if _reduce(_s_polynomial(divisors[i], divisors[j]), divisors, order):
-                return False
-    return True
+    divisors = [_divisor(g, order) for g in gens]
+    # coprime lead terms (disjoint supports) always reduce to zero
+    return not any(
+        a[2] & b[2] and _reduce(_s_polynomial(a, b), divisors, order)
+        for a, b in combinations(divisors, 2)
+    )
 
 
 # ---------------------------------------------------------------------------

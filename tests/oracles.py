@@ -5,10 +5,12 @@ sums instead of cofactor expansion, minor enumeration instead of
 elimination, tableau enumeration instead of hook contents, subset
 enumeration instead of branch and bound, sign search through the
 presentation map instead of the Laplace expansion, and textbook monomial
-comparisons instead of matrix-order keys.
+comparisons instead of matrix-order keys, and division that compares
+exponents term by term instead of filtering divisors by support masks.
 """
 
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations, permutations
 
 from tvbcox.cox import x_name
@@ -176,3 +178,26 @@ def min_weight_greater(a, b, weights, tie_break):
     if w_a != w_b:
         return w_a < w_b
     return tie_break(a, b)
+
+
+def normal_form_by_division(f, gens, greater):
+    """Textbook multivariate division, with no support masks and no order
+    keys: the largest remaining term (under the comparison greater) is
+    reduced against the first generator, in list order, whose lead term
+    divides it, or else moves to the remainder."""
+    key = cmp_to_key(lambda a, b: 1 if greater(a, b) else -1 if greater(b, a) else 0)
+    ring = f.ring
+    divisors = [(max(g.terms, key=key), g) for g in gens if g]
+    rest, remainder = f, ring.zero()
+    while rest:
+        m = max(rest.terms, key=key)
+        c = rest.terms[m]
+        for lead, g in divisors:
+            if all(a <= b for a, b in zip(lead, m)):
+                shift = [a - b for a, b in zip(m, lead)]
+                rest = rest - ring.monomial(shift, c / g.terms[lead]) * g
+                break
+        else:
+            term = ring.monomial(m, c)
+            rest, remainder = rest - term, remainder + term
+    return remainder

@@ -7,6 +7,7 @@ import pytest
 from tvbcox import bundle
 from tvbcox.bundle import (
     BundleData,
+    NotCompleteIntersection,
     ci_stability,
     classify,
     common_minimal_columns,
@@ -89,7 +90,7 @@ def test_ci_stability_requires_ci():
     d = IntMatrix.from_rows([[0, 0, 1, 1], [1, 1, 0, 0]])
     b = BundleData(m, d)
     assert not is_complete_intersection(b, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotCompleteIntersection):
         ci_stability(b)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tvbcox import cli
+from tvbcox import bundle, cli
 from tvbcox.bundle import example_514_bundle, tangent_bundle
 from tvbcox.cli import (
     EXIT_CAP,
@@ -93,6 +93,16 @@ def test_ci_stability_command(capsys, ex514_path):
     code, out, _ = run(capsys, "ci-stability", ex514_path)
     assert code == EXIT_OK
     assert json.loads(out)["results"]["ci_stability"] == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "ci-stability"])
+def test_stability_builds_one_ci_profile(capsys, ex514_path, monkeypatch, command):
+    calls = []
+    profile = bundle._ci_profile
+    monkeypatch.setattr(bundle, "_ci_profile", lambda b, t: calls.append(1) or profile(b, t))
+    code, _, _ = run(capsys, command, ex514_path)
+    assert code == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_region_csv_and_svg(capsys, tmp_path):

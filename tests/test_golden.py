@@ -1,8 +1,11 @@
-"""Golden answers of the bundle commands.
+"""Golden answers of the bundle commands and of the Groebner engine.
 
 `analyze` and `ci-stability` run on fixed bundles, and their exit codes and
-`results` are compared byte for byte with tests/golden/analyze.json.  A
-change that alters an answer regenerates the file with
+`results` are compared byte for byte with tests/golden/analyze.json.  The
+reduced grevlex Groebner bases of ker(phi) at n = 2, 3, of its
+delta-initial ideal at n = 2 and of ker(psi) at n = 2, 3 are compared, as
+`poly_to_text` lines, with tests/golden/gb.json.  A change that alters an
+answer regenerates both files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,7 +18,7 @@ import json
 import os
 import tempfile
 
-from tvbcox import cli
+from tvbcox import cli, poly
 from tvbcox.bundle import (
     BundleData,
     example_514_bundle,
@@ -23,9 +26,29 @@ from tvbcox.bundle import (
     tangent_bundle,
     uniform_sparse_bundle,
 )
+from tvbcox.cox import delta_initial_ideal, tangent_cox_ideal
+from tvbcox.gz import psi_kernel
 from tvbcox.linalg import IntMatrix, RatMatrix
+from tvbcox.poly import PolyRing, buchberger, grevlex, poly_to_text, ring_map_kernel
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "analyze.json")
+GB_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "gb.json")
+
+# S-polynomials each kernel elimination forms.  The engine's pair selection
+# and criteria decide these counts, so a change to either shows here even
+# when the bases come out the same.  (verify_kernel(3) forms 641: these 607
+# and 34 more for the two grevlex bases of its equality check.)  The
+# eliminations are indifferent to the order of pairs with equal lcms; the
+# two tie witnesses are not, and form 7 and 11 when the pair queued first
+# pops first.
+S_POLYNOMIALS = {
+    "ker phi 2": 76,
+    "ker phi 3": 607,
+    "ker psi 2": 18,
+    "ker psi 3": 1155,
+    "tie witness 1": 6,
+    "tie witness 2": 9,
+}
 
 
 def golden_bundles():
@@ -73,9 +96,68 @@ def golden_text(directory):
     return json.dumps(answers, indent=1) + "\n"
 
 
+@contextlib.contextmanager
+def counting_s_polynomials():
+    """Count the calls of poly._s_polynomial inside the block."""
+    calls = [0]
+    original = poly._s_polynomial
+
+    def counted(a, b):
+        calls[0] += 1
+        return original(a, b)
+
+    poly._s_polynomial = counted
+    try:
+        yield calls
+    finally:
+        poly._s_polynomial = original
+
+
+def gb_text(ideal):
+    return [poly_to_text(g) for g in ideal.groebner(grevlex(ideal.ring))]
+
+
+def tie_witnesses():
+    """Small inhomogeneous systems whose pair queues meet equal lcms."""
+    ring = PolyRing(["x", "y", "z"])
+    x, y, z = ring.gens()
+    return {
+        "tie witness 1": [x - x**2 - y, y * z - x, x * y - x, x * z + x],
+        "tie witness 2": [z**2 - 2 * y**2, z - y * z, y - x * z, y**2 + y * z - x * y],
+    }
+
+
+def engine_answers():
+    """Reduced grevlex GB text of each golden ideal, and the S-polynomials
+    formed by each kernel elimination; every ideal is computed once."""
+    kernels, counts = {}, {}
+    for n in (2, 3):
+        for name, kernel in (
+            (f"ker phi {n}", lambda: ring_map_kernel(tangent_cox_ideal(n, n).phi)),
+            (f"ker psi {n}", lambda: psi_kernel(n)),
+        ):
+            with counting_s_polynomials() as calls:
+                kernels[name] = kernel()
+            counts[name] = calls[0]
+    for name, gens in tie_witnesses().items():
+        with counting_s_polynomials() as calls:
+            buchberger(gens, grevlex(gens[0].ring))
+        counts[name] = calls[0]
+    kernels["delta initial 2"] = delta_initial_ideal(kernels["ker phi 2"])
+    texts = {name: gb_text(kernels[name]) for name in sorted(kernels)}
+    return json.dumps(texts, indent=1) + "\n", counts
+
+
 def test_bundle_commands_match_golden(tmp_path):
     with open(GOLDEN, encoding="utf-8") as fh:
         assert golden_text(str(tmp_path)) == fh.read()
+
+
+def test_engine_bases_and_pair_counts_match_golden():
+    text, counts = engine_answers()
+    with open(GB_GOLDEN, encoding="utf-8") as fh:
+        assert text == fh.read()
+    assert counts == S_POLYNOMIALS
 
 
 if __name__ == "__main__":
@@ -84,3 +166,5 @@ if __name__ == "__main__":
         text = golden_text(tmp)
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         fh.write(text)
+    with open(GB_GOLDEN, "w", encoding="utf-8") as fh:
+        fh.write(engine_answers()[0])

@@ -1,11 +1,14 @@
 """Hypothesis properties of the Groebner engine.
 
 The inputs stay small (3 variables, up to 3 generators of up to 3 terms of
-degree at most 2) so that every example runs in milliseconds.  Runs are
-derandomized, so the suite gives the same verdict on every run.
+degree at most 2; the division check also uses 6 of 70 variables, so that
+support masks reach past 64 bits) so that every example runs in
+milliseconds.  Runs are derandomized, so the suite gives the same verdict
+on every run.
 """
 
 import itertools
+from heapq import heappop
 
 import pytest
 
@@ -25,7 +28,9 @@ from tvbcox.poly import (
     is_groebner_basis,
     lex,
     normal_form,
+    _queue_pairs,
 )
+from oracles import block_greater, grevlex_greater, lex_greater, normal_form_by_division
 
 
 RING = PolyRing(["x", "y", "z"])
@@ -39,6 +44,21 @@ systems = st.lists(polys, min_size=1, max_size=3)
 orders = st.sampled_from(ORDERS)
 
 small = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+WIDE = PolyRing([f"v{i}" for i in range(70)])
+WIDE_USED = (0, 1, 63, 64, 65, 69)
+ALL, WIDE_ALL = range(3), range(70)
+WIDE_REST = [i for i in WIDE_ALL if i != 64]
+# (ring, variables used, order, the order as a textbook comparison)
+DIVISION_CASES = [
+    (RING, ALL, ORDERS[0], lambda a, b: grevlex_greater(a, b, ALL)),
+    (RING, ALL, ORDERS[1], lambda a, b: lex_greater(a, b, ALL)),
+    (RING, ALL, ORDERS[2], lambda a, b: block_greater(a, b, [[0], [1, 2]])),
+    (WIDE, WIDE_USED, grevlex(WIDE), lambda a, b: grevlex_greater(a, b, WIDE_ALL)),
+    (WIDE, WIDE_USED, lex(WIDE), lambda a, b: lex_greater(a, b, WIDE_ALL)),
+    (WIDE, WIDE_USED, elimination_order(WIDE, ["v64"]),
+     lambda a, b: block_greater(a, b, [[64], WIDE_REST])),
+]
 
 
 def _divides(a, b):
@@ -94,3 +114,53 @@ def test_groebner_is_memoized_by_the_order_matrix(gens, order):
     assert twin is not order
     assert ideal.groebner(twin) is ideal.groebner(order)
     assert ideal.groebner(order) == buchberger(gens, order)
+
+
+def _polys_over(ring, used, degree):
+    monomials = []
+    for exps in itertools.product(range(degree + 1), repeat=len(used)):
+        if sum(exps) <= degree:
+            m = [0] * ring.nvars
+            for i, e in zip(used, exps):
+                m[i] = e
+            monomials.append(tuple(m))
+    terms = st.tuples(st.sampled_from(monomials), st.integers(-3, 3))
+    return st.lists(terms, min_size=1, max_size=4).map(ring.from_terms)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(DIVISION_CASES), st.data())
+def test_normal_form_matches_mask_free_division(case, data):
+    ring, used, order, greater = case
+    gens = data.draw(st.lists(_polys_over(ring, used, 2), min_size=1, max_size=3))
+    f = data.draw(_polys_over(ring, used, 3))
+    assert normal_form(f, gens, order) == normal_form_by_division(f, gens, greater)
+
+
+# rounds of (lcms of the new pairs, drop every pair whose serial number
+# the divisor divides, pops)
+rounds = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(MONOMIALS), max_size=8),
+        st.integers(2, 6),
+        st.integers(0, 6),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@small
+@given(rounds, orders)
+def test_pair_heap_pops_like_a_stable_reverse_sort(rounds, order):
+    queue, arrivals, serials = [], itertools.count(), itertools.count()
+    model = []  # the textbook queue: stable reverse sort, then pop
+    for lcms, divisor, pops in rounds:
+        queue[:] = [p for p in queue if p[-3] % divisor]
+        model = [p for p in model if p[0] % divisor]
+        fresh = [(next(serials), 0, l) for l in lcms]
+        _queue_pairs(queue, fresh, order, arrivals)
+        model += fresh
+        for _ in range(min(pops, len(model))):
+            model.sort(key=lambda p: (sum(p[2]), order.key(p[2])), reverse=True)
+            assert heappop(queue)[-3:] == model.pop()
