@@ -98,8 +98,8 @@ def restricted_rank(b, rays):
 def rank_table(b):
     """restricted_rank for every nonempty subset of rays, keyed by frozenset.
 
-    It costs 2^n - 1 ranks; build it once and pass it to
-    is_complete_intersection and ci_stability.
+    It costs 2^n - 1 ranks; is_complete_intersection and ci_stability each
+    build it once.
     """
     count = 2**b.n - 1
     if count > SUBSET_CAP:
@@ -114,12 +114,11 @@ def rank_table(b):
     return table
 
 
-def _ci_profile(b, table):
+def _ci_profile(b):
     """Each distinct (|A|, m_i, m_A) over ray subsets A with |A| >= 2 and
     i in A, the only thing the CI criterion reads, mapped to its first
     (i, A) in table order, i in the iteration order of the frozenset A."""
-    if table is None:
-        table = rank_table(b)
+    table = rank_table(b)
     m_ray = [None] + [table[frozenset((i,))] for i in range(1, b.n + 1)]
     profile = {}
     for subset, m_a in table.items():
@@ -141,7 +140,7 @@ def _pair_bound(size, m_i, m_a):
     return -((size - 1) // -(m_i - m_a)) - 1  # ceil((size - 1)/(m_i - m_a)) - 1
 
 
-def is_complete_intersection(b, summands=1, table=None):
+def is_complete_intersection(b, summands=1):
     """Complete-intersection test for the bundle tensored with K^summands.
 
     The criterion quantifies over ray subsets A with |A| >= 2 and i in A:
@@ -150,10 +149,10 @@ def is_complete_intersection(b, summands=1, table=None):
     """
     if summands < 1:
         raise ValueError("the number of summands must be at least 1")
-    return _ci_holds(_ci_profile(b, table), summands)
+    return _ci_holds(_ci_profile(b), summands)
 
 
-def ci_stability(b, table=None):
+def ci_stability(b):
     """(l, witness): the largest l such that the l-fold sum is still a
     complete intersection, and the first pair (i, A) that binds it.
 
@@ -162,7 +161,7 @@ def ci_stability(b, table=None):
     itself at every l up to one past it.  (math.inf, None) when no pair binds;
     NotCompleteIntersection when the bundle is not CI at l = 1.
     """
-    profile = _ci_profile(b, table)
+    profile = _ci_profile(b)
     if not _ci_holds(profile, 1):
         raise NotCompleteIntersection("not a complete intersection at l = 1")
     best = math.inf

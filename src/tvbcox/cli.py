@@ -232,20 +232,9 @@ def cmd_cauchy(args):
 
 def cmd_gz_verify(args):
     started = time.monotonic()
-    n = args.n
-    psi = gz.build_psi(n)
-    for gen in gz.all_generators(n):
-        gz.lead_pattern(gen, n, psi=psi)
-    relations = suite.gz_relation_check(n, psi)
-    sweep = gz.confluence_sweep(n, args.max_word_length)
-    results = {
-        "n": n,
-        "generators": len(gz.all_generators(n)),
-        "relations": relations,
-        "confluence": sweep,
-    }
-    emit_report(make_report("gz verify", str(n), results, started), args.report)
-    return EXIT_OK if sweep["confluent"] else EXIT_CHECK_FAILED
+    results = suite.gz_verify(args.n, args.max_word_length)
+    emit_report(make_report("gz verify", str(args.n), results, started), args.report)
+    return EXIT_OK if results["confluence"]["confluent"] else EXIT_CHECK_FAILED
 
 
 def cmd_gz_subduct(args):

@@ -9,7 +9,8 @@ reach a canonical form.
 """
 
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import accumulate, combinations, combinations_with_replacement
+from typing import NamedTuple
 
 from .cox import t_name, x_name, yy_name
 from .linalg import RatMatrix, left_kernel_basis
@@ -62,13 +63,6 @@ class GZPattern:
         """Interlacing and a zero at the end of the top row."""
         return self.interlaces() and self.rows[0][-1] == 0
 
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("pattern size mismatch")
-        return GZPattern(
-            tuple(tuple(a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows))
-        )
-
     def __eq__(self, other):
         return isinstance(other, GZPattern) and self.rows == other.rows
 
@@ -107,29 +101,11 @@ def lead_marker(tau, n: int):
     return ell, tau | {ell}
 
 
-class ExtendedPattern:
+class ExtendedPattern(NamedTuple):
     """A pattern paired with a vector in Z^{n+1} tracking torus degrees."""
 
-    __slots__ = ("pattern", "zvec")
-
-    def __init__(self, pattern, zvec):
-        if len(zvec) != pattern.n + 1:
-            raise ValueError("zvec length must be n + 1")
-        self.pattern = pattern
-        self.zvec = tuple(zvec)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtendedPattern)
-            and self.pattern == other.pattern
-            and self.zvec == other.zvec
-        )
-
-    def __hash__(self):
-        return hash((self.pattern, self.zvec))
-
-    def __repr__(self):
-        return f"ExtendedPattern({self.pattern!r}, {self.zvec})"
+    pattern: GZPattern
+    zvec: tuple
 
 
 def _unit_vec(n, a, scale=1):
@@ -146,44 +122,32 @@ def _prefix_capacity(sigma):
     return a
 
 
-class MarkedGenerator:
-    """A negated variable [-a] or a marked flag [sigma, a].
+class MarkedGenerator(NamedTuple):
+    """A negated variable [-a] or a marked flag [sigma, a]; build one with
+    `neg` or `flag`.
 
     A mark a >= 1 on a flag requires {1..a} to sit inside the column set;
     mark 0 is the plain flag minor.
     """
 
-    __slots__ = ("kind", "value", "sigma", "mark")
-
-    def __init__(self, kind, value=None, sigma=None, mark=None):
-        if kind == "neg":
-            if value is None or value < 0:
-                raise ValueError("negated variable needs a value in 0..n")
-            self.kind = "neg"
-            self.value = value
-            self.sigma = None
-            self.mark = None
-        elif kind == "flag":
-            sigma = frozenset(sigma)
-            if not sigma:
-                raise ValueError("flag needs a nonempty column set")
-            if mark is None:
-                mark = 0
-            if mark != 0 and _prefix_capacity(sigma) < mark:
-                raise ValueError(f"mark {mark} needs prefix {{1..{mark}}} in {sorted(sigma)}")
-            self.kind = "flag"
-            self.sigma = sigma
-            self.mark = mark
-            self.value = None
-        else:
-            raise ValueError(f"unknown generator kind {kind!r}")
+    kind: str
+    value: int | None = None
+    sigma: frozenset | None = None
+    mark: int | None = None
 
     @classmethod
     def neg(cls, a):
+        if a is None or a < 0:
+            raise ValueError("negated variable needs a value in 0..n")
         return cls("neg", value=a)
 
     @classmethod
     def flag(cls, sigma, mark=0):
+        sigma = frozenset(sigma)
+        if not sigma:
+            raise ValueError("flag needs a nonempty column set")
+        if mark != 0 and _prefix_capacity(sigma) < mark:
+            raise ValueError(f"mark {mark} needs prefix {{1..{mark}}} in {sorted(sigma)}")
         return cls("flag", sigma=sigma, mark=mark)
 
     def check(self, n):
@@ -199,7 +163,7 @@ class MarkedGenerator:
     @lru_cache(maxsize=None)
     def extended_pattern(self, n):
         """Memoized per (generator, n): word sums call this on every
-        generator, and patterns are immutable values."""
+        generator, and generators and patterns are immutable values."""
         if self.kind == "neg":
             return ExtendedPattern(GZPattern.zero(n), _unit_vec(n, self.value, -1))
         pattern = generator_pattern(self.sigma, n)
@@ -216,8 +180,8 @@ class MarkedGenerator:
         if self.kind == "neg":
             return None
         if self.mark == 0:
-            return frozenset(self.sigma)
-        return frozenset({0} | (self.sigma - {self.mark}))
+            return self.sigma
+        return self.sigma - {self.mark} | {0}
 
     def variable_name(self):
         if self.kind == "neg":
@@ -228,18 +192,6 @@ class MarkedGenerator:
         if self.kind == "flag":
             return (0, -len(self.sigma), tuple(sorted(self.sigma)), -self.mark)
         return (1, -self.value)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MarkedGenerator)
-            and self.kind == other.kind
-            and self.value == other.value
-            and self.sigma == other.sigma
-            and self.mark == other.mark
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.value, self.sigma, self.mark))
 
     def __repr__(self):
         return generator_to_text(self)
@@ -468,11 +420,7 @@ def quadratic_plucker_relations(n, psi=None):
     p_vars = [name for name in source.names if name.startswith("P")]
     groups = {}
     for a, b in combinations_with_replacement(p_vars, 2):
-        key = tuple(
-            sorted(
-                [c for c in _cols_of(a)] + [c for c in _cols_of(b)]
-            )
-        )
+        key = tuple(sorted(_cols_of(a) + _cols_of(b)))
         groups.setdefault(key, []).append((a, b))
     relations = []
     for key in sorted(groups):
@@ -543,25 +491,15 @@ def _apply_step(steps, word, n, rule, removed, added):
     return new_word
 
 
+@lru_cache(maxsize=None)
 def _prefix_counts(sigma, n):
     """|sigma ∩ [k]| for k = 1..n; a column set is determined by these."""
-    count = 0
-    out = []
-    for k in range(1, n + 1):
-        if k in sigma:
-            count += 1
-        out.append(count)
-    return tuple(out)
+    return tuple(accumulate(int(k in sigma) for k in range(1, n + 1)))
 
 
 def _set_from_counts(counts):
-    out = set()
-    prev = 0
-    for k, c in enumerate(counts, start=1):
-        if c == prev + 1:
-            out.add(k)
-        prev = c
-    return frozenset(out)
+    rises = zip((0,) + counts, counts)
+    return frozenset(k for k, (prev, c) in enumerate(rises, start=1) if c == prev + 1)
 
 
 def _chainify(word, n, steps):
@@ -573,36 +511,30 @@ def _chainify(word, n, steps):
     the union/intersection form.  The smaller mark always fits the meet.
     """
     while True:
-        flags = [g for g in word if g.kind == "flag"]
-        counts = [_prefix_counts(g.sigma, n) for g in flags]
-        applied = False
-        for i in range(len(flags)):
-            for j in range(i + 1, len(flags)):
-                a, b = flags[i], flags[j]
-                ca, cb = counts[i], counts[j]
-                if all(x <= y for x, y in zip(ca, cb)) or all(
-                    x >= y for x, y in zip(ca, cb)
-                ):
-                    continue
-                join = _set_from_counts(tuple(max(x, y) for x, y in zip(ca, cb)))
-                meet = _set_from_counts(tuple(min(x, y) for x, y in zip(ca, cb)))
-                marks = sorted((m for m in (a.mark, b.mark) if m), reverse=True)
-                hi = marks[0] if marks else 0
-                lo = marks[1] if len(marks) > 1 else 0
-                added = [MarkedGenerator.flag(join, hi)]
-                if meet:
-                    added.append(MarkedGenerator.flag(meet, lo))
-                elif lo:
-                    raise AssertionError("meet of two marked flags cannot vanish")
-                word = _apply_step(
-                    steps, word, n, "union-intersection", [a, b], added
-                )
-                applied = True
-                break
-            if applied:
-                break
-        if not applied:
+        flags = [(g, _prefix_counts(g.sigma, n)) for g in word if g.kind == "flag"]
+        pair = next(
+            (
+                (a, ca, b, cb)
+                for (a, ca), (b, cb) in combinations(flags, 2)
+                if not all(x <= y for x, y in zip(ca, cb))
+                and not all(x >= y for x, y in zip(ca, cb))
+            ),
+            None,
+        )
+        if pair is None:
             return word
+        a, ca, b, cb = pair
+        join = _set_from_counts(tuple(map(max, ca, cb)))
+        meet = _set_from_counts(tuple(map(min, ca, cb)))
+        marks = sorted((m for m in (a.mark, b.mark) if m), reverse=True)
+        hi = marks[0] if marks else 0
+        lo = marks[1] if len(marks) > 1 else 0
+        added = [MarkedGenerator.flag(join, hi)]
+        if meet:
+            added.append(MarkedGenerator.flag(meet, lo))
+        elif lo:
+            raise AssertionError("meet of two marked flags cannot vanish")
+        word = _apply_step(steps, word, n, "union-intersection", [a, b], added)
 
 
 def _canonical_mark_targets(word, n):

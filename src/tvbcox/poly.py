@@ -672,13 +672,9 @@ class RingMap:
         return f.substitute(images)
 
 
-def transplant(f, target_ring, rename=None):
-    """Copy f into target_ring, matching variables by (renamed) name."""
-    rename = rename or {}
-    mapping = []
-    for name in f.ring.names:
-        new = rename.get(name, name)
-        mapping.append(target_ring.index[new] if new in target_ring.index else None)
+def transplant(f, target_ring):
+    """Copy f into target_ring, matching variables by name."""
+    mapping = [target_ring.index.get(name) for name in f.ring.names]
     out = {}
     for m, c in f.terms.items():
         exps = [0] * target_ring.nvars
@@ -696,9 +692,8 @@ def ring_map_kernel(phi):
     """Kernel of a ring map into a (Laurent) polynomial ring, by elimination.
 
     Builds the graph ideal in a combined ring.  A target variable t occurring
-    with negative exponents needs an inverse; when some source variable maps
-    to exactly t^-1 it doubles as the inverse (relation source*t - 1),
-    otherwise an auxiliary u with relation t*u - 1 is appended.
+    with negative exponents needs an inverse: some source variable must map
+    to exactly t^-1, and it doubles as the inverse (relation source*t - 1).
     """
     src, tgt = phi.source, phi.target
     inverse_needed = set()
@@ -716,12 +711,14 @@ def ring_map_kernel(phi):
                 i = next(i for i, e in enumerate(m) if e)
                 if m[i] == -1 and i in inverse_needed and i not in inverse_carrier.values():
                     inverse_carrier[name] = i
-    carried = set(inverse_carrier.values())
-    aux = [f"_u{i}" for i in sorted(inverse_needed - carried)]
-    combined = PolyRing(src.names + tgt.names + tuple(aux))
+    carrier_of = {i: name for name, i in inverse_carrier.items()}
+    uncarried = [tgt.names[i] for i in sorted(inverse_needed - carrier_of.keys())]
+    if uncarried:
+        raise ValueError(f"no source variable maps to the inverse of {', '.join(uncarried)}")
+    combined = PolyRing(src.names + tgt.names)
 
     def encode(img):
-        # rewrite Laurent exponents through the carrier/aux variables
+        # rewrite Laurent exponents through the carrier variables
         out = {}
         for m, c in img.terms.items():
             exps = [0] * combined.nvars
@@ -729,11 +726,7 @@ def ring_map_kernel(phi):
                 if e >= 0:
                     exps[combined.index[tgt.names[i]]] = e
                 else:
-                    if i in carried:
-                        carrier = next(n for n, k in inverse_carrier.items() if k == i)
-                        exps[combined.index[carrier]] = -e
-                    else:
-                        exps[combined.index[f"_u{i}"]] = -e
+                    exps[combined.index[carrier_of[i]]] = -e
             out[tuple(exps)] = out.get(tuple(exps), Fraction(0)) + c
         return Polynomial(combined, {m: c for m, c in out.items() if c != 0})
 
@@ -745,13 +738,8 @@ def ring_map_kernel(phi):
             gens.append(v * t - combined.one())
         else:
             gens.append(v - encode(phi.images[name]))
-    for i in sorted(inverse_needed - carried):
-        t = combined.var(tgt.names[i])
-        u = combined.var(f"_u{i}")
-        gens.append(t * u - combined.one())
-    drop = list(tgt.names) + aux
     graph = Ideal(combined, gens)
-    kernel = eliminate(graph, drop)
+    kernel = eliminate(graph, list(tgt.names))
     return Ideal(src, [transplant(g, src) for g in kernel.gens])
 
 

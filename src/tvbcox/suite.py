@@ -139,17 +139,29 @@ def gz_relation_check(n, psi=None):
     return len(gz.relation_families(n, psi))
 
 
+def gz_verify(n, max_len):
+    """Lead patterns of every generator, then the relation check, then the
+    confluence sweep over words up to max_len, at one n."""
+    psi = gz.build_psi(n)
+    gens = gz.all_generators(n)
+    for gen in gens:
+        gz.lead_pattern(gen, n, psi=psi)
+    return {
+        "n": n,
+        "generators": len(gens),
+        "relations": gz_relation_check(n, psi),
+        "confluence": gz.confluence_sweep(n, max_len),
+    }
+
+
 def check_gz(level):
     ns = (2, 3) if level == "full" else (2,)
     report = {}
     for n in ns:
-        psi = gz.build_psi(n)
-        for gen in gz.all_generators(n):
-            gz.lead_pattern(gen, n, psi=psi)
-        relations = gz_relation_check(n, psi)
-        sweep = gz.confluence_sweep(n, 3)
+        verified = gz_verify(n, 3)
+        sweep = verified["confluence"]
         assert sweep["confluent"], f"non-confluent at n={n}: {sweep['clashes'][:1]}"
-        report[n] = {"relations": relations, "words": sweep["words"]}
+        report[n] = {"relations": verified["relations"], "words": sweep["words"]}
     if level == "full":
         psi4 = gz.build_psi(4)
         for gen in gz.all_generators(4):

@@ -99,7 +99,7 @@ def test_ci_stability_command(capsys, ex514_path):
 def test_stability_builds_one_ci_profile(capsys, ex514_path, monkeypatch, command):
     calls = []
     profile = bundle._ci_profile
-    monkeypatch.setattr(bundle, "_ci_profile", lambda b, t: calls.append(1) or profile(b, t))
+    monkeypatch.setattr(bundle, "_ci_profile", lambda b: calls.append(1) or profile(b))
     code, _, _ = run(capsys, command, ex514_path)
     assert code == EXIT_OK
     assert len(calls) == 1

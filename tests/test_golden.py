@@ -4,8 +4,11 @@
 `results` are compared byte for byte with tests/golden/analyze.json.  The
 reduced grevlex Groebner bases of ker(phi) at n = 2, 3, of its
 delta-initial ideal at n = 2 and of ker(psi) at n = 2, 3 are compared, as
-`poly_to_text` lines, with tests/golden/gb.json.  A change that alters an
-answer regenerates both files with
+`poly_to_text` lines, with tests/golden/gb.json.  The canonical word and
+trace of every n = 3 word of length <= 3 and every n = 4 word of length
+<= 2 that rewrites at all, and the `results` of `gz verify --n 3` and of
+README's `gz subduct` example, are compared with tests/golden/gz.json.  A
+change that alters an answer regenerates the three files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -17,6 +20,7 @@ import io
 import json
 import os
 import tempfile
+from itertools import combinations_with_replacement
 
 from tvbcox import cli, poly
 from tvbcox.bundle import (
@@ -27,12 +31,13 @@ from tvbcox.bundle import (
     uniform_sparse_bundle,
 )
 from tvbcox.cox import delta_initial_ideal, tangent_cox_ideal
-from tvbcox.gz import psi_kernel
+from tvbcox.gz import all_generators, canonicalize, psi_kernel, word_to_text
 from tvbcox.linalg import IntMatrix, RatMatrix
 from tvbcox.poly import PolyRing, buchberger, grevlex, poly_to_text, ring_map_kernel
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "analyze.json")
 GB_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "gb.json")
+GZ_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "gz.json")
 
 # S-polynomials each kernel elimination forms.  The engine's pair selection
 # and criteria decide these counts, so a change to either shows here even
@@ -78,6 +83,14 @@ def golden_bundles():
     return bundles
 
 
+def command_results(argv):
+    """Exit code and `results` of one command."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())["results"]
+
+
 def golden_text(directory):
     """Exit codes and results of both commands on every golden bundle."""
     answers = {}
@@ -86,13 +99,8 @@ def golden_text(directory):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(cli.serialize_bundle(b))
         for command in ("analyze", "ci-stability"):
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
-                code = cli.main([command, path])
-            answers[f"{name} {command}"] = {
-                "exit": code,
-                "results": json.loads(out.getvalue())["results"],
-            }
+            code, results = command_results([command, path])
+            answers[f"{name} {command}"] = {"exit": code, "results": results}
     return json.dumps(answers, indent=1) + "\n"
 
 
@@ -148,6 +156,29 @@ def engine_answers():
     return json.dumps(texts, indent=1) + "\n", counts
 
 
+def gz_answers():
+    """Canonical word and trace of each word that rewrites, n = 3 up to
+    length 3 and n = 4 up to length 2, and two gz command results."""
+    traces = {}
+    for n, max_len in ((3, 3), (4, 2)):
+        for size in range(1, max_len + 1):
+            for word in combinations_with_replacement(all_generators(n), size):
+                canon, steps = canonicalize(word, n)
+                if steps:
+                    traces[f"n={n} {word_to_text(word)}"] = {
+                        "canonical": word_to_text(canon),
+                        "trace": steps,
+                    }
+    answers = {
+        "traces": traces,
+        "gz verify --n 3": command_results(["gz", "verify", "--n", "3"])[1],
+        "gz subduct --n 3": command_results(
+            ["gz", "subduct", "--n", "3", "--word1", "[-2],[{1,2},1]",
+             "--word2", "[-1],[{1,2},2]"])[1],
+    }
+    return json.dumps(answers, indent=1) + "\n"
+
+
 def test_bundle_commands_match_golden(tmp_path):
     with open(GOLDEN, encoding="utf-8") as fh:
         assert golden_text(str(tmp_path)) == fh.read()
@@ -160,6 +191,11 @@ def test_engine_bases_and_pair_counts_match_golden():
     assert counts == S_POLYNOMIALS
 
 
+def test_gz_traces_and_commands_match_golden():
+    with open(GZ_GOLDEN, encoding="utf-8") as fh:
+        assert gz_answers() == fh.read()
+
+
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -168,3 +204,5 @@ if __name__ == "__main__":
         fh.write(text)
     with open(GB_GOLDEN, "w", encoding="utf-8") as fh:
         fh.write(engine_answers()[0])
+    with open(GZ_GOLDEN, "w", encoding="utf-8") as fh:
+        fh.write(gz_answers())

@@ -61,8 +61,8 @@ def test_pattern_addition_preserves_interlacing():
         taus = list(subsets(n))
         for a in taus:
             for b in taus:
-                total = generator_pattern(a, n) + generator_pattern(b, n)
-                assert total.interlaces()
+                word = (MarkedGenerator.flag(a), MarkedGenerator.flag(b))
+                assert word_pattern_sum(word, n).pattern.interlaces()
 
 
 def test_lead_marker():
