@@ -8,6 +8,7 @@ of the fan.  The bundle rank is r = s - d.
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .linalg import IntMatrix, RatMatrix, rational_rank
 from .poly import CapExceeded
@@ -49,25 +50,11 @@ class BundleData:
         return f"BundleData{tag}(n={self.n}, s={self.s}, d={self.d})"
 
 
-class BundleClass:
-    __slots__ = ("sparse", "uniform", "hypersurface", "rank")
-
-    def __init__(self, sparse, uniform, hypersurface, rank):
-        self.sparse = sparse
-        self.uniform = uniform
-        self.hypersurface = hypersurface
-        self.rank = rank
-
-    def as_dict(self):
-        return {
-            "sparse": self.sparse,
-            "uniform": self.uniform,
-            "hypersurface": self.hypersurface,
-            "rank": self.rank,
-        }
-
-    def __repr__(self):
-        return f"BundleClass({self.as_dict()})"
+class BundleClass(NamedTuple):
+    sparse: bool
+    uniform: bool
+    hypersurface: bool
+    rank: int
 
 
 def common_minimal_columns(b, rays):

@@ -1,7 +1,8 @@
 """Command-line interface: analyze, region, cox, cauchy, gz, suite.
 
-Exit codes: 0 success, 1 check failure, 2 usage or parse error,
-3 cap exceeded.
+Each cmd_* returns (inputs text, results, exit code), results None when no
+report is due; `main` times the command and writes its report.  Exit codes:
+0 success, 1 check failure, 2 usage or parse error, 3 cap exceeded.
 """
 
 import argparse
@@ -110,10 +111,9 @@ def _stability(b):
 
 
 def cmd_analyze(args):
-    started = time.monotonic()
     b, text = load_bundle(args.path)
     results = {"label": b.label, "n": b.n, "s": b.s, "d": b.d, "rank": b.rank}
-    results["class"] = bundle.classify(b).as_dict()
+    results["class"] = bundle.classify(b)._asdict()
     stability = _stability(b)
     results["complete_intersection"] = stability is not None
     if stability is not None:
@@ -121,21 +121,17 @@ def cmd_analyze(args):
         results["ci_stability_methods"] = "iterative and closed form agree"
         if stability["witness"]:
             results["witness"] = stability["witness"]
-    emit_report(make_report("analyze", text, results, started), args.report)
-    return EXIT_OK
+    return text, results, EXIT_OK
 
 
 def cmd_ci_stability(args):
-    started = time.monotonic()
     b, text = load_bundle(args.path)
     results = _stability(b)
     failed = {"complete_intersection": False}
-    emit_report(make_report("ci-stability", text, results or failed, started), args.report)
-    return EXIT_OK if results else EXIT_CHECK_FAILED
+    return text, results or failed, EXIT_OK if results else EXIT_CHECK_FAILED
 
 
 def cmd_region(args):
-    started = time.monotonic()
     rows, lines = bundle.region_table(args.r_max, args.s_max)
     csv_text = bundle.region_csv(rows)
     if args.csv:
@@ -146,6 +142,7 @@ def cmd_region(args):
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(bundle.region_svg(rows, lines))
+    results = None
     if args.report:
         results = {
             "rows": rows,
@@ -154,12 +151,10 @@ def cmd_region(args):
                 for ell, sl, ic in lines
             ],
         }
-        emit_report(make_report("region", f"{args.r_max},{args.s_max}", results, started), args.report)
-    return EXIT_OK
+    return f"{args.r_max},{args.s_max}", results, EXIT_OK
 
 
 def cmd_cox_tangent(args):
-    started = time.monotonic()
     spec = cox.tangent_cox_ideal(args.n, args.m)
     results = {
         "n": args.n,
@@ -176,89 +171,69 @@ def cmd_cox_tangent(args):
     if args.verify_kernel:
         results["kernel"] = cox.verify_kernel(args.n, allow_large=args.allow_large)
         if not results["kernel"]["equal"]:
-            emit_report(make_report("cox tangent", f"{args.n},{args.m}", results, started), args.report)
-            return EXIT_CHECK_FAILED
-    emit_report(make_report("cox tangent", f"{args.n},{args.m}", results, started), args.report)
-    return EXIT_OK
+            return f"{args.n},{args.m}", results, EXIT_CHECK_FAILED
+    return f"{args.n},{args.m}", results, EXIT_OK
 
 
 def cmd_cox_quiver(args):
-    started = time.monotonic()
     ideal = cox.quiver_ideal(args.n)
     order = poly.grevlex(ideal.ring)
     results = {
         "n": args.n,
         "generators": [poly.poly_to_text(g, order) for g in ideal.gens],
     }
-    emit_report(make_report("cox quiver", str(args.n), results, started), args.report)
-    return EXIT_OK
+    return str(args.n), results, EXIT_OK
 
 
 def cmd_cox_lemma(args):
-    started = time.monotonic()
     subset = [int(x) for x in args.set.split(",") if x.strip()]
     results = cox.verify_lemma(args.n, subset)
-    emit_report(make_report("cox lemma-js", f"{args.n},{subset}", results, started), args.report)
     ok = results["is_groebner_basis"] and results["dimension"] == results["expected_dimension"]
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return f"{args.n},{subset}", results, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_cox_pluecker(args):
-    started = time.monotonic()
     results = cox.pluecker_match()
-    emit_report(make_report("cox pluecker-match", "", results, started), args.report)
-    return EXIT_OK if results.get("found") and results.get("ideal_equal") else EXIT_CHECK_FAILED
+    ok = results.get("found") and results.get("ideal_equal")
+    return "", results, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_cauchy(args):
-    started = time.monotonic()
     rows = schur.cauchy_table(args.max_degree, args.dim_e, args.dim_v)
     lines = ["d,lhs,rhs,equal"]
     for d, lhs, rhs, equal in rows:
         lines.append(f"{d},{lhs},{rhs},{str(equal).lower()}")
     sys.stdout.write("\n".join(lines) + "\n")
-    if args.report:
-        emit_report(
-            make_report(
-                "cauchy",
-                f"{args.dim_e},{args.dim_v},{args.max_degree}",
-                {"rows": rows},
-                started,
-            ),
-            args.report,
-        )
-    return EXIT_OK if all(r[3] for r in rows) else EXIT_CHECK_FAILED
+    results = {"rows": rows} if args.report else None
+    code = EXIT_OK if all(r[3] for r in rows) else EXIT_CHECK_FAILED
+    return f"{args.dim_e},{args.dim_v},{args.max_degree}", results, code
 
 
 def cmd_gz_verify(args):
-    started = time.monotonic()
     results = suite.gz_verify(args.n, args.max_word_length)
-    emit_report(make_report("gz verify", str(args.n), results, started), args.report)
-    return EXIT_OK if results["confluence"]["confluent"] else EXIT_CHECK_FAILED
+    code = EXIT_OK if results["confluence"]["confluent"] else EXIT_CHECK_FAILED
+    return str(args.n), results, code
 
 
 def cmd_gz_subduct(args):
-    started = time.monotonic()
     word1 = gz.parse_word(args.word1)
     word2 = gz.parse_word(args.word2)
     try:
         results = gz.subduct(word1, word2, args.n)
     except gz.SubductionError as exc:
         raise InputError(str(exc))
-    emit_report(make_report("gz subduct", f"{args.word1}|{args.word2}", results, started), args.report)
-    return EXIT_OK if results["success"] else EXIT_CHECK_FAILED
+    code = EXIT_OK if results["success"] else EXIT_CHECK_FAILED
+    return f"{args.word1}|{args.word2}", results, code
 
 
 def cmd_suite(args):
-    started = time.monotonic()
     results = suite.run_suite(args.level)
-    if args.report:
-        emit_report(make_report("suite", args.level, results, started), args.report)
+    report = results if args.report else None
     if results["passed"]:
-        return EXIT_OK
+        return args.level, report, EXIT_OK
     name, reason = results["first_failure"]
     print(f"first failing check: {name}: {reason}", file=sys.stderr)
-    return EXIT_CHECK_FAILED
+    return args.level, report, EXIT_CHECK_FAILED
 
 
 def build_parser():
@@ -272,12 +247,12 @@ def build_parser():
     p = sub.add_parser("analyze", help="classify a bundle file and compute CI-stability")
     p.add_argument("path")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
-    p.set_defaults(fn=cmd_analyze)
+    p.set_defaults(fn=cmd_analyze, name="analyze")
 
     p = sub.add_parser("ci-stability", help="CI-stability of a bundle file")
     p.add_argument("path")
     p.add_argument("--report")
-    p.set_defaults(fn=cmd_ci_stability)
+    p.set_defaults(fn=cmd_ci_stability, name="ci-stability")
 
     p = sub.add_parser("region", help="stability table of sparse uniform bundles")
     p.add_argument("--r-max", type=int, required=True)
@@ -285,7 +260,7 @@ def build_parser():
     p.add_argument("--csv", help="write the CSV here instead of stdout")
     p.add_argument("--svg", help="also write an SVG scatter")
     p.add_argument("--report")
-    p.set_defaults(fn=cmd_region)
+    p.set_defaults(fn=cmd_region, name="region")
 
     p_cox = sub.add_parser("cox", help="tangent-bundle presentations and checks")
     cox_sub = p_cox.add_subparsers(dest="cox_command", required=True)
@@ -297,29 +272,29 @@ def build_parser():
     p.add_argument("--allow-large", action="store_true", help="enable n = 3 elimination")
     p.add_argument("--emit", choices=["generators", "gb"], default="generators")
     p.add_argument("--report")
-    p.set_defaults(fn=cmd_cox_tangent)
+    p.set_defaults(fn=cmd_cox_tangent, name="cox tangent")
 
     p = cox_sub.add_parser("quiver", help="Euler relations plus maximal minors")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--report")
-    p.set_defaults(fn=cmd_cox_quiver)
+    p.set_defaults(fn=cmd_cox_quiver, name="cox quiver")
 
     p = cox_sub.add_parser("lemma-js", help="row-sum/minors Groebner and dimension check")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, help="comma separated column subset, e.g. 1,2")
     p.add_argument("--report")
-    p.set_defaults(fn=cmd_cox_lemma)
+    p.set_defaults(fn=cmd_cox_lemma, name="cox lemma-js")
 
     p = cox_sub.add_parser("pluecker-match", help="signed match onto the Gr(2,5) quadrics")
     p.add_argument("--report")
-    p.set_defaults(fn=cmd_cox_pluecker)
+    p.set_defaults(fn=cmd_cox_pluecker, name="cox pluecker-match")
 
     p = sub.add_parser("cauchy", help="Cauchy identity table")
     p.add_argument("--dim-e", type=int, required=True)
     p.add_argument("--dim-v", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--report")
-    p.set_defaults(fn=cmd_cauchy)
+    p.set_defaults(fn=cmd_cauchy, name="cauchy")
 
     p_gz = sub.add_parser("gz", help="pattern semigroup checks and subduction")
     gz_sub = p_gz.add_subparsers(dest="gz_command", required=True)
@@ -328,19 +303,19 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-word-length", type=int, default=3)
     p.add_argument("--report")
-    p.set_defaults(fn=cmd_gz_verify)
+    p.set_defaults(fn=cmd_gz_verify, name="gz verify")
 
     p = gz_sub.add_parser("subduct", help="rewrite two words to canonical form")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--word1", required=True, help='bracket syntax, e.g. "[-2],[{1,3},0]"')
     p.add_argument("--word2", required=True)
     p.add_argument("--report")
-    p.set_defaults(fn=cmd_gz_subduct)
+    p.set_defaults(fn=cmd_gz_subduct, name="gz subduct")
 
     p = sub.add_parser("suite", help="run the verification suite")
     p.add_argument("--level", choices=["fast", "full"], default="fast")
     p.add_argument("--report")
-    p.set_defaults(fn=cmd_suite)
+    p.set_defaults(fn=cmd_suite, name="suite")
 
     return parser
 
@@ -348,8 +323,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.monotonic()
     try:
-        return args.fn(args)
+        inputs_text, results, code = args.fn(args)
+        if results is not None:
+            emit_report(make_report(args.name, inputs_text, results, started), args.report)
+        return code
     except poly.CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -10,11 +10,13 @@ reach a canonical form.
 
 from functools import lru_cache
 from itertools import accumulate, combinations, combinations_with_replacement
+from math import comb
 from typing import NamedTuple
 
 from .cox import t_name, x_name, yy_name
 from .linalg import RatMatrix, left_kernel_basis
 from .poly import (
+    CapExceeded,
     PolyRing,
     RingMap,
     lex,
@@ -23,6 +25,9 @@ from .poly import (
     ring_map_kernel,
     symbolic_det,
 )
+
+# Largest number of words confluence_sweep canonicalizes.
+SWEEP_CAP = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -640,6 +645,8 @@ def subduct(word1, word2, n):
     precondition for them to present the same element).
     """
     word1, word2 = tuple(word1), tuple(word2)
+    for gen in word1 + word2:
+        gen.check(n)
     if word_pattern_sum(word1, n) != word_pattern_sum(word2, n):
         raise SubductionError("words have different extended-pattern sums")
     canon1, steps1 = canonicalize(word1, n)
@@ -666,8 +673,15 @@ def all_generators(n):
 
 def confluence_sweep(n, max_len=3):
     """Exhaustively canonicalize words up to max_len; groups with equal
-    pattern sums must share a canonical form.  Returns statistics."""
+    pattern sums must share a canonical form.  Returns statistics.  Raises
+    CapExceeded, before building any word, past SWEEP_CAP words."""
     gens = all_generators(n)
+    count = sum(comb(len(gens) + k - 1, k) for k in range(1, max_len + 1))
+    if count > SWEEP_CAP:
+        raise CapExceeded(
+            f"n = {n} has {count} words up to length {max_len}, over the cap {SWEEP_CAP}",
+            size=count,
+        )
     groups = {}
     for size in range(1, max_len + 1):
         for combo in combinations_with_replacement(gens, size):

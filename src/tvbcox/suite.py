@@ -224,9 +224,7 @@ def run_suite(level="fast", emit=print):
         emit(f"{status} {name} ({elapsed:.2f}s)")
         if status == "FAIL" and first_failure is None:
             first_failure = (name, detail.get("error", ""))
-        results.append(
-            {"check": name, "status": status, "seconds": round(elapsed, 3), "detail": _plain(detail)}
-        )
+        results.append({"check": name, "status": status, "detail": _plain(detail)})
     return {
         "level": level,
         "passed": first_failure is None,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tvbcox import bundle, cli
+from tvbcox import bundle, cli, gz
 from tvbcox.bundle import example_514_bundle, tangent_bundle
 from tvbcox.cli import (
     EXIT_CAP,
@@ -203,6 +203,25 @@ def test_gz_subduct_command(capsys):
     assert json.loads(out)["results"]["success"] is True
 
 
+def test_gz_subduct_checks_generators_before_summing(capsys):
+    code, _, err = run(
+        capsys, "gz", "subduct", "--n", "2", "--word1", "[-5]", "--word2", "[-5]"
+    )
+    assert code == EXIT_USAGE
+    assert "input error: negated index 5 out of range 0..2" in err
+
+
+def test_gz_verify_caps_the_word_sweep(capsys, monkeypatch):
+    def built(word, n):
+        raise AssertionError("the sweep built a word past its cap")
+
+    monkeypatch.setattr(gz, "word_pattern_sum", built)
+    code, out, err = run(capsys, "gz", "verify", "--n", "4", "--max-word-length", "6")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert "1947791 words up to length 6, over the cap 65536" in err
+
+
 def test_gz_subduct_unequal_sums(capsys):
     code, _, err = run(
         capsys, "gz", "subduct", "--n", "2", "--word1", "[-1]", "--word2", "[-2]"
@@ -216,3 +235,10 @@ def test_report_file_written(capsys, ex514_path, tmp_path):
     assert code == EXIT_OK
     assert out == ""
     assert json.loads(report_path.read_text())["command"] == "analyze"
+
+
+def test_report_in_missing_directory(capsys, ex514_path):
+    code, out, err = run(capsys, "analyze", ex514_path, "--report", "/no/such/dir/r.json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "input error" in err

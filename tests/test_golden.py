@@ -7,8 +7,11 @@ delta-initial ideal at n = 2 and of ker(psi) at n = 2, 3 are compared, as
 `poly_to_text` lines, with tests/golden/gb.json.  The canonical word and
 trace of every n = 3 word of length <= 3 and every n = 4 word of length
 <= 2 that rewrites at all, and the `results` of `gz verify --n 3` and of
-README's `gz subduct` example, are compared with tests/golden/gz.json.  A
-change that alters an answer regenerates the three files with
+README's `gz subduct` example, are compared with tests/golden/gz.json.  The
+exit code and whole report, but its top-level `seconds`, of each fast README
+command line and of `suite --level full` are compared with
+tests/golden/cli.json; a timing inside `results` fails that comparison.  A
+change that alters an answer regenerates the four files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -19,6 +22,7 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import tempfile
 from itertools import combinations_with_replacement
 
@@ -38,6 +42,35 @@ from tvbcox.poly import PolyRing, buchberger, grevlex, poly_to_text, ring_map_ke
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "analyze.json")
 GB_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "gb.json")
 GZ_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "gz.json")
+CLI_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
+
+# README's example bundle file and command lines.  Each runs with --report
+# (region and cauchy write a report only then); the full suite is compared
+# by tests/test_suite.py, which runs it anyway.
+README_BUNDLE = """{
+  "n": 3,
+  "s": 6,
+  "M": [["1", "1", "1", "1", "1", "1"]],
+  "D": [[4, 0, 0, 1, 3, 2], [0, 4, 0, 2, 1, 3], [0, 0, 4, 3, 2, 1]],
+  "label": "rank-5 over the plane"
+}
+"""
+README_COMMANDS = [
+    "analyze bundle.json",
+    "ci-stability bundle.json",
+    "region --r-max 8 --s-max 10",
+    "cox tangent --n 2 --m 2",
+    "cox tangent --n 2 --m 2 --verify-kernel",
+    "cox tangent --n 2 --m 2 --emit gb",
+    "cox quiver --n 2",
+    "cox lemma-js --n 3 --set 1,2",
+    "cox pluecker-match",
+    "cauchy --dim-e 3 --dim-v 2 --max-degree 6",
+    "gz verify --n 3",
+    'gz subduct --n 3 --word1 "[-2],[{1,2},1]" --word2 "[-1],[{1,2},2]"',
+    "suite --level fast",
+]
+SUITE_FULL = "suite --level full"
 
 # S-polynomials each kernel elimination forms.  The engine's pair selection
 # and criteria decide these counts, so a change to either shows here even
@@ -102,6 +135,31 @@ def golden_text(directory):
             code, results = command_results([command, path])
             answers[f"{name} {command}"] = {"exit": code, "results": results}
     return json.dumps(answers, indent=1) + "\n"
+
+
+def cli_entry(line, directory):
+    """Exit code and report, without its top-level `seconds`, of one
+    command line run in directory with --report."""
+    with open(os.path.join(directory, "bundle.json"), "w", encoding="utf-8") as fh:
+        fh.write(README_BUNDLE)
+    path = os.path.join(directory, "report.json")
+    argv = [os.path.join(directory, a) if a == "bundle.json" else a for a in shlex.split(line)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--report", path])
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    del report["seconds"]
+    return {"exit": code, "report": report}
+
+
+def golden_cli(lines):
+    with open(CLI_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)
+    return json.dumps({line: golden[line] for line in lines}, indent=1)
+
+
+def cli_text(directory, lines):
+    return json.dumps({line: cli_entry(line, directory) for line in lines}, indent=1)
 
 
 @contextlib.contextmanager
@@ -196,6 +254,10 @@ def test_gz_traces_and_commands_match_golden():
         assert gz_answers() == fh.read()
 
 
+def test_cli_reports_match_golden(tmp_path):
+    assert cli_text(str(tmp_path), README_COMMANDS) == golden_cli(README_COMMANDS)
+
+
 if __name__ == "__main__":
     os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -206,3 +268,7 @@ if __name__ == "__main__":
         fh.write(engine_answers()[0])
     with open(GZ_GOLDEN, "w", encoding="utf-8") as fh:
         fh.write(gz_answers())
+    with tempfile.TemporaryDirectory() as tmp:
+        text = cli_text(tmp, README_COMMANDS + [SUITE_FULL])
+    with open(CLI_GOLDEN, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from test_golden import SUITE_FULL, cli_entry, golden_cli
 
 from tvbcox import suite
 from tvbcox.cli import EXIT_CHECK_FAILED, EXIT_OK, main
@@ -14,12 +15,15 @@ def test_run_suite_fast_passes():
     assert all(line.startswith("PASS") for line in lines)
 
 
-def test_run_suite_full_passes():
-    # the full level adds the n = 3 elimination and the larger sweeps
-    report = suite.run_suite("full", emit=lambda _: None)
-    assert report["passed"], report["first_failure"]
-    kernel = next(c for c in report["checks"] if c["check"] == "kernel")
+def test_run_suite_full_passes(tmp_path):
+    # the full level adds the n = 3 elimination and the larger sweeps; its
+    # report, timings aside, matches tests/golden/cli.json
+    entry = cli_entry(SUITE_FULL, str(tmp_path))
+    results = entry["report"]["results"]
+    assert results["passed"], results["first_failure"]
+    kernel = next(c for c in results["checks"] if c["check"] == "kernel")
     assert "n3" in kernel["detail"]
+    assert json.dumps({SUITE_FULL: entry}, indent=1) == golden_cli([SUITE_FULL])
 
 
 def test_run_suite_reports_first_failure(monkeypatch):
