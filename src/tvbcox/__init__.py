@@ -11,7 +11,7 @@ from .bundle import (  # noqa: F401
     region_table,
     uniform_sparse_stability,
 )
-from .linalg import IntMatrix, RatMatrix, rational_rank  # noqa: F401
+from .linalg import rational_rank  # noqa: F401
 from .poly import (  # noqa: F401
     CapExceeded,
     Ideal,

@@ -2,7 +2,7 @@
 
 M is a d x s rational matrix whose rows generate the linear ideal of the
 fiber data; D is an n x s integer matrix (the diagram) with one row per ray
-of the fan.  The bundle rank is r = s - d.
+of the fan.  The bundle rank is r = s - d.  Both are plain rows.
 """
 
 import math
@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .linalg import IntMatrix, RatMatrix, rational_rank
+from .linalg import rational_rank
 from .poly import CapExceeded
 
 # Largest number of ray or column subsets rank_table and classify enumerate.
@@ -18,27 +18,42 @@ SUBSET_CAP = 2**16
 
 
 class BundleData:
-    """The (M, D) pair with its basic sanity checks."""
+    """The (M, D) pair, given as rows, with the checks on their shape and
+    entries.  M is kept as tuples of Fractions and D as tuples of ints;
+    minimal_columns[i - 1] is the set of 1-based columns where row i of D
+    attains its minimum."""
 
-    __slots__ = ("n", "s", "d", "m", "diagram", "label")
+    __slots__ = ("n", "s", "d", "m", "diagram", "minimal_columns", "label")
 
     def __init__(self, m, diagram, label=None):
-        if diagram.cols != m.cols:
-            raise ValueError("M and D must have the same number of columns")
-        d = rational_rank(m)
-        if d != m.rows:
-            raise ValueError(f"M has rank {d}, expected full row rank {m.rows}")
-        if d < 1:
+        m = tuple(tuple(Fraction(x) for x in row) for row in m)
+        diagram = tuple(tuple(row) for row in diagram)
+        if not m:
             raise ValueError("M must have at least one row")
-        if m.cols <= d:
-            raise ValueError("need s > d so that the bundle rank s - d is positive")
-        if diagram.rows < 1:
+        if not diagram:
             raise ValueError("the diagram needs at least one row")
-        self.n = diagram.rows
-        self.s = m.cols
+        s = len(m[0])
+        if any(len(row) != s for row in m):
+            raise ValueError("the rows of M must have equal lengths")
+        if any(len(row) != s for row in diagram):
+            raise ValueError("M and D must have the same number of columns")
+        for x in (x for row in diagram for x in row):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise ValueError(f"diagram entry {x!r} is not an integer")
+        d = rational_rank(m)
+        if d != len(m):
+            raise ValueError(f"M has rank {d}, expected full row rank {len(m)}")
+        if s <= d:
+            raise ValueError("need s > d so that the bundle rank s - d is positive")
+        self.n = len(diagram)
+        self.s = s
         self.d = d
         self.m = m
         self.diagram = diagram
+        self.minimal_columns = tuple(
+            frozenset(j for j, x in enumerate(row, 1) if x == low)
+            for row, low in zip(diagram, map(min, diagram))
+        )
         self.label = label
 
     @property
@@ -58,28 +73,23 @@ class BundleClass(NamedTuple):
 
 
 def common_minimal_columns(b, rays):
-    """Columns where every row of D indexed by rays attains its row minimum."""
-    rays = sorted(set(rays))
+    """Columns where every row of D indexed by rays attains its row minimum:
+    the intersection of those rays' minimal-column sets."""
+    rays = set(rays)
     if not rays:
         raise ValueError("the ray subset must be nonempty")
-    if rays[0] < 1 or rays[-1] > b.n:
+    if min(rays) < 1 or max(rays) > b.n:
         raise ValueError(f"ray index out of range 1..{b.n}")
-    common = set(range(1, b.s + 1))
-    for i in rays:
-        row = b.diagram.row(i - 1)
-        low = min(row)
-        common &= {j + 1 for j, x in enumerate(row) if x == low}
-        if not common:
-            break
-    return common
+    return set(frozenset.intersection(*(b.minimal_columns[i - 1] for i in rays)))
 
 
 def restricted_rank(b, rays):
-    """Rank of M on the common-minimal column set (0 when that set is empty)."""
+    """Rank of M on the common-minimal column set (0 when that set is empty);
+    the order of the columns does not change the rank."""
     cols = common_minimal_columns(b, rays)
     if not cols:
         return 0
-    return rational_rank(b.m.column_submatrix([j - 1 for j in sorted(cols)]))
+    return rational_rank([[row[j - 1] for j in cols] for row in b.m])
 
 
 def rank_table(b):
@@ -177,19 +187,15 @@ def uniform_sparse_stability(r: int, s: int) -> int:
 
 
 def classify(b):
-    sparse = all(
-        sum(1 for x in b.diagram.row(i) if x != 0) <= 1 for i in range(b.n)
-    )
+    sparse = all(sum(1 for x in row if x != 0) <= 1 for row in b.diagram)
     count = math.comb(b.s, b.d)
     if count > SUBSET_CAP:
         raise CapExceeded(
             f"C({b.s}, {b.d}) = {count} column subsets, over the cap {SUBSET_CAP}", size=count
         )
     uniform = True
-    cols = range(b.s)
-    for subset in combinations(cols, b.d):
-        sub = b.m.column_submatrix(subset)
-        if rational_rank(sub) < b.d:
+    for subset in combinations(range(b.s), b.d):
+        if rational_rank([[row[j] for j in subset] for row in b.m]) < b.d:
             uniform = False
             break
     hypersurface = b.d == 1
@@ -197,18 +203,16 @@ def classify(b):
 
 
 def vandermonde_matrix(d: int, s: int):
-    """d x s Vandermonde on nodes 1..s; all maximal minors are nonzero."""
-    return RatMatrix(
-        d, s, [Fraction(node**k) for k in range(d) for node in range(1, s + 1)]
-    )
+    """d x s Vandermonde rows on nodes 1..s; all maximal minors are nonzero."""
+    return [[node**k for node in range(1, s + 1)] for k in range(d)]
 
 
 def tangent_bundle(n: int):
     """Tangent bundle of P^n: M the all-ones row, D the identity."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    m = RatMatrix(1, n + 1, [Fraction(1)] * (n + 1))
-    return BundleData(m, IntMatrix.identity(n + 1), label=f"tangent(P^{n})")
+    identity = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    return BundleData([[1] * (n + 1)], identity, label=f"tangent(P^{n})")
 
 
 def kaneyama_bundle(weights):
@@ -216,9 +220,8 @@ def kaneyama_bundle(weights):
     weights = list(weights)
     if any(a <= 0 for a in weights):
         raise ValueError("diagonal entries must be positive")
-    s = len(weights)
-    m = RatMatrix(1, s, [Fraction(1)] * s)
-    return BundleData(m, IntMatrix.diagonal(weights), label="kaneyama")
+    diagonal = [[a if i == j else 0 for j in range(len(weights))] for i, a in enumerate(weights)]
+    return BundleData([[1] * len(weights)], diagonal, label="kaneyama")
 
 
 def uniform_sparse_bundle(d, s, positions=None):
@@ -247,7 +250,7 @@ def uniform_sparse_bundle(d, s, positions=None):
         rows.append(row)
     return BundleData(
         vandermonde_matrix(d, s),
-        IntMatrix.from_rows(rows),
+        rows,
         label=f"uniform-sparse(d={d}, s={s})",
     )
 
@@ -265,15 +268,12 @@ def make_bundle(kind, *args, **kwargs):
 
 def example_514_bundle():
     """The rank-5 bundle over P^2 with the all-ones row and the 3x6 diagram."""
-    m = RatMatrix(1, 6, [Fraction(1)] * 6)
-    diagram = IntMatrix.from_rows(
-        [
-            [4, 0, 0, 1, 3, 2],
-            [0, 4, 0, 2, 1, 3],
-            [0, 0, 4, 3, 2, 1],
-        ]
-    )
-    return BundleData(m, diagram, label="example-5.14")
+    diagram = [
+        [4, 0, 0, 1, 3, 2],
+        [0, 4, 0, 2, 1, 3],
+        [0, 0, 4, 3, 2, 1],
+    ]
+    return BundleData([[1] * 6], diagram, label="example-5.14")
 
 
 def region_table(r_max: int, s_max: int):

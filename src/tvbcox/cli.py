@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import __version__, bundle, cox, gz, poly, schur, suite
-from .linalg import IntMatrix, RatMatrix, format_rational, parse_rational
+from .linalg import format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -36,27 +36,19 @@ def parse_bundle_file(text):
         if key not in data:
             raise InputError(f"missing field {key!r}")
     n, s = data["n"], data["s"]
-    try:
-        if len(data["D"]) != n:
-            raise InputError(f"D has {len(data['D'])} rows, declared n = {n}")
-        for row in data["D"]:
+    for key in ("M", "D"):
+        rows = data[key]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise InputError(f"{key} must be an array of rows, each a JSON array")
+        for row in rows:
             if len(row) != s:
-                raise InputError(f"D row of length {len(row)}, declared s = {s}")
-            for x in row:
-                if not isinstance(x, int):
-                    raise InputError(f"diagram entry {x!r} is not an integer")
-        for row in data["M"]:
-            if len(row) != s:
-                raise InputError(f"M row of length {len(row)}, declared s = {s}")
-    except TypeError:
-        raise InputError("M and D must be arrays of rows")
+                raise InputError(f"{key} row of length {len(row)}, declared s = {s}")
+    if len(data["D"]) != n:
+        raise InputError(f"D has {len(data['D'])} rows, declared n = {n}")
     try:
-        m = RatMatrix.from_rows(
-            [[parse_rational(str(x)) for x in row] for row in data["M"]]
-        )
-        d = IntMatrix.from_rows([[int(x) for x in row] for row in data["D"]])
-        return bundle.BundleData(m, d, label=data.get("label"))
-    except (ValueError, ZeroDivisionError) as exc:
+        m = [[parse_rational(str(x)) for x in row] for row in data["M"]]
+        return bundle.BundleData(m, data["D"], label=data.get("label"))
+    except ValueError as exc:
         raise InputError(str(exc))
 
 
@@ -64,8 +56,8 @@ def serialize_bundle(b):
     payload = {
         "n": b.n,
         "s": b.s,
-        "M": [[format_rational(x) for x in b.m.row(i)] for i in range(b.m.rows)],
-        "D": [list(b.diagram.row(i)) for i in range(b.diagram.rows)],
+        "M": [[format_rational(x) for x in row] for row in b.m],
+        "D": [list(row) for row in b.diagram],
     }
     if b.label is not None:
         payload["label"] = b.label

@@ -14,7 +14,7 @@ from math import comb
 from typing import NamedTuple
 
 from .cox import t_name, x_name, yy_name
-from .linalg import RatMatrix, left_kernel_basis
+from .linalg import left_kernel_basis
 from .poly import (
     CapExceeded,
     PolyRing,
@@ -28,6 +28,8 @@ from .poly import (
 
 # Largest number of words confluence_sweep canonicalizes.
 SWEEP_CAP = 2**16
+# Largest number of P-variable pairs quadratic_plucker_relations maps.
+PAIR_CAP = 2**11
 
 
 # ---------------------------------------------------------------------------
@@ -413,13 +415,26 @@ def euler_flag_relation(n, tau, psi=None):
     return relation
 
 
+def plucker_pair_count(n):
+    """Number of unordered pairs of P-variables at n, repeats included.
+    Raises CapExceeded past PAIR_CAP."""
+    count = comb(len(flag_column_sets(n)) + 1, 2)
+    if count > PAIR_CAP:
+        raise CapExceeded(
+            f"n = {n} has {count} P-variable pairs, over the cap {PAIR_CAP}", size=count
+        )
+    return count
+
+
 def quadratic_plucker_relations(n, psi=None):
     """Basis of the quadratic relations among the flag minors alone.
 
     Computed degree by degree: products of two P-variables share a torus
     multidegree exactly when their column multisets agree, and inside each
     group the kernel of the presentation map is exact linear algebra.
+    Raises CapExceeded, before psi is built, past PAIR_CAP pairs.
     """
+    plucker_pair_count(n)
     psi = psi or build_psi(n)
     source = psi.source
     p_vars = [name for name in source.names if name.startswith("P")]
@@ -435,8 +450,8 @@ def quadratic_plucker_relations(n, psi=None):
         monomials = [source.var(a) * source.var(b) for a, b in pairs]
         images = [psi(mono) for mono in monomials]
         support = sorted({m for img in images for m in img.terms})
-        matrix = RatMatrix.from_rows([[img.terms.get(m, 0) for m in support] for img in images])
-        for coeffs in left_kernel_basis(matrix):
+        rows = [[img.terms.get(m, 0) for m in support] for img in images]
+        for coeffs in left_kernel_basis(rows):
             rel = source.zero()
             for c, mono in zip(coeffs, monomials):
                 rel = rel + c * mono
@@ -671,17 +686,25 @@ def all_generators(n):
     return gens
 
 
-def confluence_sweep(n, max_len=3):
-    """Exhaustively canonicalize words up to max_len; groups with equal
-    pattern sums must share a canonical form.  Returns statistics.  Raises
-    CapExceeded, before building any word, past SWEEP_CAP words."""
-    gens = all_generators(n)
-    count = sum(comb(len(gens) + k - 1, k) for k in range(1, max_len + 1))
+def sweep_word_count(n, max_len):
+    """Number of words of 1 to max_len generators at n.  Raises CapExceeded
+    past SWEEP_CAP."""
+    gens = len(all_generators(n))
+    count = sum(comb(gens + k - 1, k) for k in range(1, max_len + 1))
     if count > SWEEP_CAP:
         raise CapExceeded(
             f"n = {n} has {count} words up to length {max_len}, over the cap {SWEEP_CAP}",
             size=count,
         )
+    return count
+
+
+def confluence_sweep(n, max_len=3):
+    """Exhaustively canonicalize words up to max_len; groups with equal
+    pattern sums must share a canonical form.  Returns statistics.  Raises
+    CapExceeded, before building any word, past SWEEP_CAP words."""
+    sweep_word_count(n, max_len)
+    gens = all_generators(n)
     groups = {}
     for size in range(1, max_len + 1):
         for combo in combinations_with_replacement(gens, size):

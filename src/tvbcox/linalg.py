@@ -1,5 +1,5 @@
-"""Exact rational matrices: parsing, dense storage, and fraction-free
-elimination for ranks and left kernels."""
+"""Exact rational matrices as plain rows: parsing, formatting, and one
+fraction-free elimination for ranks and left kernels."""
 
 from fractions import Fraction
 from math import lcm
@@ -33,137 +33,57 @@ def format_rational(q):
     return str(Fraction(q))
 
 
-class _DenseMatrix:
-    """Row-major dense matrix.  Values are immutable after construction."""
+def rational_rank(rows):
+    """Rank over Q of a matrix given as equal-length rows of Fractions or
+    ints, by fraction-free (Bareiss) elimination.
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(
-                f"need {rows * cols} entries for a {rows}x{cols} matrix, got {len(entries)}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rows_data):
-        rows = len(rows_data)
-        cols = len(rows_data[0]) if rows else 0
-        for r in rows_data:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-        return cls(rows, cols, [x for r in rows_data for x in r])
-
-    def at(self, i, j):
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError((i, j))
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_list(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self):
-        return type(self)(
-            self.cols,
-            self.rows,
-            [self.at(i, j) for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def column_submatrix(self, cols):
-        """Matrix restricted to the given column indices, in the given order."""
-        cols = list(cols)
-        return type(self)(
-            self.rows, len(cols), [self.at(i, j) for i in range(self.rows) for j in cols]
-        )
-
-    def __eq__(self, other):
-        return (
-            type(self) is type(other)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
-        return f"{type(self).__name__}({self.rows}x{self.cols}: {body})"
-
-
-class RatMatrix(_DenseMatrix):
-    """Dense matrix over Fraction."""
-
-    def __init__(self, rows, cols, entries):
-        super().__init__(rows, cols, [Fraction(x) for x in entries])
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
-
-
-class IntMatrix(_DenseMatrix):
-    """Dense matrix over arbitrary-precision integers."""
-
-    def __init__(self, rows, cols, entries):
-        ints = []
-        for x in entries:
-            if not isinstance(x, int):
-                raise ValueError(f"integer entry expected, got {x!r}")
-            ints.append(x)
-        super().__init__(rows, cols, ints)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [int(i == j) for i in range(n) for j in range(n)])
-
-    @classmethod
-    def diagonal(cls, diag):
-        n = len(diag)
-        return cls(n, n, [diag[i] if i == j else 0 for i in range(n) for j in range(n)])
-
-
-def rational_rank(m):
-    """Rank of a RatMatrix over Q, by fraction-free (Bareiss) elimination.
-
-    A matrix with zero rows or zero columns has rank 0.
+    A matrix with zero rows or zero columns has rank 0.  Ragged rows or
+    entries that are not Fractions or ints raise ValueError.
     """
-    if m.rows == 0 or m.cols == 0:
+    ncols = len(rows[0]) if rows else 0
+    work = _integer_rows(rows, ncols)
+    if ncols == 0:
         return 0
-    return _bareiss(_integer_rows(m.row(i) for i in range(m.rows)), m.cols)
+    return _bareiss(work, ncols)
 
 
-def left_kernel_basis(m):
-    """Basis of the row vectors v with v * m = 0, for a RatMatrix m.
+def left_kernel_basis(rows):
+    """Basis of the row vectors v with v * m = 0, for the matrix m given as
+    equal-length rows of Fractions or ints.
 
     Bareiss elimination on [m | I]: the rows left zero in the columns of m
     carry the kernel vectors in the identity part.  There is one vector per
     unit of rank deficiency, each scaled so its first nonzero entry is 1.
     """
-    identity = RatMatrix.identity(m.rows)
-    work = _integer_rows(m.row(i) + identity.row(i) for i in range(m.rows))
-    rank = _bareiss(work, m.cols)
+    ncols = len(rows[0]) if rows else 0
+    unit = range(len(rows))
+    work = _integer_rows(
+        (list(row) + [int(i == k) for k in unit] for i, row in enumerate(rows)),
+        ncols + len(rows),
+    )
+    rank = _bareiss(work, ncols)
     kernel = []
     for row in work[rank:]:
-        vec = row[m.cols :]
+        vec = row[ncols:]
         lead = next(x for x in vec if x)
         kernel.append([Fraction(x, lead) for x in vec])
     return kernel
 
 
-def _integer_rows(rows):
-    """Clear denominators row by row; row scaling keeps the row space."""
+def _integer_rows(rows, ncols):
+    """Clear denominators row by row; row scaling keeps the row space.
+    Entries are Fractions or ints (an int's denominator is 1); every row
+    must have ncols entries."""
     work = []
     for row in rows:
-        scale = lcm(*(x.denominator for x in row))
-        work.append([x.numerator * (scale // x.denominator) for x in row])
+        if len(row) != ncols:
+            raise ValueError(f"ragged rows: {len(row)} entries, expected {ncols}")
+        try:
+            scale = lcm(*(x.denominator for x in row))
+            work.append([x.numerator * (scale // x.denominator) for x in row])
+        except AttributeError:
+            bad = next(x for x in row if not isinstance(x, (int, Fraction)))
+            raise ValueError(f"matrix entry {bad!r} is not a Fraction or int") from None
     return work
 
 

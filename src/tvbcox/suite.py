@@ -141,7 +141,10 @@ def gz_relation_check(n, psi=None):
 
 def gz_verify(n, max_len):
     """Lead patterns of every generator, then the relation check, then the
-    confluence sweep over words up to max_len, at one n."""
+    confluence sweep over words up to max_len, at one n.  The word and
+    P-variable pair caps are checked before psi is built."""
+    gz.sweep_word_count(n, max_len)
+    gz.plucker_pair_count(n)
     psi = gz.build_psi(n)
     gens = gz.all_generators(n)
     for gen in gens:

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -23,7 +25,6 @@ from tvbcox.bundle import (
     uniform_sparse_bundle,
     uniform_sparse_stability,
 )
-from tvbcox.linalg import IntMatrix, RatMatrix
 from tvbcox.poly import CapExceeded
 
 
@@ -86,9 +87,7 @@ def test_ci_stability_values(ex514):
 
 def test_ci_stability_requires_ci():
     # disjoint minima with full single-ray rank: 1 + 2 < 2 + 0 already fails
-    m = RatMatrix.from_rows([[1, 1, 1, 1], [1, 2, 3, 4]])
-    d = IntMatrix.from_rows([[0, 0, 1, 1], [1, 1, 0, 0]])
-    b = BundleData(m, d)
+    b = BundleData([[1, 1, 1, 1], [1, 2, 3, 4]], [[0, 0, 1, 1], [1, 1, 0, 0]])
     assert not is_complete_intersection(b, 1)
     with pytest.raises(NotCompleteIntersection):
         ci_stability(b)
@@ -96,7 +95,7 @@ def test_ci_stability_requires_ci():
 
 def test_ci_stability_infinite():
     # a single ray has no subsets of size two, so nothing ever binds
-    b = BundleData(RatMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[0, 1]]))
+    b = BundleData([[1, 1]], [[0, 1]])
     assert ci_stability(b) == (math.inf, None)
 
 
@@ -177,9 +176,7 @@ def test_classify_zero_row_counts_as_sparse():
 
 
 def test_classify_non_uniform():
-    m = RatMatrix.from_rows([[1, 0, 1], [0, 1, 0]])
-    d = IntMatrix.from_rows([[1, 0, 0]])
-    cls = classify(BundleData(m, d))
+    cls = classify(BundleData([[1, 0, 1], [0, 1, 0]], [[1, 0, 0]]))
     assert not cls.uniform
 
 
@@ -191,8 +188,8 @@ def test_classify_caps_column_subsets():
 
 def test_make_bundle_kinds():
     t2 = make_bundle("tangent", 2)
-    assert t2.m.row_list() == [[1, 1, 1]]
-    assert t2.diagram == IntMatrix.identity(3)
+    assert t2.m == ((1, 1, 1),)
+    assert t2.diagram == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     k = make_bundle("kaneyama", [1, 1, 1])
     assert k.diagram == t2.diagram and k.m == t2.m
     us = make_bundle("uniform_sparse", 2, 6)
@@ -252,16 +249,26 @@ def test_region_csv_and_svg():
     assert svg.startswith("<svg") and "circle" in svg
 
 
+def test_bundle_stores_rows_as_tuples():
+    b = BundleData([[Fraction(1, 2), 1, 2]], [[0, 1, 0], [2, 2, 1]])
+    assert b.m == ((Fraction(1, 2), Fraction(1), Fraction(2)),)
+    assert all(type(x) is Fraction for x in b.m[0])
+    assert b.diagram == ((0, 1, 0), (2, 2, 1))
+    assert b.minimal_columns == (frozenset({1, 3}), frozenset({3}))
+
+
 def test_bundle_validation():
-    with pytest.raises(ValueError):
-        # M rank-deficient
-        BundleData(
-            RatMatrix.from_rows([[1, 1, 1], [2, 2, 2]]),
-            IntMatrix.from_rows([[1, 0, 0]]),
-        )
-    with pytest.raises(ValueError):
-        # no room for positive rank
-        BundleData(RatMatrix.identity(2), IntMatrix.from_rows([[1, 0]]))
-    with pytest.raises(ValueError):
-        # column count mismatch
-        BundleData(RatMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[1, 0, 0]]))
+    cases = [
+        ([[1, 1, 1], [2, 2, 2]], [[1, 0, 0]], "rank 1, expected full row rank 2"),
+        ([[1, 0], [0, 1]], [[1, 0]], "need s > d"),
+        ([[1, 1]], [[1, 0, 0]], "same number of columns"),
+        ([[1, 2], [3]], [[1, 0]], "equal lengths"),
+        ([[1, 1]], [[1, Fraction(1, 2)]], "diagram entry Fraction(1, 2) is not an integer"),
+        ([[1, 1]], [[1, 0.0]], "diagram entry 0.0 is not an integer"),
+        ([[1, 1]], [[True, False]], "diagram entry True is not an integer"),
+        ([], [[1, 0]], "M must have at least one row"),
+        ([[1, 1]], [], "the diagram needs at least one row"),
+    ]
+    for m, diagram, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BundleData(m, diagram)

@@ -242,3 +242,55 @@ def test_report_in_missing_directory(capsys, ex514_path):
     assert code == EXIT_USAGE
     assert out == ""
     assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            '{"n": 3, "s": 3, "M": [["1", "1", "1"]],'
+            ' "D": [[true, false, false], [0, 1, 0], [0, 0, 1]]}',
+            "diagram entry True is not an integer",
+        ),
+        (
+            '{"n": 3, "s": 3, "M": ["111"], "D": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}',
+            "M must be an array of rows, each a JSON array",
+        ),
+        (
+            '{"n": 1, "s": 3, "M": [["1", "1", "1"]], "D": ["100"]}',
+            "D must be an array of rows, each a JSON array",
+        ),
+    ],
+    ids=["boolean-diagram-entry", "string-row-of-M", "string-row-of-D"],
+)
+def test_analyze_rejects_boolean_entries_and_rows_that_are_not_arrays(
+    capsys, tmp_path, text, message
+):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"input error: {message}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "6"], "n = 6 has 349503 words up to length 3, over the cap 65536"),
+        (
+            ["--n", "6", "--max-word-length", "2"],
+            "n = 6 has 7140 P-variable pairs, over the cap 2048",
+        ),
+    ],
+    ids=["word-cap", "pair-cap"],
+)
+def test_gz_verify_checks_its_caps_before_building_psi(capsys, monkeypatch, argv, message):
+    def built(n):
+        raise AssertionError("psi was built before the caps were checked")
+
+    monkeypatch.setattr(gz, "build_psi", built)
+    code, out, err = run(capsys, "gz", "verify", *argv)
+    assert code == EXIT_CAP
+    assert out == ""
+    assert message in err

@@ -3,8 +3,10 @@
 `analyze` and `ci-stability` run on fixed bundles, and their exit codes and
 `results` are compared byte for byte with tests/golden/analyze.json.  The
 reduced grevlex Groebner bases of ker(phi) at n = 2, 3, of its
-delta-initial ideal at n = 2 and of ker(psi) at n = 2, 3 are compared, as
-`poly_to_text` lines, with tests/golden/gb.json.  The canonical word and
+delta-initial ideal at n = 2, of ker(psi) at n = 2, 3 and of the quiver
+ideals at n = 2, 3, and the reduced bases of every lemma ideal at n = 2, 3
+under the row-completing order, are compared, as `poly_to_text` lines in
+the order of their basis, with tests/golden/gb.json.  The canonical word and
 trace of every n = 3 word of length <= 3 and every n = 4 word of length
 <= 2 that rewrites at all, and the `results` of `gz verify --n 3` and of
 README's `gz subduct` example, are compared with tests/golden/gz.json.  The
@@ -24,7 +26,7 @@ import json
 import os
 import shlex
 import tempfile
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from tvbcox import cli, poly
 from tvbcox.bundle import (
@@ -34,9 +36,14 @@ from tvbcox.bundle import (
     tangent_bundle,
     uniform_sparse_bundle,
 )
-from tvbcox.cox import delta_initial_ideal, tangent_cox_ideal
+from tvbcox.cox import (
+    delta_initial_ideal,
+    lemma_ideal,
+    quiver_ideal,
+    row_completing_order,
+    tangent_cox_ideal,
+)
 from tvbcox.gz import all_generators, canonicalize, psi_kernel, word_to_text
-from tvbcox.linalg import IntMatrix, RatMatrix
 from tvbcox.poly import PolyRing, buchberger, grevlex, poly_to_text, ring_map_kernel
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "analyze.json")
@@ -103,15 +110,12 @@ def golden_bundles():
         # tangent(P^2) on rays 2, 9, 10 among zero rays: the witness i is the
         # first of {2, 9, 10} in frozenset order, 9, not the smallest
         ("tangent-2-among-zero-rays", BundleData(
-            RatMatrix.from_rows([[1, 1, 1]]),
-            IntMatrix.from_rows([[0, 0, 0], [0, 0, 1]] + [[0, 0, 0]] * 6
-                                + [[0, 1, 0], [1, 0, 0]]))),
+            [[1, 1, 1]],
+            [[0, 0, 0], [0, 0, 1]] + [[0, 0, 0]] * 6 + [[0, 1, 0], [1, 0, 0]])),
         # the non-CI and infinite-stability bundles of test_bundle.py
         ("not-ci", BundleData(
-            RatMatrix.from_rows([[1, 1, 1, 1], [1, 2, 3, 4]]),
-            IntMatrix.from_rows([[0, 0, 1, 1], [1, 1, 0, 0]]))),
-        ("one-ray", BundleData(
-            RatMatrix.from_rows([[1, 1]]), IntMatrix.from_rows([[0, 1]]))),
+            [[1, 1, 1, 1], [1, 2, 3, 4]], [[0, 0, 1, 1], [1, 1, 0, 0]])),
+        ("one-ray", BundleData([[1, 1]], [[0, 1]])),
     ]
     return bundles
 
@@ -179,8 +183,9 @@ def counting_s_polynomials():
         poly._s_polynomial = original
 
 
-def gb_text(ideal):
-    return [poly_to_text(g) for g in ideal.groebner(grevlex(ideal.ring))]
+def gb_text(ideal, order=None):
+    order = order or grevlex(ideal.ring)
+    return [poly_to_text(g, order) for g in ideal.groebner(order)]
 
 
 def tie_witnesses():
@@ -210,7 +215,15 @@ def engine_answers():
             buchberger(gens, grevlex(gens[0].ring))
         counts[name] = calls[0]
     kernels["delta initial 2"] = delta_initial_ideal(kernels["ker phi 2"])
-    texts = {name: gb_text(kernels[name]) for name in sorted(kernels)}
+    texts = {name: gb_text(kernels[name]) for name in kernels}
+    for n in (2, 3):
+        texts[f"quiver {n}"] = gb_text(quiver_ideal(n))
+        for size in range(1, n + 1):
+            for subset in combinations(range(1, n + 1), size):
+                ideal, _ = lemma_ideal(n, subset)
+                name = f"lemma {n} {{{','.join(map(str, subset))}}}"
+                texts[name] = gb_text(ideal, row_completing_order(ideal.ring, n))
+    texts = {name: texts[name] for name in sorted(texts)}
     return json.dumps(texts, indent=1) + "\n", counts
 
 

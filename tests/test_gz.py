@@ -155,6 +155,20 @@ def test_quadratic_relations_count_n3():
     assert all(len(r) == 3 for r in rels)
 
 
+def test_pair_and_word_counts_at_their_caps(monkeypatch):
+    def built(n):
+        raise AssertionError("psi was built before the pair cap was checked")
+
+    monkeypatch.setattr(gz, "build_psi", built)
+    assert gz.plucker_pair_count(5) == 1596
+    with pytest.raises(poly.CapExceeded, match="7140 P-variable pairs") as exc:
+        quadratic_plucker_relations(6)
+    assert exc.value.size == 7140
+    assert gz.sweep_word_count(6, 2) == 8127
+    with pytest.raises(poly.CapExceeded, match="349503 words up to length 3"):
+        confluence_sweep(6, 3)
+
+
 def test_lead_pattern_verified_up_to_n4():
     for n in (2, 3, 4):
         psi = build_psi(n)
