@@ -26,7 +26,7 @@ class BundleData:
     __slots__ = ("n", "s", "d", "m", "diagram", "minimal_columns", "label")
 
     def __init__(self, m, diagram, label=None):
-        m = tuple(tuple(Fraction(x) for x in row) for row in m)
+        m = tuple(tuple(row) for row in m)
         diagram = tuple(tuple(row) for row in diagram)
         if not m:
             raise ValueError("M must have at least one row")
@@ -37,9 +37,14 @@ class BundleData:
             raise ValueError("the rows of M must have equal lengths")
         if any(len(row) != s for row in diagram):
             raise ValueError("M and D must have the same number of columns")
+        # a float would be taken at its binary value, a bool as 0 or 1
+        for x in (x for row in m for x in row):
+            if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+                raise ValueError(f"entry {x!r} of M is not an integer or a Fraction")
         for x in (x for row in diagram for x in row):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ValueError(f"diagram entry {x!r} is not an integer")
+        m = tuple(tuple(map(Fraction, row)) for row in m)
         d = rational_rank(m)
         if d != len(m):
             raise ValueError(f"M has rank {d}, expected full row rank {len(m)}")

@@ -266,6 +266,9 @@ def test_bundle_validation():
         ([[1, 1]], [[1, Fraction(1, 2)]], "diagram entry Fraction(1, 2) is not an integer"),
         ([[1, 1]], [[1, 0.0]], "diagram entry 0.0 is not an integer"),
         ([[1, 1]], [[True, False]], "diagram entry True is not an integer"),
+        ([[0.1, 1]], [[0, 1]], "entry 0.1 of M is not an integer or a Fraction"),
+        ([[1, True]], [[0, 1]], "entry True of M is not an integer or a Fraction"),
+        ([["1/2", 1]], [[0, 1]], "entry '1/2' of M is not an integer or a Fraction"),
         ([], [[1, 0]], "M must have at least one row"),
         ([[1, 1]], [], "the diagram needs at least one row"),
     ]

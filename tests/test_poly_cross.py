@@ -17,11 +17,13 @@ from sympy.polys.orderings import grevlex as sympy_grevlex
 from tvbcox.poly import (
     Ideal,
     PolyRing,
+    RingMap,
     buchberger,
     elimination_order,
     grevlex,
     lex,
     normal_form,
+    ring_map_kernel,
 )
 
 
@@ -127,3 +129,55 @@ def test_membership_of_random_combinations():
             if factor:
                 combo = combo + factor[0] * g
         assert not normal_form(combo, gb, order)
+
+
+def random_image(target, rng, laurent):
+    """One or two terms in t, s of degree 1 or 2; t^-1 may occur if laurent."""
+    f = target.zero()
+    while not f:
+        for _ in range(rng.randrange(1, 3)):
+            exps = [rng.randrange(-1 if laurent else 0, 3), rng.randrange(3)]
+            if 0 < sum(exps) <= 2:
+                f = f + target.monomial(exps, rng.choice([-2, -1, 1, Fraction(1, 2)]))
+    return f
+
+
+def sympy_kernel_basis(images, source_syms, t, s, u):
+    """Reduced grevlex basis of the kernel, eliminated by sympy from the
+    graph ideal.  Here t^-1 is a variable u of its own, with t * u - 1, in
+    place of the source variable that carries it in the library."""
+    gens = [t * u - 1] if u is not None else []
+    for x, img in zip(source_syms, images):
+        expr = 0
+        for (i, j), c in img.terms.items():
+            tpart = t**i if i >= 0 else u**-i
+            expr += sympy.Rational(c.numerator, c.denominator) * tpart * s**j
+        gens.append(x - expr)
+    drop = [t, s] if u is None else [t, s, u]
+    k = len(drop)
+    product = ProductOrder((sympy_grevlex, lambda m: m[:k]), (sympy_grevlex, lambda m: m[k:]))
+    graph = sympy.groebner(gens, *drop, *source_syms, order=product)
+    kernel = [e for e in graph.exprs if not e.free_symbols & set(drop)]
+    return sympy.groebner(kernel, *source_syms, order="grevlex").exprs if kernel else []
+
+
+def test_ring_map_kernel_matches_sympy_elimination():
+    """Random maps of four variables to two, every other one with a -> t^-1
+    and t^-1 free to occur in the other images."""
+    rng = random.Random(131)
+    source, target = PolyRing(["a", "b", "c", "d"]), PolyRing(["t", "s"])
+    source_syms = sympy.symbols("a b c d")
+    t, s, u = sympy.symbols("t s u")
+    order = grevlex(source)
+    for trial in range(16):
+        laurent = trial % 2 == 1
+        images = [random_image(target, rng, laurent) for _ in range(4)]
+        if laurent:
+            images[0] = target.var("t") ** -1
+        kernel = ring_map_kernel(RingMap(source, target, dict(zip(source.names, images))))
+        got = {frozenset(g.terms.items()) for g in kernel.groebner(order)}
+        expected = {
+            frozenset(from_sympy(e, source, source_syms).monic(order).terms.items())
+            for e in sympy_kernel_basis(images, source_syms, t, s, u if laurent else None)
+        }
+        assert got and got == expected, f"trial {trial}: {images}"

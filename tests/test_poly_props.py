@@ -8,6 +8,7 @@ on every run.
 """
 
 import itertools
+from fractions import Fraction
 from heapq import heappop
 
 import pytest
@@ -28,7 +29,11 @@ from tvbcox.poly import (
     is_groebner_basis,
     lex,
     normal_form,
+    _divisor,
+    _prune_pairs,
     _queue_pairs,
+    _s_polynomial,
+    _support,
 )
 from oracles import block_greater, grevlex_greater, lex_greater, normal_form_by_division
 
@@ -164,3 +169,68 @@ def test_pair_heap_pops_like_a_stable_reverse_sort(rounds, order):
         for _ in range(min(pops, len(model))):
             model.sort(key=lambda p: (sum(p[2]), order.key(p[2])), reverse=True)
             assert heappop(queue)[-3:] == model.pop()
+
+
+def _plain_prune(lcms):
+    """Gebauer-Moeller M and F as the textbook scan: by degree (stably), a
+    candidate goes when any kept lcm divides it.  Returns the kept indices."""
+    kept = []
+    for k, l in sorted(enumerate(lcms), key=lambda p: sum(p[1])):
+        if not any(_divides(q, l) for _, q in kept):
+            kept.append((k, l))
+    return [k for k, _ in kept]
+
+
+def _lcms_over(nvars, used):
+    def widen(exps):
+        m = [0] * nvars
+        for i, e in zip(used, exps):
+            m[i] = e
+        return tuple(m)
+
+    return st.lists(st.tuples(*[st.integers(0, 2)] * len(used)).map(widen), max_size=12)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.one_of(_lcms_over(5, range(5)), _lcms_over(70, WIDE_USED)))
+def test_mask_filtered_pruning_keeps_the_plain_scans_pairs(lcms):
+    fresh = [(k, len(lcms), l, _support(l)) for k, l in enumerate(lcms)]
+    assert [p[0] for p in _prune_pairs(fresh)] == _plain_prune(lcms)
+
+
+def _textbook_s_polynomial(f, g, order):
+    (lt_f, lc_f), (lt_g, lc_g) = f.leading_term(order), g.leading_term(order)
+    l = tuple(max(a, b) for a, b in zip(lt_f, lt_g))
+    mf = RING.monomial([a - b for a, b in zip(l, lt_f)], Fraction(1) / lc_f)
+    mg = RING.monomial([a - b for a, b in zip(l, lt_g)], Fraction(1) / lc_g)
+    return mf * f - mg * g
+
+
+# distinct monomials with coefficients of absolute value 2 or 3: no lead
+# term is monic under any order
+non_monic = st.lists(
+    st.tuples(st.sampled_from(MONOMIALS), st.sampled_from([-3, -2, 2, 3])),
+    min_size=1, max_size=3, unique_by=lambda t: t[0],
+).map(RING.from_terms)
+
+
+@small
+@given(non_monic, non_monic, orders)
+def test_tail_only_s_polynomial_is_the_textbook_one(f, g, order):
+    s = _s_polynomial(_divisor(f, order), _divisor(g, order))
+    assert s == _textbook_s_polynomial(f, g, order)
+    assert all(type(c) is Fraction for c in s.terms.values())
+
+
+@small
+@given(st.lists(non_monic, min_size=1, max_size=3), st.sampled_from(DIVISION_CASES[:3]),
+       st.lists(st.integers(2, 5), min_size=1))
+def test_is_groebner_basis_takes_non_monic_divisors(gens, case, scales):
+    _, _, order, greater = case
+    textbook = all(
+        not normal_form_by_division(_textbook_s_polynomial(f, g, order), gens, greater)
+        for f, g in itertools.combinations(gens, 2)
+    )
+    assert is_groebner_basis(gens, order) == textbook
+    gb = buchberger(gens, order)
+    assert is_groebner_basis([g * k for g, k in zip(gb, itertools.cycle(scales))], order)
