@@ -7,7 +7,6 @@ from .bundle import (  # noqa: F401
     ci_stability,
     classify,
     is_complete_intersection,
-    make_bundle,
     region_table,
     uniform_sparse_stability,
 )

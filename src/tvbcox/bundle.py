@@ -260,17 +260,6 @@ def uniform_sparse_bundle(d, s, positions=None):
     )
 
 
-def make_bundle(kind, *args, **kwargs):
-    builders = {
-        "tangent": tangent_bundle,
-        "kaneyama": kaneyama_bundle,
-        "uniform_sparse": uniform_sparse_bundle,
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown bundle kind {kind!r}")
-    return builders[kind](*args, **kwargs)
-
-
 def example_514_bundle():
     """The rank-5 bundle over P^2 with the all-ones row and the 3x6 diagram."""
     diagram = [

@@ -186,7 +186,7 @@ def cmd_cox_lemma(args):
 
 def cmd_cox_pluecker(args):
     results = cox.pluecker_match()
-    ok = results.get("found") and results.get("ideal_equal")
+    ok = results["found"] and results["ideal_equal"]
     return "", results, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -277,7 +277,7 @@ def build_parser():
     p.add_argument("--report")
     p.set_defaults(fn=cmd_cox_lemma, name="cox lemma-js")
 
-    p = cox_sub.add_parser("pluecker-match", help="signed match onto the Gr(2,5) quadrics")
+    p = cox_sub.add_parser("pluecker-match", help="check the written-out signed substitution onto the Gr(2,5) quadrics")
     p.add_argument("--report")
     p.set_defaults(fn=cmd_cox_pluecker, name="cox pluecker-match")
 

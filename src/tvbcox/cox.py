@@ -388,129 +388,44 @@ def plucker_quadrics(m, ring=None):
     return Ideal(ring, gens)
 
 
-def _quadric_shape(f, ring):
-    """As a list of (coeff, frozenset of two variable indices); None if not
-    a +-1-coefficient squarefree bilinear form."""
-    shape = []
-    for mono, c in f.terms.items():
-        if abs(c) != 1:
-            return None
-        support = [i for i, e in enumerate(mono) if e]
-        if len(support) != 2 or any(mono[i] != 1 for i in support):
-            return None
-        shape.append((int(c), frozenset(support)))
-    return shape
-
-
-def signed_variable_match(gens_a, ring_a, gens_b, ring_b):
-    """Signed variable bijection carrying each source generator to +-1 times
-    a distinct target generator.  Returns {source name: (target name, sign)}
-    or None.
-    """
-    shapes_a = [_quadric_shape(g, ring_a) for g in gens_a]
-    shapes_b = [_quadric_shape(g, ring_b) for g in gens_b]
-    if any(s is None for s in shapes_a + shapes_b):
-        raise ValueError("matching only supports +-1 squarefree quadrics")
-    if len(shapes_a) != len(shapes_b) or ring_a.nvars != ring_b.nvars:
-        return None
-
-    var_map = {}      # source index -> target index
-    used_targets = {}  # target index -> source index
-    sign = {}         # source index -> +-1
-
-    def assign(src, tgt, s):
-        """Record src -> (tgt, s); return 'new'/'ok'/None (conflict)."""
-        if src in var_map:
-            return "ok" if (var_map[src] == tgt and sign[src] == s) else None
-        if tgt in used_targets:
-            return None
-        var_map[src] = tgt
-        used_targets[tgt] = src
-        sign[src] = s
-        return "new"
-
-    def unassign(src):
-        used_targets.pop(var_map.pop(src))
-        sign.pop(src)
-
-    def match_terms(shape, target, i, taken, rho):
-        """Backtrack a term bijection for one generator pair; yields True
-        with assignments in place, rolling back on resume."""
-        if i == len(shape):
-            yield True
-            return
-        c_src, pair_src = shape[i]
-        a1, a2 = sorted(pair_src)
-        for j, (c_tgt, pair_tgt) in enumerate(target):
-            if j in taken:
-                continue
-            b1, b2 = sorted(pair_tgt)
-            for ta, tb in ((b1, b2), (b2, b1)):
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        if c_src * s1 * s2 * c_tgt != rho:
-                            continue
-                        r1 = assign(a1, ta, s1)
-                        if r1 is None:
-                            continue
-                        r2 = assign(a2, tb, s2)
-                        if r2 is None:
-                            if r1 == "new":
-                                unassign(a1)
-                            continue
-                        taken.add(j)
-                        yield from match_terms(shape, target, i + 1, taken, rho)
-                        taken.discard(j)
-                        if r2 == "new":
-                            unassign(a2)
-                        if r1 == "new":
-                            unassign(a1)
-
-    def match_generator(pos, gen_used):
-        if pos == len(shapes_a):
-            return True
-        shape = shapes_a[pos]
-        for bi, target in enumerate(shapes_b):
-            if bi in gen_used or len(target) != len(shape):
-                continue
-            gen_used.add(bi)
-            for rho in (1, -1):
-                for _ in match_terms(shape, target, 0, set(), rho):
-                    if match_generator(pos + 1, gen_used):
-                        return True
-            gen_used.discard(bi)
-        return False
-
-    if not match_generator(0, set()):
-        return None
-    return {
-        ring_a.names[src]: (ring_b.names[var_map[src]], sign[src])
-        for src in var_map
-    }
-
-
-def apply_signed_match(f, match, target_ring):
-    images = []
-    for name in f.ring.names:
-        tgt, s = match[name]
-        images.append(target_ring.var(tgt) * s)
-    return f.substitute(images)
+# x_j -> p over {1,2,3} minus {3 - j}, Y_ij -> (-1)^j p_{3-j, 3+i}, W -> p45:
+# the change of variables from the m = n = 2 presentation onto Gr(2,5).
+PLUCKER_SUBSTITUTION = {
+    "W": "p45",
+    "Y1_0": "p34",
+    "Y1_1": "-p24",
+    "Y1_2": "p14",
+    "Y2_0": "p35",
+    "Y2_1": "-p25",
+    "Y2_2": "p15",
+    "x0": "p12",
+    "x1": "p13",
+    "x2": "p23",
+}
 
 
 def pluecker_match():
-    """Signed bijection from the m = n = 2 presentation onto Gr(2,5).
+    """Check PLUCKER_SUBSTITUTION against the Plucker ideal of Gr(2,5).
 
-    Returns a report with the substitution; raises if none exists.
+    `found`: the substitution is a signed bijection of the variables that
+    carries each presentation generator to +-1 times a distinct quadric;
+    `ideal_equal`: the substituted ideal is the Plucker ideal.
     """
     spec = tangent_cox_ideal(2, 2)
     target = plucker_quadrics(5)
-    match = signed_variable_match(spec.gens, spec.ring, target.gens, target.ring)
-    if match is None:
-        return {"found": False}
-    mapped = Ideal(target.ring, [apply_signed_match(g, match, target.ring) for g in spec.gens])
-    equal = ideal_equal(mapped, target)
+    table = PLUCKER_SUBSTITUTION
+    images = [
+        -target.ring.var(t[1:]) if t.startswith("-") else target.ring.var(t)
+        for t in (table[name] for name in spec.ring.names)
+    ]
+    mapped = [g.substitute(images) for g in spec.gens]
+    hits = [
+        next((k for k, q in enumerate(target.gens) if g in (q, -q)), None)
+        for g in mapped
+    ]
+    bijective = sorted(t.lstrip("-") for t in table.values()) == sorted(target.ring.names)
     return {
-        "found": True,
-        "ideal_equal": equal,
-        "substitution": {src: f"{'-' if s < 0 else ''}{tgt}" for src, (tgt, s) in sorted(match.items())},
+        "found": bijective and None not in hits and len(set(hits)) == len(target.gens),
+        "ideal_equal": ideal_equal(Ideal(target.ring, mapped), target),
+        "substitution": dict(sorted(table.items())),
     }

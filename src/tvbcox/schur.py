@@ -83,22 +83,6 @@ def cauchy_verify(d: int, e: int, v: int):
     return lhs == rhs, lhs, rhs
 
 
-def dual_weight(weight):
-    """Dual of a GL weight: reverse the tuple and negate each entry."""
-    weight = tuple(weight)
-    for a, b in zip(weight, weight[1:]):
-        if a < b:
-            raise ValueError(f"not weakly decreasing: {weight}")
-    return tuple(-x for x in reversed(weight))
-
-
-def fundamental_weight(ell: int, r: int):
-    """(1,...,1,0,...,0) with ell ones in length r."""
-    if not 0 <= ell <= r:
-        raise ValueError("need 0 <= ell <= r")
-    return tuple(1 if i < ell else 0 for i in range(r))
-
-
 def picard_degree(kind, n, size=None):
     """Bidegree of a Cox ring generator in Pic = Z x Z.
 

@@ -53,26 +53,30 @@ def check_kernel(level):
     return report
 
 
+def classical_generators(ring, w_sign):
+    """The classical five generators at n = 2, with W scaled by w_sign."""
+    x = [ring.var(cox.x_name(j)) for j in range(3)]
+    y = [ring.var(cox.y_name(1, j)) for j in range(3)]
+    z = [ring.var(cox.y_name(2, j)) for j in range(3)]
+    w = w_sign * ring.var(cox.w_name())
+    return [
+        y[2] * z[1] - y[1] * z[2] - x[0] * w,
+        y[2] * z[0] - y[0] * z[2] + x[1] * w,
+        y[1] * z[0] - y[0] * z[1] - x[2] * w,
+        x[0] * z[0] + x[1] * z[1] + x[2] * z[2],
+        x[0] * y[0] + x[1] * y[1] + x[2] * y[2],
+    ]
+
+
 def check_classical_presentation(level):
     """The classical five-generator form at n = 2 agrees up to renaming and
     a sign flip on the degree-(3,2) generator."""
     spec = cox.tangent_cox_ideal(2, 2)
-    ring = spec.ring
-    x = [ring.var(cox.x_name(j)) for j in range(3)]
-    y = [ring.var(cox.y_name(1, j)) for j in range(3)]
-    z = [ring.var(cox.y_name(2, j)) for j in range(3)]
-    for w_sign in (1, -1):
-        w = w_sign * ring.var(cox.w_name())
-        classical = [
-            y[2] * z[1] - y[1] * z[2] - x[0] * w,
-            y[2] * z[0] - y[0] * z[2] + x[1] * w,
-            y[1] * z[0] - y[0] * z[1] - x[2] * w,
-            x[0] * z[0] + x[1] * z[1] + x[2] * z[2],
-            x[0] * y[0] + x[1] * y[1] + x[2] * y[2],
-        ]
-        if poly.ideal_equal(poly.Ideal(ring, classical), spec.ideal()):
-            return {"w_sign": w_sign}
-    raise AssertionError("classical generators do not match for either sign of W")
+    classical = classical_generators(spec.ring, w_sign=-1)
+    assert poly.ideal_equal(poly.Ideal(spec.ring, classical), spec.ideal()), (
+        "classical generators with W negated do not match"
+    )
+    return {"w_sign": -1}
 
 
 def check_lemma(level):
@@ -102,7 +106,7 @@ def check_initial_ideal(level):
 
 def check_pluecker(level):
     rep = cox.pluecker_match()
-    assert rep["found"], "no signed bijection found"
+    assert rep["found"], "the substitution is not a signed bijection onto the quadrics"
     assert rep["ideal_equal"], "substituted ideal differs from the Plucker ideal"
     return rep
 

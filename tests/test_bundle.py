@@ -15,7 +15,7 @@ from tvbcox.bundle import (
     common_minimal_columns,
     example_514_bundle,
     is_complete_intersection,
-    make_bundle,
+    kaneyama_bundle,
     rank_table,
     region_csv,
     region_svg,
@@ -186,21 +186,19 @@ def test_classify_caps_column_subsets():
         classify(b)
 
 
-def test_make_bundle_kinds():
-    t2 = make_bundle("tangent", 2)
+def test_bundle_builders():
+    t2 = tangent_bundle(2)
     assert t2.m == ((1, 1, 1),)
     assert t2.diagram == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    k = make_bundle("kaneyama", [1, 1, 1])
+    k = kaneyama_bundle([1, 1, 1])
     assert k.diagram == t2.diagram and k.m == t2.m
-    us = make_bundle("uniform_sparse", 2, 6)
+    us = uniform_sparse_bundle(2, 6)
     cls = classify(us)
     assert cls.sparse and cls.uniform
     with pytest.raises(ValueError):
-        make_bundle("kaneyama", [1, 0, 2])
+        kaneyama_bundle([1, 0, 2])
     with pytest.raises(ValueError):
-        make_bundle("uniform_sparse", 2, 4, positions=[(1, 1), (1, 2)])
-    with pytest.raises(ValueError):
-        make_bundle("mystery")
+        uniform_sparse_bundle(2, 4, positions=[(1, 1), (1, 2)])
 
 
 def test_rank_monotonicity_over_subsets(ex514):

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
-from tvbcox import bundle, cli, gz
+from tvbcox import bundle, cli, cox, gz
 from tvbcox.bundle import example_514_bundle, tangent_bundle
 from tvbcox.cli import (
     EXIT_CAP,
+    EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_USAGE,
     main,
@@ -169,6 +170,14 @@ def test_cox_lemma_command(capsys):
 def test_cox_pluecker_command(capsys):
     code, out, _ = run(capsys, "cox", "pluecker-match")
     assert code == EXIT_OK
+
+
+def test_cox_pluecker_command_fails_on_a_flipped_sign(capsys, monkeypatch):
+    monkeypatch.setitem(cox.PLUCKER_SUBSTITUTION, "Y1_1", "p24")
+    code, out, _ = run(capsys, "cox", "pluecker-match")
+    assert code == EXIT_CHECK_FAILED
+    results = json.loads(out)["results"]
+    assert results["found"] is False and results["ideal_equal"] is False
 
 
 def test_cauchy_command(capsys):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from tvbcox import poly
+from tvbcox import cox, poly
 from tvbcox.cox import (
     build_phi,
     delta_weights,
@@ -17,7 +17,6 @@ from tvbcox.cox import (
     presentation_ring,
     quiver_ideal,
     row_completing_order,
-    signed_variable_match,
     solve_det_sign,
     tangent_cox_ideal,
     verify_kernel,
@@ -258,20 +257,20 @@ def test_plucker_gr24_quadric():
     assert ideal.gens[0] == expected
 
 
-def test_signed_match_identity_on_plucker():
-    target = plucker_quadrics(5)
-    match = signed_variable_match(target.gens, target.ring, target.gens, target.ring)
-    assert match is not None
-    mapped_ring = target.ring
-    for src, (tgt, sign) in match.items():
-        assert sign in (1, -1)
-        assert tgt in mapped_ring.names
-
-
 def test_pluecker_match_found():
     rep = pluecker_match()
-    assert rep["found"] and rep["ideal_equal"]
+    assert rep["found"] is True and rep["ideal_equal"] is True
     assert len(rep["substitution"]) == 10
+
+
+def test_pluecker_match_rejects_a_flipped_sign(monkeypatch):
+    # Y1_1 -> +p24 instead of -p24: the Euler relation sum_j x_j Y1_j lands
+    # on no quadric, and the ideal moves
+    monkeypatch.setitem(cox.PLUCKER_SUBSTITUTION, "Y1_1", "p24")
+    rep = pluecker_match()
+    assert rep["found"] is False
+    assert rep["ideal_equal"] is False
+    assert rep["substitution"]["Y1_1"] == "p24"
 
 
 def test_presentation_rejects_inhomogeneous():

@@ -12,8 +12,10 @@ trace of every n = 3 word of length <= 3 and every n = 4 word of length
 README's `gz subduct` example, are compared with tests/golden/gz.json.  The
 exit code and whole report, but its top-level `seconds`, of each fast README
 command line and of `suite --level full` are compared with
-tests/golden/cli.json; a timing inside `results` fails that comparison.  A
-change that alters an answer regenerates the four files with
+tests/golden/cli.json; a timing inside `results` fails that comparison, and
+every line of README's "Command line" block must be one of those command
+lines once its optional `[--...]` groups are dropped.  A change that
+alters an answer regenerates the four files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -24,6 +26,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shlex
 import tempfile
 from itertools import combinations, combinations_with_replacement
@@ -50,6 +53,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "analyze.json")
 GB_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "gb.json")
 GZ_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "gz.json")
 CLI_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cli.json")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 # README's example bundle file and command lines.  Each runs with --report
 # (region and cauchy write a report only then); the full suite is compared
@@ -269,6 +273,29 @@ def test_gz_traces_and_commands_match_golden():
 
 def test_cli_reports_match_golden(tmp_path):
     assert cli_text(str(tmp_path), README_COMMANDS) == golden_cli(README_COMMANDS)
+
+
+def readme_command_lines():
+    """The `tvbcox` lines of README's "Command line" block, without the
+    prefix, trailing `# comments` and optional `[--...]` groups."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = []
+    for line in block.splitlines():
+        if not line.startswith("tvbcox "):
+            continue
+        line = re.sub(r"\s+#.*$", "", line)
+        line = re.sub(r"\s*\[--[^\]]*\]", "", line)
+        lines.append(line[len("tvbcox "):].strip())
+    return lines
+
+
+def test_readme_commands_are_covered():
+    lines = readme_command_lines()
+    assert lines
+    for line in lines:
+        assert line in README_COMMANDS, line
 
 
 if __name__ == "__main__":

@@ -3,8 +3,6 @@ import pytest
 from tvbcox.schur import (
     cauchy_table,
     cauchy_verify,
-    dual_weight,
-    fundamental_weight,
     normalize_partition,
     partitions_bounded,
     picard_degree,
@@ -78,22 +76,6 @@ def test_sym_power_dim():
     assert sym_power_dim(4, 0) == 1
     assert sym_power_dim(4, 2) == 10
     assert sym_power_dim(1, 5) == 1
-
-
-def test_dual_weight():
-    assert dual_weight((1, 0)) == (0, -1)
-    assert dual_weight((2, 1, 0)) == (0, -1, -2)
-    assert dual_weight(fundamental_weight(3, 3)) == (-1, -1, -1)
-    with pytest.raises(ValueError):
-        dual_weight((0, 1))
-
-
-def test_dual_weight_involution():
-    weights = [(3, 1, -2), (0, 0), (5, 5, 5, 5), (2, 1, 1, 0, -4)]
-    for w in weights:
-        assert dual_weight(dual_weight(w)) == w
-        d = dual_weight(w)
-        assert all(a >= b for a, b in zip(d, d[1:]))
 
 
 def test_highest_weight_line_count():

@@ -3,7 +3,7 @@ import json
 import pytest
 from test_golden import SUITE_FULL, cli_entry, golden_cli
 
-from tvbcox import suite
+from tvbcox import cox, poly, suite
 from tvbcox.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 
 
@@ -63,3 +63,20 @@ def test_suite_report_file(tmp_path, capsys, monkeypatch):
 def test_invalid_level():
     with pytest.raises(ValueError):
         suite.run_suite("medium")
+
+
+def test_pluecker_check_fails_on_a_flipped_sign(monkeypatch):
+    monkeypatch.setitem(cox.PLUCKER_SUBSTITUTION, "Y1_1", "p24")
+    monkeypatch.setattr(suite, "CHECKS", [c for c in suite.CHECKS if c[0] == "pluecker-match"])
+    lines = []
+    report = suite.run_suite("fast", emit=lines.append)
+    assert len(lines) == 1 and lines[0].startswith("FAIL pluecker-match")
+    assert report["first_failure"][0] == "pluecker-match"
+
+
+def test_classical_generators_need_the_w_sign_flip():
+    spec = cox.tangent_cox_ideal(2, 2)
+    claimed = spec.ideal()
+    for w_sign, equal in ((-1, True), (1, False)):
+        classical = poly.Ideal(spec.ring, suite.classical_generators(spec.ring, w_sign))
+        assert poly.ideal_equal(classical, claimed) is equal
