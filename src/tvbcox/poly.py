@@ -8,9 +8,11 @@ to evaluate ring maps like x_j -> t_j^-1); everything order-related
 
 from fractions import Fraction
 from functools import lru_cache
-from heapq import heapify, heappop
+from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, compress, count
 from operator import add, le, sub
+
+from .linalg import rational_rank
 
 
 class CapExceeded(Exception):
@@ -239,15 +241,20 @@ class MatrixOrder:
     """Term order given by an integer matrix (Robbiano 1985).
 
     A monomial's key is the tuple of row . exps, compared lexicographically;
-    max(key) is the lead term.  Lex, grevlex, weight and block orders are
-    all matrix orders, built by the constructors below.
+    max(key) is the lead term, as is min(neg_key), the negated rows' key.
+    Lex, grevlex, weight and block orders are all matrix orders, built by
+    the constructors below.  Full column rank keeps keys distinct.
     """
 
-    __slots__ = ("rows", "key")
+    __slots__ = ("rows", "key", "neg_key")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(int(a) for a in row) for row in rows)
+        rank, ncols = rational_rank(self.rows), len(self.rows[0]) if self.rows else 0
+        if rank < ncols:
+            raise ValueError(f"order matrix has rank {rank} < {ncols} columns: not a total order")
         self.key = _compile_key(self.rows)
+        self.neg_key = _compile_key([[-a for a in row] for row in self.rows])
 
 
 def _compile_key(rows):
@@ -325,10 +332,22 @@ def _support(m):
     return sum(compress(_bits(len(m)), m))
 
 
+def _engine(c):
+    """c as the engine holds it: an int when integral, else a Fraction."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _fractions(ring, terms):
+    """Engine terms as a Polynomial, with Fraction coefficients again."""
+    return Polynomial(ring, {m: Fraction(c) for m, c in terms.items()})
+
+
 def _divisor(g, order):
-    """g as a divisor (lead, coeff, support of lead, g)."""
+    """g as a divisor (lead, coeff, support of lead, tail, g), the tail
+    holding g's other terms, with engine coefficients."""
     lt, lc = g.leading_term(order)
-    return lt, lc, _support(lt), g
+    tail = [(m, _engine(c)) for m, c in g.terms.items() if m != lt]
+    return lt, _engine(lc), _support(lt), tail, g
 
 
 def _mono_lcm(a, b):
@@ -343,66 +362,79 @@ def normal_form(f, gens, order):
     first divisor (in list order) whose lead term divides it.
     """
     _require_orthant([f] + list(gens))
-    return _reduce(f, [_divisor(g, order) for g in gens if g], order)
+    return _fractions(f.ring, _reduce(f, [_divisor(g, order) for g in gens if g], order))
 
 
 def _reduce(f, divisors, order):
-    """The division loop of normal_form, over divisors (lead, coeff, mask, g)
-    whose exponents were checked already.  A divisor whose lead support
-    is not inside the term's is skipped before its exponents are compared:
-    the short exponent vector filter (Bachmann & Schoenemann 1998)."""
-    work = dict(f.terms)
+    """The division loop of normal_form, over divisors whose exponents were
+    checked already; returns the remainder's terms, engine coefficients.
+    Pending terms sit in a heap keyed once by neg_key (Monagan & Pearce
+    2007); one that cancels stays in work at 0 and is skipped when popped.
+    Reduction adds only smaller terms, so a popped monomial never returns.
+    A divisor whose lead support is not inside the term's is skipped
+    before exponents are compared (Bachmann & Schoenemann 1998)."""
+    key = order.neg_key
+    work = {m: _engine(c) for m, c in f.terms.items()}
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
     remainder = {}
-    while work:
-        m = max(work, key=order.key)
+    while heap:
+        m = heappop(heap)[1]
         c = work.pop(m)
+        if not c:
+            continue
         outside = ~_support(m)
         for d in divisors:
             if not d[2] & outside and _divides(d[0], m):
-                _subtract_tail(work, c, m, d)
+                for t in _subtract_tail(work, c, m, d):
+                    heappush(heap, (key(t), t))
                 break
         else:
             remainder[m] = c
-    return Polynomial(f.ring, remainder)
+    return remainder
 
 
 def _subtract_tail(work, c, m, divisor):
-    """work -= (c / lc) * x^(m - lt) * (g - lc * x^lt), in place, for the
-    divisor (lt, lc, mask, g): the lead term, which would cancel c * x^m,
-    is skipped.  Basis divisors are monic, so lc == 1 skips a division."""
-    lt, lc, _, g = divisor
-    factor = c if lc == 1 else c / lc
+    """work -= (c / lc) * x^(m - lt) * tail, in place: the lead term would
+    only cancel c * x^m.  Basis divisors are monic (lc == 1); Fraction(c)
+    keeps int / int exact.  Returns the monomials new to work."""
+    lt, lc, _, tail, _ = divisor
+    factor = c if lc == 1 else _engine(Fraction(c) / lc)
     shift = tuple(map(sub, m, lt))
-    for gm, gc in g.terms.items():
-        if gm != lt:
-            key = tuple(map(add, gm, shift))
-            acc = work.get(key, 0) - factor * gc
-            if acc:
-                work[key] = acc
-            else:
-                del work[key]
+    fresh = []
+    for gm, gc in tail:
+        t = tuple(map(add, gm, shift))
+        acc = work.get(t)
+        if acc is None:
+            work[t] = -factor * gc
+            fresh.append(t)
+        else:
+            work[t] = acc - factor * gc
+    return fresh
 
 
 def _s_polynomial(a, b):
-    """S-polynomial of two divisors (lead, coeff, mask, g), built from the
-    two tails alone: the lead terms cancel by construction."""
+    """S-polynomial of two divisors, built from the two tails alone: the
+    lead terms cancel by construction."""
     l = _mono_lcm(a[0], b[0])
     work = {}
     _subtract_tail(work, -1, l, a)
     _subtract_tail(work, 1, l, b)
-    return Polynomial(a[3].ring, work)
+    return Polynomial(a[4].ring, {m: c for m, c in work.items() if c})
 
 
 def _gm_update(basis, queue):
     """Gebauer-Moeller pair update after appending basis[-1]: filters the
     queued pairs (..., i, j, lcm) in place and returns the new pairs
     (i, j, lcm) in the order they join the queue."""
-    new, (t, _, mask, _) = len(basis) - 1, basis[-1]
-    # drop old pairs whose lcm is strictly covered by the new lead term
+    new, (t, _, mask) = len(basis) - 1, basis[-1][:3]
+    # drop old pairs whose lcm is strictly covered by the new lead term,
+    # which cannot divide an lcm whose mask does not hold its own
     queue[:] = [
         p
         for p in queue
-        if not _divides(t, p[-1])
+        if mask & ~(basis[p[-3]][2] | basis[p[-2]][2])
+        or not _divides(t, p[-1])
         or _mono_lcm(basis[p[-3]][0], t) == p[-1]
         or _mono_lcm(basis[p[-2]][0], t) == p[-1]
     ]
@@ -448,7 +480,7 @@ def buchberger(gens, order, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BAS
     configured caps.
     """
     _require_orthant(gens)
-    basis = []  # divisors (lead, 1, mask, g), g monic
+    basis = []  # divisors (lead, 1, mask, tail, g), g monic
     queue = []  # heap of pairs (degree, key, -arrival, i, j, lcm)
     arrivals = count()
 
@@ -469,14 +501,15 @@ def buchberger(gens, order, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BAS
             raise CapExceeded(
                 f"basis size {len(basis)} exceeds cap {max_basis}", size=len(basis)
             )
-        basis.append(_divisor(r.monic(order), order))
+        basis.append(_divisor(Polynomial(f.ring, r).monic(order), order))
         _queue_pairs(queue, _gm_update(basis, queue), order, arrivals)
     return _reduce_basis(basis, order)
 
 
 def _reduce_basis(basis, order):
-    """Minimalize and tail-reduce divisors (lead, 1, mask, g) of a Groebner
-    basis; the result is the canonical reduced GB."""
+    """Minimalize and tail-reduce divisors (lead, 1, mask, tail, g) of a
+    Groebner basis; the result is the canonical reduced GB, with Fraction
+    coefficients."""
     items = sorted(basis, key=lambda d: (sum(d[0]), order.key(d[0])))
     minimal = []
     for d in items:
@@ -485,7 +518,7 @@ def _reduce_basis(basis, order):
     # no other lead divides a minimal lead, so each remainder keeps its
     # lead term and stays monic
     reduced = [
-        (d[0], _reduce(d[3], minimal[:i] + minimal[i + 1 :], order))
+        (d[0], _fractions(d[4].ring, _reduce(d[4], minimal[:i] + minimal[i + 1 :], order)))
         for i, d in enumerate(minimal)
     ]
     reduced.sort(key=lambda d: order.key(d[0]))

@@ -24,7 +24,15 @@ from tvbcox.poly import (
     transplant,
     weight_initial,
 )
-from tvbcox.cox import delta_order, delta_weights
+from tvbcox.cox import (
+    delta_order,
+    delta_weights,
+    lemma_ring,
+    row_completing_order,
+    tangent_cox_ideal,
+)
+from tvbcox.gz import diagonal_order, psi_target_ring
+from tvbcox.linalg import rational_rank
 from oracles import (
     block_greater,
     det_permutation_sum,
@@ -126,9 +134,35 @@ def test_order_keys_match_textbook_comparators():
             for order, greater in cases:
                 assert (order.key(a) > order.key(b)) == greater(a, b)
                 assert (order.key(a) == order.key(b)) == (a == b)
+                assert order.neg_key(a) == tuple(-k for k in order.key(a))
             # the elimination property: meeting the dropped block wins
             if any(a[i] for i in drop) and not any(b[i] for i in drop):
                 assert elim.key(a) > elim.key(b)
+
+
+def test_every_order_the_package_builds_has_full_column_rank():
+    phi = tangent_cox_ideal(3, 3).phi
+    source, target = phi.source, phi.target
+    graph = PolyRing(source.names + target.names)
+    cases = [
+        (source, grevlex(source)),
+        (source, lex(source)),
+        (graph, elimination_order(graph, target.names)),
+        (source, delta_order(source)),
+        (lemma_ring(3), row_completing_order(lemma_ring(3), 3)),
+        (psi_target_ring(3), diagonal_order(psi_target_ring(3), 3)),
+    ]
+    for ring, order in cases:
+        assert rational_rank(order.rows) == ring.nvars
+
+
+def test_order_matrix_without_full_column_rank_is_rejected(xyz):
+    # two monomials would share a key: y and 1 under lex on x and z
+    with pytest.raises(ValueError, match="rank 2 < 3 columns"):
+        lex(xyz, ["x", "z"])
+    # degree, twice the degree, then -z: x and y tie
+    with pytest.raises(ValueError, match="rank 2 < 3 columns"):
+        MatrixOrder([[1, 1, 1], [2, 2, 2], [0, 0, -1]])
 
 
 def test_normal_form_examples(xyz):

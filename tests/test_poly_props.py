@@ -10,6 +10,7 @@ on every run.
 import itertools
 from fractions import Fraction
 from heapq import heappop
+from operator import add, sub
 
 import pytest
 
@@ -18,10 +19,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tvbcox.cox import delta_order
 from tvbcox.poly import (
     Ideal,
     MatrixOrder,
     PolyRing,
+    RingMap,
     buchberger,
     elimination_order,
     grevlex,
@@ -29,9 +32,11 @@ from tvbcox.poly import (
     is_groebner_basis,
     lex,
     normal_form,
+    ring_map_kernel,
     _divisor,
     _prune_pairs,
     _queue_pairs,
+    _reduce,
     _s_polynomial,
     _support,
 )
@@ -234,3 +239,99 @@ def test_is_groebner_basis_takes_non_monic_divisors(gens, case, scales):
     assert is_groebner_basis(gens, order) == textbook
     gb = buchberger(gens, order)
     assert is_groebner_basis([g * k for g, k in zip(gb, itertools.cycle(scales))], order)
+
+
+# ints and non-integral Fractions; the generators' coefficients avoid +-1,
+# so a divisor is monic only when it is made so
+GEN_COEFFS = [-3, -2, 2, 3, Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2)]
+W_RING = PolyRing(["x", "y", "W"])
+CUBIC = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+BY_DEGREE = [[e for e in MONOMIALS if sum(e) == d] for d in (1, 2)]
+# (ring, order, generator monomials): lex, grevlex, an elimination order
+# and delta_order.  delta_order puts 1 above W, so it is no well-order and
+# division by W + 1 never ends; homogeneous generators keep each division
+# step inside one degree.
+REDUCE_CASES = [(RING, order, [MONOMIALS]) for order in ORDERS] + [
+    (W_RING, delta_order(W_RING), BY_DEGREE)
+]
+
+
+def _polys_in(ring, monomials, coeffs):
+    terms = st.tuples(st.sampled_from(monomials), st.sampled_from(coeffs))
+    return st.lists(terms, min_size=1, max_size=4).map(ring.from_terms)
+
+
+def _max_scan_division(f, gens, order):
+    """Textbook division, as a dict of remainder terms: the largest pending
+    term, found by a max() scan, is reduced against the first generator
+    whose lead divides it; every coefficient is a Fraction throughout."""
+    divisors = [g.leading_term(order) + (g,) for g in gens if g]
+    rest = {m: Fraction(c) for m, c in f.terms.items()}
+    remainder = {}
+    while rest:
+        m = max(rest, key=order.key)
+        c = rest.pop(m)
+        for lt, lc, g in divisors:
+            if _divides(lt, m):
+                factor, shift = c / lc, tuple(map(sub, m, lt))
+                for gm, gc in g.terms.items():
+                    t = tuple(map(add, gm, shift))
+                    if t != m:
+                        rest[t] = rest.get(t, Fraction(0)) - factor * gc
+                        if not rest[t]:
+                            del rest[t]
+                break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from(REDUCE_CASES), st.data())
+def test_heap_division_matches_max_scan_division(case, data):
+    ring, order, supports = case
+    gen = st.sampled_from(supports).flatmap(lambda ms: _polys_in(ring, ms, GEN_COEFFS))
+    gens = data.draw(st.lists(gen, min_size=1, max_size=3))
+    monic = data.draw(st.lists(st.booleans(), min_size=len(gens), max_size=len(gens)))
+    gens = [g.monic(order) if flag else g for g, flag in zip(gens, monic)]
+    # a multiple of a generator plus a rest: reducing the multiple cancels
+    # terms, which then sit in the heap as stale entries
+    h, rest = (data.draw(_polys_in(ring, MONOMIALS, GEN_COEFFS + [-1, 1])) for _ in "hr")
+    f = h * gens[data.draw(st.integers(0, len(gens) - 1))] + rest
+    textbook = _max_scan_division(f, gens, order)
+    remainder = _reduce(f, [_divisor(g, order) for g in gens], order)
+    assert remainder == textbook
+    assert all(type(c) in (int, Fraction) for c in remainder.values())
+    assert normal_form(f, gens, order).terms == textbook
+
+
+def _all_fractions(polys):
+    return all(type(c) is Fraction for p in polys for c in p.terms.values())
+
+
+ST = PolyRing(["s", "t"])
+ABC = PolyRing(["a", "b", "c"])
+s_, t_ = ST.gens()
+scales = st.sampled_from([1, -1, 2, -3, Fraction(1, 3), Fraction(-2, 5)])
+
+
+@small
+@given(systems, orders, polys, st.tuples(scales, scales, scales))
+def test_the_engine_returns_fraction_coefficients(gens, order, f, k):
+    gb = buchberger(gens, order)
+    assert _all_fractions(gb)
+    assert _all_fractions([normal_form(f, gb, order), normal_form(f, gens, order)])
+    # the Veronese map a -> k0 s^2, b -> k1 s t, c -> k2 t^2
+    phi = RingMap(ABC, ST, {"a": s_ * s_ * k[0], "b": s_ * t_ * k[1], "c": t_ * t_ * k[2]})
+    kernel = ring_map_kernel(phi).gens
+    assert len(kernel) == 1 and _all_fractions(kernel)
+    assert not phi(kernel[0])
+
+
+@small
+@given(systems, orders)
+def test_scaled_generators_give_the_same_reduced_basis(gens, order):
+    scaled = [g * k for g, k in zip(gens, itertools.cycle([Fraction(1, 3), Fraction(2, 5)]))]
+    gb = buchberger(scaled, order)
+    assert gb == buchberger(gens, order)
+    assert _all_fractions(gb)
