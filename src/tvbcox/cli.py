@@ -261,7 +261,7 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--verify-kernel", action="store_true")
-    p.add_argument("--allow-large", action="store_true", help="enable the elimination for n >= 3")
+    p.add_argument("--allow-large", action="store_true", help="enable kernel verification for n >= 5")
     p.add_argument("--emit", choices=["generators", "gb"], default="generators")
     p.add_argument("--report")
     p.set_defaults(fn=cmd_cox_tangent, name="cox tangent")

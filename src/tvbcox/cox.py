@@ -7,6 +7,7 @@ initial ideal, and the Plucker identification at n = 2.
 """
 
 from itertools import combinations
+from operator import mul
 
 from . import poly
 from .poly import (
@@ -20,7 +21,7 @@ from .poly import (
     leading_monomials,
     lex,
     monomial_dimension,
-    ring_map_kernel,
+    normal_form,
     symbolic_det,
     weight_initial,
 )
@@ -141,9 +142,17 @@ class PresentationSpec:
         self.gens = gens
         self.degrees = degrees  # variable name -> (Pic degree, Sym degree)
         self.phi = phi
+        self._ideal = Ideal(ring, gens)
 
     def ideal(self):
-        return Ideal(self.ring, self.gens)
+        """The ideal of gens, one object, so each Groebner basis is computed once."""
+        return self._ideal
+
+    def grading(self):
+        """The weights -a + 3b of the bidegrees (a, b): x 1, Y 2, W 2n - 1.
+        They are positive at every n (-a + 2b gives W weight 0 at n = 1),
+        and every generator is homogeneous for them."""
+        return [3 * b - a for a, b in (self.degrees[name] for name in self.ring.names)]
 
     def bidegree_of(self, f):
         """The common bidegree of f's terms; raises if not bihomogeneous."""
@@ -223,64 +232,176 @@ def delta_weights(ring):
 
 def delta_order(ring):
     """Minimal delta-weight leads, grevlex breaks ties: the row -w on top
-    of the grevlex rows."""
+    of the grevlex rows.  It puts 1 above W, so it is a well-order only
+    on the monomials of one degree of a positive grading."""
     minus_w = [-w for w in delta_weights(ring)]
     return MatrixOrder((minus_w,) + grevlex(ring).rows)
 
 
-def delta_initial_ideal(ideal):
-    """Initial ideal for the minimal-weight degeneration of the W-variables."""
+def require_homogeneous(gens, weights):
+    """Raise ValueError unless the weights are positive and every
+    generator is homogeneous for them."""
+    if min(weights) < 1:
+        raise ValueError(f"the weights {weights} are not positive")
+    for g in gens:
+        if len({sum(map(mul, weights, m)) for m in g.terms}) > 1:
+            raise ValueError(f"{g} is not homogeneous for the weights {weights}")
+
+
+def delta_initial_ideal(ideal, grading=None):
+    """Initial ideal for the minimal-weight degeneration of the W-variables.
+
+    The generators must be homogeneous for the positive grading (the
+    standard one when omitted): then every division stays in one degree,
+    where delta_order is a well-order, and Buchberger ends.
+    """
+    require_homogeneous(ideal.gens, grading or [1] * ideal.ring.nvars)
     order = delta_order(ideal.ring)
     gb = ideal.groebner(order)
     w = delta_weights(ideal.ring)
     return Ideal(ideal.ring, [weight_initial(g, w) for g in gb])
 
 
-KERNEL_DEFAULT_CAP = 2
+def kernel_by_saturation(spec, sigma, weights, symmetries):
+    """Certificates that ker(phi) is the ideal J of spec.gens, with no
+    elimination: the swap of an elimination for a saturation used for
+    toric ideals (Sturmfels 1996, ch. 12; Bigatti, La Scala & Robbiano
+    1999).  Let K = ker(phi) and x = x_0...x_n.
+
+    - contained: every generator of J maps to 0, so J lies in K.
+    - left_inverse: sigma, a map from phi's target into the source with
+      Laurent images in x, inverts phi modulo J once x is inverted: for
+      every source variable s, x^a (sigma(phi(s)) - s) lies in J.  Then
+      each f in K equals f - sigma(phi(f)) in J_x, so K lies in J : x^inf.
+    - saturated: J : x_0^inf = J.  J is homogeneous for the positive
+      weights (checked), so under the weighted revlex order with x_0
+      last the basis elements divided by their largest power of x_0
+      generate J : x_0^inf (Bayer & Stillman 1987); each must lie in J.
+    - symmetric: each ring map of symmetries sends every generator into
+      J, hence J onto J.  Maps that act transitively on the x_j carry
+      J : x_0^inf = J to J : x_j^inf = J for every j.
+
+    All four give K = J.  Returns the reduced grevlex basis of J and the
+    certificates by name, each True when it holds.
+    """
+    ring, claimed = spec.ring, spec.ideal()
+    require_homogeneous(claimed.gens, weights)
+    order = grevlex(ring)
+    gb = claimed.groebner(order)
+
+    def in_claimed(f):
+        # 0 is in J without a division; most left-inverse checks give 0
+        return not f or not normal_form(f, gb, order)
+
+    x0 = ring.var(x_name(0))
+    i0 = ring.index[x_name(0)]
+    # the weighted degree, then revlex with x_0 last: within one degree the
+    # fewest x_0 lead, so x_0^k divides a lead term only if it divides g
+    revlex = [i0] + [i for i in reversed(range(ring.nvars)) if i != i0]
+    x0_last = MatrixOrder(
+        [weights] + [[-1 if k == i else 0 for k in range(ring.nvars)] for i in revlex]
+    )
+    # an element that x_0 does not divide is its own quotient, in J already
+    powers = [(g, min(m[i0] for m in g.terms)) for g in claimed.groebner(x0_last)]
+    quotients = [g * x0 ** -k for g, k in powers if k]
+    return gb, {
+        "contained": all(spec.phi(g) == 0 for g in claimed.gens),
+        "left_inverse": all(
+            in_claimed(_clear_denominators(sigma(spec.phi(s)) - s)) for s in ring.gens()
+        ),
+        "saturated": all(in_claimed(g) for g in quotients),
+        "symmetric": all(in_claimed(g(f)) for g in symmetries for f in claimed.gens),
+    }
+
+
+def _clear_denominators(f):
+    """f times the least monomial that leaves no negative exponent."""
+    shift = [max([0] + [-m[i] for m in f.terms]) for i in range(f.ring.nvars)]
+    return f * f.ring.monomial(shift)
+
+
+def tangent_sigma(spec):
+    """The left inverse of phi once x is inverted: t_j -> 1/x_j,
+    y_ij -> x_j Y_ij."""
+    ring = spec.ring
+    images = {t_name(j): ring.var(x_name(j)) ** -1 for j in range(spec.n + 1)}
+    for i in range(1, spec.m + 1):
+        for j in range(1, spec.n + 1):
+            images[yy_name(i, j)] = ring.var(x_name(j)) * ring.var(y_name(i, j))
+    return RingMap(spec.phi.target, ring, images)
+
+
+def column_permutation(spec, perm, w_sign):
+    """The ring map x_j -> x_perm[j], Y_ij -> Y_i,perm[j], W -> w_sign W."""
+    ring = spec.ring
+    images = {w_name(): w_sign * ring.var(w_name())}
+    for j, p in enumerate(perm):
+        images[x_name(j)] = ring.var(x_name(p))
+        for i in range(1, spec.m + 1):
+            images[y_name(i, j)] = ring.var(y_name(i, p))
+    return RingMap(ring, ring, images)
+
+
+def tangent_symmetries(spec):
+    """Swap columns 0 and 1 with W -> -W, and the cycle j -> j + 1 mod
+    n + 1 with W -> (-1)^n W: W follows the sign of the permutation, as
+    the maximal minors do.  The two generate S_{n+1}."""
+    n = spec.n
+    swap = [1, 0] + list(range(2, n + 1))
+    cycle = [(j + 1) % (n + 1) for j in range(n + 1)]
+    return [column_permutation(spec, swap, -1), column_permutation(spec, cycle, (-1) ** n)]
+
+
+def tangent_kernel(spec):
+    """kernel_by_saturation on the m = n presentation."""
+    return kernel_by_saturation(
+        spec, tangent_sigma(spec), spec.grading(), tangent_symmetries(spec)
+    )
+
+
+KERNEL_DEFAULT_CAP = 4
 
 
 def verify_kernel(n, allow_large=False):
-    """Check that ker(phi) equals the tangent Cox ideal, by elimination.
+    """Check that ker(phi) equals the tangent Cox ideal J by the
+    certificates of kernel_by_saturation; nothing is eliminated.
 
-    n = 2 by default; n = 3 only behind allow_large (it is near the desk
-    scale boundary).  Returns a report dict.
+    n <= 4 by default; n >= 5 only behind allow_large.  Returns a report
+    dict.  kernel_generators and kernel_gb_size are both the size of the
+    reduced grevlex basis of J, which is that of ker(phi) once K = J.
     """
     if n > KERNEL_DEFAULT_CAP and not allow_large:
         raise poly.CapExceeded(
             f"kernel verification at n = {n} needs allow_large", size=n
         )
     spec = tangent_cox_ideal(n, n)
-    kernel = ring_map_kernel(spec.phi)
-    claimed = spec.ideal()
-    equal = ideal_equal(kernel, claimed)
+    gb, certificates = tangent_kernel(spec)
     return {
         "n": n,
-        "kernel_generators": len(kernel.gens),
-        "claimed_generators": len(claimed.gens),
-        "kernel_gb_size": len(kernel.groebner(grevlex(spec.ring))),
-        "equal": equal,
+        "kernel_generators": len(gb),
+        "claimed_generators": len(spec.ideal().gens),
+        "kernel_gb_size": len(gb),
+        "equal": all(certificates.values()),
     }
 
 
 def initial_comparison(n):
     """Check in_delta(ker phi) = quiver ideal and its zero-set dimension.
 
-    The degeneration is flat here: the initial ideal's zero set has the
-    same dimension as the kernel's, which is reported alongside.
+    With ker(phi) = J proven by kernel_by_saturation, the degeneration
+    runs on J itself.  It is flat here: the initial ideal's zero set has
+    the same dimension as the kernel's, which is reported alongside.
     """
     spec = tangent_cox_ideal(n, n)
-    kernel = ring_map_kernel(spec.phi)
-    initial = delta_initial_ideal(kernel)
-    quiver = quiver_ideal(n)
+    _, certificates = tangent_kernel(spec)
+    claimed = spec.ideal()
+    initial = delta_initial_ideal(claimed, spec.grading())
     order = grevlex(spec.ring)
-    equal = ideal_equal(initial, quiver)
-    dim = poly.zero_set_dimension(initial, order)
-    generic_dim = poly.zero_set_dimension(kernel, order)
     return {
         "n": n,
-        "equal": equal,
-        "dimension": dim,
-        "generic_dimension": generic_dim,
+        "equal": all(certificates.values()) and ideal_equal(initial, quiver_ideal(n)),
+        "dimension": poly.zero_set_dimension(initial, order),
+        "generic_dimension": poly.zero_set_dimension(claimed, order),
         "expected_dimension": n * n + n + 1,
     }
 

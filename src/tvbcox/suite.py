@@ -47,9 +47,10 @@ def check_kernel(level):
     report = cox.verify_kernel(2)
     assert report["equal"], "kernel does not match the claimed presentation"
     if level == "full":
-        report3 = cox.verify_kernel(3, allow_large=True)
-        assert report3["equal"], "kernel mismatch at n = 3"
-        report = {"n2": report, "n3": report3}
+        report = {"n2": report}
+        for n in (3, 4):
+            report[f"n{n}"] = cox.verify_kernel(n)
+            assert report[f"n{n}"]["equal"], f"kernel mismatch at n = {n}"
     return report
 
 
@@ -96,12 +97,14 @@ def check_lemma(level):
 
 
 def check_initial_ideal(level):
-    rep = cox.initial_comparison(2)
-    assert rep["equal"], "delta-initial ideal does not match the quiver ideal"
-    assert rep["dimension"] == rep["expected_dimension"], (
-        f"dimension {rep['dimension']} != {rep['expected_dimension']}"
-    )
-    return rep
+    reports = {}
+    for n in (2, 3, 4) if level == "full" else (2,):
+        rep = reports[f"n{n}"] = cox.initial_comparison(n)
+        assert rep["equal"], f"delta-initial ideal does not match the quiver ideal at n = {n}"
+        assert rep["dimension"] == rep["expected_dimension"], (
+            f"dimension {rep['dimension']} != {rep['expected_dimension']} at n = {n}"
+        )
+    return reports if level == "full" else reports["n2"]
 
 
 def check_pluecker(level):

@@ -125,7 +125,7 @@ def test_cox_tangent_emit(capsys):
 
 def test_cox_tangent_kernel_cap(capsys):
     code, _, err = run(
-        capsys, "cox", "tangent", "--n", "3", "--m", "3", "--verify-kernel"
+        capsys, "cox", "tangent", "--n", "5", "--m", "5", "--verify-kernel"
     )
     assert code == EXIT_CAP
     assert "cap exceeded" in err

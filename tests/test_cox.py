@@ -5,11 +5,15 @@ import pytest
 
 from tvbcox import cox, poly
 from tvbcox.cox import (
+    PresentationSpec,
     build_phi,
+    column_permutation,
+    delta_initial_ideal,
     delta_weights,
     det_forget_column,
     euler_generators,
     initial_comparison,
+    kernel_by_saturation,
     lemma_ideal,
     minors_only_dimension,
     plucker_quadrics,
@@ -19,6 +23,8 @@ from tvbcox.cox import (
     row_completing_order,
     solve_det_sign,
     tangent_cox_ideal,
+    tangent_sigma,
+    tangent_symmetries,
     verify_kernel,
     verify_lemma,
     w_name,
@@ -26,8 +32,11 @@ from tvbcox.cox import (
     y_name,
 )
 from tvbcox.poly import (
+    Ideal,
     PolyRing,
+    RingMap,
     grevlex,
+    ideal_equal,
     normal_form,
     ring_map_kernel,
     symbolic_det,
@@ -133,7 +142,96 @@ def test_verify_kernel_n2():
 
 def test_verify_kernel_cap():
     with pytest.raises(poly.CapExceeded):
-        verify_kernel(3)
+        verify_kernel(5)
+
+
+def elimination_report(n):
+    """verify_kernel's report by the elimination route: ker(phi) from the
+    graph ideal, compared with the claimed ideal."""
+    spec = tangent_cox_ideal(n, n)
+    kernel = ring_map_kernel(spec.phi)
+    claimed = spec.ideal()
+    return {
+        "n": n,
+        "kernel_generators": len(kernel.gens),
+        "claimed_generators": len(claimed.gens),
+        "kernel_gb_size": len(kernel.groebner(grevlex(spec.ring))),
+        "equal": ideal_equal(kernel, claimed),
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_verify_kernel_matches_the_elimination_route(n):
+    assert verify_kernel(n) == elimination_report(n)
+
+
+def certificates(spec, symmetries=None):
+    if symmetries is None:
+        symmetries = tangent_symmetries(spec)
+    return kernel_by_saturation(spec, tangent_sigma(spec), spec.grading(), symmetries)[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kernel_certificates_hold(n):
+    assert certificates(tangent_cox_ideal(n, n)) == {
+        "contained": True, "left_inverse": True, "saturated": True, "symmetric": True,
+    }
+
+
+def test_colon_certificate_rejects_a_dropped_generator():
+    # without det Y(3) - e x_3 W the ideal still agrees with ker(phi) once
+    # x is inverted, but it is no longer saturated with respect to x_0
+    spec = tangent_cox_ideal(3, 3)
+    dropped = PresentationSpec(3, 3, spec.ring, spec.gens[:-1], spec.degrees, spec.phi)
+    got = certificates(dropped)
+    assert got["saturated"] is False
+    assert got["contained"] and got["left_inverse"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_left_inverse_certificate_rejects_a_wrong_w_image(n):
+    # phi with W -> -det[y] t_0...t_n makes sigma(phi(W)) = -det Y(0) / x_0,
+    # and x_0 (sigma(phi(W)) - W) = -(det Y(0) + x_0 W) is not in J
+    spec = tangent_cox_ideal(n, n)
+    phi = RingMap(spec.ring, spec.phi.target, dict(spec.phi.images, W=-spec.phi.images["W"]))
+    wrong = PresentationSpec(n, n, spec.ring, spec.gens, spec.degrees, phi)
+    ring = spec.ring
+    image = tangent_sigma(wrong)(phi(ring.var("W")))
+    assert image * ring.var("x0") == -det_forget_column(ring, n, 0)
+    got = certificates(wrong)
+    assert got["left_inverse"] is False
+    # the new phi no longer kills det Y(j) - e x_j W either
+    assert got["contained"] is False
+    assert got["saturated"] and got["symmetric"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_symmetry_certificate_rejects_a_wrong_w_sign(n):
+    spec = tangent_cox_ideal(n, n)
+    swap = [1, 0] + list(range(2, n + 1))
+    cycle = [(j + 1) % (n + 1) for j in range(n + 1)]
+    for perm, w_sign in ((swap, 1), (cycle, -((-1) ** n))):
+        got = certificates(spec, [column_permutation(spec, perm, w_sign)])
+        assert got["symmetric"] is False, (perm, w_sign)
+        assert got["contained"] and got["left_inverse"] and got["saturated"]
+
+
+def test_a_failed_certificate_fails_both_reports(monkeypatch):
+    monkeypatch.setattr(
+        cox, "tangent_symmetries", lambda spec: [column_permutation(spec, [1, 0, 2], 1)]
+    )
+    assert verify_kernel(2)["equal"] is False
+    assert initial_comparison(2)["equal"] is False
+
+
+def test_kernel_by_saturation_needs_a_positive_grading_of_j():
+    spec = tangent_cox_ideal(3, 3)
+    sigma, symmetries = tangent_sigma(spec), tangent_symmetries(spec)
+    # det Y(j) has degree 3 and x_j W degree 2 in the standard grading
+    with pytest.raises(ValueError, match="not homogeneous"):
+        kernel_by_saturation(spec, sigma, [1] * spec.ring.nvars, symmetries)
+    with pytest.raises(ValueError, match="not positive"):
+        kernel_by_saturation(spec, sigma, [0] * spec.ring.nvars, symmetries)
 
 
 def test_kernel_membership_and_nonmembership():
@@ -195,6 +293,25 @@ def test_initial_comparison_n2():
     assert rep["equal"]
     assert rep["dimension"] == 7
     assert rep["generic_dimension"] == 7  # flat: special and general agree
+
+
+def test_initial_comparison_n3():
+    rep = initial_comparison(3)
+    assert rep["equal"]
+    assert rep["dimension"] == rep["generic_dimension"] == 13
+
+
+def test_delta_initial_ideal_rejects_inhomogeneous_input(monkeypatch):
+    # delta_order puts 1 above W, so dividing by W + 1 never ends; the
+    # grading check comes before Buchberger is reached
+    def unreachable(*args, **kwargs):
+        raise AssertionError("Buchberger was reached")
+
+    monkeypatch.setattr(poly, "buchberger", unreachable)
+    ring = PolyRing(["x", "y", "W"])
+    x, y, w = ring.gens()
+    with pytest.raises(ValueError, match="not homogeneous"):
+        delta_initial_ideal(Ideal(ring, [w + 1, x * y]))
 
 
 def test_euler_complete_intersection_codimension():

@@ -8,8 +8,10 @@ ideals at n = 2, 3, and the reduced bases of every lemma ideal at n = 2, 3
 under the row-completing order, are compared, as `poly_to_text` lines in
 the order of their basis, with tests/golden/gb.json.  The canonical word and
 trace of every n = 3 word of length <= 3 and every n = 4 word of length
-<= 2 that rewrites at all, and the `results` of `gz verify --n 3` and of
-README's `gz subduct` example, are compared with tests/golden/gz.json.  The
+<= 2 that rewrites at all, and the `results` of `gz verify --n 3` (with
+the default and with 5 as the largest word length), of `gz verify --n 4`
+and of README's `gz subduct` example, are compared with
+tests/golden/gz.json.  The
 exit code and whole report, but its top-level `seconds`, of each fast README
 command line and of `suite --level full` are compared with
 tests/golden/cli.json; a timing inside `results` fails that comparison, and
@@ -85,11 +87,10 @@ SUITE_FULL = "suite --level full"
 
 # S-polynomials each kernel elimination forms.  The engine's pair selection
 # and criteria decide these counts, so a change to either shows here even
-# when the bases come out the same.  (verify_kernel(3) forms 641: these 607
-# and 34 more for the two grevlex bases of its equality check.)  The
-# eliminations are indifferent to the order of pairs with equal lcms; the
-# two tie witnesses are not, and form 7 and 11 when the pair queued first
-# pops first.
+# when the bases come out the same.  (The 607 at n = 3 are ring_map_kernel's
+# alone: verify_kernel eliminates nothing.)  The eliminations are
+# indifferent to the order of pairs with equal lcms; the two tie witnesses
+# are not, and form 7 and 11 when the pair queued first pops first.
 S_POLYNOMIALS = {
     "ker phi 2": 76,
     "ker phi 3": 607,
@@ -233,7 +234,7 @@ def engine_answers():
 
 def gz_answers():
     """Canonical word and trace of each word that rewrites, n = 3 up to
-    length 3 and n = 4 up to length 2, and two gz command results."""
+    length 3 and n = 4 up to length 2, and four gz command results."""
     traces = {}
     for n, max_len in ((3, 3), (4, 2)):
         for size in range(1, max_len + 1):
@@ -247,6 +248,9 @@ def gz_answers():
     answers = {
         "traces": traces,
         "gz verify --n 3": command_results(["gz", "verify", "--n", "3"])[1],
+        "gz verify --n 3 --max-word-length 5": command_results(
+            ["gz", "verify", "--n", "3", "--max-word-length", "5"])[1],
+        "gz verify --n 4": command_results(["gz", "verify", "--n", "4"])[1],
         "gz subduct --n 3": command_results(
             ["gz", "subduct", "--n", "3", "--word1", "[-2],[{1,2},1]",
              "--word2", "[-1],[{1,2},2]"])[1],

@@ -16,13 +16,14 @@ def test_run_suite_fast_passes():
 
 
 def test_run_suite_full_passes(tmp_path):
-    # the full level adds the n = 3 elimination and the larger sweeps; its
-    # report, timings aside, matches tests/golden/cli.json
+    # the full level adds the kernel and initial-ideal checks at n = 3 and
+    # 4 and the larger sweeps; its report, timings aside, matches
+    # tests/golden/cli.json
     entry = cli_entry(SUITE_FULL, str(tmp_path))
     results = entry["report"]["results"]
     assert results["passed"], results["first_failure"]
     kernel = next(c for c in results["checks"] if c["check"] == "kernel")
-    assert "n3" in kernel["detail"]
+    assert set(kernel["detail"]) == {"n2", "n3", "n4"}
     assert json.dumps({SUITE_FULL: entry}, indent=1) == golden_cli([SUITE_FULL])
 
 
