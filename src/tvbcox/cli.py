@@ -147,6 +147,10 @@ def cmd_region(args):
 
 
 def cmd_cox_tangent(args):
+    if args.verify_kernel and args.m != args.n:
+        raise InputError(
+            f"--verify-kernel checks the m = n presentation only, got n = {args.n}, m = {args.m}"
+        )
     spec = cox.tangent_cox_ideal(args.n, args.m)
     results = {
         "n": args.n,
@@ -260,7 +264,7 @@ def build_parser():
     p = cox_sub.add_parser("tangent", help="presentation of P(T_n tensor K^m)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--verify-kernel", action="store_true")
+    p.add_argument("--verify-kernel", action="store_true", help="prove the kernel equality (m = n only)")
     p.add_argument("--allow-large", action="store_true", help="enable kernel verification for n >= 5")
     p.add_argument("--emit", choices=["generators", "gb"], default="generators")
     p.add_argument("--report")

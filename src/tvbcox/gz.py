@@ -9,7 +9,7 @@ reach a canonical form.
 """
 
 from functools import lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, chain, combinations, combinations_with_replacement
 from math import comb
 from typing import NamedTuple
 
@@ -157,7 +157,10 @@ class MarkedGenerator(NamedTuple):
             raise ValueError(f"mark {mark} needs prefix {{1..{mark}}} in {sorted(sigma)}")
         return cls("flag", sigma=sigma, mark=mark)
 
+    @lru_cache(maxsize=None)
     def check(self, n):
+        """Memoized per (generator, n) once it passes; lru_cache stores no
+        exception, so a failing generator raises on every call."""
         if self.kind == "neg":
             if not 0 <= self.value <= n:
                 raise ValueError(f"negated index {self.value} out of range 0..{n}")
@@ -195,13 +198,20 @@ class MarkedGenerator(NamedTuple):
             return x_name(self.value)
         return p_name(self.variable_columns())
 
+    @lru_cache(maxsize=None)
     def sort_key(self):
         if self.kind == "flag":
-            return (0, -len(self.sigma), tuple(sorted(self.sigma)), -self.mark)
+            return (0, *_flag_key(self.sigma), -self.mark)
         return (1, -self.value)
 
     def __repr__(self):
         return generator_to_text(self)
+
+
+@lru_cache(maxsize=None)
+def _flag_key(sigma):
+    """Flags sort by size descending, then by their sorted columns."""
+    return (-len(sigma), tuple(sorted(sigma)))
 
 
 def generator_to_text(gen):
@@ -251,17 +261,31 @@ def word_to_text(word):
     return ",".join(generator_to_text(g) for g in word)
 
 
+@lru_cache(maxsize=None)
+def _flat_pattern(gen, n):
+    """A generator's extended pattern as one integer tuple: the pattern rows,
+    top first, then the z-vector."""
+    pattern, zvec = gen.extended_pattern(n)
+    return tuple(chain.from_iterable(pattern.rows)) + zvec
+
+
+def _flat_sum(word, n):
+    """Entrywise sum of the flat patterns of a nonempty word."""
+    return tuple(map(sum, zip(*[_flat_pattern(gen, n) for gen in word])))
+
+
 def word_pattern_sum(word, n):
-    """Entrywise sum of the generators' extended patterns, built once."""
-    parts = [gen.extended_pattern(n) for gen in word]
-    if not parts:
+    """Entrywise sum of the generators' extended patterns."""
+    if not word:
         return ExtendedPattern(GZPattern.zero(n), (0,) * (n + 1))
-    rows = [tuple(map(sum, zip(*col))) for col in zip(*(p.pattern.rows for p in parts))]
-    return ExtendedPattern(GZPattern(rows), tuple(map(sum, zip(*(p.zvec for p in parts)))))
+    flat = _flat_sum(word, n)
+    cuts = list(accumulate(range(n, 0, -1), initial=0))
+    rows = [flat[a:b] for a, b in zip(cuts, cuts[1:])]
+    return ExtendedPattern(GZPattern(rows), flat[cuts[-1] :])
 
 
 def sort_word(word):
-    return tuple(sorted(word, key=lambda g: g.sort_key()))
+    return tuple(sorted(word, key=MarkedGenerator.sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -492,22 +516,17 @@ class SubductionError(ValueError):
 
 
 def _apply_step(steps, word, n, rule, removed, added):
+    """Append the step to `steps` as a (rule, removed, added, word) tuple of
+    generators and return the new word."""
     # the word's pattern sum is kept iff the step's own generators balance
-    if word_pattern_sum(removed, n) != word_pattern_sum(added, n):
+    if _flat_sum(removed, n) != _flat_sum(added, n):
         raise AssertionError(f"rewrite step broke the pattern sum: {rule}")
     new_word = list(word)
     for gen in removed:
         new_word.remove(gen)
     new_word.extend(added)
     new_word = sort_word(new_word)
-    steps.append(
-        {
-            "rule": rule,
-            "removed": [generator_to_text(g) for g in removed],
-            "added": [generator_to_text(g) for g in added],
-            "word": word_to_text(new_word),
-        }
-    )
+    steps.append((rule, removed, added, new_word))
     return new_word
 
 
@@ -515,6 +534,12 @@ def _apply_step(steps, word, n, rule, removed, added):
 def _prefix_counts(sigma, n):
     """|sigma ∩ [k]| for k = 1..n; a column set is determined by these."""
     return tuple(accumulate(int(k in sigma) for k in range(1, n + 1)))
+
+
+@lru_cache(maxsize=None)
+def _comparable(ca, cb):
+    """Whether two prefix-count vectors are ordered pointwise."""
+    return all(x <= y for x, y in zip(ca, cb)) or all(x >= y for x, y in zip(ca, cb))
 
 
 def _set_from_counts(counts):
@@ -536,8 +561,7 @@ def _chainify(word, n, steps):
             (
                 (a, ca, b, cb)
                 for (a, ca), (b, cb) in combinations(flags, 2)
-                if not all(x <= y for x, y in zip(ca, cb))
-                and not all(x >= y for x, y in zip(ca, cb))
+                if not _comparable(ca, cb)
             ),
             None,
         )
@@ -557,6 +581,10 @@ def _chainify(word, n, steps):
         word = _apply_step(steps, word, n, "union-intersection", [a, b], added)
 
 
+def _sorted_flags(word):
+    return sorted((g for g in word if g.kind == "flag"), key=lambda g: _flag_key(g.sigma))
+
+
 def _canonical_mark_targets(word, n):
     """Greedy canonical placement of nonzero values onto flags.
 
@@ -564,10 +592,7 @@ def _canonical_mark_targets(word, n):
     flag, in (size desc, columns) order, whose prefix capacity admits them;
     the rest stay negated.
     """
-    flags = sorted(
-        (g for g in word if g.kind == "flag"),
-        key=lambda g: (-len(g.sigma), tuple(sorted(g.sigma))),
-    )
+    flags = _sorted_flags(word)
     caps = [_prefix_capacity(g.sigma) for g in flags]
     pool = sorted(
         [g.mark for g in word if g.kind == "flag" and g.mark]
@@ -617,10 +642,14 @@ def _next_rebalance_move(word, flags, targets):
 
 
 def _rebalance_marks(word, n, steps):
-    """Move values onto their canonical carriers, largest value first."""
+    """Move values onto their canonical carriers, largest value first.
+
+    A move keeps the multisets of flag sets and of nonzero values and the
+    number of negated generators, so the targets are computed once.
+    """
+    _, targets, _ = _canonical_mark_targets(word, n)
     while True:
-        flags, targets, _ = _canonical_mark_targets(word, n)
-        move = _next_rebalance_move(word, flags, targets)
+        move = _next_rebalance_move(word, _sorted_flags(word), targets)
         if move is None:
             return word
         kind, flag, other = move
@@ -642,15 +671,26 @@ def _rebalance_marks(word, n, steps):
             )
 
 
-def canonicalize(word, n):
-    """Rewrite to the canonical word; returns (word, steps)."""
+def _rewrite(word, n):
+    """Rewrite to the canonical word; returns (word, steps) with each step a
+    (rule, removed, added, word) tuple of generators."""
     for gen in word:
         gen.check(n)
     steps = []
-    word = sort_word(word)
-    word = _chainify(word, n, steps)
-    word = _rebalance_marks(word, n, steps)
-    return sort_word(word), steps
+    word = _chainify(sort_word(word), n, steps)
+    return _rebalance_marks(word, n, steps), steps
+
+
+def canonicalize(word, n):
+    """Rewrite to the canonical word; returns (word, steps) with each step
+    a dict of its rule and its removed, added and resulting generators as
+    text."""
+    canon, steps = _rewrite(word, n)
+    return canon, [
+        {"rule": rule, "removed": list(map(generator_to_text, removed)),
+         "added": list(map(generator_to_text, added)), "word": word_to_text(new_word)}
+        for rule, removed, added, new_word in steps
+    ]
 
 
 def subduct(word1, word2, n):
@@ -708,15 +748,14 @@ def confluence_sweep(n, max_len=3):
     groups = {}
     for size in range(1, max_len + 1):
         for combo in combinations_with_replacement(gens, size):
-            key = word_pattern_sum(combo, n)
-            groups.setdefault(key, []).append(combo)
+            groups.setdefault(_flat_sum(combo, n), []).append(combo)
     words = 0
     clashes = []
     for key, members in groups.items():
         canon = None
         for word in members:
             words += 1
-            c, _ = canonicalize(word, n)
+            c, _ = _rewrite(word, n)
             if canon is None:
                 canon = c
             elif c != canon:

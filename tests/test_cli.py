@@ -154,6 +154,15 @@ def test_cox_tangent_rejects_m_above_n(capsys):
     assert "input error" in err
 
 
+def test_cox_tangent_verify_kernel_needs_m_equal_n(capsys):
+    code, out, err = run(
+        capsys, "cox", "tangent", "--n", "3", "--m", "2", "--verify-kernel"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "input error: --verify-kernel checks the m = n presentation only" in err
+
+
 def test_cox_tangent_names_bad_n(capsys):
     code, _, err = run(capsys, "cox", "tangent", "--n", "0", "--m", "1")
     assert code == EXIT_USAGE
@@ -225,6 +234,7 @@ def test_gz_verify_caps_the_word_sweep(capsys, monkeypatch):
         raise AssertionError("the sweep built a word past its cap")
 
     monkeypatch.setattr(gz, "word_pattern_sum", built)
+    monkeypatch.setattr(gz, "_flat_sum", built)
     code, out, err = run(capsys, "gz", "verify", "--n", "4", "--max-word-length", "6")
     assert code == EXIT_CAP
     assert out == ""

@@ -165,6 +165,11 @@ def test_pair_and_word_counts_at_their_caps(monkeypatch):
         quadratic_plucker_relations(6)
     assert exc.value.size == 7140
     assert gz.sweep_word_count(6, 2) == 8127
+
+    def summed(word, n):
+        raise AssertionError("a word was built before the word cap was checked")
+
+    monkeypatch.setattr(gz, "_flat_sum", summed)
     with pytest.raises(poly.CapExceeded, match="349503 words up to length 3"):
         confluence_sweep(6, 3)
 
@@ -268,6 +273,60 @@ def test_rewrite_step_that_breaks_the_pattern_sum_raises():
     wrong = MarkedGenerator.flag(frozenset({2, 3}))
     with pytest.raises(AssertionError, match="broke the pattern sum"):
         gz._apply_step([], word, n, "wrong meet", pair, [join, wrong])
+
+
+def _small_words():
+    """Every word of length <= 3 at n = 3 and of length <= 2 at n = 4."""
+    for n, max_len in ((3, 3), (4, 2)):
+        gens = all_generators(n)
+        for size in range(1, max_len + 1):
+            for word in combinations_with_replacement(gens, size):
+                yield n, word
+
+
+def test_rebalance_steps_keep_the_mark_targets():
+    # _rebalance_marks computes the targets once per word; that is sound
+    # only if no mark-transport or marking-exchange step changes them
+    moves = 0
+    for n, word in _small_words():
+        before = sort_word(word)
+        for rule, _, _, after in gz._rewrite(word, n)[1]:
+            if rule != "union-intersection":
+                moves += 1
+                targets = gz._canonical_mark_targets(before, n)[1]
+                assert gz._canonical_mark_targets(after, n)[1] == targets, (
+                    f"{rule} on {word_to_text(before)}"
+                )
+            before = after
+    assert moves > 100
+
+
+def test_sweep_canonical_words_match_canonicalize(monkeypatch):
+    # confluence_sweep rewrites with the core; canonicalize formats its trace
+    seen = []
+    core = gz._rewrite
+
+    def recorded(word, n):
+        canon, steps = core(word, n)
+        seen.append((n, word, canon, steps))
+        return canon, steps
+
+    monkeypatch.setattr(gz, "_rewrite", recorded)
+    words = confluence_sweep(3, 3)["words"] + confluence_sweep(4, 2)["words"]
+    monkeypatch.setattr(gz, "_rewrite", core)
+    assert len(seen) == words == len(list(_small_words()))
+    for n, word, canon, steps in seen:
+        text_canon, text_steps = canonicalize(word, n)
+        assert text_canon == canon
+        assert text_steps == [
+            {
+                "rule": rule,
+                "removed": [str(g) for g in removed],
+                "added": [str(g) for g in added],
+                "word": word_to_text(after),
+            }
+            for rule, removed, added, after in steps
+        ]
 
 
 def test_critical_pair_with_two_marks():
