@@ -21,7 +21,6 @@ from .poly import (
     leading_monomials,
     lex,
     monomial_dimension,
-    normal_form,
     symbolic_det,
     weight_initial,
 )
@@ -118,20 +117,6 @@ def build_phi(n: int, m: int):
     return RingMap(source, target, images)
 
 
-def solve_det_sign(n, j, phi):
-    """The sign e with det Y(j) - e * x_j W in ker(phi), found symbolically."""
-    ring = phi.source
-    det = det_forget_column(ring, n, j)
-    xw = ring.var(x_name(j)) * ring.var(w_name())
-    image_det = phi(det)
-    image_xw = phi(xw)
-    if image_det - image_xw == 0:
-        return 1
-    if image_det + image_xw == 0:
-        return -1
-    raise AssertionError(f"no sign makes det Y({j}) - e*x_{j}*W vanish")
-
-
 class PresentationSpec:
     """A presentation of the Cox ring: ring, generators, grading, map."""
 
@@ -196,8 +181,11 @@ def tangent_cox_ideal(n: int, m: int):
     """Presentation of the Cox ring of P(T_n tensor K^m) for 1 <= m <= n.
 
     m < n: the Euler relations alone (a complete intersection).
-    m = n: Euler relations plus det Y(j) - e_j x_j W with signs solved
-    against the presentation map.
+    m = n: Euler relations plus det Y(j) - (-1)^j x_j W.  phi sends
+    column 0 to minus the sum of the others, so in phi(det Y(j)) only -y_j
+    survives there, and moving it to its place among columns 1..n gives
+    phi(det Y(j)) = (-1)^j phi(x_j W).  The contained certificate of
+    kernel_by_saturation checks every sign against phi.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n = {n}")
@@ -209,8 +197,7 @@ def tangent_cox_ideal(n: int, m: int):
     if m == n:
         w = ring.var(w_name())
         for j in range(n + 1):
-            sign = solve_det_sign(n, j, phi)
-            gens.append(det_forget_column(ring, n, j) - sign * ring.var(x_name(j)) * w)
+            gens.append(det_forget_column(ring, n, j) - (-1) ** j * ring.var(x_name(j)) * w)
     return PresentationSpec(n, m, ring, gens, variable_degrees(n, m), phi)
 
 
@@ -262,56 +249,80 @@ def delta_initial_ideal(ideal, grading=None):
     return Ideal(ideal.ring, [weight_initial(g, w) for g in gb])
 
 
-def kernel_by_saturation(spec, sigma, weights, symmetries):
-    """Certificates that ker(phi) is the ideal J of spec.gens, with no
+def kernel_by_saturation(claimed, phi, sigma, weights, saturating, symmetries):
+    """Certificates that ker(phi) is the ideal J = claimed, with no
     elimination: the swap of an elimination for a saturation used for
     toric ideals (Sturmfels 1996, ch. 12; Bigatti, La Scala & Robbiano
-    1999).  Let K = ker(phi) and x = x_0...x_n.
+    1999).  Let K = ker(phi) and v the product of the variables that
+    sigma inverts.
 
     - contained: every generator of J maps to 0, so J lies in K.
     - left_inverse: sigma, a map from phi's target into the source with
-      Laurent images in x, inverts phi modulo J once x is inverted: for
-      every source variable s, x^a (sigma(phi(s)) - s) lies in J.  Then
-      each f in K equals f - sigma(phi(f)) in J_x, so K lies in J : x^inf.
-    - saturated: J : x_0^inf = J.  J is homogeneous for the positive
-      weights (checked), so under the weighted revlex order with x_0
-      last the basis elements divided by their largest power of x_0
-      generate J : x_0^inf (Bayer & Stillman 1987); each must lie in J.
+      Laurent images, inverts phi modulo J once v is inverted: for every
+      source variable s, v^a (sigma(phi(s)) - s) lies in J.  Then each f
+      in K equals f - sigma(phi(f)) in J_v, so K lies in J : v^inf.  It
+      fails unless every variable that sigma inverts is named in
+      saturating or carried there by a symmetry.
+    - saturated: J : u^inf = J for every u named in saturating.  J is
+      homogeneous for the positive weights (checked), so under the
+      weighted revlex order with u last the basis elements divided by
+      their largest power of u generate J : u^inf (Bayer & Stillman
+      1987); each must lie in J.
     - symmetric: each ring map of symmetries sends every generator into
-      J, hence J onto J.  Maps that act transitively on the x_j carry
-      J : x_0^inf = J to J : x_j^inf = J for every j.
+      J.  One that permutes the variables up to sign and keeps the
+      weights then maps J onto J, and carries J : u^inf = J to
+      J : g(u)^inf = J.
 
-    All four give K = J.  Returns the reduced grevlex basis of J and the
-    certificates by name, each True when it holds.
+    All four give K = J : v^inf = J.  Returns the reduced grevlex basis of
+    J and the certificates by name, each True when it holds.
     """
-    ring, claimed = spec.ring, spec.ideal()
+    ring = claimed.ring
     require_homogeneous(claimed.gens, weights)
     order = grevlex(ring)
     gb = claimed.groebner(order)
-
-    def in_claimed(f):
-        # 0 is in J without a division; most left-inverse checks give 0
-        return not f or not normal_form(f, gb, order)
-
-    x0 = ring.var(x_name(0))
-    i0 = ring.index[x_name(0)]
-    # the weighted degree, then revlex with x_0 last: within one degree the
-    # fewest x_0 lead, so x_0^k divides a lead term only if it divides g
-    revlex = [i0] + [i for i in reversed(range(ring.nvars)) if i != i0]
-    x0_last = MatrixOrder(
-        [weights] + [[-1 if k == i else 0 for k in range(ring.nvars)] for i in revlex]
-    )
-    # an element that x_0 does not divide is its own quotient, in J already
-    powers = [(g, min(m[i0] for m in g.terms)) for g in claimed.groebner(x0_last)]
-    quotients = [g * x0 ** -k for g, k in powers if k]
+    in_claimed = poly.membership_test(gb, order)
+    quotients = []
+    for name in saturating:
+        i = ring.index[name]
+        # the weighted degree, then revlex with u last: within one degree the
+        # fewest u lead, so u^k divides a lead term only if it divides g
+        revlex = [i] + [k for k in reversed(range(ring.nvars)) if k != i]
+        u_last = MatrixOrder(
+            [weights] + [[-1 if k == r else 0 for k in range(ring.nvars)] for r in revlex]
+        )
+        # an element that u does not divide is its own quotient, in J already
+        powers = [(g, min(m[i] for m in g.terms)) for g in claimed.groebner(u_last)]
+        quotients += [g * ring.var(name) ** -k for g, k in powers if k]
+    inverted = {
+        i for img in sigma.images.values() for m in img.terms for i, e in enumerate(m) if e < 0
+    }
+    covered = {ring.index[name] for name in saturating}
+    moves = [p for p in (_variable_permutation(g, weights) for g in symmetries) if p]
+    for _ in range(ring.nvars):
+        covered |= {p[i] for p in moves for i in covered}
     return gb, {
-        "contained": all(spec.phi(g) == 0 for g in claimed.gens),
-        "left_inverse": all(
-            in_claimed(_clear_denominators(sigma(spec.phi(s)) - s)) for s in ring.gens()
+        "contained": all(phi(g) == 0 for g in claimed.gens),
+        "left_inverse": inverted <= covered and all(
+            in_claimed(_clear_denominators(sigma(phi(s)) - s)) for s in ring.gens()
         ),
         "saturated": all(in_claimed(g) for g in quotients),
         "symmetric": all(in_claimed(g(f)) for g in symmetries for f in claimed.gens),
     }
+
+
+def _variable_permutation(g, weights):
+    """The list perm with g(x_i) = +-x_perm[i] when g permutes the
+    variables up to sign and keeps the weights; else None."""
+    ring, perm = g.source, []
+    for name in ring.names:
+        terms = g.images[name].terms
+        m, c = next(iter(terms.items()), (None, 0))
+        if g.target != ring or len(terms) != 1 or abs(c) != 1 or sum(m) != 1 or min(m) < 0:
+            return None
+        perm.append(m.index(1))
+    if sorted(perm) != list(range(ring.nvars)):
+        return None
+    return perm if all(weights[i] == weights[p] for i, p in enumerate(perm)) else None
 
 
 def _clear_denominators(f):
@@ -353,9 +364,11 @@ def tangent_symmetries(spec):
 
 
 def tangent_kernel(spec):
-    """kernel_by_saturation on the m = n presentation."""
+    """kernel_by_saturation on the m = n presentation: sigma inverts the
+    x_j, x_0 is saturated and the column symmetries carry it to every x_j."""
     return kernel_by_saturation(
-        spec, tangent_sigma(spec), spec.grading(), tangent_symmetries(spec)
+        spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), [x_name(0)],
+        tangent_symmetries(spec),
     )
 
 

@@ -13,16 +13,16 @@ from itertools import accumulate, chain, combinations, combinations_with_replace
 from math import comb
 from typing import NamedTuple
 
-from .cox import t_name, x_name, yy_name
+from .cox import kernel_by_saturation, t_name, x_name, yy_name
 from .linalg import left_kernel_basis
 from .poly import (
     CapExceeded,
+    Ideal,
     PolyRing,
     RingMap,
     lex,
     normal_form,
     poly_to_text,
-    ring_map_kernel,
     symbolic_det,
 )
 
@@ -421,20 +421,22 @@ def lead_pattern(gen, n, psi=None):
 
 
 def euler_flag_relation(n, tau, psi=None):
-    """The Euler-type quadric x_0 P_{0+tau} + sum over j outside tau of
-    (-1)^#{t in tau : t < j} x_j P_{tau+j}.
+    """The Euler-type quadric: the sum over j in {0..n} outside tau of
+    (-1)^#{t in tau : 0 < t < j} x_j P_{tau+j}.
 
-    The signs are the Laplace expansion of the 0-column minor, whose column
-    is minus the sum of the others; `relation_families` checks the result
-    against the presentation map.
+    psi(x_j P_{tau+j}) is t^tau times a minor, and the minors with j in
+    tau inserted would repeat a column, so the signs are the expansion of
+    the minor whose last column is the sum of all columns, which is 0.
+    For tau without 0 the first term is x_0 P_{0+tau}; for tau with 0,
+    leaving 0 out of the count only flips every sign.
     """
     tau = frozenset(tau)
-    if not tau <= frozenset(range(1, n + 1)) or len(tau) > n - 2:
-        raise ValueError("tau must be a subset of [n] with |tau| <= n - 2")
+    if not tau <= frozenset(range(n + 1)) or len(tau) > n - 2:
+        raise ValueError("tau must be a subset of {0..n} with |tau| <= n - 2")
     source = psi.source if psi else flag_ring(n)
-    relation = source.var(x_name(0)) * source.var(p_name({0} | tau))
-    for j in sorted(set(range(1, n + 1)) - tau):
-        sign = (-1) ** sum(t < j for t in tau)
+    relation = source.zero()
+    for j in sorted(set(range(n + 1)) - tau):
+        sign = (-1) ** sum(0 < t < j for t in tau)
         relation = relation + sign * source.var(x_name(j)) * source.var(p_name(tau | {j}))
     return relation
 
@@ -487,24 +489,108 @@ def _cols_of(p_var_name):
     return [int(c) for c in p_var_name[1:]]
 
 
-def relation_families(n, psi=None):
-    """All emitted relations: quadratic Plucker exchanges plus the
-    Euler-type quadrics; raises AssertionError unless every element has
-    presentation image zero."""
-    psi = psi or build_psi(n)
+def _relations(n, psi, columns):
+    """The quadratic Plucker relations and the Euler-type quadrics for
+    every tau in columns with |tau| <= n - 2."""
     rels = quadratic_plucker_relations(n, psi)
     for size in range(0, n - 1):
-        for tau in combinations(range(1, n + 1), size):
+        for tau in combinations(columns, size):
             rels.append(euler_flag_relation(n, tau, psi))
+    return rels
+
+
+def relation_families(n, psi=None):
+    """All emitted relations: quadratic Plucker exchanges plus the
+    Euler-type quadrics with tau in [n]; raises AssertionError unless
+    every element has presentation image zero."""
+    psi = psi or build_psi(n)
+    rels = _relations(n, psi, range(1, n + 1))
     bad = [poly_to_text(r) for r in rels if psi(r) != 0]
     if bad:
         raise AssertionError(f"relations with nonzero image: {bad[:3]}")
     return rels
 
 
-def psi_kernel(n):
-    """ker(psi) by elimination; desk scale only at n = 2."""
-    return ring_map_kernel(build_psi(n))
+def flag_presentation(n, psi=None):
+    """relation_families(n, psi) plus the Euler-type quadrics whose column
+    sets contain 0, tau = {0} | tau' with |tau'| <= n - 3: the relations
+    whose ideal psi_kernel proves to be ker(psi).  The images are not
+    checked here; the contained certificate checks them."""
+    return _relations(n, psi or build_psi(n), range(n + 1))
+
+
+def flag_sigma(psi, n):
+    """The left inverse of psi once x_0..x_n and the leading minors P_1,
+    P_12, ..., P_{1..n-2} are inverted: t_j -> 1/x_j, y_ij -> 0 for j < i
+    and y_ij -> x_j P_{{1..i-1}+j} / P_{1..i-1} for j >= i.  Where the
+    leading minors are units, lower unipotent row operations clear the
+    entries below the diagonal and fix every top-justified minor (the big
+    cell of the flag variety, Fulton 1997, Young Tableaux, section 9)."""
+    source = psi.source
+    images = {t_name(j): source.var(x_name(j)) ** -1 for j in range(n + 1)}
+    for i in range(1, n):
+        head = frozenset(range(1, i))
+        lead = source.var(p_name(head)) ** -1 if head else source.one()
+        for j in range(1, n + 1):
+            images[yy_name(i, j)] = (
+                source.var(x_name(j)) * source.var(p_name(head | {j})) * lead
+                if j >= i
+                else source.zero()
+            )
+    return RingMap(psi.target, source, images)
+
+
+def column_symmetry(ring, n, perm):
+    """The ring map x_j -> x_perm[j], P_S -> e P_perm(S), e the sign that
+    sorts perm over sorted S.  psi's matrix has rows summing to 0 in any
+    column order, so permuting its columns is a map h of the target with
+    h(psi(f)) = psi(g(f)); g keeps ker(psi)."""
+    images = {x_name(j): ring.var(x_name(p)) for j, p in enumerate(perm)}
+    for name in ring.names[n + 1 :]:
+        cols = [perm[c] for c in _cols_of(name)]
+        sign = (-1) ** sum(a > b for a, b in combinations(cols, 2))
+        images[name] = sign * ring.var(p_name(cols))
+    return RingMap(ring, ring, images)
+
+
+def flag_kernel(n, psi=None, gens=None, saturating=None):
+    """kernel_by_saturation for psi: J the ideal of gens (by default
+    flag_presentation(n)), saturated by x_0 and the leading minors P_1,
+    ..., P_{1..n-2} that flag_sigma inverts (by default); the swap of
+    columns 0 and 1 and the cycle j -> j + 1 mod n + 1 carry them to every
+    x_j and every P_S with |S| < n - 1."""
+    psi = psi or build_psi(n)
+    ring = psi.source
+    if gens is None:
+        gens = flag_presentation(n, psi)
+    if saturating is None:
+        saturating = [x_name(0)] + [p_name(range(1, k + 1)) for k in range(1, n - 1)]
+    # x_j weighs 1 and P over cols weighs |cols|: every relation is homogeneous
+    weights = [1 if name.startswith("x") else len(_cols_of(name)) for name in ring.names]
+    swap = [1, 0] + list(range(2, n + 1))
+    cycle = [(j + 1) % (n + 1) for j in range(n + 1)]
+    return kernel_by_saturation(
+        Ideal(ring, gens), psi, flag_sigma(psi, n), weights, saturating,
+        [column_symmetry(ring, n, swap), column_symmetry(ring, n, cycle)],
+    )
+
+
+PSI_KERNEL_CAP = 4
+
+
+def psi_kernel(n, allow_large=False):
+    """ker(psi), proved equal to the ideal of flag_presentation(n) by the
+    certificates of flag_kernel; nothing is eliminated.  Returns the ideal
+    of its reduced grevlex basis.  n <= 4 by default, larger n only behind
+    allow_large; raises AssertionError when a certificate fails."""
+    if n > PSI_KERNEL_CAP and not allow_large:
+        raise CapExceeded(f"ker(psi) at n = {n} needs allow_large", size=n)
+    psi = build_psi(n)
+    gb, certificates = flag_kernel(n, psi)
+    failed = [name for name, holds in certificates.items() if not holds]
+    if failed:
+        raise AssertionError(f"ker(psi) at n = {n}: the {', '.join(failed)} certificates fail")
+    return Ideal(psi.source, gb)
 
 
 # ---------------------------------------------------------------------------

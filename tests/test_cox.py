@@ -21,7 +21,6 @@ from tvbcox.cox import (
     presentation_ring,
     quiver_ideal,
     row_completing_order,
-    solve_det_sign,
     tangent_cox_ideal,
     tangent_sigma,
     tangent_symmetries,
@@ -105,15 +104,15 @@ def test_phi_large_m_determinantal_images():
 
 
 def test_solved_signs_give_kernel_members():
-    for n in (2, 3):
+    # the closed-form sign (-1)^j of det Y(j) - e x_j W; the other sign
+    # leaves 2 phi(x_j W), which is not 0
+    for n in (2, 3, 4):
         phi = build_phi(n, n)
+        ring = phi.source
         for j in range(n + 1):
-            sign = solve_det_sign(n, j, phi)
-            ring = phi.source
-            member = det_forget_column(ring, n, j) - sign * ring.var(
-                x_name(j)
-            ) * ring.var(w_name())
-            assert phi(member) == 0
+            xw = ring.var(x_name(j)) * ring.var(w_name())
+            assert phi(det_forget_column(ring, n, j) - (-1) ** j * xw) == 0
+            assert phi(det_forget_column(ring, n, j) + (-1) ** j * xw) != 0
 
 
 def test_all_generators_vanish_under_phi():
@@ -168,7 +167,9 @@ def test_verify_kernel_matches_the_elimination_route(n):
 def certificates(spec, symmetries=None):
     if symmetries is None:
         symmetries = tangent_symmetries(spec)
-    return kernel_by_saturation(spec, tangent_sigma(spec), spec.grading(), symmetries)[1]
+    return kernel_by_saturation(
+        spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), ["x0"], symmetries
+    )[1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -211,7 +212,9 @@ def test_symmetry_certificate_rejects_a_wrong_w_sign(n):
     swap = [1, 0] + list(range(2, n + 1))
     cycle = [(j + 1) % (n + 1) for j in range(n + 1)]
     for perm, w_sign in ((swap, 1), (cycle, -((-1) ** n))):
-        got = certificates(spec, [column_permutation(spec, perm, w_sign)])
+        # beside the right pair, which carries x_0 to every x_j
+        wrong = column_permutation(spec, perm, w_sign)
+        got = certificates(spec, tangent_symmetries(spec) + [wrong])
         assert got["symmetric"] is False, (perm, w_sign)
         assert got["contained"] and got["left_inverse"] and got["saturated"]
 
@@ -228,10 +231,28 @@ def test_kernel_by_saturation_needs_a_positive_grading_of_j():
     spec = tangent_cox_ideal(3, 3)
     sigma, symmetries = tangent_sigma(spec), tangent_symmetries(spec)
     # det Y(j) has degree 3 and x_j W degree 2 in the standard grading
+    claimed, phi = spec.ideal(), spec.phi
     with pytest.raises(ValueError, match="not homogeneous"):
-        kernel_by_saturation(spec, sigma, [1] * spec.ring.nvars, symmetries)
+        kernel_by_saturation(claimed, phi, sigma, [1] * spec.ring.nvars, ["x0"], symmetries)
     with pytest.raises(ValueError, match="not positive"):
-        kernel_by_saturation(spec, sigma, [0] * spec.ring.nvars, symmetries)
+        kernel_by_saturation(claimed, phi, sigma, [0] * spec.ring.nvars, ["x0"], symmetries)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_left_inverse_certificate_needs_every_inverted_variable_saturated(n):
+    # sigma inverts every x_j; with no symmetries only x_0 is saturated
+    spec = tangent_cox_ideal(n, n)
+    got = certificates(spec, [])
+    assert got["left_inverse"] is False
+    assert got["contained"] and got["saturated"] and got["symmetric"]
+    # the swap alone carries x_0 to x_1 only, for n >= 2
+    swap = [1, 0] + list(range(2, n + 1))
+    assert certificates(spec, [column_permutation(spec, swap, -1)])["left_inverse"] is False
+    # a symmetry that is not a permutation of the variables carries nothing
+    ring = spec.ring
+    images = {name: ring.var(name) for name in ring.names}
+    images.update({x_name(j): ring.var(x_name(j)) + ring.var(x_name(0)) for j in range(1, n + 1)})
+    assert certificates(spec, [RingMap(ring, ring, images)])["left_inverse"] is False
 
 
 def test_kernel_membership_and_nonmembership():

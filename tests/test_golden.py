@@ -48,7 +48,7 @@ from tvbcox.cox import (
     row_completing_order,
     tangent_cox_ideal,
 )
-from tvbcox.gz import all_generators, canonicalize, psi_kernel, word_to_text
+from tvbcox.gz import all_generators, build_psi, canonicalize, word_to_text
 from tvbcox.poly import PolyRing, buchberger, grevlex, poly_to_text, ring_map_kernel
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "analyze.json")
@@ -87,8 +87,9 @@ SUITE_FULL = "suite --level full"
 
 # S-polynomials each kernel elimination forms.  The engine's pair selection
 # and criteria decide these counts, so a change to either shows here even
-# when the bases come out the same.  (The 607 at n = 3 are ring_map_kernel's
-# alone: verify_kernel eliminates nothing.)  The eliminations are
+# when the bases come out the same.  The kernels are eliminated here with
+# ring_map_kernel, as a guard on the engine: verify_kernel and psi_kernel
+# prove theirs by certificates and eliminate nothing.  The eliminations are
 # indifferent to the order of pairs with equal lcms; the two tie witnesses
 # are not, and form 7 and 11 when the pair queued first pops first.
 S_POLYNOMIALS = {
@@ -210,7 +211,7 @@ def engine_answers():
     for n in (2, 3):
         for name, kernel in (
             (f"ker phi {n}", lambda: ring_map_kernel(tangent_cox_ideal(n, n).phi)),
-            (f"ker psi {n}", lambda: psi_kernel(n)),
+            (f"ker psi {n}", lambda: ring_map_kernel(build_psi(n))),
         ):
             with counting_s_polynomials() as calls:
                 kernels[name] = kernel()

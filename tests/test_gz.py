@@ -14,6 +14,8 @@ from tvbcox.gz import (
     diagonal_order,
     euler_flag_relation,
     flag_column_sets,
+    flag_kernel,
+    flag_presentation,
     flag_ring,
     generator_pattern,
     lead_marker,
@@ -29,7 +31,7 @@ from tvbcox.gz import (
     word_pattern_sum,
     word_to_text,
 )
-from tvbcox.poly import Ideal, grevlex, ideal_equal
+from tvbcox.poly import Ideal, grevlex, ideal_equal, poly_to_text, ring_map_kernel
 from tvbcox.suite import gz_relation_check
 from oracles import euler_quadric_by_sign_search
 
@@ -116,10 +118,11 @@ def test_psi_images():
 
 
 def test_euler_flag_relation_vanishes():
-    for n in (2, 3):
+    # tau in {0..n}: with 0 in tau from n = 3 on
+    for n in (2, 3, 4):
         psi = build_psi(n)
         for size in range(0, n - 1):
-            for tau in combinations(range(1, n + 1), size):
+            for tau in combinations(range(n + 1), size):
                 rel = euler_flag_relation(n, tau, psi)
                 assert psi(rel) == 0
 
@@ -147,6 +150,70 @@ def test_relation_families_n2_matches_kernel():
     assert len(families) == 1
     kernel = psi_kernel(2)
     assert ideal_equal(kernel, Ideal(psi.source, families))
+
+
+def test_zero_column_euler_family():
+    # flag_presentation adds the Euler-type quadrics with 0 in tau, one per
+    # tau' in [n] of size at most n - 3: none at n = 2, one at n = 3
+    for n, expected in ((2, 0), (3, 1)):
+        psi = build_psi(n)
+        extra = flag_presentation(n, psi)
+        for rel in relation_families(n, psi):
+            extra.remove(rel)
+        assert len(extra) == expected
+    v = psi.source.var
+    assert extra == [v("x1") * v("P01") + v("x2") * v("P02") + v("x3") * v("P03")]
+    with pytest.raises(ValueError):
+        euler_flag_relation(3, {0, 1})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_psi_kernel_matches_the_elimination(n):
+    kernel = psi_kernel(n)
+    eliminated = ring_map_kernel(build_psi(n))
+    order = grevlex(kernel.ring)
+    assert [poly_to_text(g, order) for g in kernel.gens] == [
+        poly_to_text(g, order) for g in eliminated.gens
+    ]
+
+
+def test_psi_kernel_cap(monkeypatch):
+    def built(n):
+        raise AssertionError("psi was built before the cap was checked")
+
+    monkeypatch.setattr(gz, "build_psi", built)
+    with pytest.raises(poly.CapExceeded):
+        psi_kernel(5)
+
+
+def test_saturation_certificate_needs_the_zero_column_family():
+    psi = build_psi(3)
+    got = flag_kernel(3, psi, gens=relation_families(3, psi))[1]
+    assert got["saturated"] is False
+    assert got["contained"] and got["left_inverse"]
+
+
+def test_contained_certificate_rejects_a_flipped_zero_column_sign():
+    psi = build_psi(3)
+    v = psi.source.var
+    flipped = v("x1") * v("P01") - v("x2") * v("P02") + v("x3") * v("P03")
+    got = flag_kernel(3, psi, gens=relation_families(3, psi) + [flipped])[1]
+    assert got["contained"] is False
+    assert got["left_inverse"]
+
+
+@pytest.mark.parametrize("saturating", [["x0"], ["P1"]])
+def test_left_inverse_certificate_refuses_an_unsaturated_inverse(saturating):
+    # flag_sigma inverts every x_j and P_1 at n = 3
+    got = flag_kernel(3, saturating=saturating)[1]
+    assert got["left_inverse"] is False
+    assert got["contained"] and got["saturated"] and got["symmetric"]
+
+
+def test_psi_kernel_refuses_a_failed_certificate(monkeypatch):
+    monkeypatch.setattr(gz, "flag_presentation", relation_families)
+    with pytest.raises(AssertionError, match="saturated"):
+        psi_kernel(3)
 
 
 def test_quadratic_relations_count_n3():
