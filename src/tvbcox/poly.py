@@ -214,20 +214,12 @@ class Polynomial:
         Every occurring variable must be mapped.  Negative source exponents
         require the image to be an invertible monomial.
         """
-        target = next((img.ring for img in images if img is not None), None)
-        if target is None:
+        rings = {img.ring for img in images if img is not None}
+        if not rings:
             raise ValueError("no images given")
-        result = target.const(0)
-        for m, c in self.terms.items():
-            part = target.const(c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                if images[i] is None:
-                    raise ValueError(f"no image for variable {self.ring.names[i]}")
-                part = part * images[i] ** e
-            result = result + part
-        return result
+        if len(rings) > 1:
+            raise ValueError("polynomials from different rings")
+        return _expand(self, images, rings.pop(), {})
 
     def __repr__(self):
         return poly_to_text(self, None)
@@ -581,11 +573,9 @@ def ideal_equal(a, b):
     if a.ring != b.ring:
         raise ValueError("ideals in different rings")
     order = grevlex(a.ring)
-    gb_a = a.groebner(order)
-    gb_b = b.groebner(order)
-    return all(not normal_form(g, gb_b, order) for g in a.gens) and all(
-        not normal_form(g, gb_a, order) for g in b.gens
-    )
+    in_a = membership_test(a.groebner(order), order)
+    in_b = membership_test(b.groebner(order), order)
+    return all(map(in_b, a.gens)) and all(map(in_a, b.gens))
 
 
 def eliminate(ideal, drop_names):
@@ -697,11 +687,56 @@ def symbolic_det(rows):
 # ring maps
 
 
+def _expand(f, images, target, powers):
+    """f under variable -> Polynomial images in target, expanded on dicts
+    with engine coefficients; powers memoizes images[i] ** e as engine
+    terms by (i, e), so a caller whose images are fixed can keep it."""
+    out = {}
+    for m, c in f.terms.items():
+        part = {(0,) * target.nvars: _engine(c)}
+        for i, e in enumerate(m):
+            if e:
+                if images[i] is None:
+                    raise ValueError(f"no image for variable {f.ring.names[i]}")
+                part = _times(part, _power(images, i, e, powers))
+        for t, a in part.items():
+            out[t] = out.get(t, 0) + a
+    return _fractions(target, {t: a for t, a in out.items() if a})
+
+
+def _power(images, i, e, powers):
+    """images[i] ** e as engine terms, memoized in powers: a monomial
+    directly (inverted for e < 0 when it is a unit), else by squaring."""
+    if (i, e) not in powers:
+        base = {m: _engine(c) for m, c in images[i].terms.items()}
+        if e < 0 and [abs(c) for c in base.values()] != [1]:
+            raise ValueError("negative power of a non-unit")
+        if len(base) == 1 or e == 1:
+            p = {tuple(a * e for a in m): c ** abs(e) for m, c in base.items()}
+        else:
+            half = _power(images, i, e >> 1, powers)
+            p = _times(half, half)
+            p = _times(p, base) if e & 1 else p
+        powers[i, e] = p
+    return powers[i, e]
+
+
+def _times(a, b):
+    """The product of two engine term dicts; zeros stay until _expand."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
 class RingMap:
     """Assignment of each source variable to a target Polynomial.
 
-    Images may be Laurent monomials (negative exponents); apply() expands
-    symbolically.
+    Images may be Laurent monomials (negative exponents); a call expands
+    symbolically.  The images are fixed when the map is built, so the map
+    memoizes their powers across calls.
     """
 
     def __init__(self, source, target, images):
@@ -714,12 +749,13 @@ class RingMap:
         for name, img in self.images.items():
             if img.ring != target:
                 raise ValueError(f"image of {name} lives in the wrong ring")
+        self._images = [self.images[name] for name in source.names]
+        self._powers = {}
 
     def __call__(self, f):
         if f.ring != self.source:
             raise ValueError("argument from the wrong ring")
-        images = [self.images[name] for name in self.source.names]
-        return f.substitute(images)
+        return _expand(f, self._images, self.target, self._powers)
 
 
 def transplant(f, target_ring):

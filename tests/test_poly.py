@@ -380,6 +380,55 @@ def test_ring_map_apply():
     assert phi(u**3 - v * v) == target.zero()
 
 
+def test_substitute_needs_an_image():
+    u, _ = PolyRing(["u", "v"]).gens()
+    with pytest.raises(ValueError, match="no images given"):
+        u.substitute([None, None])
+
+
+def test_substitute_needs_images_only_for_occurring_variables():
+    source, target = PolyRing(["u", "v"]), PolyRing(["s"])
+    u, v = source.gens()
+    s = target.var("s")
+    assert (3 * u * u).substitute([s + 1, None]) == 3 * (s + 1) ** 2
+    with pytest.raises(ValueError, match="no image for variable v"):
+        (u + v).substitute([s, None])
+
+
+def test_substitute_inverts_only_units():
+    source, target = PolyRing(["u", "v"]), PolyRing(["s", "t"])
+    u, v = source.gens()
+    s, t = target.gens()
+    assert (u ** -2 * v).substitute([-s * t ** -1, t]) == s ** -2 * t**3
+    for image in (2 * s, s + t, target.zero()):
+        with pytest.raises(ValueError, match="negative power of a non-unit"):
+            (u ** -1).substitute([image, t])
+
+
+def test_substitute_rejects_images_from_two_rings():
+    # images from rings of different sizes: their exponent tuples must not
+    # be added pairwise, which would truncate the longer one
+    source = PolyRing(["u", "v"])
+    u, v = source.gens()
+    small, large = PolyRing(["s"]), PolyRing(["s", "t"])
+    for images in ([small.var("s"), large.var("t")], [large.var("s"), small.var("s")]):
+        for f in (u * v, u, v, source.zero()):
+            with pytest.raises(ValueError, match="different rings"):
+                f.substitute(images)
+
+
+def test_substitute_maps_zero_to_the_target_zero():
+    source, target = PolyRing(["u"]), PolyRing(["s", "t"])
+    image = target.var("s")
+    assert source.zero().substitute([image]) == target.zero()
+    assert source.zero().substitute([image]).ring == target
+    u = source.var("u")
+    phi = RingMap(source, target, {"u": image})
+    assert phi(source.zero()) == target.zero()
+    # terms that cancel in the target leave its zero, not a zero coefficient
+    assert (u * u - u).substitute([target.one()]).terms == {}
+
+
 def test_transplant_matches_variables_by_name(xyz):
     other = PolyRing(["z", "y", "x", "w"])
     x, y, z = xyz.gens()

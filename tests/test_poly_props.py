@@ -114,6 +114,12 @@ def test_ideal_equal_is_symmetric(gens_a, gens_b, h, relation):
     assert ideal_equal(a, b) == ideal_equal(Ideal(RING, gens_b), Ideal(RING, gens_a))
     if relation == "same":
         assert ideal_equal(a, b)
+    # the answer of mutual membership, one normal form per generator
+    gb_a, gb_b = (ideal.groebner(grevlex(RING)) for ideal in (a, b))
+    assert ideal_equal(a, b) == (
+        all(not normal_form(g, gb_b, grevlex(RING)) for g in gens_a)
+        and all(not normal_form(g, gb_a, grevlex(RING)) for g in gens_b)
+    )
 
 
 @small
@@ -326,6 +332,11 @@ def test_the_engine_returns_fraction_coefficients(gens, order, f, k):
     kernel = ring_map_kernel(phi).gens
     assert len(kernel) == 1 and _all_fractions(kernel)
     assert not phi(kernel[0])
+    # ring-map images leave the expansion with Fraction coefficients too,
+    # integral ones included
+    a, _, c = ABC.gens()
+    images = [f.substitute([s_ * k[0], s_ + t_, t_**-1]), phi(a * c), phi(a * c - k[1] ** 2)]
+    assert _all_fractions(images)
 
 
 @small
@@ -335,3 +346,72 @@ def test_scaled_generators_give_the_same_reduced_basis(gens, order):
     gb = buchberger(scaled, order)
     assert gb == buchberger(gens, order)
     assert _all_fractions(gb)
+
+
+# Ring-map images against the product expansion they replaced: a source
+# variable maps to a Laurent unit monomial (coefficient +-1, which may take
+# negative exponents) or to a polynomial of up to three terms with Fraction
+# coefficients; c maps to the product of the images of a and b, so every
+# multiple of c - a*b maps to 0 with its terms cancelling.
+ST_MONOMIALS = [e for e in itertools.product(range(3), repeat=2) if sum(e) <= 2]
+unit_images = st.tuples(st.sampled_from([1, -1]), st.integers(-2, 2), st.integers(-2, 2)).map(
+    lambda u: ST.monomial(u[1:], u[0])
+)
+multi_term_images = st.lists(
+    st.tuples(st.sampled_from(ST_MONOMIALS), scales), min_size=2, max_size=3
+).map(ST.from_terms)
+
+
+def _product_expansion(f, images, target):
+    """f under the images, one Polynomial product per factor."""
+    result = target.zero()
+    for m, c in f.terms.items():
+        part = target.const(c)
+        for i, e in enumerate(m):
+            if e:
+                part = part * images[i] ** e
+        result = result + part
+    return result
+
+
+def _is_unit(img):
+    return len(img.terms) == 1 and abs(next(iter(img.terms.values()))) == 1
+
+
+@st.composite
+def ring_maps(draw):
+    a, b = (draw(st.one_of(unit_images, multi_term_images)) for _ in "ab")
+    return [a, b, a * b]
+
+
+def source_polys(images, max_size=4):
+    """Polynomials in a, b, c with negative exponents only on variables
+    whose image is a unit."""
+    exps = st.tuples(*(st.integers(-2 if _is_unit(img) else 0, 2) for img in images))
+    return st.lists(st.tuples(exps, scales), max_size=max_size).map(ABC.from_terms)
+
+
+@small
+@given(st.data())
+def test_substitute_matches_the_product_expansion(data):
+    images = data.draw(ring_maps())
+    h, r = (data.draw(source_polys(images)) for _ in "hr")
+    a, b, c = ABC.gens()
+    phi = RingMap(ABC, ST, dict(zip(ABC.names, images)))
+    cancelling = h * (c - a * b)
+    assert phi(cancelling).terms == {} and cancelling.substitute(images).terms == {}
+    f = cancelling + r
+    expected = _product_expansion(f, images, ST)
+    for image in (f.substitute(images), phi(f)):
+        assert image == expected and image.ring == ST and _all_fractions([image])
+
+
+@small
+@given(st.data())
+def test_a_ring_map_keeps_its_powers_across_calls(data):
+    images = data.draw(ring_maps())
+    fs = data.draw(st.lists(source_polys(images, max_size=3), min_size=2, max_size=6))
+    phi = RingMap(ABC, ST, dict(zip(ABC.names, images)))
+    for f in fs:
+        fresh = RingMap(ABC, ST, dict(zip(ABC.names, images)))
+        assert phi(f) == fresh(f) == _product_expansion(f, images, ST)
