@@ -6,6 +6,7 @@ presentation map into the Laurent/polynomial target ring, the quiver-style
 initial ideal, and the Plucker identification at n = 2.
 """
 
+from functools import lru_cache
 from itertools import combinations
 from operator import mul
 
@@ -284,12 +285,7 @@ def kernel_by_saturation(claimed, phi, sigma, weights, saturating, symmetries):
     quotients = []
     for name in saturating:
         i = ring.index[name]
-        # the weighted degree, then revlex with u last: within one degree the
-        # fewest u lead, so u^k divides a lead term only if it divides g
-        revlex = [i] + [k for k in reversed(range(ring.nvars)) if k != i]
-        u_last = MatrixOrder(
-            [weights] + [[-1 if k == r else 0 for k in range(ring.nvars)] for r in revlex]
-        )
+        u_last = _u_last_order(ring, i, tuple(weights))
         # an element that u does not divide is its own quotient, in J already
         powers = [(g, min(m[i] for m in g.terms)) for g in claimed.groebner(u_last)]
         quotients += [g * ring.var(name) ** -k for g, k in powers if k]
@@ -308,6 +304,18 @@ def kernel_by_saturation(claimed, phi, sigma, weights, saturating, symmetries):
         "saturated": all(in_claimed(g) for g in quotients),
         "symmetric": all(in_claimed(g(f)) for g in symmetries for f in claimed.gens),
     }
+
+
+@lru_cache(maxsize=None)
+def _u_last_order(ring, i, weights):
+    """The weighted degree, then revlex with variable i last: within one
+    degree the fewest x_i lead, so x_i^k divides a lead term only if it
+    divides the element.  Built once per (ring, i, weights), since every
+    proof saturates the same variables and compiling the key is not free."""
+    revlex = [i] + [k for k in reversed(range(ring.nvars)) if k != i]
+    return MatrixOrder(
+        [weights] + [[-1 if k == r else 0 for k in range(ring.nvars)] for r in revlex]
+    )
 
 
 def _variable_permutation(g, weights):

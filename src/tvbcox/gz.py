@@ -13,7 +13,7 @@ from itertools import accumulate, chain, combinations, combinations_with_replace
 from math import comb
 from typing import NamedTuple
 
-from .cox import kernel_by_saturation, t_name, x_name, yy_name
+from .cox import kernel_by_saturation, phi_target_ring, t_name, x_name, yy_name
 from .linalg import left_kernel_basis
 from .poly import (
     CapExceeded,
@@ -315,12 +315,6 @@ def flag_ring(n: int):
     return PolyRing(names)
 
 
-def psi_target_ring(n):
-    names = [t_name(j) for j in range(n + 1)]
-    names += [yy_name(i, j) for i in range(1, n) for j in range(1, n + 1)]
-    return PolyRing(names)
-
-
 def build_psi(n: int):
     """Presentation map of the Cox ring of the full flag bundle of T_n.
 
@@ -331,7 +325,7 @@ def build_psi(n: int):
     if n < 2:
         raise ValueError("need n >= 2")
     source = flag_ring(n)
-    target = psi_target_ring(n)
+    target = phi_target_ring(n, n - 1)
 
     def column(i, j):
         if j == 0:

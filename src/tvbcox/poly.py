@@ -3,7 +3,10 @@
 Monomials are exponent tuples over a fixed variable table (PolyRing).
 Exponents may be negative in plain arithmetic (Laurent monomials are needed
 to evaluate ring maps like x_j -> t_j^-1); everything order-related
-(division, Groebner bases) insists on the positive orthant.
+(division, Groebner bases) insists on the positive orthant.  A Polynomial
+holds Fraction coefficients; the engine works on plain dicts of terms whose
+coefficients are ints when integral, and its one product (_times) and one
+power (_power) serve both Polynomial * and ** and ring-map images.
 """
 
 from fractions import Fraction
@@ -142,41 +145,19 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return self.ring.zero()
-            return Polynomial(self.ring, {m: cf * c for m, cf in self.terms.items()})
+            other = self.ring.const(other)
         self._check_ring(other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(map(add, m1, m2))
-                acc = out.get(m, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
-        return Polynomial(self.ring, out)
+        return _fractions(self.ring, _times(_engine_terms(self), _engine_terms(other)))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __pow__(self, k):
-        if k < 0:
-            if len(self.terms) == 1:
-                m, c = next(iter(self.terms.items()))
-                if abs(c) == 1:
-                    inv = tuple(-e for e in m)
-                    return Polynomial(self.ring, {inv: Fraction(c ** -1)}) ** (-k)
-            raise ValueError("negative power of a non-unit")
-        result = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if not isinstance(k, int):
+            raise TypeError(f"exponent must be an int, not {type(k).__name__}")
+        if k == 0:
+            return self.ring.one()
+        return _fractions(self.ring, _power([self], 0, k, {}))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -329,9 +310,15 @@ def _engine(c):
     return c.numerator if c.denominator == 1 else c
 
 
+def _engine_terms(f):
+    """f's terms as a new dict with engine coefficients."""
+    return {m: _engine(c) for m, c in f.terms.items()}
+
+
 def _fractions(ring, terms):
-    """Engine terms as a Polynomial, with Fraction coefficients again."""
-    return Polynomial(ring, {m: Fraction(c) for m, c in terms.items()})
+    """Engine terms as a Polynomial, with Fraction coefficients again and
+    the zero ones dropped."""
+    return Polynomial(ring, {m: Fraction(c) for m, c in terms.items() if c})
 
 
 def _divisor(g, order):
@@ -380,7 +367,7 @@ def _reduce(f, divisors, order):
     A divisor whose lead support is not inside the term's is skipped
     before exponents are compared (Bachmann & Schoenemann 1998)."""
     key = order.neg_key
-    work = {m: _engine(c) for m, c in f.terms.items()}
+    work = _engine_terms(f)
     heap = [(key(m), m) for m in work]
     heapify(heap)
     remainder = {}
@@ -701,14 +688,14 @@ def _expand(f, images, target, powers):
                 part = _times(part, _power(images, i, e, powers))
         for t, a in part.items():
             out[t] = out.get(t, 0) + a
-    return _fractions(target, {t: a for t, a in out.items() if a})
+    return _fractions(target, out)
 
 
 def _power(images, i, e, powers):
     """images[i] ** e as engine terms, memoized in powers: a monomial
     directly (inverted for e < 0 when it is a unit), else by squaring."""
     if (i, e) not in powers:
-        base = {m: _engine(c) for m, c in images[i].terms.items()}
+        base = _engine_terms(images[i])
         if e < 0 and [abs(c) for c in base.values()] != [1]:
             raise ValueError("negative power of a non-unit")
         if len(base) == 1 or e == 1:
@@ -722,7 +709,7 @@ def _power(images, i, e, powers):
 
 
 def _times(a, b):
-    """The product of two engine term dicts; zeros stay until _expand."""
+    """The product of two engine term dicts; zeros stay until _fractions."""
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():

@@ -238,6 +238,16 @@ def test_kernel_by_saturation_needs_a_positive_grading_of_j():
         kernel_by_saturation(claimed, phi, sigma, [0] * spec.ring.nvars, ["x0"], symmetries)
 
 
+def test_saturation_orders_are_built_once_per_ring_variable_and_weights():
+    a, b = PolyRing(["x", "y", "z"]), PolyRing(["x", "y", "z"])
+    order = cox._u_last_order(a, 0, (1, 2, 3))
+    assert cox._u_last_order(b, 0, (1, 2, 3)) is order
+    assert cox._u_last_order(a, 1, (1, 2, 3)) is not order
+    assert cox._u_last_order(a, 0, (1, 1, 1)) is not order
+    # x^2 and y have weighted degree 2; with x last, the one without x leads
+    assert order.key((0, 1, 0)) > order.key((2, 0, 0))
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_left_inverse_certificate_needs_every_inverted_variable_saturated(n):
     # sigma inverts every x_j; with no symmetries only x_0 is saturated

@@ -28,10 +28,11 @@ from tvbcox.cox import (
     delta_order,
     delta_weights,
     lemma_ring,
+    phi_target_ring,
     row_completing_order,
     tangent_cox_ideal,
 )
-from tvbcox.gz import diagonal_order, psi_target_ring
+from tvbcox.gz import diagonal_order
 from tvbcox.linalg import rational_rank
 from oracles import (
     block_greater,
@@ -71,8 +72,46 @@ def test_laurent_monomial_arithmetic(xyz):
     inv = x ** (-1)
     assert inv * x == xyz.one()
     assert (y * inv) * x == y
-    with pytest.raises(ValueError):
-        (x + y) ** (-1)
+
+
+def test_negative_powers_invert_only_unit_monomials(xyz):
+    x, y, _ = xyz.gens()
+    assert (-x * y ** -2) ** -3 == xyz.monomial([-3, 6, 0], -1)
+    assert (-x) ** -2 == xyz.monomial([-2, 0, 0])
+    for f in (2 * x, x + y, xyz.zero()):
+        with pytest.raises(ValueError, match="negative power of a non-unit"):
+            f ** -1
+
+
+def test_powers_take_int_exponents_only(xyz):
+    x, y, _ = xyz.gens()
+    for f in (x, x + y):
+        for k in (0.5, 2.0, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                f ** k
+
+
+def test_the_zeroth_power_is_one(xyz):
+    x, y, _ = xyz.gens()
+    for f in (x, 2 * x - y, x ** -1, xyz.zero()):
+        assert f ** 0 == xyz.one()
+
+
+def test_products_by_zero_and_across_rings(xyz):
+    x, y, _ = xyz.gens()
+    f = x * y - 3
+    for zero in (0, Fraction(0), xyz.zero()):
+        for product in (f * zero, zero * f):
+            assert product.terms == {} and product.ring == xyz
+    with pytest.raises(ValueError, match="polynomials from different rings"):
+        f * PolyRing(["x", "y"]).var("x")
+
+
+def test_products_and_powers_have_fraction_coefficients(xyz):
+    x, y, _ = xyz.gens()
+    f = x * Fraction(1, 2) - 2 * y
+    for g in (f * f, f * 2, 3 * f, f * Fraction(2, 3), f**3, (-x) ** -3, f**0):
+        assert g and all(type(c) is Fraction for c in g.terms.values())
 
 
 def test_lex_and_grevlex_keys(xyz):
@@ -150,7 +189,7 @@ def test_every_order_the_package_builds_has_full_column_rank():
         (graph, elimination_order(graph, target.names)),
         (source, delta_order(source)),
         (lemma_ring(3), row_completing_order(lemma_ring(3), 3)),
-        (psi_target_ring(3), diagonal_order(psi_target_ring(3), 3)),
+        (phi_target_ring(3, 2), diagonal_order(phi_target_ring(3, 2), 3)),
     ]
     for ring, order in cases:
         assert rational_rank(order.rows) == ring.nvars

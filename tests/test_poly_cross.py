@@ -181,3 +181,30 @@ def test_ring_map_kernel_matches_sympy_elimination():
             for e in sympy_kernel_basis(images, source_syms, t, s, u if laurent else None)
         }
         assert got and got == expected, f"trial {trial}: {images}"
+
+
+def random_laurent(ring, rng, terms):
+    """A polynomial of up to the given number of terms, exponents -2 to 2
+    and Fraction coefficients."""
+    coeffs = [-2, 1, Fraction(3, 2), Fraction(-1, 3)]
+    return ring.from_terms(
+        ([rng.randrange(-2, 3) for _ in ring.names], rng.choice(coeffs)) for _ in range(terms)
+    )
+
+
+def test_products_and_powers_match_sympy():
+    """* and ** on random Laurent polynomials, and negative powers of unit
+    monomials, against sympy's expansion of the same expressions."""
+    rng = random.Random(151)
+    ring = PolyRing(NAMES[:3])
+    syms = sympy.symbols(ring.names)
+    for trial in range(40):
+        f, g = (random_laurent(ring, rng, rng.randrange(4)) for _ in "fg")
+        unit = ring.monomial([rng.randrange(-2, 3) for _ in ring.names], rng.choice([1, -1]))
+        c = rng.choice([0, 3, Fraction(-2, 5)])
+        k = rng.randrange(-4, 6)
+        F, G, U = (to_sympy(p, syms) for p in (f, g, unit))
+        cases = [(f * g, F * G), (f * c, F * sympy.sympify(c)), (unit**k, U**k)]
+        cases += [(f**e, F**e) for e in range(6)]
+        for got, expected in cases:
+            assert sympy.expand(to_sympy(got, syms) - expected) == 0, f"trial {trial}: {f}, {g}"

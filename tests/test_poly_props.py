@@ -348,11 +348,11 @@ def test_scaled_generators_give_the_same_reduced_basis(gens, order):
     assert _all_fractions(gb)
 
 
-# Ring-map images against the product expansion they replaced: a source
-# variable maps to a Laurent unit monomial (coefficient +-1, which may take
-# negative exponents) or to a polynomial of up to three terms with Fraction
-# coefficients; c maps to the product of the images of a and b, so every
-# multiple of c - a*b maps to 0 with its terms cancelling.
+# Ring-map images against a product expansion written out in the test: a
+# source variable maps to a Laurent unit monomial (coefficient +-1, which may
+# take negative exponents) or to a polynomial of up to three terms with
+# Fraction coefficients; c maps to the product of the images of a and b, so
+# every multiple of c - a*b maps to 0 with its terms cancelling.
 ST_MONOMIALS = [e for e in itertools.product(range(3), repeat=2) if sum(e) <= 2]
 unit_images = st.tuples(st.sampled_from([1, -1]), st.integers(-2, 2), st.integers(-2, 2)).map(
     lambda u: ST.monomial(u[1:], u[0])
@@ -362,16 +362,31 @@ multi_term_images = st.lists(
 ).map(ST.from_terms)
 
 
+def _term_product(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
 def _product_expansion(f, images, target):
-    """f under the images, one Polynomial product per factor."""
-    result = target.zero()
+    """f under the images, multiplied out on term dicts with no Polynomial
+    product or power: image ** e is e products in a row, of the inverted
+    monomial when e < 0."""
+    result = []
     for m, c in f.terms.items():
-        part = target.const(c)
-        for i, e in enumerate(m):
-            if e:
-                part = part * images[i] ** e
-        result = result + part
-    return result
+        part = {(0,) * target.nvars: c}
+        for img, e in zip(images, m):
+            factor = img.terms
+            if e < 0:
+                ((mono, coeff),) = factor.items()
+                factor, e = {tuple(-a for a in mono): 1 / coeff}, -e
+            for _ in range(e):
+                part = _term_product(part, factor)
+        result += part.items()
+    return target.from_terms(result)
 
 
 def _is_unit(img):
