@@ -208,7 +208,7 @@ def cmd_cauchy(args):
 def cmd_gz_verify(args):
     results = suite.gz_verify(args.n, args.max_word_length)
     code = EXIT_OK if results["confluence"]["confluent"] else EXIT_CHECK_FAILED
-    return str(args.n), results, code
+    return f"{args.n},{args.max_word_length}", results, code
 
 
 def cmd_gz_subduct(args):

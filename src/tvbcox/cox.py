@@ -85,36 +85,39 @@ def det_forget_column(ring, n, j):
     return symbolic_det(rows)
 
 
+def euler_minor(target, n, rows, cols):
+    """The minor on rows x cols of the matrix whose column 0 is
+    -sum_j y_ij and whose column j is y_ij, times t^cols.  Each row sums
+    to 0, as the Euler relations ask; phi and psi send every generator
+    other than x_j to such a minor."""
+    cols = sorted(cols)
+    y = [[target.var(yy_name(i, j)) for j in range(1, n + 1)] for i in rows]
+    image = symbolic_det([[r[j - 1] if j else -sum(r, target.zero()) for j in cols] for r in y])
+    for j in cols:
+        image = image * target.var(t_name(j))
+    return image
+
+
 def build_phi(n: int, m: int):
     """The presentation map of the Cox ring of P(T_n tensor K^m).
 
-    x_j -> t_j^-1, Y_i0 -> (-sum_j y_ij) t_0, Y_ij -> y_ij t_j, and for
-    m >= n one determinantal generator per n-subset tau of rows:
-    W_tau -> det[y(0, tau)] t_0...t_n.
+    x_j -> t_j^-1, Y_ij -> the (i, j) entry of euler_minor's matrix times
+    t_j, and for m >= n one determinantal generator per n-subset tau of
+    rows: W_tau -> det[y(tau, 1..n)] t_0...t_n.
     """
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
     source = presentation_ring(n, m)
     target = phi_target_ring(n, m)
-    images = {}
-    for j in range(n + 1):
-        t = target.var(t_name(j))
-        images[x_name(j)] = t ** (-1)
+    images = {x_name(j): target.var(t_name(j)) ** -1 for j in range(n + 1)}
     for i in range(1, m + 1):
-        col0 = target.zero()
-        for j in range(1, n + 1):
-            col0 = col0 - target.var(yy_name(i, j))
-        images[y_name(i, 0)] = col0 * target.var(t_name(0))
-        for j in range(1, n + 1):
-            images[y_name(i, j)] = target.var(yy_name(i, j)) * target.var(t_name(j))
-    if m >= n:
-        t_all = target.one()
         for j in range(n + 1):
-            t_all = t_all * target.var(t_name(j))
+            images[y_name(i, j)] = euler_minor(target, n, [i], [j])
+    if m >= n:
+        t_0 = target.var(t_name(0))
         for tau in combinations(range(1, m + 1), n):
-            rows = [[target.var(yy_name(i, j)) for j in range(1, n + 1)] for i in tau]
             name = w_name() if m == n else w_name(tau)
-            images[name] = symbolic_det(rows) * t_all
+            images[name] = euler_minor(target, n, tau, range(1, n + 1)) * t_0
     return RingMap(source, target, images)
 
 
@@ -250,7 +253,7 @@ def delta_initial_ideal(ideal, grading=None):
     return Ideal(ideal.ring, [weight_initial(g, w) for g in gb])
 
 
-def kernel_by_saturation(claimed, phi, sigma, weights, saturating, symmetries):
+def kernel_by_saturation(claimed, phi, sigma, weights, symmetries):
     """Certificates that ker(phi) is the ideal J = claimed, with no
     elimination: the swap of an elimination for a saturation used for
     toric ideals (Sturmfels 1996, ch. 12; Bigatti, La Scala & Robbiano
@@ -261,18 +264,17 @@ def kernel_by_saturation(claimed, phi, sigma, weights, saturating, symmetries):
     - left_inverse: sigma, a map from phi's target into the source with
       Laurent images, inverts phi modulo J once v is inverted: for every
       source variable s, v^a (sigma(phi(s)) - s) lies in J.  Then each f
-      in K equals f - sigma(phi(f)) in J_v, so K lies in J : v^inf.  It
-      fails unless every variable that sigma inverts is named in
-      saturating or carried there by a symmetry.
-    - saturated: J : u^inf = J for every u named in saturating.  J is
-      homogeneous for the positive weights (checked), so under the
-      weighted revlex order with u last the basis elements divided by
-      their largest power of u generate J : u^inf (Bayer & Stillman
-      1987); each must lie in J.
+      in K equals f - sigma(phi(f)) in J_v, so K lies in J : v^inf.
+    - saturated: J : u^inf = J for the first inverted variable u, in ring
+      order, of each orbit under the symmetries that permute the
+      variables up to sign and keep the weights.  J is homogeneous for
+      the positive weights (checked), so under the weighted revlex order
+      with u last the basis elements divided by their largest power of u
+      generate J : u^inf (Bayer & Stillman 1987); each must lie in J.
     - symmetric: each ring map of symmetries sends every generator into
       J.  One that permutes the variables up to sign and keeps the
       weights then maps J onto J, and carries J : u^inf = J to
-      J : g(u)^inf = J.
+      J : g(u)^inf = J, so J is saturated by every inverted variable.
 
     All four give K = J : v^inf = J.  Returns the reduced grevlex basis of
     J and the certificates by name, each True when it holds.
@@ -282,23 +284,25 @@ def kernel_by_saturation(claimed, phi, sigma, weights, saturating, symmetries):
     order = grevlex(ring)
     gb = claimed.groebner(order)
     in_claimed = poly.membership_test(gb, order)
-    quotients = []
-    for name in saturating:
-        i = ring.index[name]
-        u_last = _u_last_order(ring, i, tuple(weights))
-        # an element that u does not divide is its own quotient, in J already
-        powers = [(g, min(m[i] for m in g.terms)) for g in claimed.groebner(u_last)]
-        quotients += [g * ring.var(name) ** -k for g, k in powers if k]
+    moves = [p for p in (_variable_permutation(g, weights) for g in symmetries) if p]
     inverted = {
         i for img in sigma.images.values() for m in img.terms for i, e in enumerate(m) if e < 0
     }
-    covered = {ring.index[name] for name in saturating}
-    moves = [p for p in (_variable_permutation(g, weights) for g in symmetries) if p]
-    for _ in range(ring.nvars):
-        covered |= {p[i] for p in moves for i in covered}
+    quotients, covered = [], set()
+    for i in sorted(inverted):
+        if i in covered:  # a symmetry carries an earlier saturated variable to it
+            continue
+        orbit = {i}
+        while orbit:
+            covered |= orbit
+            orbit = {p[k] for p in moves for k in orbit} - covered
+        u_last = _u_last_order(ring, i, tuple(weights))
+        # an element that u does not divide is its own quotient, in J already
+        powers = [(g, min(m[i] for m in g.terms)) for g in claimed.groebner(u_last)]
+        quotients += [g * ring.var(ring.names[i]) ** -k for g, k in powers if k]
     return gb, {
         "contained": all(phi(g) == 0 for g in claimed.gens),
-        "left_inverse": inverted <= covered and all(
+        "left_inverse": all(
             in_claimed(_clear_denominators(sigma(phi(s)) - s)) for s in ring.gens()
         ),
         "saturated": all(in_claimed(g) for g in quotients),
@@ -350,10 +354,22 @@ def tangent_sigma(spec):
     return RingMap(spec.phi.target, ring, images)
 
 
-def column_permutation(spec, perm, w_sign):
-    """The ring map x_j -> x_perm[j], Y_ij -> Y_i,perm[j], W -> w_sign W."""
+def sorting_sign(seq):
+    """The sign of the permutation that sorts the distinct entries of seq."""
+    return (-1) ** sum(a > b for a, b in combinations(seq, 2))
+
+
+def column_generators(n):
+    """The swap of columns 0 and 1 and the cycle j -> j + 1 mod n + 1,
+    which generate the permutations of the n + 1 columns."""
+    return [[1, 0] + list(range(2, n + 1)), [(j + 1) % (n + 1) for j in range(n + 1)]]
+
+
+def column_permutation(spec, perm):
+    """The ring map x_j -> x_perm[j], Y_ij -> Y_i,perm[j], W -> e W with e
+    the sign of perm, as the maximal minors follow it."""
     ring = spec.ring
-    images = {w_name(): w_sign * ring.var(w_name())}
+    images = {w_name(): sorting_sign(perm) * ring.var(w_name())}
     for j, p in enumerate(perm):
         images[x_name(j)] = ring.var(x_name(p))
         for i in range(1, spec.m + 1):
@@ -362,21 +378,16 @@ def column_permutation(spec, perm, w_sign):
 
 
 def tangent_symmetries(spec):
-    """Swap columns 0 and 1 with W -> -W, and the cycle j -> j + 1 mod
-    n + 1 with W -> (-1)^n W: W follows the sign of the permutation, as
-    the maximal minors do.  The two generate S_{n+1}."""
-    n = spec.n
-    swap = [1, 0] + list(range(2, n + 1))
-    cycle = [(j + 1) % (n + 1) for j in range(n + 1)]
-    return [column_permutation(spec, swap, -1), column_permutation(spec, cycle, (-1) ** n)]
+    """column_permutation of the two column generators."""
+    return [column_permutation(spec, perm) for perm in column_generators(spec.n)]
 
 
 def tangent_kernel(spec):
     """kernel_by_saturation on the m = n presentation: sigma inverts the
-    x_j, x_0 is saturated and the column symmetries carry it to every x_j."""
+    x_j, and the column symmetries carry x_0 to every x_j, so only x_0 is
+    saturated."""
     return kernel_by_saturation(
-        spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), [x_name(0)],
-        tangent_symmetries(spec),
+        spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), tangent_symmetries(spec)
     )
 
 

@@ -13,7 +13,16 @@ from itertools import accumulate, chain, combinations, combinations_with_replace
 from math import comb
 from typing import NamedTuple
 
-from .cox import kernel_by_saturation, phi_target_ring, t_name, x_name, yy_name
+from .cox import (
+    column_generators,
+    euler_minor,
+    kernel_by_saturation,
+    phi_target_ring,
+    sorting_sign,
+    t_name,
+    x_name,
+    yy_name,
+)
 from .linalg import left_kernel_basis
 from .poly import (
     CapExceeded,
@@ -23,7 +32,6 @@ from .poly import (
     lex,
     normal_form,
     poly_to_text,
-    symbolic_det,
 )
 
 # Largest number of words confluence_sweep canonicalizes.
@@ -316,37 +324,16 @@ def flag_ring(n: int):
 
 
 def build_psi(n: int):
-    """Presentation map of the Cox ring of the full flag bundle of T_n.
-
-    P over columns `cols` goes to the top-justified minor of the matrix
-    whose 0-th column carries the Euler syzygy (-sum_j y_ij) and whose j-th
-    column is y_.j, times the torus monomial t^cols.
-    """
+    """Presentation map of the Cox ring of the full flag bundle of T_n:
+    x_j -> t_j^-1 and P over columns `cols` -> the top-justified
+    euler_minor on those columns."""
     if n < 2:
         raise ValueError("need n >= 2")
-    source = flag_ring(n)
     target = phi_target_ring(n, n - 1)
-
-    def column(i, j):
-        if j == 0:
-            total = target.zero()
-            for jj in range(1, n + 1):
-                total = total - target.var(yy_name(i, jj))
-            return total
-        return target.var(yy_name(i, j))
-
-    images = {}
-    for j in range(n + 1):
-        images[x_name(j)] = target.var(t_name(j)) ** (-1)
+    images = {x_name(j): target.var(t_name(j)) ** -1 for j in range(n + 1)}
     for cols in flag_column_sets(n):
-        ordered = sorted(cols)
-        rows = [[column(i, j) for j in ordered] for i in range(1, len(cols) + 1)]
-        det = symbolic_det(rows)
-        t_mono = target.one()
-        for j in cols:
-            t_mono = t_mono * target.var(t_name(j))
-        images[p_name(cols)] = det * t_mono
-    return RingMap(source, target, images)
+        images[p_name(cols)] = euler_minor(target, n, range(1, len(cols) + 1), cols)
+    return RingMap(flag_ring(n), target, images)
 
 
 def diagonal_order(target_ring, n):
@@ -542,30 +529,21 @@ def column_symmetry(ring, n, perm):
     images = {x_name(j): ring.var(x_name(p)) for j, p in enumerate(perm)}
     for name in ring.names[n + 1 :]:
         cols = [perm[c] for c in _cols_of(name)]
-        sign = (-1) ** sum(a > b for a, b in combinations(cols, 2))
-        images[name] = sign * ring.var(p_name(cols))
+        images[name] = sorting_sign(cols) * ring.var(p_name(cols))
     return RingMap(ring, ring, images)
 
 
-def flag_kernel(n, psi=None, gens=None, saturating=None):
-    """kernel_by_saturation for psi: J the ideal of gens (by default
-    flag_presentation(n)), saturated by x_0 and the leading minors P_1,
-    ..., P_{1..n-2} that flag_sigma inverts (by default); the swap of
-    columns 0 and 1 and the cycle j -> j + 1 mod n + 1 carry them to every
-    x_j and every P_S with |S| < n - 1."""
-    psi = psi or build_psi(n)
+def flag_kernel(n, psi):
+    """kernel_by_saturation for psi: J the ideal of flag_presentation(n),
+    flag_sigma inverting x_0..x_n and the leading minors P_1, ...,
+    P_{1..n-2}, and the column_symmetry of the two column generators,
+    which carry x_0 to every x_j and P_{1..k} to every P_S with |S| = k."""
     ring = psi.source
-    if gens is None:
-        gens = flag_presentation(n, psi)
-    if saturating is None:
-        saturating = [x_name(0)] + [p_name(range(1, k + 1)) for k in range(1, n - 1)]
     # x_j weighs 1 and P over cols weighs |cols|: every relation is homogeneous
     weights = [1 if name.startswith("x") else len(_cols_of(name)) for name in ring.names]
-    swap = [1, 0] + list(range(2, n + 1))
-    cycle = [(j + 1) % (n + 1) for j in range(n + 1)]
     return kernel_by_saturation(
-        Ideal(ring, gens), psi, flag_sigma(psi, n), weights, saturating,
-        [column_symmetry(ring, n, swap), column_symmetry(ring, n, cycle)],
+        Ideal(ring, flag_presentation(n, psi)), psi, flag_sigma(psi, n), weights,
+        [column_symmetry(ring, n, perm) for perm in column_generators(n)],
     )
 
 
@@ -807,8 +785,10 @@ def all_generators(n):
 
 
 def sweep_word_count(n, max_len):
-    """Number of words of 1 to max_len generators at n.  Raises CapExceeded
-    past SWEEP_CAP."""
+    """Number of words of 1 to max_len generators at n.  Raises ValueError
+    for max_len < 1, a sweep of no word, and CapExceeded past SWEEP_CAP."""
+    if max_len < 1:
+        raise ValueError(f"the largest word length must be at least 1, got {max_len}")
     gens = len(all_generators(n))
     count = sum(comb(gens + k - 1, k) for k in range(1, max_len + 1))
     if count > SWEEP_CAP:

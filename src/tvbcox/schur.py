@@ -107,7 +107,10 @@ def picard_degree(kind, n, size=None):
 
 
 def cauchy_table(max_degree: int, e: int, v: int):
-    """Rows (d, lhs, rhs, equal) for d = 0..max_degree."""
+    """Rows (d, lhs, rhs, equal) for d = 0..max_degree; max_degree < 0,
+    a table of no row, raises ValueError."""
+    if max_degree < 0:
+        raise ValueError(f"the largest degree must be at least 0, got {max_degree}")
     rows = []
     for d in range(max_degree + 1):
         equal, lhs, rhs = cauchy_verify(d, e, v)

@@ -205,6 +205,30 @@ def test_gz_verify_command(capsys):
     assert json.loads(out)["results"]["confluence"]["confluent"] is True
 
 
+def test_cauchy_rejects_a_negative_degree(capsys):
+    code, out, err = run(capsys, "cauchy", "--dim-e", "2", "--dim-v", "2", "--max-degree", "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "largest degree must be at least 0, got -1" in err
+
+
+@pytest.mark.parametrize("length", ["0", "-1"])
+def test_gz_verify_rejects_a_sweep_of_no_word(capsys, length):
+    code, out, err = run(capsys, "gz", "verify", "--n", "2", "--max-word-length", length)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"largest word length must be at least 1, got {length}" in err
+
+
+def test_gz_verify_hashes_the_word_length(capsys):
+    hashes = set()
+    for length in ("2", "3"):
+        code, out, _ = run(capsys, "gz", "verify", "--n", "2", "--max-word-length", length)
+        assert code == EXIT_OK
+        hashes.add(json.loads(out)["inputs_hash"])
+    assert len(hashes) == 2
+
+
 def test_gz_subduct_command(capsys):
     code, out, _ = run(
         capsys,

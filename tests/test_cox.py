@@ -7,20 +7,24 @@ from tvbcox import cox, poly
 from tvbcox.cox import (
     PresentationSpec,
     build_phi,
+    column_generators,
     column_permutation,
     delta_initial_ideal,
     delta_weights,
     det_forget_column,
     euler_generators,
+    euler_minor,
     initial_comparison,
     kernel_by_saturation,
     lemma_ideal,
     minors_only_dimension,
+    phi_target_ring,
     plucker_quadrics,
     pluecker_match,
     presentation_ring,
     quiver_ideal,
     row_completing_order,
+    t_name,
     tangent_cox_ideal,
     tangent_sigma,
     tangent_symmetries,
@@ -29,6 +33,7 @@ from tvbcox.cox import (
     w_name,
     x_name,
     y_name,
+    yy_name,
 )
 from tvbcox.poly import (
     Ideal,
@@ -168,8 +173,12 @@ def certificates(spec, symmetries=None):
     if symmetries is None:
         symmetries = tangent_symmetries(spec)
     return kernel_by_saturation(
-        spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), ["x0"], symmetries
+        spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), symmetries
     )[1]
+
+
+def with_w_negated(g):
+    return RingMap(g.source, g.target, dict(g.images, W=-g.images["W"]))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -209,20 +218,17 @@ def test_left_inverse_certificate_rejects_a_wrong_w_image(n):
 @pytest.mark.parametrize("n", [2, 3])
 def test_symmetry_certificate_rejects_a_wrong_w_sign(n):
     spec = tangent_cox_ideal(n, n)
-    swap = [1, 0] + list(range(2, n + 1))
-    cycle = [(j + 1) % (n + 1) for j in range(n + 1)]
-    for perm, w_sign in ((swap, 1), (cycle, -((-1) ** n))):
-        # beside the right pair, which carries x_0 to every x_j
-        wrong = column_permutation(spec, perm, w_sign)
-        got = certificates(spec, tangent_symmetries(spec) + [wrong])
-        assert got["symmetric"] is False, (perm, w_sign)
+    for perm in column_generators(n):
+        got = certificates(spec, [with_w_negated(column_permutation(spec, perm))])
+        assert got["symmetric"] is False, perm
         assert got["contained"] and got["left_inverse"] and got["saturated"]
 
 
 def test_a_failed_certificate_fails_both_reports(monkeypatch):
-    monkeypatch.setattr(
-        cox, "tangent_symmetries", lambda spec: [column_permutation(spec, [1, 0, 2], 1)]
-    )
+    def wrong(spec):
+        return [with_w_negated(column_permutation(spec, [1, 0, 2]))]
+
+    monkeypatch.setattr(cox, "tangent_symmetries", wrong)
     assert verify_kernel(2)["equal"] is False
     assert initial_comparison(2)["equal"] is False
 
@@ -233,9 +239,9 @@ def test_kernel_by_saturation_needs_a_positive_grading_of_j():
     # det Y(j) has degree 3 and x_j W degree 2 in the standard grading
     claimed, phi = spec.ideal(), spec.phi
     with pytest.raises(ValueError, match="not homogeneous"):
-        kernel_by_saturation(claimed, phi, sigma, [1] * spec.ring.nvars, ["x0"], symmetries)
+        kernel_by_saturation(claimed, phi, sigma, [1] * spec.ring.nvars, symmetries)
     with pytest.raises(ValueError, match="not positive"):
-        kernel_by_saturation(claimed, phi, sigma, [0] * spec.ring.nvars, ["x0"], symmetries)
+        kernel_by_saturation(claimed, phi, sigma, [0] * spec.ring.nvars, symmetries)
 
 
 def test_saturation_orders_are_built_once_per_ring_variable_and_weights():
@@ -248,21 +254,46 @@ def test_saturation_orders_are_built_once_per_ring_variable_and_weights():
     assert order.key((0, 1, 0)) > order.key((2, 0, 0))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_verify_kernel_saturates_x0_alone(saturated_names, n):
+    assert verify_kernel(n, allow_large=True)["equal"]
+    assert saturated_names == ["x0"]
+
+
 @pytest.mark.parametrize("n", [2, 3])
-def test_left_inverse_certificate_needs_every_inverted_variable_saturated(n):
-    # sigma inverts every x_j; with no symmetries only x_0 is saturated
-    spec = tangent_cox_ideal(n, n)
-    got = certificates(spec, [])
-    assert got["left_inverse"] is False
-    assert got["contained"] and got["saturated"] and got["symmetric"]
-    # the swap alone carries x_0 to x_1 only, for n >= 2
-    swap = [1, 0] + list(range(2, n + 1))
-    assert certificates(spec, [column_permutation(spec, swap, -1)])["left_inverse"] is False
-    # a symmetry that is not a permutation of the variables carries nothing
+def test_the_symmetries_decide_which_variables_are_saturated(saturated_names, n):
+    spec, names = tangent_cox_ideal(n, n), saturated_names
+    # no symmetry: every inverted variable is saturated, and the proof holds
+    assert all(certificates(spec, []).values())
+    assert names == [x_name(j) for j in range(n + 1)]
+    # the swap alone carries x_0 to x_1 only
+    names.clear()
+    assert all(certificates(spec, tangent_symmetries(spec)[:1]).values())
+    assert names == [x_name(j) for j in range(n + 1) if j != 1]
+    # a map that is not a signed permutation of the variables carries nothing
+    names.clear()
     ring = spec.ring
     images = {name: ring.var(name) for name in ring.names}
     images.update({x_name(j): ring.var(x_name(j)) + ring.var(x_name(0)) for j in range(1, n + 1)})
-    assert certificates(spec, [RingMap(ring, ring, images)])["left_inverse"] is False
+    certificates(spec, [RingMap(ring, ring, images)])
+    assert names == [x_name(j) for j in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_euler_minor_matches_the_permutation_sum(n):
+    target = phi_target_ring(n, n)
+    y = {(i, j): target.var(yy_name(i, j)) for i in range(1, n + 1) for j in range(1, n + 1)}
+    for i in range(1, n + 1):
+        y[i, 0] = target.zero()
+        for j in range(1, n + 1):
+            y[i, 0] = y[i, 0] - y[i, j]
+    for size in range(1, n + 1):
+        for rows in combinations(range(1, n + 1), size):
+            for cols in combinations(range(n + 1), size):
+                want = det_permutation_sum([[y[i, j] for j in cols] for i in rows])
+                for j in cols:
+                    want = want * target.var(t_name(j))
+                assert euler_minor(target, n, rows, cols) == want, (rows, cols)
 
 
 def test_kernel_membership_and_nonmembership():

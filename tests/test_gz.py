@@ -186,28 +186,29 @@ def test_psi_kernel_cap(monkeypatch):
         psi_kernel(5)
 
 
-def test_saturation_certificate_needs_the_zero_column_family():
-    psi = build_psi(3)
-    got = flag_kernel(3, psi, gens=relation_families(3, psi))[1]
+def test_saturation_certificate_needs_the_zero_column_family(monkeypatch):
+    monkeypatch.setattr(gz, "flag_presentation", relation_families)
+    got = flag_kernel(3, build_psi(3))[1]
     assert got["saturated"] is False
     assert got["contained"] and got["left_inverse"]
 
 
-def test_contained_certificate_rejects_a_flipped_zero_column_sign():
+def test_contained_certificate_rejects_a_flipped_zero_column_sign(monkeypatch):
     psi = build_psi(3)
     v = psi.source.var
     flipped = v("x1") * v("P01") - v("x2") * v("P02") + v("x3") * v("P03")
-    got = flag_kernel(3, psi, gens=relation_families(3, psi) + [flipped])[1]
+    monkeypatch.setattr(
+        gz, "flag_presentation", lambda n, psi: relation_families(n, psi) + [flipped]
+    )
+    got = flag_kernel(3, psi)[1]
     assert got["contained"] is False
     assert got["left_inverse"]
 
 
-@pytest.mark.parametrize("saturating", [["x0"], ["P1"]])
-def test_left_inverse_certificate_refuses_an_unsaturated_inverse(saturating):
-    # flag_sigma inverts every x_j and P_1 at n = 3
-    got = flag_kernel(3, saturating=saturating)[1]
-    assert got["left_inverse"] is False
-    assert got["contained"] and got["saturated"] and got["symmetric"]
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_flag_proof_saturates_x0_and_the_leading_minors(saturated_names, n):
+    psi_kernel(n)
+    assert saturated_names == ["x0"] + [gz.p_name(range(1, k + 1)) for k in range(1, n - 1)]
 
 
 def test_psi_kernel_refuses_a_failed_certificate(monkeypatch):
