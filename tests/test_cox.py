@@ -219,9 +219,12 @@ def test_left_inverse_certificate_rejects_a_wrong_w_image(n):
 def test_symmetry_certificate_rejects_a_wrong_w_sign(n):
     spec = tangent_cox_ideal(n, n)
     for perm in column_generators(n):
-        got = certificates(spec, [with_w_negated(column_permutation(spec, perm))])
-        assert got["symmetric"] is False, perm
-        assert got["contained"] and got["left_inverse"] and got["saturated"]
+        wrong = with_w_negated(column_permutation(spec, perm))
+        # beside the right pair, which carries x_0 to every x_j, and alone
+        for symmetries in (tangent_symmetries(spec) + [wrong], [wrong]):
+            got = certificates(spec, symmetries)
+            assert got["symmetric"] is False, perm
+            assert got["contained"] and got["left_inverse"] and got["saturated"]
 
 
 def test_a_failed_certificate_fails_both_reports(monkeypatch):
