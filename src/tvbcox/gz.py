@@ -8,6 +8,7 @@ vector); products are rewritten against two relation families until words
 reach a canonical form.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, combinations_with_replacement
 from math import comb
@@ -336,10 +337,12 @@ def build_psi(n: int):
     return RingMap(flag_ring(n), target, images)
 
 
+@lru_cache(maxsize=None)
 def diagonal_order(target_ring, n):
     """Every t beats every y; the y block is lex, rows top down, columns
     left to right, so top-justified minors lead with their diagonal and the
-    first missing column decides between competing minors."""
+    first missing column decides between competing minors.  Built once per
+    (ring, n), like poly.grevlex: lead_pattern asks for it per generator."""
     t_names = [t_name(j) for j in range(n + 1)]
     y_names = [yy_name(i, j) for i in range(1, n) for j in range(1, n + 1)]
     return lex(target_ring, t_names + y_names)
@@ -573,19 +576,44 @@ class SubductionError(ValueError):
     pass
 
 
-def _apply_step(steps, word, n, rule, removed, added):
-    """Append the step to `steps` as a (rule, removed, added, word) tuple of
-    generators and return the new word."""
-    # the word's pattern sum is kept iff the step's own generators balance
-    if _flat_sum(removed, n) != _flat_sum(added, n):
-        raise AssertionError(f"rewrite step broke the pattern sum: {rule}")
-    new_word = list(word)
-    for gen in removed:
-        new_word.remove(gen)
-    new_word.extend(added)
-    new_word = sort_word(new_word)
-    steps.append((rule, removed, added, new_word))
-    return new_word
+class _Codes(NamedTuple):
+    """The generators at one n numbered in sort_key order, so a sorted word
+    is a sorted tuple of codes and its flags are a prefix of it, in
+    _flag_key order.  The flags of one column set take consecutive codes,
+    marks descending."""
+
+    gens: tuple  # the generator of each code
+    code: dict  # generator -> code
+    text: tuple  # generator_to_text of each code
+    flags: int  # codes below this are flags, the rest negated variables
+    value: tuple  # the mark of a flag, the index of a negated variable
+    cap: tuple  # the prefix capacity of a flag's column set
+    bare: tuple  # the code of the mark-0 flag on the same column set
+
+
+@lru_cache(maxsize=None)
+def _codes(n):
+    gens = tuple(sorted(all_generators(n), key=MarkedGenerator.sort_key))
+    code = {gen: c for c, gen in enumerate(gens)}
+    flags = sum(gen.kind == "flag" for gen in gens)
+    return _Codes(
+        gens, code, tuple(map(generator_to_text, gens)), flags,
+        tuple(gen.mark if gen.kind == "flag" else gen.value for gen in gens),
+        tuple(_prefix_capacity(gen.sigma) for gen in gens[:flags]),
+        tuple(code[gen._replace(mark=0)] for gen in gens[:flags]),
+    )
+
+
+@lru_cache(maxsize=None)
+def _packed(n, longest):
+    """Each code's _flat_pattern packed into one int, field i shifted by
+    i * width.  The map is linear, and the width makes it injective on sums
+    of up to `longest` generators: the fields of two such sums differ by at
+    most 2 * longest * (largest entry), below 2**width, so equal packed sums
+    mean equal flat pattern sums."""
+    flat = [_flat_pattern(gen, n) for gen in _codes(n).gens]
+    width = (2 * longest * max(abs(e) for f in flat for e in f)).bit_length()
+    return tuple(sum(e << i * width for i, e in enumerate(f)) for f in flat)
 
 
 @lru_cache(maxsize=None)
@@ -594,7 +622,6 @@ def _prefix_counts(sigma, n):
     return tuple(accumulate(int(k in sigma) for k in range(1, n + 1)))
 
 
-@lru_cache(maxsize=None)
 def _comparable(ca, cb):
     """Whether two prefix-count vectors are ordered pointwise."""
     return all(x <= y for x, y in zip(ca, cb)) or all(x >= y for x, y in zip(ca, cb))
@@ -605,148 +632,144 @@ def _set_from_counts(counts):
     return frozenset(k for k, (prev, c) in enumerate(rises, start=1) if c == prev + 1)
 
 
-def _chainify(word, n, steps):
-    """Straighten flag pairs until their prefix-count vectors form a chain.
+@lru_cache(maxsize=None)
+def _straighten(n, a, b):
+    """The codes of the flags that replace flag codes a and b, None when
+    their prefix-count vectors are ordered pointwise; memoized per pair, so
+    the cache is the table of incomparable pairs.
 
     Incomparable vectors are replaced by their pointwise max and min (the
     join and meet sets); this is the move that preserves the pattern sum
     entrywise.  For containment-comparable interactions it degenerates to
-    the union/intersection form.  The smaller mark always fits the meet.
+    the union/intersection form.  The larger mark goes to the join; the
+    smaller mark always fits the meet.
     """
-    while True:
-        flags = [(g, _prefix_counts(g.sigma, n)) for g in word if g.kind == "flag"]
-        pair = next(
-            (
-                (a, ca, b, cb)
-                for (a, ca), (b, cb) in combinations(flags, 2)
-                if not _comparable(ca, cb)
-            ),
-            None,
-        )
-        if pair is None:
-            return word
-        a, ca, b, cb = pair
-        join = _set_from_counts(tuple(map(max, ca, cb)))
-        meet = _set_from_counts(tuple(map(min, ca, cb)))
-        marks = sorted((m for m in (a.mark, b.mark) if m), reverse=True)
-        hi = marks[0] if marks else 0
-        lo = marks[1] if len(marks) > 1 else 0
-        added = [MarkedGenerator.flag(join, hi)]
-        if meet:
-            added.append(MarkedGenerator.flag(meet, lo))
-        elif lo:
-            raise AssertionError("meet of two marked flags cannot vanish")
-        word = _apply_step(steps, word, n, "union-intersection", [a, b], added)
+    t = _codes(n)
+    a, b = t.gens[a], t.gens[b]
+    ca, cb = _prefix_counts(a.sigma, n), _prefix_counts(b.sigma, n)
+    if _comparable(ca, cb):
+        return None
+    join = _set_from_counts(tuple(map(max, ca, cb)))
+    meet = _set_from_counts(tuple(map(min, ca, cb)))
+    marks = sorted((m for m in (a.mark, b.mark) if m), reverse=True)
+    hi = marks[0] if marks else 0
+    lo = marks[1] if len(marks) > 1 else 0
+    added = [MarkedGenerator.flag(join, hi)]
+    if meet:
+        added.append(MarkedGenerator.flag(meet, lo))
+    elif lo:
+        raise AssertionError("meet of two marked flags cannot vanish")
+    return tuple(t.code[gen] for gen in added)
 
 
-def _sorted_flags(word):
-    return sorted((g for g in word if g.kind == "flag"), key=lambda g: _flag_key(g.sigma))
-
-
-def _canonical_mark_targets(word, n):
-    """Greedy canonical placement of nonzero values onto flags.
-
-    Values (marks and negated indices) sorted descending take the first
-    flag, in (size desc, columns) order, whose prefix capacity admits them;
-    the rest stay negated.
-    """
-    flags = _sorted_flags(word)
-    caps = [_prefix_capacity(g.sigma) for g in flags]
-    pool = sorted(
-        [g.mark for g in word if g.kind == "flag" and g.mark]
-        + [g.value for g in word if g.kind == "neg" and g.value],
-        reverse=True,
-    )
-    neg_count = sum(1 for g in word if g.kind == "neg")
-    targets = [0] * len(flags)
-    leftover = []
-    for v in pool:
-        for idx in range(len(flags)):
-            if targets[idx] == 0 and caps[idx] >= v:
-                targets[idx] = v
-                break
-        else:
-            leftover.append(v)
-    neg_values = leftover + [0] * (neg_count - len(leftover))
-    if len(neg_values) != neg_count:
-        raise AssertionError("value bookkeeping lost a negated variable")
-    return flags, targets, neg_values
-
-
-def _next_rebalance_move(word, flags, targets):
-    """First move (values descending) toward the canonical placement.
-
-    Bringing a value v to its slot always displaces a strictly smaller mark,
-    so both directions of the exchange stay valid.
-    """
-    wanted_values = sorted({v for v in targets if v}, reverse=True)
-    for v in wanted_values:
-        for idx, want in enumerate(targets):
-            if want != v or flags[idx].mark == v:
-                continue
-            donor = next(
-                (
-                    pos
-                    for pos, g in enumerate(flags)
-                    if g.mark == v and targets[pos] != v
-                ),
-                None,
-            )
-            if donor is not None:
-                return ("swap", flags[idx], flags[donor])
-            neg = next(g for g in word if g.kind == "neg" and g.value == v)
-            return ("trade", flags[idx], neg)
+def _incomparable_pair(flags, n):
+    """The first pair of a sorted word's flags that _straighten replaces."""
+    for i, a in enumerate(flags[:-1]):
+        for b in flags[i + 1 :]:
+            if _straighten(n, a, b):
+                return a, b
     return None
 
 
-def _rebalance_marks(word, n, steps):
-    """Move values onto their canonical carriers, largest value first.
+def _with_mark(t, c, mark):
+    """The code of the flag on flag code c's column set carrying `mark`."""
+    if mark > t.cap[c]:
+        MarkedGenerator.flag(t.gens[c].sigma, mark)  # raises ValueError
+    return t.bare[c] - mark
 
-    A move keeps the multisets of flag sets and of nonzero values and the
-    number of negated generators, so the targets are computed once.
+
+def _mark_targets(t, word):
+    """Greedy canonical placement of the nonzero values of a sorted code
+    word onto its flags.
+
+    Values (marks and negated indices) sorted descending take the first
+    flag, in word order, whose prefix capacity admits them; the rest stay
+    negated.  Returns the target of each flag.
     """
-    _, targets, _ = _canonical_mark_targets(word, n)
-    while True:
-        move = _next_rebalance_move(word, _sorted_flags(word), targets)
-        if move is None:
-            return word
-        kind, flag, other = move
-        if kind == "swap":
-            added = [
-                MarkedGenerator.flag(flag.sigma, other.mark),
-                MarkedGenerator.flag(other.sigma, flag.mark),
-            ]
-            word = _apply_step(
-                steps, word, n, "mark-transport", [flag, other], added
-            )
+    flags = word[: bisect_left(word, t.flags)]
+    targets = [0] * len(flags)
+    leftover = 0
+    for v in sorted(filter(None, map(t.value.__getitem__, word)), reverse=True):
+        for idx, c in enumerate(flags):
+            if targets[idx] == 0 and t.cap[c] >= v:
+                targets[idx] = v
+                break
         else:
-            added = [
-                MarkedGenerator.flag(flag.sigma, other.value),
-                MarkedGenerator.neg(flag.mark),
-            ]
-            word = _apply_step(
-                steps, word, n, "marking-exchange", [flag, other], added
-            )
+            leftover += 1
+    if leftover > len(word) - len(flags):
+        raise AssertionError("value bookkeeping lost a negated variable")
+    return targets
+
+
+def _apply_step(steps, word, n, rule, removed, added):
+    """Append the step to `steps` as a (rule, removed, added, word) tuple of
+    codes and return the new sorted word."""
+    # the word's pattern sum is kept iff the step's own generators balance
+    packed = _packed(n, 2)
+    if sum(packed[c] for c in removed) != sum(packed[c] for c in added):
+        raise AssertionError(f"rewrite step broke the pattern sum: {rule}")
+    new_word = list(word)
+    for c in removed:
+        new_word.remove(c)
+    new_word = tuple(sorted(new_word + list(added)))
+    steps.append((rule, tuple(removed), tuple(added), new_word))
+    return new_word
 
 
 def _rewrite(word, n):
-    """Rewrite to the canonical word; returns (word, steps) with each step a
-    (rule, removed, added, word) tuple of generators."""
-    for gen in word:
-        gen.check(n)
+    """Rewrite a word of codes to the canonical sorted word; returns (word,
+    steps) with each step a (rule, removed, added, word) tuple of codes.
+
+    First the first incomparable flag pair is straightened until the flags
+    form a chain; then values move onto their _mark_targets, largest value
+    first.  A move keeps the multisets of flag sets and of nonzero values
+    and the number of negated generators, so the targets are computed once.
+    Bringing a value v to its slot always displaces a strictly smaller
+    mark, so both directions of an exchange stay valid.
+    """
+    t = _codes(n)
     steps = []
-    word = _chainify(sort_word(word), n, steps)
-    return _rebalance_marks(word, n, steps), steps
+    word = tuple(sorted(word))
+    while True:
+        k = bisect_left(word, t.flags)
+        pair = _incomparable_pair(word[:k], n)
+        if pair is None:
+            break
+        word = _apply_step(steps, word, n, "union-intersection", pair, _straighten(n, *pair))
+    targets = _mark_targets(t, word)
+    wanted = sorted(set(targets) - {0}, reverse=True)
+    value = t.value
+    while True:
+        flags = word[:k]
+        move = next(((idx, v) for v in wanted for idx, want in enumerate(targets)
+                     if want == v and value[flags[idx]] != v), None)
+        if move is None:
+            return word, steps
+        idx, v = move
+        a = flags[idx]
+        donor = next((c for c, want in zip(flags, targets) if value[c] == v and want != v), None)
+        if donor is not None:
+            added = (_with_mark(t, a, value[donor]), _with_mark(t, donor, value[a]))
+            word = _apply_step(steps, word, n, "mark-transport", (a, donor), added)
+        else:
+            neg = next(c for c in word[k:] if value[c] == v)
+            # the negated variables follow the flags, largest index first
+            added = (_with_mark(t, a, v), t.flags + n - value[a])
+            word = _apply_step(steps, word, n, "marking-exchange", (a, neg), added)
 
 
 def canonicalize(word, n):
     """Rewrite to the canonical word; returns (word, steps) with each step
     a dict of its rule and its removed, added and resulting generators as
     text."""
-    canon, steps = _rewrite(word, n)
-    return canon, [
-        {"rule": rule, "removed": list(map(generator_to_text, removed)),
-         "added": list(map(generator_to_text, added)), "word": word_to_text(new_word)}
+    for gen in word:
+        gen.check(n)
+    t = _codes(n)
+    canon, steps = _rewrite([t.code[gen] for gen in word], n)
+    text = t.text.__getitem__
+    return tuple(map(t.gens.__getitem__, canon)), [
+        {"rule": rule, "removed": list(map(text, removed)), "added": list(map(text, added)),
+         "word": ",".join(map(text, new_word))}
         for rule, removed, added, new_word in steps
     ]
 
@@ -802,24 +825,25 @@ def sweep_word_count(n, max_len):
 def confluence_sweep(n, max_len=3):
     """Exhaustively canonicalize words up to max_len; groups with equal
     pattern sums must share a canonical form.  Returns statistics.  Raises
-    CapExceeded, before building any word, past SWEEP_CAP words."""
+    CapExceeded, before building any word, past SWEEP_CAP words.  Words are
+    code tuples grouped by packed pattern sum; only clashes become text."""
     sweep_word_count(n, max_len)
-    gens = all_generators(n)
+    t = _codes(n)
+    packed = _packed(n, max_len).__getitem__
+    codes = [t.code[gen] for gen in all_generators(n)]
     groups = {}
     for size in range(1, max_len + 1):
-        for combo in combinations_with_replacement(gens, size):
-            groups.setdefault(_flat_sum(combo, n), []).append(combo)
+        for combo in combinations_with_replacement(codes, size):
+            groups.setdefault(sum(map(packed, combo)), []).append(combo)
     words = 0
     clashes = []
-    for key, members in groups.items():
-        canon = None
-        for word in members:
-            words += 1
-            c, _ = _rewrite(word, n)
-            if canon is None:
-                canon = c
-            elif c != canon:
-                clashes.append((word_to_text(members[0]), word_to_text(word)))
+    text = t.text.__getitem__
+    for first, *rest in groups.values():
+        words += 1 + len(rest)
+        canon = _rewrite(first, n)[0]
+        for word in rest:
+            if _rewrite(word, n)[0] != canon:
+                clashes.append((",".join(map(text, first)), ",".join(map(text, word))))
     return {
         "n": n,
         "max_len": max_len,

@@ -1,6 +1,6 @@
 import pytest
 
-from tvbcox import cox
+from tvbcox import cox, gz
 
 
 @pytest.fixture
@@ -15,3 +15,19 @@ def saturated_names(monkeypatch):
 
     monkeypatch.setattr(cox, "_u_last_order", recorded)
     return names
+
+
+@pytest.fixture
+def broken_confluence(monkeypatch):
+    """The rewrite core with one fault: at n = 2 it leaves [-1],[{1},0]
+    alone, so that word no longer reaches [{1},1],[-0], the canonical form
+    of its group."""
+    core, table = gz._rewrite, gz._codes(2)
+    stuck = tuple(sorted(table.code[g] for g in gz.parse_word("[-1],[{1},0]")))
+
+    def broken(word, n):
+        if n == 2 and tuple(sorted(word)) == stuck:
+            return stuck, []
+        return core(word, n)
+
+    monkeypatch.setattr(gz, "_rewrite", broken)

@@ -205,6 +205,14 @@ def test_gz_verify_command(capsys):
     assert json.loads(out)["results"]["confluence"]["confluent"] is True
 
 
+def test_gz_verify_exits_1_on_a_clash(capsys, broken_confluence):
+    code, out, _ = run(capsys, "gz", "verify", "--n", "2", "--max-word-length", "2")
+    assert code == EXIT_CHECK_FAILED
+    confluence = json.loads(out)["results"]["confluence"]
+    assert confluence["confluent"] is False
+    assert confluence["clashes"] == [["[-0],[{1},1]", "[-1],[{1},0]"]]
+
+
 def test_cauchy_rejects_a_negative_degree(capsys):
     code, out, err = run(capsys, "cauchy", "--dim-e", "2", "--dim-v", "2", "--max-degree", "-1")
     assert code == EXIT_USAGE
@@ -254,11 +262,12 @@ def test_gz_subduct_checks_generators_before_summing(capsys):
 
 
 def test_gz_verify_caps_the_word_sweep(capsys, monkeypatch):
-    def built(word, n):
-        raise AssertionError("the sweep built a word past its cap")
+    def built(*args):
+        raise AssertionError("the sweep built a word or a code table past its cap")
 
     monkeypatch.setattr(gz, "word_pattern_sum", built)
-    monkeypatch.setattr(gz, "_flat_sum", built)
+    monkeypatch.setattr(gz, "_codes", built)
+    monkeypatch.setattr(gz, "_packed", built)
     code, out, err = run(capsys, "gz", "verify", "--n", "4", "--max-word-length", "6")
     assert code == EXIT_CAP
     assert out == ""

@@ -234,10 +234,13 @@ def test_pair_and_word_counts_at_their_caps(monkeypatch):
     assert exc.value.size == 7140
     assert gz.sweep_word_count(6, 2) == 8127
 
-    def summed(word, n):
-        raise AssertionError("a word was built before the word cap was checked")
+    def built_table(*args):
+        raise AssertionError("a code table was built before the word cap was checked")
 
-    monkeypatch.setattr(gz, "_flat_sum", summed)
+    # the sweep numbers the generators and packs their patterns before it
+    # enumerates a single word
+    monkeypatch.setattr(gz, "_codes", built_table)
+    monkeypatch.setattr(gz, "_packed", built_table)
     with pytest.raises(poly.CapExceeded, match="349503 words up to length 3"):
         confluence_sweep(6, 3)
 
@@ -330,17 +333,17 @@ def test_straightening_preserves_pattern_sum():
 
 def test_rewrite_step_that_breaks_the_pattern_sum_raises():
     n = 5
+    t = gz._codes(n)
     word = parse_word("[{1,4},0],[{2,3},0],[-2]")
-    pair = list(word[:2])
-    join = MarkedGenerator.flag(frozenset({1, 3}))
-    meet = MarkedGenerator.flag(frozenset({2, 4}))
-    new_word = gz._apply_step([], word, n, "union-intersection", pair, [join, meet])
-    assert word_pattern_sum(new_word, n) == word_pattern_sum(word, n)
+    codes = [t.code[g] for g in word]
+    pair = codes[:2]
+    join, meet, wrong = (t.code[MarkedGenerator.flag(s)] for s in ({1, 3}, {2, 4}, {2, 3}))
+    new_word = gz._apply_step([], codes, n, "union-intersection", pair, [join, meet])
+    assert word_pattern_sum([t.gens[c] for c in new_word], n) == word_pattern_sum(word, n)
     with pytest.raises(AssertionError, match="broke the pattern sum"):
-        gz._apply_step([], word, n, "dropped meet", pair, [join])
-    wrong = MarkedGenerator.flag(frozenset({2, 3}))
+        gz._apply_step([], codes, n, "dropped meet", pair, [join])
     with pytest.raises(AssertionError, match="broke the pattern sum"):
-        gz._apply_step([], word, n, "wrong meet", pair, [join, wrong])
+        gz._apply_step([], codes, n, "wrong meet", pair, [join, wrong])
 
 
 def _small_words():
@@ -352,18 +355,27 @@ def _small_words():
                 yield n, word
 
 
+def _codes_of(word, n):
+    return [gz._codes(n).code[g] for g in word]
+
+
+def _gens_of(codes, n):
+    return tuple(gz._codes(n).gens[c] for c in codes)
+
+
 def test_rebalance_steps_keep_the_mark_targets():
-    # _rebalance_marks computes the targets once per word; that is sound
-    # only if no mark-transport or marking-exchange step changes them
+    # _rewrite computes the mark targets once per word; that is sound only
+    # if no mark-transport or marking-exchange step changes them
     moves = 0
     for n, word in _small_words():
-        before = sort_word(word)
-        for rule, _, _, after in gz._rewrite(word, n)[1]:
+        t = gz._codes(n)
+        before = tuple(sorted(_codes_of(word, n)))
+        for rule, _, _, after in gz._rewrite(_codes_of(word, n), n)[1]:
             if rule != "union-intersection":
                 moves += 1
-                targets = gz._canonical_mark_targets(before, n)[1]
-                assert gz._canonical_mark_targets(after, n)[1] == targets, (
-                    f"{rule} on {word_to_text(before)}"
+                targets = gz._mark_targets(t, before)
+                assert gz._mark_targets(t, after) == targets, (
+                    f"{rule} on {word_to_text(_gens_of(before, n))}"
                 )
             before = after
     assert moves > 100
@@ -384,17 +396,46 @@ def test_sweep_canonical_words_match_canonicalize(monkeypatch):
     monkeypatch.setattr(gz, "_rewrite", core)
     assert len(seen) == words == len(list(_small_words()))
     for n, word, canon, steps in seen:
-        text_canon, text_steps = canonicalize(word, n)
-        assert text_canon == canon
+        text_canon, text_steps = canonicalize(_gens_of(word, n), n)
+        assert text_canon == _gens_of(canon, n)
         assert text_steps == [
             {
                 "rule": rule,
-                "removed": [str(g) for g in removed],
-                "added": [str(g) for g in added],
-                "word": word_to_text(after),
+                "removed": [str(g) for g in _gens_of(removed, n)],
+                "added": [str(g) for g in _gens_of(added, n)],
+                "word": word_to_text(_gens_of(after, n)),
             }
             for rule, removed, added, after in steps
         ]
+
+
+@pytest.mark.parametrize("text", ["[{1,2,3},0]", "[-4]"])
+def test_canonicalize_rejects_a_generator_invalid_for_n(text):
+    # the generator is checked before it is looked up in the code table
+    with pytest.raises(ValueError, match="out of range|strict subset"):
+        canonicalize(parse_word(text), 3)
+
+
+@pytest.mark.parametrize("n,max_len,words,groups", [(2, 12, 18563, 10555), (3, 4, 3059, 2099)])
+def test_packed_key_groups_words_as_the_flat_sum_does(n, max_len, words, groups):
+    # the packed sums partition the words exactly as the flat pattern sums do
+    code, packed = gz._codes(n).code, gz._packed(n, max_len)
+    by_flat, by_packed = {}, {}
+    count = 0
+    for size in range(1, max_len + 1):
+        for word in combinations_with_replacement(all_generators(n), size):
+            by_flat.setdefault(gz._flat_sum(word, n), []).append(count)
+            by_packed.setdefault(sum(packed[code[g]] for g in word), []).append(count)
+            count += 1
+    assert set(map(tuple, by_flat.values())) == set(map(tuple, by_packed.values()))
+    assert (count, len(by_flat)) == (words, groups)
+
+
+def test_sweep_reports_a_clash_as_word_text(broken_confluence):
+    report = confluence_sweep(2, 2)
+    assert report["confluent"] is False
+    # the group's first member, in enumeration order, and the clashing word
+    assert report["clashes"] == [("[-0],[{1},1]", "[-1],[{1},0]")]
 
 
 def test_critical_pair_with_two_marks():
