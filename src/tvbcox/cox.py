@@ -276,19 +276,19 @@ def kernel_by_saturation(claimed, phi, sigma, weights, symmetries):
       weights then maps J onto J, and carries J : u^inf = J to
       J : g(u)^inf = J, so J is saturated by every inverted variable.
 
-    All four give K = J : v^inf = J.  Returns the reduced grevlex basis of
-    J and the certificates by name, each True when it holds.
+    All four give K = J : v^inf = J.  Any Groebner basis of J decides
+    membership in J, so the first saturation basis (variable 0 last when
+    sigma inverts none) decides every membership tested here.  Returns
+    that basis, its order and the certificates by name, each True when it
+    holds.
     """
     ring = claimed.ring
     require_homogeneous(claimed.gens, weights)
-    order = grevlex(ring)
-    gb = claimed.groebner(order)
-    in_claimed = poly.membership_test(gb, order)
     moves = [p for p in (_variable_permutation(g, weights) for g in symmetries) if p]
     inverted = {
         i for img in sigma.images.values() for m in img.terms for i, e in enumerate(m) if e < 0
     }
-    quotients, covered = [], set()
+    quotients, covered, orders = [], set(), []
     for i in sorted(inverted):
         if i in covered:  # a symmetry carries an earlier saturated variable to it
             continue
@@ -296,11 +296,14 @@ def kernel_by_saturation(claimed, phi, sigma, weights, symmetries):
         while orbit:
             covered |= orbit
             orbit = {p[k] for p in moves for k in orbit} - covered
-        u_last = _u_last_order(ring, i, tuple(weights))
+        orders.append(_u_last_order(ring, i, tuple(weights)))
         # an element that u does not divide is its own quotient, in J already
-        powers = [(g, min(m[i] for m in g.terms)) for g in claimed.groebner(u_last)]
+        powers = [(g, min(m[i] for m in g.terms)) for g in claimed.groebner(orders[-1])]
         quotients += [g * ring.var(ring.names[i]) ** -k for g, k in powers if k]
-    return gb, {
+    order = orders[0] if orders else _u_last_order(ring, 0, tuple(weights))
+    basis = claimed.groebner(order)
+    in_claimed = poly.membership_test(basis, order)
+    return basis, order, {
         "contained": all(phi(g) == 0 for g in claimed.gens),
         "left_inverse": all(
             in_claimed(_clear_denominators(sigma(phi(s)) - s)) for s in ring.gens()
@@ -400,19 +403,20 @@ def verify_kernel(n, allow_large=False):
 
     n <= 4 by default; n >= 5 only behind allow_large.  Returns a report
     dict.  kernel_generators and kernel_gb_size are both the size of the
-    reduced grevlex basis of J, which is that of ker(phi) once K = J.
+    proof's basis (x_0 last), that of ker(phi) once K = J; at n = 2..6 it
+    is as large as the reduced grevlex basis.
     """
     if n > KERNEL_DEFAULT_CAP and not allow_large:
         raise poly.CapExceeded(
             f"kernel verification at n = {n} needs allow_large", size=n
         )
     spec = tangent_cox_ideal(n, n)
-    gb, certificates = tangent_kernel(spec)
+    basis, _, certificates = tangent_kernel(spec)
     return {
         "n": n,
-        "kernel_generators": len(gb),
+        "kernel_generators": len(basis),
         "claimed_generators": len(spec.ideal().gens),
-        "kernel_gb_size": len(gb),
+        "kernel_gb_size": len(basis),
         "equal": all(certificates.values()),
     }
 
@@ -425,15 +429,15 @@ def initial_comparison(n):
     the same dimension as the kernel's, which is reported alongside.
     """
     spec = tangent_cox_ideal(n, n)
-    _, certificates = tangent_kernel(spec)
-    claimed = spec.ideal()
-    initial = delta_initial_ideal(claimed, spec.grading())
-    order = grevlex(spec.ring)
+    basis, order, certificates = tangent_kernel(spec)
+    initial = delta_initial_ideal(spec.ideal(), spec.grading())
+    # J's zero set has the dimension of its initial ideal under any order
+    leads = leading_monomials(basis, order)
     return {
         "n": n,
         "equal": all(certificates.values()) and ideal_equal(initial, quiver_ideal(n)),
-        "dimension": poly.zero_set_dimension(initial, order),
-        "generic_dimension": poly.zero_set_dimension(claimed, order),
+        "dimension": poly.zero_set_dimension(initial, grevlex(spec.ring)),
+        "generic_dimension": monomial_dimension(leads, spec.ring.nvars),
         "expected_dimension": n * n + n + 1,
     }
 

@@ -30,6 +30,8 @@ from .poly import (
     Ideal,
     PolyRing,
     RingMap,
+    buchberger,
+    grevlex,
     lex,
     normal_form,
     poly_to_text,
@@ -178,6 +180,9 @@ class MarkedGenerator(NamedTuple):
                 range(1, n + 1)
             ):
                 raise ValueError("flag set must be a nonempty strict subset of [n]")
+            top = _prefix_capacity(self.sigma)
+            if self.mark is None or not 0 <= self.mark <= top:
+                raise ValueError(f"mark {self.mark} of {sorted(self.sigma)} is not in 0..{top}")
 
     @lru_cache(maxsize=None)
     def extended_pattern(self, n):
@@ -556,16 +561,17 @@ PSI_KERNEL_CAP = 4
 def psi_kernel(n, allow_large=False):
     """ker(psi), proved equal to the ideal of flag_presentation(n) by the
     certificates of flag_kernel; nothing is eliminated.  Returns the ideal
-    of its reduced grevlex basis.  n <= 4 by default, larger n only behind
-    allow_large; raises AssertionError when a certificate fails."""
+    of its reduced grevlex basis, computed from the proof's basis (x_0
+    last).  n <= 4 by default, larger n only behind allow_large; raises
+    AssertionError when a certificate fails."""
     if n > PSI_KERNEL_CAP and not allow_large:
         raise CapExceeded(f"ker(psi) at n = {n} needs allow_large", size=n)
     psi = build_psi(n)
-    gb, certificates = flag_kernel(n, psi)
+    basis, _, certificates = flag_kernel(n, psi)
     failed = [name for name, holds in certificates.items() if not holds]
     if failed:
         raise AssertionError(f"ker(psi) at n = {n}: the {', '.join(failed)} certificates fail")
-    return Ideal(psi.source, gb)
+    return Ideal(psi.source, buchberger(basis, grevlex(psi.source)))
 
 
 # ---------------------------------------------------------------------------

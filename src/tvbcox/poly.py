@@ -3,10 +3,11 @@
 Monomials are exponent tuples over a fixed variable table (PolyRing).
 Exponents may be negative in plain arithmetic (Laurent monomials are needed
 to evaluate ring maps like x_j -> t_j^-1); everything order-related
-(division, Groebner bases) insists on the positive orthant.  A Polynomial
-holds Fraction coefficients; the engine works on plain dicts of terms whose
-coefficients are ints when integral, and its one product (_times) and one
-power (_power) serve both Polynomial * and ** and ring-map images.
+(division, Groebner bases) insists on the positive orthant.  Coefficients
+have one representation, in a Polynomial and in the engine alike: an int
+when integral, a Fraction only when not.  The engine works on the terms
+dicts themselves, and its one product (_times) and one power (_power) serve
+both Polynomial * and ** and ring-map images.
 """
 
 from fractions import Fraction
@@ -47,7 +48,7 @@ class PolyRing:
         return Polynomial(self, {})
 
     def const(self, c):
-        c = Fraction(c)
+        c = _engine(Fraction(c))
         if c == 0:
             return self.zero()
         return Polynomial(self, {(0,) * self.nvars: c})
@@ -59,7 +60,7 @@ class PolyRing:
         i = self.index[name]
         exps = [0] * self.nvars
         exps[i] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial(self, {tuple(exps): 1})
 
     def gens(self):
         return tuple(self.var(name) for name in self.names)
@@ -68,7 +69,7 @@ class PolyRing:
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise ValueError("exponent vector length mismatch")
-        c = Fraction(coeff)
+        c = _engine(Fraction(coeff))
         if c == 0:
             return self.zero()
         return Polynomial(self, {exps: c})
@@ -77,15 +78,8 @@ class PolyRing:
         out = {}
         for exps, c in terms:
             exps = tuple(exps)
-            c = Fraction(c)
-            if c == 0:
-                continue
-            acc = out.get(exps, Fraction(0)) + c
-            if acc == 0:
-                out.pop(exps, None)
-            else:
-                out[exps] = acc
-        return Polynomial(self, out)
+            out[exps] = out.get(exps, 0) + Fraction(c)
+        return _polynomial(self, out)
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names
@@ -98,7 +92,9 @@ class PolyRing:
 
 
 class Polynomial:
-    """Map from exponent tuples to nonzero Fractions."""
+    """Map from exponent tuples to nonzero coefficients: an int when
+    integral, a Fraction only when not.  Fraction(k) == k and both hash
+    alike, so the invariant changes no equality, hash or text."""
 
     __slots__ = ("ring", "terms")
 
@@ -122,11 +118,11 @@ class Polynomial:
         self._check_ring(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            acc = out.get(m, Fraction(0)) + c
+            acc = out.get(m, 0) + c
             if acc == 0:
                 out.pop(m, None)
             else:
-                out[m] = acc
+                out[m] = _engine(acc)
         return Polynomial(self.ring, out)
 
     def __radd__(self, other):
@@ -147,7 +143,7 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
         self._check_ring(other)
-        return _fractions(self.ring, _times(_engine_terms(self), _engine_terms(other)))
+        return _polynomial(self.ring, _times(self.terms, other.terms))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -157,7 +153,7 @@ class Polynomial:
             raise TypeError(f"exponent must be an int, not {type(k).__name__}")
         if k == 0:
             return self.ring.one()
-        return _fractions(self.ring, _power([self], 0, k, {}))
+        return _polynomial(self.ring, _power([self], 0, k, {}))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -172,7 +168,7 @@ class Polynomial:
         return {i for m in self.terms for i, e in enumerate(m) if e}
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self.terms.get(tuple(exps), 0)
 
     def leading_term(self, order):
         m = max(self.terms, key=order.key)
@@ -310,23 +306,17 @@ def _engine(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _engine_terms(f):
-    """f's terms as a new dict with engine coefficients."""
-    return {m: _engine(c) for m, c in f.terms.items()}
-
-
-def _fractions(ring, terms):
-    """Engine terms as a Polynomial, with Fraction coefficients again and
-    the zero ones dropped."""
-    return Polynomial(ring, {m: Fraction(c) for m, c in terms.items() if c})
+def _polynomial(ring, terms):
+    """Terms as a Polynomial: the zero coefficients dropped, and an
+    integral Fraction, which the engine's arithmetic can leave, an int."""
+    return Polynomial(ring, {m: _engine(c) for m, c in terms.items() if c})
 
 
 def _divisor(g, order):
     """g as a divisor (lead, coeff, support of lead, tail, g), the tail
-    holding g's other terms, with engine coefficients."""
+    holding g's other terms."""
     lt, lc = g.leading_term(order)
-    tail = [(m, _engine(c)) for m, c in g.terms.items() if m != lt]
-    return lt, _engine(lc), _support(lt), tail, g
+    return lt, lc, _support(lt), [t for t in g.terms.items() if t[0] != lt], g
 
 
 def _mono_lcm(a, b):
@@ -341,7 +331,7 @@ def normal_form(f, gens, order):
     first divisor (in list order) whose lead term divides it.
     """
     _require_orthant([f] + list(gens))
-    return _fractions(f.ring, _reduce(f, [_divisor(g, order) for g in gens if g], order))
+    return _polynomial(f.ring, _reduce(f, [_divisor(g, order) for g in gens if g], order))
 
 
 def membership_test(basis, order):
@@ -360,14 +350,14 @@ def membership_test(basis, order):
 
 def _reduce(f, divisors, order):
     """The division loop of normal_form, over divisors whose exponents were
-    checked already; returns the remainder's terms, engine coefficients.
+    checked already; returns the remainder's terms, not yet normalized.
     Pending terms sit in a heap keyed once by neg_key (Monagan & Pearce
     2007); one that cancels stays in work at 0 and is skipped when popped.
     Reduction adds only smaller terms, so a popped monomial never returns.
     A divisor whose lead support is not inside the term's is skipped
     before exponents are compared (Bachmann & Schoenemann 1998)."""
     key = order.neg_key
-    work = _engine_terms(f)
+    work = dict(f.terms)
     heap = [(key(m), m) for m in work]
     heapify(heap)
     remainder = {}
@@ -413,7 +403,7 @@ def _s_polynomial(a, b):
     work = {}
     _subtract_tail(work, -1, l, a)
     _subtract_tail(work, 1, l, b)
-    return Polynomial(a[4].ring, {m: c for m, c in work.items() if c})
+    return _polynomial(a[4].ring, work)
 
 
 def _gm_update(basis, queue):
@@ -501,8 +491,7 @@ def buchberger(gens, order, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BAS
 
 def _reduce_basis(basis, order):
     """Minimalize and tail-reduce divisors (lead, 1, mask, tail, g) of a
-    Groebner basis; the result is the canonical reduced GB, with Fraction
-    coefficients."""
+    Groebner basis; the result is the canonical reduced GB."""
     items = sorted(basis, key=lambda d: (sum(d[0]), order.key(d[0])))
     minimal = []
     for d in items:
@@ -511,7 +500,7 @@ def _reduce_basis(basis, order):
     # no other lead divides a minimal lead, so each remainder keeps its
     # lead term and stays monic
     reduced = [
-        (d[0], _fractions(d[4].ring, _reduce(d[4], minimal[:i] + minimal[i + 1 :], order)))
+        (d[0], _polynomial(d[4].ring, _reduce(d[4], minimal[:i] + minimal[i + 1 :], order)))
         for i, d in enumerate(minimal)
     ]
     reduced.sort(key=lambda d: order.key(d[0]))
@@ -675,12 +664,12 @@ def symbolic_det(rows):
 
 
 def _expand(f, images, target, powers):
-    """f under variable -> Polynomial images in target, expanded on dicts
-    with engine coefficients; powers memoizes images[i] ** e as engine
-    terms by (i, e), so a caller whose images are fixed can keep it."""
+    """f under variable -> Polynomial images in target, expanded on term
+    dicts; powers memoizes images[i] ** e as terms by (i, e), so a caller
+    whose images are fixed can keep it."""
     out = {}
     for m, c in f.terms.items():
-        part = {(0,) * target.nvars: _engine(c)}
+        part = {(0,) * target.nvars: c}
         for i, e in enumerate(m):
             if e:
                 if images[i] is None:
@@ -688,14 +677,14 @@ def _expand(f, images, target, powers):
                 part = _times(part, _power(images, i, e, powers))
         for t, a in part.items():
             out[t] = out.get(t, 0) + a
-    return _fractions(target, out)
+    return _polynomial(target, out)
 
 
 def _power(images, i, e, powers):
-    """images[i] ** e as engine terms, memoized in powers: a monomial
-    directly (inverted for e < 0 when it is a unit), else by squaring."""
+    """images[i] ** e as terms, memoized in powers: a monomial directly
+    (inverted for e < 0 when it is a unit), else by squaring."""
     if (i, e) not in powers:
-        base = _engine_terms(images[i])
+        base = images[i].terms
         if e < 0 and [abs(c) for c in base.values()] != [1]:
             raise ValueError("negative power of a non-unit")
         if len(base) == 1 or e == 1:
@@ -709,7 +698,7 @@ def _power(images, i, e, powers):
 
 
 def _times(a, b):
-    """The product of two engine term dicts; zeros stay until _fractions."""
+    """The product of two term dicts; zeros stay until _polynomial."""
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -797,8 +786,8 @@ def ring_map_kernel(phi):
                     exps[combined.index[tgt.names[i]]] = e
                 else:
                     exps[combined.index[carrier_of[i]]] = -e
-            out[tuple(exps)] = out.get(tuple(exps), Fraction(0)) + c
-        return Polynomial(combined, {m: c for m, c in out.items() if c != 0})
+            out[tuple(exps)] = out.get(tuple(exps), 0) + c
+        return _polynomial(combined, out)
 
     gens = []
     for name in src.names:

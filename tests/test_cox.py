@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from tvbcox import cox, poly
+from tvbcox import cox, gz, poly
 from tvbcox.cox import (
     PresentationSpec,
     build_phi,
@@ -41,6 +41,7 @@ from tvbcox.poly import (
     RingMap,
     grevlex,
     ideal_equal,
+    is_groebner_basis,
     normal_form,
     ring_map_kernel,
     symbolic_det,
@@ -174,7 +175,85 @@ def certificates(spec, symmetries=None):
         symmetries = tangent_symmetries(spec)
     return kernel_by_saturation(
         spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), symmetries
-    )[1]
+    )[-1]
+
+
+def proof_inputs(spec):
+    """The arguments tangent_kernel gives kernel_by_saturation."""
+    return spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), tangent_symmetries(spec)
+
+
+def certificate_polynomials(claimed, phi, sigma, weights, symmetries):
+    """The polynomials that the left_inverse, saturated and symmetric
+    certificates test for membership in claimed, the quotients taken for
+    every variable that sigma inverts; and each again plus the first
+    variable, which lies in none of the ideals tested here (weight 1,
+    below the weight of every generator)."""
+    ring, variables = claimed.ring, claimed.ring.gens()
+    polys = [cox._clear_denominators(sigma(phi(s)) - s) for s in variables]
+    polys += [g(f) for g in symmetries for f in claimed.gens]
+    images = sigma.images.values()
+    inverted = {i for img in images for m in img.terms for i, e in enumerate(m) if e < 0}
+    for i in sorted(inverted):
+        for g in claimed.groebner(cox._u_last_order(ring, i, tuple(weights))):
+            polys.append(g * variables[i] ** -min(m[i] for m in g.terms))
+    return polys + [f + variables[0] for f in polys]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_proof_basis_is_a_groebner_basis_as_large_as_grevlex(n):
+    spec = tangent_cox_ideal(n, n)
+    claimed, order = spec.ideal(), grevlex(spec.ring)
+    basis, u_last, _ = kernel_by_saturation(*proof_inputs(spec))
+    # x_0 last, and no grevlex basis was computed on the way
+    assert u_last is cox._u_last_order(spec.ring, 0, tuple(spec.grading()))
+    assert order.rows not in claimed._gb
+    assert is_groebner_basis(basis, u_last) and basis == claimed.groebner(u_last)
+    assert len(basis) == len(claimed.groebner(order)) == verify_kernel(n)["kernel_gb_size"]
+
+
+def test_a_proof_that_inverts_nothing_uses_variable_0_last():
+    # J = (x - y) is the kernel of x, y -> t, and t -> x inverts it outright
+    source, target = PolyRing(["x", "y"]), PolyRing(["t"])
+    x, y = source.gens()
+    phi = RingMap(source, target, {"x": target.var("t"), "y": target.var("t")})
+    sigma = RingMap(target, source, {"t": x})
+    basis, order, got = kernel_by_saturation(Ideal(source, [x - y]), phi, sigma, [1, 1], [])
+    assert order is cox._u_last_order(source, 0, (1, 1)) and basis == [y - x]
+    assert all(got.values())
+
+
+def psi_proof_inputs(monkeypatch, n):
+    """The arguments flag_kernel gives kernel_by_saturation, caught on
+    their way in."""
+    caught = []
+    monkeypatch.setattr(gz, "kernel_by_saturation", lambda *args: caught.append(args))
+    gz.flag_kernel(n, gz.build_psi(n))
+    return caught[0]
+
+
+@pytest.mark.parametrize("case", ["phi 2", "phi 3", "phi 3 dropped", "psi 3"])
+def test_the_proof_basis_decides_membership_as_grevlex_does(monkeypatch, case):
+    kind, n, *dropped = case.split()
+    if kind == "psi":
+        args = psi_proof_inputs(monkeypatch, int(n))
+    else:
+        spec = tangent_cox_ideal(int(n), int(n))
+        if dropped:  # no longer saturated: some quotients fall outside J
+            spec = PresentationSpec(
+                spec.n, spec.m, spec.ring, spec.gens[:-1], spec.degrees, spec.phi
+            )
+        args = proof_inputs(spec)
+    claimed, order = args[0], grevlex(args[0].ring)
+    basis, u_last, _ = kernel_by_saturation(*args)
+    in_proof = poly.membership_test(basis, u_last)
+    in_grevlex = poly.membership_test(claimed.groebner(order), order)
+    polys = certificate_polynomials(*args)
+    verdicts = [in_proof(f) for f in polys]
+    assert verdicts == [in_grevlex(f) for f in polys]
+    # the plain half holds a non-member only when a generator is dropped
+    assert (False in verdicts[: len(polys) // 2]) == bool(dropped)
+    assert not any(verdicts[len(polys) // 2 :])
 
 
 def with_w_negated(g):

@@ -86,6 +86,17 @@ def test_marked_generator_validity():
     assert MarkedGenerator.neg(2).extended_pattern(3).zvec == (0, 0, -1, 0)
 
 
+@pytest.mark.parametrize("mark", [1, 2, -1, None])
+def test_check_refuses_a_hand_built_mark_past_the_prefix(mark):
+    # {2} holds no prefix {1..a} with a >= 1, so only mark 0 is valid
+    gen = MarkedGenerator("flag", sigma=frozenset({2}), mark=mark)
+    with pytest.raises(ValueError, match="is not in 0..0"):
+        gen.check(3)
+    with pytest.raises(ValueError, match="is not in 0..0"):
+        canonicalize([gen, MarkedGenerator.neg(1)], 3)
+    MarkedGenerator("flag", sigma=frozenset({2}), mark=0).check(3)
+
+
 def test_extended_patterns_of_generators():
     n = 3
     x1 = MarkedGenerator.neg(1).extended_pattern(n)
@@ -188,7 +199,7 @@ def test_psi_kernel_cap(monkeypatch):
 
 def test_saturation_certificate_needs_the_zero_column_family(monkeypatch):
     monkeypatch.setattr(gz, "flag_presentation", relation_families)
-    got = flag_kernel(3, build_psi(3))[1]
+    got = flag_kernel(3, build_psi(3))[-1]
     assert got["saturated"] is False
     assert got["contained"] and got["left_inverse"]
 
@@ -200,7 +211,7 @@ def test_contained_certificate_rejects_a_flipped_zero_column_sign(monkeypatch):
     monkeypatch.setattr(
         gz, "flag_presentation", lambda n, psi: relation_families(n, psi) + [flipped]
     )
-    got = flag_kernel(3, psi)[1]
+    got = flag_kernel(3, psi)[-1]
     assert got["contained"] is False
     assert got["left_inverse"]
 

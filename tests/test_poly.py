@@ -111,7 +111,25 @@ def test_products_and_powers_have_fraction_coefficients(xyz):
     x, y, _ = xyz.gens()
     f = x * Fraction(1, 2) - 2 * y
     for g in (f * f, f * 2, 3 * f, f * Fraction(2, 3), f**3, (-x) ** -3, f**0):
-        assert g and all(type(c) is Fraction for c in g.terms.values())
+        # exact, in one representation: an int when integral, else a Fraction
+        assert g and all(
+            type(c) is int or type(c) is Fraction and c.denominator != 1 for c in g.terms.values()
+        )
+
+
+def test_an_integral_fraction_builds_the_polynomial_an_int_does(xyz):
+    x, y, _ = xyz.gens()
+    built = [
+        (xyz.const(Fraction(2)), xyz.const(2)),
+        (xyz.monomial([1, 0, 0], Fraction(4, 2)), xyz.monomial([1, 0, 0], 2)),
+        (xyz.from_terms([((0, 1, 0), Fraction(2)), ((0, 1, 0), 0)]), 2 * y),
+        (x * Fraction(2) + Fraction(2), x * 2 + 2),
+        (x * Fraction(1, 2) + x * Fraction(3, 2), 2 * x),
+        ((4 * x + 2 * y).monic(lex(xyz)) * Fraction(4), 4 * x + 2 * y),
+    ]
+    for a, b in built:
+        assert a == b and hash(a) == hash(b) and poly_to_text(a) == poly_to_text(b)
+        assert all(type(c) is int for c in a.terms.values()), a
 
 
 def test_lex_and_grevlex_keys(xyz):

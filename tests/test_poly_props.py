@@ -230,7 +230,7 @@ non_monic = st.lists(
 def test_tail_only_s_polynomial_is_the_textbook_one(f, g, order):
     s = _s_polynomial(_divisor(f, order), _divisor(g, order))
     assert s == _textbook_s_polynomial(f, g, order)
-    assert all(type(c) is Fraction for c in s.terms.values())
+    assert _exact([s])
 
 
 @small
@@ -311,8 +311,14 @@ def test_heap_division_matches_max_scan_division(case, data):
     assert normal_form(f, gens, order).terms == textbook
 
 
-def _all_fractions(polys):
-    return all(type(c) is Fraction for p in polys for c in p.terms.values())
+def _exact(polys):
+    """Every coefficient an int or a non-integral Fraction: never a float,
+    never an integral Fraction."""
+    return all(
+        type(c) is int or type(c) is Fraction and c.denominator != 1
+        for p in polys
+        for c in p.terms.values()
+    )
 
 
 ST = PolyRing(["s", "t"])
@@ -325,18 +331,18 @@ scales = st.sampled_from([1, -1, 2, -3, Fraction(1, 3), Fraction(-2, 5)])
 @given(systems, orders, polys, st.tuples(scales, scales, scales))
 def test_the_engine_returns_fraction_coefficients(gens, order, f, k):
     gb = buchberger(gens, order)
-    assert _all_fractions(gb)
-    assert _all_fractions([normal_form(f, gb, order), normal_form(f, gens, order)])
+    assert _exact(gb)
+    assert _exact([normal_form(f, gb, order), normal_form(f, gens, order)])
     # the Veronese map a -> k0 s^2, b -> k1 s t, c -> k2 t^2
     phi = RingMap(ABC, ST, {"a": s_ * s_ * k[0], "b": s_ * t_ * k[1], "c": t_ * t_ * k[2]})
     kernel = ring_map_kernel(phi).gens
-    assert len(kernel) == 1 and _all_fractions(kernel)
+    assert len(kernel) == 1 and _exact(kernel)
     assert not phi(kernel[0])
-    # ring-map images leave the expansion with Fraction coefficients too,
-    # integral ones included
+    # ring-map images leave the expansion with exact coefficients too,
+    # integral ones as ints
     a, _, c = ABC.gens()
     images = [f.substitute([s_ * k[0], s_ + t_, t_**-1]), phi(a * c), phi(a * c - k[1] ** 2)]
-    assert _all_fractions(images)
+    assert _exact(images)
 
 
 @small
@@ -345,7 +351,7 @@ def test_scaled_generators_give_the_same_reduced_basis(gens, order):
     scaled = [g * k for g, k in zip(gens, itertools.cycle([Fraction(1, 3), Fraction(2, 5)]))]
     gb = buchberger(scaled, order)
     assert gb == buchberger(gens, order)
-    assert _all_fractions(gb)
+    assert _exact(gb)
 
 
 # Ring-map images against a product expansion written out in the test: a
@@ -382,7 +388,7 @@ def _product_expansion(f, images, target):
             factor = img.terms
             if e < 0:
                 ((mono, coeff),) = factor.items()
-                factor, e = {tuple(-a for a in mono): 1 / coeff}, -e
+                factor, e = {tuple(-a for a in mono): Fraction(1) / coeff}, -e
             for _ in range(e):
                 part = _term_product(part, factor)
         result += part.items()
@@ -418,7 +424,7 @@ def test_substitute_matches_the_product_expansion(data):
     f = cancelling + r
     expected = _product_expansion(f, images, ST)
     for image in (f.substitute(images), phi(f)):
-        assert image == expected and image.ring == ST and _all_fractions([image])
+        assert image == expected and image.ring == ST and _exact([image])
 
 
 @small
