@@ -25,7 +25,6 @@ from .poly import (
     symbolic_det,
     weight_initial,
 )
-from .schur import picard_degree
 
 
 def x_name(j):
@@ -50,15 +49,23 @@ def w_name(tau=None):
     return "W_" + "".join(str(i) for i in sorted(tau))
 
 
+def presentation_variables(n, m):
+    """The source variables of phi in ring order, each with its bidegree in
+    Pic = Z x Z: x_j (-1, 0), Y_ij (1, 1), and (n + 1, n) for the
+    determinantal generator of each n-subset tau of rows, named W when
+    tau is every row (m = n) and W_tau when m > n; there is none for m < n."""
+    table = [(x_name(j), (-1, 0)) for j in range(n + 1)]
+    table += [(y_name(i, j), (1, 1)) for i in range(1, m + 1) for j in range(n + 1)]
+    table += [
+        (w_name(tau if m > n else None), (n + 1, n))
+        for tau in combinations(range(1, m + 1), n)
+    ]
+    return table
+
+
 def presentation_ring(n, m):
-    """Source ring K[x_j, Y_ij (, W-variables when m >= n)]."""
-    names = [x_name(j) for j in range(n + 1)]
-    names += [y_name(i, j) for i in range(1, m + 1) for j in range(n + 1)]
-    if m == n:
-        names.append(w_name())
-    elif m > n:
-        names += [w_name(tau) for tau in combinations(range(1, m + 1), n)]
-    return PolyRing(names)
+    """Source ring K[x_j, Y_ij, W-variables] of presentation_variables."""
+    return PolyRing([name for name, _ in presentation_variables(n, m)])
 
 
 def phi_target_ring(n, m):
@@ -78,11 +85,11 @@ def euler_generators(ring, n, m):
     return gens
 
 
-def det_forget_column(ring, n, j):
-    """det of the n x n minor of [Y_ij] obtained by forgetting column j."""
-    cols = [c for c in range(n + 1) if c != j]
-    rows = [[ring.var(y_name(i, c)) for c in cols] for i in range(1, n + 1)]
-    return symbolic_det(rows)
+def maximal_minors(ring, n):
+    """The n + 1 maximal minors det Y(j) of the n x (n + 1) matrix [Y_ij],
+    det Y(j) forgetting column j."""
+    rows = [[ring.var(y_name(i, c)) for c in range(n + 1)] for i in range(1, n + 1)]
+    return [symbolic_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(n + 1)]
 
 
 def euler_minor(target, n, rows, cols):
@@ -102,34 +109,33 @@ def build_phi(n: int, m: int):
     """The presentation map of the Cox ring of P(T_n tensor K^m).
 
     x_j -> t_j^-1, Y_ij -> the (i, j) entry of euler_minor's matrix times
-    t_j, and for m >= n one determinantal generator per n-subset tau of
-    rows: W_tau -> det[y(tau, 1..n)] t_0...t_n.
+    t_j, and the determinantal generator of each n-subset tau of rows ->
+    det[y(tau, 1..n)] t_0...t_n, in the order of presentation_variables.
     """
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
     source = presentation_ring(n, m)
     target = phi_target_ring(n, m)
-    images = {x_name(j): target.var(t_name(j)) ** -1 for j in range(n + 1)}
-    for i in range(1, m + 1):
-        for j in range(n + 1):
-            images[y_name(i, j)] = euler_minor(target, n, [i], [j])
-    if m >= n:
-        t_0 = target.var(t_name(0))
-        for tau in combinations(range(1, m + 1), n):
-            name = w_name() if m == n else w_name(tau)
-            images[name] = euler_minor(target, n, tau, range(1, n + 1)) * t_0
-    return RingMap(source, target, images)
+    images = [target.var(t_name(j)) ** -1 for j in range(n + 1)]
+    images += [euler_minor(target, n, [i], [j]) for i in range(1, m + 1) for j in range(n + 1)]
+    t_0 = target.var(t_name(0))
+    images += [
+        euler_minor(target, n, tau, range(1, n + 1)) * t_0
+        for tau in combinations(range(1, m + 1), n)
+    ]
+    return RingMap(source, target, dict(zip(source.names, images)))
 
 
 class PresentationSpec:
     """A presentation of the Cox ring: ring, generators, grading, map."""
 
-    def __init__(self, n, m, ring, gens, degrees, phi):
+    def __init__(self, n, m, ring, gens, phi):
         self.n = n
         self.m = m
         self.ring = ring
         self.gens = gens
-        self.degrees = degrees  # variable name -> (Pic degree, Sym degree)
+        # variable name -> (Pic degree, Sym degree)
+        self.degrees = dict(presentation_variables(n, m))
         self.phi = phi
         self._ideal = Ideal(ring, gens)
 
@@ -166,21 +172,6 @@ class PresentationSpec:
         return max(d[1] for d in self.degrees.values())
 
 
-def variable_degrees(n, m):
-    degrees = {}
-    for j in range(n + 1):
-        degrees[x_name(j)] = picard_degree("x", n)
-    for i in range(1, m + 1):
-        for j in range(n + 1):
-            degrees[y_name(i, j)] = picard_degree("Y", n)
-    if m == n:
-        degrees[w_name()] = picard_degree("W", n)
-    elif m > n:
-        for tau in combinations(range(1, m + 1), n):
-            degrees[w_name(tau)] = picard_degree("W_tau", n)
-    return degrees
-
-
 def tangent_cox_ideal(n: int, m: int):
     """Presentation of the Cox ring of P(T_n tensor K^m) for 1 <= m <= n.
 
@@ -200,9 +191,9 @@ def tangent_cox_ideal(n: int, m: int):
     gens = euler_generators(ring, n, m)
     if m == n:
         w = ring.var(w_name())
-        for j in range(n + 1):
-            gens.append(det_forget_column(ring, n, j) - (-1) ** j * ring.var(x_name(j)) * w)
-    return PresentationSpec(n, m, ring, gens, variable_degrees(n, m), phi)
+        for j, minor in enumerate(maximal_minors(ring, n)):
+            gens.append(minor - (-1) ** j * ring.var(x_name(j)) * w)
+    return PresentationSpec(n, m, ring, gens, phi)
 
 
 def quiver_ideal(n: int):
@@ -210,10 +201,7 @@ def quiver_ideal(n: int):
     if n < 2:
         raise ValueError("need n >= 2")
     ring = presentation_ring(n, n)
-    gens = euler_generators(ring, n, n)
-    for j in range(n + 1):
-        gens.append(det_forget_column(ring, n, j))
-    return Ideal(ring, gens)
+    return Ideal(ring, euler_generators(ring, n, n) + maximal_minors(ring, n))
 
 
 def delta_weights(ring):
@@ -494,9 +482,7 @@ def lemma_ideal(n, subset):
         for j in range(1, k + 1):
             f = f + ring.var(y_name(i, j))
         gens.append(f)
-    for j in range(n + 1):
-        gens.append(det_forget_column(ring, n, j))
-    return Ideal(ring, gens), mapping
+    return Ideal(ring, gens + maximal_minors(ring, n)), mapping
 
 
 def verify_lemma(n, subset):
@@ -519,8 +505,7 @@ def verify_lemma(n, subset):
 def minors_only_dimension(n):
     """Zero-set dimension of the ideal of all maximal minors of [Y_ij]."""
     ring = lemma_ring(n)
-    gens = [det_forget_column(ring, n, j) for j in range(n + 1)]
-    ideal = Ideal(ring, gens)
+    ideal = Ideal(ring, maximal_minors(ring, n))
     return poly.zero_set_dimension(ideal, row_completing_order(ring, n))
 
 

@@ -109,16 +109,6 @@ def generator_pattern(tau, n: int):
     return pattern
 
 
-def lead_marker(tau, n: int):
-    """(first element of [n] missing from tau, tau with it adjoined)."""
-    tau = frozenset(tau)
-    missing = [j for j in range(1, n + 1) if j not in tau]
-    if not missing:
-        raise ValueError("tau must miss some element of [n]")
-    ell = missing[0]
-    return ell, tau | {ell}
-
-
 class ExtendedPattern(NamedTuple):
     """A pattern paired with a vector in Z^{n+1} tracking torus degrees."""
 
@@ -170,19 +160,21 @@ class MarkedGenerator(NamedTuple):
 
     @lru_cache(maxsize=None)
     def check(self, n):
-        """Memoized per (generator, n) once it passes; lru_cache stores no
-        exception, so a failing generator raises on every call."""
+        """Raise ValueError unless this is a generator at n.  Memoized per
+        (generator, n) once it passes; lru_cache stores no exception, so a
+        failing generator raises on every call."""
         if self.kind == "neg":
-            if not 0 <= self.value <= n:
+            if not (isinstance(self.value, int) and 0 <= self.value <= n):
                 raise ValueError(f"negated index {self.value} out of range 0..{n}")
-        else:
-            if self.sigma == frozenset(range(1, n + 1)) or not self.sigma <= frozenset(
-                range(1, n + 1)
-            ):
+        elif self.kind == "flag":
+            if not (isinstance(self.sigma, frozenset) and self.sigma
+                    and self.sigma < frozenset(range(1, n + 1))):
                 raise ValueError("flag set must be a nonempty strict subset of [n]")
             top = _prefix_capacity(self.sigma)
-            if self.mark is None or not 0 <= self.mark <= top:
+            if not (isinstance(self.mark, int) and 0 <= self.mark <= top):
                 raise ValueError(f"mark {self.mark} of {sorted(self.sigma)} is not in 0..{top}")
+        else:
+            raise ValueError(f"unknown generator kind {self.kind!r}")
 
     @lru_cache(maxsize=None)
     def extended_pattern(self, n):
@@ -323,6 +315,12 @@ def flag_column_sets(n):
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
+def column_set_count(n):
+    """len(flag_column_sets(n)) without building them: 2^n - 2 sets in [n]
+    and 2^n - n - 1 sets {0} | tau, for n >= 1."""
+    return 2 ** (n + 1) - n - 3
+
+
 def flag_ring(n: int):
     names = [x_name(j) for j in range(n + 1)]
     names += [p_name(cols) for cols in flag_column_sets(n)]
@@ -354,54 +352,24 @@ def diagonal_order(target_ring, n):
 
 
 def lead_pattern(gen, n, psi=None):
-    """Extended pattern of a generator's initial term.
-
-    For n <= 4 the declared pattern is checked against the actual initial
-    term of the presentation image under the diagonal order.
+    """Extended pattern of a generator's initial term, checked at every n:
+    the initial term of its psi image under the diagonal order must be
+    +-t^zvec, times y_{1,c_1}...y_{k,c_k} over a flag's sorted columns c.
+    For a marked flag the y-part pins the mark a: the winning summand
+    restores a, which check makes the first column missing from sigma - {a}.
     """
     gen.check(n)
     declared = gen.extended_pattern(n)
-    if n <= 4:
-        psi = psi or build_psi(n)
-        target = psi.target
-        image = psi(psi.source.var(gen.variable_name()))
-        order = diagonal_order(target, n)
-        lead, coeff = image.leading_term(order)
-        if abs(coeff) != 1:
-            raise AssertionError(f"initial coefficient {coeff} is not a unit")
-        t_part = [0] * (n + 1)
-        expected_y = {}
-        if gen.kind == "neg":
-            t_part[gen.value] = -1
-        else:
-            diag_cols = sorted(gen.sigma)
-            if gen.mark == 0:
-                for j in gen.sigma:
-                    t_part[j] = 1
-            else:
-                # marked flags stand for a 0-column minor; the winning
-                # summand restores the first missing element as a column
-                t_part[0] = 1
-                tau = gen.sigma - {gen.mark}
-                for j in tau:
-                    t_part[j] = 1
-                ell, star = lead_marker(tau, n)
-                if star != gen.sigma or ell != gen.mark:
-                    raise AssertionError(
-                        f"marking {gen.mark} is not the first missing element of {sorted(tau)}"
-                    )
-            for row, col in enumerate(diag_cols, start=1):
-                expected_y[(row, col)] = 1
-        actual_t = [lead[target.index[t_name(j)]] for j in range(n + 1)]
-        if actual_t != t_part:
-            raise AssertionError(f"t-degrees {actual_t} do not match declared {t_part}")
-        for i in range(1, n):
-            for j in range(1, n + 1):
-                e = lead[target.index[yy_name(i, j)]]
-                if e != expected_y.get((i, j), 0):
-                    raise AssertionError(
-                        f"initial term of {gen!r} is not the expected diagonal"
-                    )
+    psi = psi or build_psi(n)
+    target = psi.target
+    lead, coeff = psi.images[gen.variable_name()].leading_term(diagonal_order(target, n))
+    expected = [0] * target.nvars
+    for j, e in enumerate(declared.zvec):
+        expected[target.index[t_name(j)]] = e
+    for row, col in enumerate(sorted(gen.sigma or ()), start=1):
+        expected[target.index[yy_name(row, col)]] = 1
+    if abs(coeff) != 1 or list(lead) != expected:
+        raise AssertionError(f"initial term of {gen!r} is not its declared pattern")
     return declared
 
 
@@ -433,7 +401,7 @@ def euler_flag_relation(n, tau, psi=None):
 def plucker_pair_count(n):
     """Number of unordered pairs of P-variables at n, repeats included.
     Raises CapExceeded past PAIR_CAP."""
-    count = comb(len(flag_column_sets(n)) + 1, 2)
+    count = comb(column_set_count(n) + 1, 2)
     if count > PAIR_CAP:
         raise CapExceeded(
             f"n = {n} has {count} P-variable pairs, over the cap {PAIR_CAP}", size=count
@@ -599,6 +567,11 @@ class _Codes(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _codes(n):
+    """Raises CapExceeded, before building any generator, past SWEEP_CAP
+    generators: the most that a sweep of one-generator words numbers."""
+    count = generator_count(n)
+    if count > SWEEP_CAP:
+        raise CapExceeded(f"n = {n} has {count} generators, over the cap {SWEEP_CAP}", size=count)
     gens = tuple(sorted(all_generators(n), key=MarkedGenerator.sort_key))
     code = {gen: c for c, gen in enumerate(gens)}
     flags = sum(gen.kind == "flag" for gen in gens)
@@ -813,12 +786,19 @@ def all_generators(n):
     return gens
 
 
+def generator_count(n):
+    """len(all_generators(n)) without building them, for n >= 1: n + 1
+    negated variables, and 1 + (prefix capacity) marks on each of the
+    2^n - 2 column sets, whose capacities add up to 2^n - n - 1."""
+    return 2 ** (n + 1) - 2
+
+
 def sweep_word_count(n, max_len):
     """Number of words of 1 to max_len generators at n.  Raises ValueError
     for max_len < 1, a sweep of no word, and CapExceeded past SWEEP_CAP."""
     if max_len < 1:
         raise ValueError(f"the largest word length must be at least 1, got {max_len}")
-    gens = len(all_generators(n))
+    gens = generator_count(n)
     count = sum(comb(gens + k - 1, k) for k in range(1, max_len + 1))
     if count > SWEEP_CAP:
         raise CapExceeded(

@@ -1,4 +1,4 @@
-"""Partition combinatorics: Schur dimensions, the Cauchy identity, gradings."""
+"""Partition combinatorics: Schur dimensions and the Cauchy identity."""
 
 from fractions import Fraction
 from math import comb
@@ -81,29 +81,6 @@ def cauchy_verify(d: int, e: int, v: int):
         lhs += schur_dim(parts, e) * schur_dim(parts, v)
     rhs = sym_power_dim(e * v, d)
     return lhs == rhs, lhs, rhs
-
-
-def picard_degree(kind, n, size=None):
-    """Bidegree of a Cox ring generator in Pic = Z x Z.
-
-    Kinds: "x", "Y", "W", "W_tau", "P" (flag minor on size columns),
-    "P0" (flag minor with the 0-column, size = |tau|).
-    """
-    if kind == "x":
-        return (-1, 0)
-    if kind == "Y":
-        return (1, 1)
-    if kind in ("W", "W_tau"):
-        return (n + 1, n)
-    if kind == "P":
-        if size is None:
-            raise ValueError("P needs the column-set size")
-        return (size, size)
-    if kind == "P0":
-        if size is None:
-            raise ValueError("P0 needs the column-set size")
-        return (size + 1, size + 1)
-    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def cauchy_table(max_degree: int, e: int, v: int):

@@ -274,6 +274,25 @@ def test_gz_verify_caps_the_word_sweep(capsys, monkeypatch):
     assert "1947791 words up to length 6, over the cap 65536" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "--max-word-length", "1"], "2199023255550 words up to length 1"),
+        (["subduct", "--word1", "[-0]", "--word2", "[-0]"], "2199023255550 generators"),
+    ],
+)
+def test_gz_commands_exit_at_the_cap_at_n40(capsys, monkeypatch, args, message):
+    def built(*args):
+        raise AssertionError("generators or column sets were enumerated past a cap")
+
+    monkeypatch.setattr(gz, "all_generators", built)
+    monkeypatch.setattr(gz, "flag_column_sets", built)
+    code, out, err = run(capsys, "gz", args[0], "--n", "40", *args[1:])
+    assert code == EXIT_CAP
+    assert out == ""
+    assert f"{message}, over the cap 65536" in err
+
+
 def test_gz_subduct_unequal_sums(capsys):
     code, _, err = run(
         capsys, "gz", "subduct", "--n", "2", "--word1", "[-1]", "--word2", "[-2]"

@@ -11,17 +11,18 @@ from tvbcox.cox import (
     column_permutation,
     delta_initial_ideal,
     delta_weights,
-    det_forget_column,
     euler_generators,
     euler_minor,
     initial_comparison,
     kernel_by_saturation,
     lemma_ideal,
+    maximal_minors,
     minors_only_dimension,
     phi_target_ring,
     plucker_quadrics,
     pluecker_match,
     presentation_ring,
+    presentation_variables,
     quiver_ideal,
     row_completing_order,
     t_name,
@@ -67,6 +68,24 @@ def test_euler_ideal_shape():
 def test_euler_bidegree():
     spec = tangent_cox_ideal(3, 2)
     assert spec.check_bihomogeneous() == [(0, 1), (0, 1)]
+
+
+def test_presentation_variables_in_ring_order():
+    # x_j (-1, 0), Y_ij (1, 1), and (n + 1, n) for each n-subset of rows
+    assert presentation_variables(2, 1) == [
+        ("x0", (-1, 0)), ("x1", (-1, 0)), ("x2", (-1, 0)),
+        ("Y1_0", (1, 1)), ("Y1_1", (1, 1)), ("Y1_2", (1, 1)),
+    ]
+    assert presentation_variables(2, 2)[-1] == ("W", (3, 2))
+    assert presentation_variables(3, 4)[-4:] == [
+        (w_name(tau), (4, 3)) for tau in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+    ]
+    for n, m in ((2, 1), (2, 2), (2, 3), (3, 4)):
+        names = [name for name, _ in presentation_variables(n, m)]
+        assert list(presentation_ring(n, m).names) == names
+        assert list(build_phi(n, m).images) == names
+        if m <= n:
+            assert list(tangent_cox_ideal(n, m).degrees) == names
 
 
 def test_tangent_cox_ideal_counts():
@@ -115,10 +134,10 @@ def test_solved_signs_give_kernel_members():
     for n in (2, 3, 4):
         phi = build_phi(n, n)
         ring = phi.source
-        for j in range(n + 1):
+        for j, minor in enumerate(maximal_minors(ring, n)):
             xw = ring.var(x_name(j)) * ring.var(w_name())
-            assert phi(det_forget_column(ring, n, j) - (-1) ** j * xw) == 0
-            assert phi(det_forget_column(ring, n, j) + (-1) ** j * xw) != 0
+            assert phi(minor - (-1) ** j * xw) == 0
+            assert phi(minor + (-1) ** j * xw) != 0
 
 
 def test_all_generators_vanish_under_phi():
@@ -240,9 +259,7 @@ def test_the_proof_basis_decides_membership_as_grevlex_does(monkeypatch, case):
     else:
         spec = tangent_cox_ideal(int(n), int(n))
         if dropped:  # no longer saturated: some quotients fall outside J
-            spec = PresentationSpec(
-                spec.n, spec.m, spec.ring, spec.gens[:-1], spec.degrees, spec.phi
-            )
+            spec = PresentationSpec(spec.n, spec.m, spec.ring, spec.gens[:-1], spec.phi)
         args = proof_inputs(spec)
     claimed, order = args[0], grevlex(args[0].ring)
     basis, u_last, _ = kernel_by_saturation(*args)
@@ -271,7 +288,7 @@ def test_colon_certificate_rejects_a_dropped_generator():
     # without det Y(3) - e x_3 W the ideal still agrees with ker(phi) once
     # x is inverted, but it is no longer saturated with respect to x_0
     spec = tangent_cox_ideal(3, 3)
-    dropped = PresentationSpec(3, 3, spec.ring, spec.gens[:-1], spec.degrees, spec.phi)
+    dropped = PresentationSpec(3, 3, spec.ring, spec.gens[:-1], spec.phi)
     got = certificates(dropped)
     assert got["saturated"] is False
     assert got["contained"] and got["left_inverse"]
@@ -283,10 +300,10 @@ def test_left_inverse_certificate_rejects_a_wrong_w_image(n):
     # and x_0 (sigma(phi(W)) - W) = -(det Y(0) + x_0 W) is not in J
     spec = tangent_cox_ideal(n, n)
     phi = RingMap(spec.ring, spec.phi.target, dict(spec.phi.images, W=-spec.phi.images["W"]))
-    wrong = PresentationSpec(n, n, spec.ring, spec.gens, spec.degrees, phi)
+    wrong = PresentationSpec(n, n, spec.ring, spec.gens, phi)
     ring = spec.ring
     image = tangent_sigma(wrong)(phi(ring.var("W")))
-    assert image * ring.var("x0") == -det_forget_column(ring, n, 0)
+    assert image * ring.var("x0") == -maximal_minors(ring, n)[0]
     got = certificates(wrong)
     assert got["left_inverse"] is False
     # the new phi no longer kills det Y(j) - e x_j W either
@@ -384,9 +401,9 @@ def test_kernel_membership_and_nonmembership():
     order = grevlex(spec.ring)
     gb = kernel.groebner(order)
     ring = spec.ring
-    member = det_forget_column(ring, 2, 0) - ring.var("x0") * ring.var("W")
+    member = maximal_minors(ring, 2)[0] - ring.var("x0") * ring.var("W")
     assert not normal_form(member, gb, order)
-    non_member = det_forget_column(ring, 2, 0)
+    non_member = maximal_minors(ring, 2)[0]
     assert spec.phi(non_member) != 0
     assert normal_form(non_member, gb, order)
 
@@ -472,7 +489,7 @@ def test_row_completing_order_lead_terms():
     order = row_completing_order(ring, 2)
     f1 = ring.var(y_name(1, 1)) + ring.var(y_name(1, 2))
     assert f1.leading_term(order)[0] == ring.var(y_name(1, 1)).leading_term(order)[0]
-    det0 = det_forget_column(ring, 2, 0)
+    det0 = maximal_minors(ring, 2)[0]
     lead, _ = det0.leading_term(order)
     diag = ring.var(y_name(1, 1)) * ring.var(y_name(2, 2))
     assert lead == next(iter(diag.terms))

@@ -18,7 +18,6 @@ from tvbcox.gz import (
     flag_presentation,
     flag_ring,
     generator_pattern,
-    lead_marker,
     lead_pattern,
     lift_step_check,
     parse_generator,
@@ -31,7 +30,7 @@ from tvbcox.gz import (
     word_pattern_sum,
     word_to_text,
 )
-from tvbcox.poly import Ideal, grevlex, ideal_equal, poly_to_text, ring_map_kernel
+from tvbcox.poly import Ideal, RingMap, grevlex, ideal_equal, poly_to_text, ring_map_kernel
 from tvbcox.suite import gz_relation_check
 from oracles import euler_quadric_by_sign_search
 
@@ -67,14 +66,6 @@ def test_pattern_addition_preserves_interlacing():
                 assert word_pattern_sum(word, n).pattern.interlaces()
 
 
-def test_lead_marker():
-    assert lead_marker({2, 3}, 4) == (1, frozenset({1, 2, 3}))
-    assert lead_marker(set(), 3) == (1, frozenset({1}))
-    assert lead_marker({1}, 3) == (2, frozenset({1, 2}))
-    with pytest.raises(ValueError):
-        lead_marker({1, 2, 3}, 3)
-
-
 def test_marked_generator_validity():
     MarkedGenerator.flag({1, 2}, 2)
     with pytest.raises(ValueError):
@@ -95,6 +86,28 @@ def test_check_refuses_a_hand_built_mark_past_the_prefix(mark):
     with pytest.raises(ValueError, match="is not in 0..0"):
         canonicalize([gen, MarkedGenerator.neg(1)], 3)
     MarkedGenerator("flag", sigma=frozenset({2}), mark=0).check(3)
+
+
+@pytest.mark.parametrize(
+    "gen, message",
+    [
+        (MarkedGenerator("neg", value=None), "negated index None"),
+        (MarkedGenerator("flag", sigma=None, mark=0), "nonempty strict subset"),
+        (MarkedGenerator("flag", sigma=frozenset({1}), mark=None), "mark None"),
+        (MarkedGenerator("flag", sigma=frozenset(), mark=0), "nonempty strict subset"),
+        (MarkedGenerator("pos", value=1), "unknown generator kind 'pos'"),
+        (MarkedGenerator("pos", sigma=frozenset({1}), mark=0), "unknown generator kind"),
+    ],
+)
+def test_check_refuses_a_hand_built_generator_with_value_error(gen, message):
+    with pytest.raises(ValueError, match=message):
+        gen.check(3)
+
+
+def test_canonicalize_refuses_an_empty_column_set_with_value_error():
+    # once KeyError [{},0] from the code table
+    with pytest.raises(ValueError, match="nonempty strict subset"):
+        canonicalize([MarkedGenerator("flag", sigma=frozenset(), mark=0)], 3)
 
 
 def test_extended_patterns_of_generators():
@@ -256,12 +269,57 @@ def test_pair_and_word_counts_at_their_caps(monkeypatch):
         confluence_sweep(6, 3)
 
 
-def test_lead_pattern_verified_up_to_n4():
-    for n in (2, 3, 4):
+def test_closed_form_counts_match_the_enumerations():
+    for n in range(2, 11):
+        assert gz.generator_count(n) == len(all_generators(n)) == 2 ** (n + 1) - 2
+        assert gz.column_set_count(n) == len(flag_column_sets(n)) == 2 ** (n + 1) - n - 3
+
+
+def test_caps_are_checked_before_any_enumeration(monkeypatch):
+    def built(*args):
+        raise AssertionError("generators or column sets were enumerated past a cap")
+
+    monkeypatch.setattr(gz, "all_generators", built)
+    monkeypatch.setattr(gz, "flag_column_sets", built)
+    with pytest.raises(poly.CapExceeded, match="2199023255550 words up to length 1"):
+        gz.sweep_word_count(40, 1)
+    with pytest.raises(poly.CapExceeded, match="P-variable pairs") as exc:
+        gz.plucker_pair_count(40)
+    assert exc.value.size == (2**41 - 43) * (2**41 - 42) // 2
+    assert gz.plucker_pair_count(5) == 1596
+    word = [MarkedGenerator.neg(0)]
+    for n in (16, 40):
+        with pytest.raises(poly.CapExceeded, match=f"{2 ** (n + 1) - 2} generators"):
+            canonicalize(word, n)
+        with pytest.raises(poly.CapExceeded, match="over the cap 65536"):
+            subduct(word, word, n)
+
+
+def test_lead_pattern_verified_up_to_n5():
+    for n in (2, 3, 4, 5):
         psi = build_psi(n)
         for gen in all_generators(n):
             declared = lead_pattern(gen, n, psi=psi)
             assert declared == gen.extended_pattern(n)
+
+
+def test_lead_pattern_rejects_swapped_images():
+    # P12 and P13 trade images, so each declared pattern meets the other's
+    # initial term
+    psi = build_psi(3)
+    images = dict(psi.images, P12=psi.images["P13"], P13=psi.images["P12"])
+    swapped = RingMap(psi.source, psi.target, images)
+    for cols in ({1, 2}, {1, 3}):
+        with pytest.raises(AssertionError, match="not its declared pattern"):
+            lead_pattern(MarkedGenerator.flag(cols), 3, psi=swapped)
+    lead_pattern(MarkedGenerator.flag({2, 3}), 3, psi=swapped)
+
+
+def test_lead_pattern_rejects_a_non_unit_coefficient():
+    psi = build_psi(3)
+    doubled = RingMap(psi.source, psi.target, dict(psi.images, P1=2 * psi.images["P1"]))
+    with pytest.raises(AssertionError, match="not its declared pattern"):
+        lead_pattern(MarkedGenerator.flag({1}), 3, psi=doubled)
 
 
 def test_lead_pattern_spec_displays():

@@ -5,7 +5,6 @@ from tvbcox.schur import (
     cauchy_verify,
     normalize_partition,
     partitions_bounded,
-    picard_degree,
     schur_dim,
     sym_power_dim,
 )
@@ -93,15 +92,3 @@ def test_highest_weight_line_count():
                 ]
                 assert count == len(both)
 
-
-def test_picard_degrees():
-    assert picard_degree("x", 2) == (-1, 0)
-    assert picard_degree("Y", 2) == (1, 1)
-    assert picard_degree("W", 2) == (3, 2)
-    assert picard_degree("W_tau", 3) == (4, 3)
-    assert picard_degree("P", 3, size=2) == (2, 2)
-    assert picard_degree("P0", 3, size=1) == (2, 2)
-    with pytest.raises(ValueError):
-        picard_degree("Q", 2)
-    with pytest.raises(ValueError):
-        picard_degree("P", 2)
