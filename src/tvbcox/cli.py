@@ -159,16 +159,20 @@ def cmd_cox_tangent(args):
         "bidegrees": spec.check_bihomogeneous(),
     }
     order = poly.grevlex(spec.ring)
+    # each option that changes results joins the inputs only when given
+    inputs = f"{args.n},{args.m}"
     if args.emit == "gb":
+        inputs += ",--emit gb"
         gens = spec.ideal().groebner(order)
     else:
         gens = spec.gens
     results["generators"] = [poly.poly_to_text(g, order) for g in gens]
     if args.verify_kernel:
+        inputs += ",--verify-kernel"
         results["kernel"] = cox.verify_kernel(args.n, allow_large=args.allow_large)
         if not results["kernel"]["equal"]:
-            return f"{args.n},{args.m}", results, EXIT_CHECK_FAILED
-    return f"{args.n},{args.m}", results, EXIT_OK
+            return inputs, results, EXIT_CHECK_FAILED
+    return inputs, results, EXIT_OK
 
 
 def cmd_cox_quiver(args):
@@ -219,7 +223,7 @@ def cmd_gz_subduct(args):
     except gz.SubductionError as exc:
         raise InputError(str(exc))
     code = EXIT_OK if results["success"] else EXIT_CHECK_FAILED
-    return f"{args.word1}|{args.word2}", results, code
+    return f"{args.n}|{args.word1}|{args.word2}", results, code
 
 
 def cmd_suite(args):

@@ -98,12 +98,8 @@ def generator_pattern(tau, n: int):
         raise ValueError("tau must be a nonempty strict subset of [n]")
     if not tau <= frozenset(range(1, n + 1)):
         raise ValueError(f"tau out of range 1..{n}")
-    rows = []
-    for i in range(1, n + 1):
-        width = n + 1 - i
-        ones = len(tau & set(range(1, width + 1)))
-        rows.append((1,) * ones + (0,) * (width - ones))
-    pattern = GZPattern(rows)
+    counts = _prefix_counts(tau, n)
+    pattern = GZPattern((1,) * counts[w - 1] + (0,) * (w - counts[w - 1]) for w in range(n, 0, -1))
     if not pattern.in_plus_cone():
         raise AssertionError(f"generator pattern violates interlacing: {tau}")
     return pattern
@@ -116,10 +112,9 @@ class ExtendedPattern(NamedTuple):
     zvec: tuple
 
 
-def _unit_vec(n, a, scale=1):
-    v = [0] * (n + 1)
-    v[a] = scale
-    return tuple(v)
+def _prefix_counts(sigma, n):
+    """|sigma ∩ [k]| for k = 1..n; a column set is determined by these."""
+    return tuple(accumulate(int(k in sigma) for k in range(1, n + 1)))
 
 
 def _prefix_capacity(sigma):
@@ -158,11 +153,8 @@ class MarkedGenerator(NamedTuple):
             raise ValueError(f"mark {mark} needs prefix {{1..{mark}}} in {sorted(sigma)}")
         return cls("flag", sigma=sigma, mark=mark)
 
-    @lru_cache(maxsize=None)
     def check(self, n):
-        """Raise ValueError unless this is a generator at n.  Memoized per
-        (generator, n) once it passes; lru_cache stores no exception, so a
-        failing generator raises on every call."""
+        """Raise ValueError unless this is a generator at n."""
         if self.kind == "neg":
             if not (isinstance(self.value, int) and 0 <= self.value <= n):
                 raise ValueError(f"negated index {self.value} out of range 0..{n}")
@@ -176,20 +168,14 @@ class MarkedGenerator(NamedTuple):
         else:
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
-    @lru_cache(maxsize=None)
     def extended_pattern(self, n):
-        """Memoized per (generator, n): word sums call this on every
-        generator, and generators and patterns are immutable values."""
+        """The z-vector is -e_a for [-a] and the indicator of
+        variable_columns() for a flag."""
         if self.kind == "neg":
-            return ExtendedPattern(GZPattern.zero(n), _unit_vec(n, self.value, -1))
-        pattern = generator_pattern(self.sigma, n)
-        zvec = [0] * (n + 1)
-        for j in self.sigma:
-            zvec[j] += 1
-        if self.mark:
-            zvec[0] += 1
-            zvec[self.mark] -= 1
-        return ExtendedPattern(pattern, tuple(zvec))
+            pattern, sign, cols = GZPattern.zero(n), -1, {self.value}
+        else:
+            pattern, sign, cols = generator_pattern(self.sigma, n), 1, self.variable_columns()
+        return ExtendedPattern(pattern, tuple(sign * (j in cols) for j in range(n + 1)))
 
     def variable_columns(self):
         """Column set of the flag-ring variable this generator stands for."""
@@ -204,20 +190,15 @@ class MarkedGenerator(NamedTuple):
             return x_name(self.value)
         return p_name(self.variable_columns())
 
-    @lru_cache(maxsize=None)
     def sort_key(self):
+        """Flags first, by size descending, then by their sorted columns and
+        mark descending; then negated variables, index descending."""
         if self.kind == "flag":
-            return (0, *_flag_key(self.sigma), -self.mark)
+            return (0, -len(self.sigma), tuple(sorted(self.sigma)), -self.mark)
         return (1, -self.value)
 
     def __repr__(self):
         return generator_to_text(self)
-
-
-@lru_cache(maxsize=None)
-def _flag_key(sigma):
-    """Flags sort by size descending, then by their sorted columns."""
-    return (-len(sigma), tuple(sorted(sigma)))
 
 
 def generator_to_text(gen):
@@ -267,7 +248,6 @@ def word_to_text(word):
     return ",".join(generator_to_text(g) for g in word)
 
 
-@lru_cache(maxsize=None)
 def _flat_pattern(gen, n):
     """A generator's extended pattern as one integer tuple: the pattern rows,
     top first, then the z-vector."""
@@ -303,22 +283,18 @@ def p_name(cols):
 
 
 def flag_column_sets(n):
-    """Column sets of the flag-ring variables: nonempty strict subsets of
-    [n], and 0-column sets {0} | tau with |tau| <= n - 2."""
-    sets = []
-    for size in range(1, n):
-        for tau in combinations(range(1, n + 1), size):
-            sets.append(frozenset(tau))
-    for size in range(0, n - 1):
-        for tau in combinations(range(1, n + 1), size):
-            sets.append(frozenset({0}) | frozenset(tau))
-    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+    """Column sets of the flag-ring variables, smallest first: the
+    variable_columns of the flags of all_generators(n).  Each set comes
+    from one flag: sigma from [sigma, 0], and {0} | tau, |tau| <= n - 2,
+    from [tau | {a}, a] with a = min([n] - tau)."""
+    flags = (gen for gen in all_generators(n) if gen.kind == "flag")
+    return sorted((gen.variable_columns() for gen in flags), key=lambda s: (len(s), sorted(s)))
 
 
 def column_set_count(n):
-    """len(flag_column_sets(n)) without building them: 2^n - 2 sets in [n]
-    and 2^n - n - 1 sets {0} | tau, for n >= 1."""
-    return 2 ** (n + 1) - n - 3
+    """len(flag_column_sets(n)) without building them: one set per flag,
+    for n >= 1."""
+    return generator_count(n) - n - 1
 
 
 def flag_ring(n: int):
@@ -420,17 +396,15 @@ def quadratic_plucker_relations(n, psi=None):
     plucker_pair_count(n)
     psi = psi or build_psi(n)
     source = psi.source
-    p_vars = [name for name in source.names if name.startswith("P")]
     groups = {}
-    for a, b in combinations_with_replacement(p_vars, 2):
-        key = tuple(sorted(_cols_of(a) + _cols_of(b)))
-        groups.setdefault(key, []).append((a, b))
+    for a, b in combinations_with_replacement(flag_column_sets(n), 2):
+        groups.setdefault(tuple(sorted(chain(a, b))), []).append((a, b))
     relations = []
     for key in sorted(groups):
         pairs = groups[key]
         if len(pairs) < 2:
             continue
-        monomials = [source.var(a) * source.var(b) for a, b in pairs]
+        monomials = [source.var(p_name(a)) * source.var(p_name(b)) for a, b in pairs]
         images = [psi(mono) for mono in monomials]
         support = sorted({m for img in images for m in img.terms})
         rows = [[img.terms.get(m, 0) for m in support] for img in images]
@@ -440,10 +414,6 @@ def quadratic_plucker_relations(n, psi=None):
                 rel = rel + c * mono
             relations.append(rel)
     return relations
-
-
-def _cols_of(p_var_name):
-    return [int(c) for c in p_var_name[1:]]
 
 
 def _relations(n, psi, columns):
@@ -497,15 +467,15 @@ def flag_sigma(psi, n):
     return RingMap(psi.target, source, images)
 
 
-def column_symmetry(ring, n, perm):
-    """The ring map x_j -> x_perm[j], P_S -> e P_perm(S), e the sign that
-    sorts perm over sorted S.  psi's matrix has rows summing to 0 in any
-    column order, so permuting its columns is a map h of the target with
-    h(psi(f)) = psi(g(f)); g keeps ker(psi)."""
+def column_symmetry(ring, column_sets, perm):
+    """The ring map x_j -> x_perm[j], P_S -> e P_perm(S) for S in
+    column_sets, e the sign that sorts perm over sorted S.  psi's matrix
+    has rows summing to 0 in any column order, so permuting its columns is
+    a map h of the target with h(psi(f)) = psi(g(f)); g keeps ker(psi)."""
     images = {x_name(j): ring.var(x_name(p)) for j, p in enumerate(perm)}
-    for name in ring.names[n + 1 :]:
-        cols = [perm[c] for c in _cols_of(name)]
-        images[name] = sorting_sign(cols) * ring.var(p_name(cols))
+    for cols in column_sets:
+        moved = [perm[c] for c in sorted(cols)]
+        images[p_name(cols)] = sorting_sign(moved) * ring.var(p_name(moved))
     return RingMap(ring, ring, images)
 
 
@@ -515,11 +485,12 @@ def flag_kernel(n, psi):
     P_{1..n-2}, and the column_symmetry of the two column generators,
     which carry x_0 to every x_j and P_{1..k} to every P_S with |S| = k."""
     ring = psi.source
+    sets = flag_column_sets(n)
     # x_j weighs 1 and P over cols weighs |cols|: every relation is homogeneous
-    weights = [1 if name.startswith("x") else len(_cols_of(name)) for name in ring.names]
+    weights = [1] * (n + 1) + [len(cols) for cols in sets]
     return kernel_by_saturation(
         Ideal(ring, flag_presentation(n, psi)), psi, flag_sigma(psi, n), weights,
-        [column_symmetry(ring, n, perm) for perm in column_generators(n)],
+        [column_symmetry(ring, sets, perm) for perm in column_generators(n)],
     )
 
 
@@ -552,9 +523,8 @@ class SubductionError(ValueError):
 
 class _Codes(NamedTuple):
     """The generators at one n numbered in sort_key order, so a sorted word
-    is a sorted tuple of codes and its flags are a prefix of it, in
-    _flag_key order.  The flags of one column set take consecutive codes,
-    marks descending."""
+    is a sorted tuple of codes and its flags are a prefix of it.  The flags
+    of one column set take consecutive codes, marks descending."""
 
     gens: tuple  # the generator of each code
     code: dict  # generator -> code
@@ -567,8 +537,11 @@ class _Codes(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _codes(n):
-    """Raises CapExceeded, before building any generator, past SWEEP_CAP
+    """Raises ValueError for n < 1, where generator_count does not hold,
+    and CapExceeded, before building any generator, past SWEEP_CAP
     generators: the most that a sweep of one-generator words numbers."""
+    if n < 1:
+        raise ValueError("need n >= 1")
     count = generator_count(n)
     if count > SWEEP_CAP:
         raise CapExceeded(f"n = {n} has {count} generators, over the cap {SWEEP_CAP}", size=count)
@@ -593,12 +566,6 @@ def _packed(n, longest):
     flat = [_flat_pattern(gen, n) for gen in _codes(n).gens]
     width = (2 * longest * max(abs(e) for f in flat for e in f)).bit_length()
     return tuple(sum(e << i * width for i, e in enumerate(f)) for f in flat)
-
-
-@lru_cache(maxsize=None)
-def _prefix_counts(sigma, n):
-    """|sigma ∩ [k]| for k = 1..n; a column set is determined by these."""
-    return tuple(accumulate(int(k in sigma) for k in range(1, n + 1)))
 
 
 def _comparable(ca, cb):

@@ -5,8 +5,9 @@ sums instead of cofactor expansion, minor enumeration instead of
 elimination, tableau enumeration instead of hook contents, subset
 enumeration instead of branch and bound, sign search through the
 presentation map instead of the Laplace expansion, and textbook monomial
-comparisons instead of matrix-order keys, and division that compares
-exponents term by term instead of filtering divisors by support masks.
+comparisons instead of matrix-order keys, division that compares
+exponents term by term instead of filtering divisors by support masks, and
+column sets enumerated by size instead of read off the marked flags.
 """
 
 from fractions import Fraction
@@ -118,6 +119,20 @@ def partitions_brute(d, max_rows):
 
     rec(d, d, [])
     return found
+
+
+def flag_column_sets_by_size(n):
+    """The column sets of the flag-ring variables enumerated size by size:
+    the nonempty strict subsets of [n], then {0} | tau for tau in [n] with
+    |tau| <= n - 2, sorted by size and then by sorted columns."""
+    sets = []
+    for size in range(1, n):
+        for tau in combinations(range(1, n + 1), size):
+            sets.append(frozenset(tau))
+    for size in range(0, n - 1):
+        for tau in combinations(range(1, n + 1), size):
+            sets.append(frozenset({0}) | frozenset(tau))
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
 
 def euler_quadric_by_sign_search(n, tau, psi):

@@ -237,6 +237,35 @@ def test_gz_verify_hashes_the_word_length(capsys):
     assert len(hashes) == 2
 
 
+def test_gz_subduct_hashes_n(capsys):
+    hashes = set()
+    for n in ("1", "3", "4"):
+        code, out, _ = run(capsys, "gz", "subduct", "--n", n, "--word1", "[-0]", "--word2", "[-0]")
+        assert code == EXIT_OK
+        hashes.add(json.loads(out)["inputs_hash"])
+    assert len(hashes) == 3
+
+
+def test_cox_tangent_hashes_the_options_that_change_results(capsys):
+    hashes = set()
+    for options in ([], ["--emit", "gb"], ["--verify-kernel"], ["--emit", "gb", "--verify-kernel"]):
+        code, out, _ = run(capsys, "cox", "tangent", "--n", "2", "--m", "2", *options)
+        assert code == EXIT_OK
+        hashes.add(json.loads(out)["inputs_hash"])
+    assert len(hashes) == 4
+
+
+@pytest.mark.parametrize(
+    "n, message", [("0", "need n >= 1"), ("-1", "negated index 0 out of range 0..-1")]
+)
+def test_gz_subduct_refuses_n_below_1(capsys, n, message):
+    # the closed-form generator count, 0 at n = 0, holds for n >= 1 only
+    code, out, err = run(capsys, "gz", "subduct", "--n", n, "--word1", "[-0]", "--word2", "[-0]")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"input error: {message}" in err
+
+
 def test_gz_subduct_command(capsys):
     code, out, _ = run(
         capsys,

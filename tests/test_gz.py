@@ -32,7 +32,7 @@ from tvbcox.gz import (
 )
 from tvbcox.poly import Ideal, RingMap, grevlex, ideal_equal, poly_to_text, ring_map_kernel
 from tvbcox.suite import gz_relation_check
-from oracles import euler_quadric_by_sign_search
+from oracles import euler_quadric_by_sign_search, flag_column_sets_by_size
 
 
 def subsets(n):
@@ -267,6 +267,11 @@ def test_pair_and_word_counts_at_their_caps(monkeypatch):
     monkeypatch.setattr(gz, "_packed", built_table)
     with pytest.raises(poly.CapExceeded, match="349503 words up to length 3"):
         confluence_sweep(6, 3)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_flag_column_sets_match_the_enumeration_by_size(n):
+    assert flag_column_sets(n) == flag_column_sets_by_size(n)
 
 
 def test_closed_form_counts_match_the_enumerations():

@@ -6,6 +6,7 @@ imports it.
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -14,6 +15,8 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder
 from sympy.polys.orderings import grevlex as sympy_grevlex
 
+from tvbcox import cox
+from tvbcox.cox import delta_initial_ideal, quiver_ideal, tangent_cox_ideal
 from tvbcox.poly import (
     Ideal,
     PolyRing,
@@ -208,3 +211,43 @@ def test_products_and_powers_match_sympy():
         cases += [(f**e, F**e) for e in range(6)]
         for got, expected in cases:
             assert sympy.expand(to_sympy(got, syms) - expected) == 0, f"trial {trial}: {f}, {g}"
+
+
+def minimal_weight_initial_basis(gens, weights, syms):
+    """The reduced grevlex basis of the initial ideal of (gens) for minimal
+    weight, through the flat family: x_i -> t^{w_i} x_i with the lowest
+    t-power divided out of each generator, saturated by t (eliminate s from
+    a lex basis with 1 - t*s), then t = 0."""
+    t, s = sympy.symbols("t_ s_")
+    scaled = {x: t**w * x for x, w in zip(syms, weights)}
+    family = []
+    for g in gens:
+        low = min(sum(map(mul, weights, mono)) for mono in g.terms)
+        family.append(sympy.expand(to_sympy(g, syms).subs(scaled, simultaneous=True) * t**-low))
+    saturated = sympy.groebner(family + [1 - t * s], s, t, *syms, order="lex")
+    special = [f.subs(t, 0) for f in saturated.exprs if not f.has(s)]
+    return sympy.groebner([f for f in special if f != 0], *syms, order="grevlex")
+
+
+def grevlex_basis(gens, syms):
+    return sympy.groebner([to_sympy(g, syms) for g in gens], *syms, order="grevlex")
+
+
+@pytest.mark.parametrize("negated", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+def test_delta_initial_ideal_matches_the_flat_degeneration(monkeypatch, n, negated):
+    """delta_initial_ideal and the quiver ideal against the t = 0 fibre of
+    the W-weight family; with the delta weight negated in the library, the
+    degeneration goes the other way and the check fails."""
+    spec = tangent_cox_ideal(n, n)
+    syms = sympy.symbols(spec.ring.names)
+    weights = [1 if name.startswith("W") else 0 for name in spec.ring.names]
+    oracle = minimal_weight_initial_basis(spec.gens, weights, syms)
+    assert grevlex_basis(quiver_ideal(n).gens, syms).exprs == oracle.exprs
+    if negated:
+        monkeypatch.setattr(cox, "delta_weights", lambda ring: [-w for w in weights])
+    initial = grevlex_basis(delta_initial_ideal(spec.ideal(), spec.grading()).gens, syms)
+    if negated:
+        assert initial.exprs != oracle.exprs
+    else:
+        assert initial.exprs == oracle.exprs
