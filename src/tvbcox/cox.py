@@ -502,13 +502,6 @@ def verify_lemma(n, subset):
     }
 
 
-def minors_only_dimension(n):
-    """Zero-set dimension of the ideal of all maximal minors of [Y_ij]."""
-    ring = lemma_ring(n)
-    ideal = Ideal(ring, maximal_minors(ring, n))
-    return poly.zero_set_dimension(ideal, row_completing_order(ring, n))
-
-
 # ---------------------------------------------------------------------------
 # Plucker identification at n = 2
 

@@ -10,7 +10,7 @@ reach a canonical form.
 
 from bisect import bisect_left
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, combinations_with_replacement
+from itertools import accumulate, chain, combinations, combinations_with_replacement, zip_longest
 from math import comb
 from typing import NamedTuple
 
@@ -59,10 +59,6 @@ class GZPattern:
             if len(row) != n - i:
                 raise ValueError("row lengths must decrease by one")
         self.rows = rows
-
-    @property
-    def n(self):
-        return len(self.rows)
 
     @classmethod
     def zero(cls, n):
@@ -117,8 +113,12 @@ def _prefix_counts(sigma, n):
     return tuple(accumulate(int(k in sigma) for k in range(1, n + 1)))
 
 
-def _prefix_capacity(sigma):
-    """Largest a with {1..a} inside sigma (0 when 1 is missing)."""
+def _capacity(sigma, n):
+    """The largest mark on a column set at n: n on the empty set, whose
+    marks are the negated variables [-0]..[-n], and on any other set the
+    largest a with {1..a} inside it."""
+    if not sigma:
+        return n
     a = 0
     while a + 1 in sigma:
         a += 1
@@ -126,84 +126,77 @@ def _prefix_capacity(sigma):
 
 
 class MarkedGenerator(NamedTuple):
-    """A negated variable [-a] or a marked flag [sigma, a]; build one with
-    `neg` or `flag`.
+    """A column set carrying a mark: the marked flag [sigma, a] on a
+    nonempty sigma, and the negated variable [-a] as mark a on the empty
+    set.  Build one with `neg` or `flag`.
 
     A mark a >= 1 on a flag requires {1..a} to sit inside the column set;
     mark 0 is the plain flag minor.
     """
 
-    kind: str
-    value: int | None = None
-    sigma: frozenset | None = None
-    mark: int | None = None
+    sigma: frozenset
+    mark: int
 
     @classmethod
     def neg(cls, a):
         if a is None or a < 0:
             raise ValueError("negated variable needs a value in 0..n")
-        return cls("neg", value=a)
+        return cls(frozenset(), a)
 
     @classmethod
     def flag(cls, sigma, mark=0):
         sigma = frozenset(sigma)
         if not sigma:
             raise ValueError("flag needs a nonempty column set")
-        if mark != 0 and _prefix_capacity(sigma) < mark:
+        if mark > 0 and not all(k in sigma for k in range(1, mark + 1)):
             raise ValueError(f"mark {mark} needs prefix {{1..{mark}}} in {sorted(sigma)}")
-        return cls("flag", sigma=sigma, mark=mark)
+        return cls(sigma, mark)
 
     def check(self, n):
         """Raise ValueError unless this is a generator at n."""
-        if self.kind == "neg":
-            if not (isinstance(self.value, int) and 0 <= self.value <= n):
-                raise ValueError(f"negated index {self.value} out of range 0..{n}")
-        elif self.kind == "flag":
-            if not (isinstance(self.sigma, frozenset) and self.sigma
-                    and self.sigma < frozenset(range(1, n + 1))):
-                raise ValueError("flag set must be a nonempty strict subset of [n]")
-            top = _prefix_capacity(self.sigma)
-            if not (isinstance(self.mark, int) and 0 <= self.mark <= top):
-                raise ValueError(f"mark {self.mark} of {sorted(self.sigma)} is not in 0..{top}")
-        else:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+        if not isinstance(self.sigma, frozenset) or (
+                self.sigma and not self.sigma < frozenset(range(1, n + 1))):
+            raise ValueError("flag set must be a nonempty strict subset of [n]")
+        top = _capacity(self.sigma, n)
+        if not (isinstance(self.mark, int) and 0 <= self.mark <= top):
+            if not self.sigma:
+                raise ValueError(f"negated index {self.mark} out of range 0..{n}")
+            raise ValueError(f"mark {self.mark} of {sorted(self.sigma)} is not in 0..{top}")
 
     def extended_pattern(self, n):
         """The z-vector is -e_a for [-a] and the indicator of
         variable_columns() for a flag."""
-        if self.kind == "neg":
-            pattern, sign, cols = GZPattern.zero(n), -1, {self.value}
+        if not self.sigma:
+            pattern, sign, cols = GZPattern.zero(n), -1, {self.mark}
         else:
             pattern, sign, cols = generator_pattern(self.sigma, n), 1, self.variable_columns()
         return ExtendedPattern(pattern, tuple(sign * (j in cols) for j in range(n + 1)))
 
     def variable_columns(self):
         """Column set of the flag-ring variable this generator stands for."""
-        if self.kind == "neg":
+        if not self.sigma:
             return None
         if self.mark == 0:
             return self.sigma
         return self.sigma - {self.mark} | {0}
 
     def variable_name(self):
-        if self.kind == "neg":
-            return x_name(self.value)
+        if not self.sigma:
+            return x_name(self.mark)
         return p_name(self.variable_columns())
 
     def sort_key(self):
-        """Flags first, by size descending, then by their sorted columns and
-        mark descending; then negated variables, index descending."""
-        if self.kind == "flag":
-            return (0, -len(self.sigma), tuple(sorted(self.sigma)), -self.mark)
-        return (1, -self.value)
+        """Larger column sets first, so the flags come before the negated
+        variables; then sorted columns, then mark descending."""
+        return (-len(self.sigma), sorted(self.sigma), -self.mark)
 
     def __repr__(self):
         return generator_to_text(self)
 
 
 def generator_to_text(gen):
-    if gen.kind == "neg":
-        return f"[-{gen.value}]"
+    if not gen.sigma:
+        return f"[-{gen.mark}]"
     cols = ",".join(str(j) for j in sorted(gen.sigma))
     return f"[{{{cols}}},{gen.mark}]"
 
@@ -270,10 +263,6 @@ def word_pattern_sum(word, n):
     return ExtendedPattern(GZPattern(rows), flat[cuts[-1] :])
 
 
-def sort_word(word):
-    return tuple(sorted(word, key=MarkedGenerator.sort_key))
-
-
 # ---------------------------------------------------------------------------
 # the flag ring and the presentation map
 
@@ -287,7 +276,7 @@ def flag_column_sets(n):
     variable_columns of the flags of all_generators(n).  Each set comes
     from one flag: sigma from [sigma, 0], and {0} | tau, |tau| <= n - 2,
     from [tau | {a}, a] with a = min([n] - tau)."""
-    flags = (gen for gen in all_generators(n) if gen.kind == "flag")
+    flags = (gen for gen in all_generators(n) if gen.sigma)
     return sorted((gen.variable_columns() for gen in flags), key=lambda s: (len(s), sorted(s)))
 
 
@@ -327,7 +316,7 @@ def diagonal_order(target_ring, n):
     return lex(target_ring, t_names + y_names)
 
 
-def lead_pattern(gen, n, psi=None):
+def lead_pattern(gen, n, psi):
     """Extended pattern of a generator's initial term, checked at every n:
     the initial term of its psi image under the diagonal order must be
     +-t^zvec, times y_{1,c_1}...y_{k,c_k} over a flag's sorted columns c.
@@ -336,13 +325,12 @@ def lead_pattern(gen, n, psi=None):
     """
     gen.check(n)
     declared = gen.extended_pattern(n)
-    psi = psi or build_psi(n)
     target = psi.target
     lead, coeff = psi.images[gen.variable_name()].leading_term(diagonal_order(target, n))
     expected = [0] * target.nvars
     for j, e in enumerate(declared.zvec):
         expected[target.index[t_name(j)]] = e
-    for row, col in enumerate(sorted(gen.sigma or ()), start=1):
+    for row, col in enumerate(sorted(gen.sigma), start=1):
         expected[target.index[yy_name(row, col)]] = 1
     if abs(coeff) != 1 or list(lead) != expected:
         raise AssertionError(f"initial term of {gen!r} is not its declared pattern")
@@ -353,7 +341,7 @@ def lead_pattern(gen, n, psi=None):
 # relation families
 
 
-def euler_flag_relation(n, tau, psi=None):
+def euler_flag_relation(n, tau, psi):
     """The Euler-type quadric: the sum over j in {0..n} outside tau of
     (-1)^#{t in tau : 0 < t < j} x_j P_{tau+j}.
 
@@ -366,7 +354,7 @@ def euler_flag_relation(n, tau, psi=None):
     tau = frozenset(tau)
     if not tau <= frozenset(range(n + 1)) or len(tau) > n - 2:
         raise ValueError("tau must be a subset of {0..n} with |tau| <= n - 2")
-    source = psi.source if psi else flag_ring(n)
+    source = psi.source
     relation = source.zero()
     for j in sorted(set(range(n + 1)) - tau):
         sign = (-1) ** sum(0 < t < j for t in tau)
@@ -385,16 +373,15 @@ def plucker_pair_count(n):
     return count
 
 
-def quadratic_plucker_relations(n, psi=None):
+def quadratic_plucker_relations(n, psi):
     """Basis of the quadratic relations among the flag minors alone.
 
     Computed degree by degree: products of two P-variables share a torus
     multidegree exactly when their column multisets agree, and inside each
     group the kernel of the presentation map is exact linear algebra.
-    Raises CapExceeded, before psi is built, past PAIR_CAP pairs.
+    Raises CapExceeded, before psi is read, past PAIR_CAP pairs.
     """
     plucker_pair_count(n)
-    psi = psi or build_psi(n)
     source = psi.source
     groups = {}
     for a, b in combinations_with_replacement(flag_column_sets(n), 2):
@@ -426,11 +413,10 @@ def _relations(n, psi, columns):
     return rels
 
 
-def relation_families(n, psi=None):
+def relation_families(n, psi):
     """All emitted relations: quadratic Plucker exchanges plus the
     Euler-type quadrics with tau in [n]; raises AssertionError unless
     every element has presentation image zero."""
-    psi = psi or build_psi(n)
     rels = _relations(n, psi, range(1, n + 1))
     bad = [poly_to_text(r) for r in rels if psi(r) != 0]
     if bad:
@@ -438,12 +424,12 @@ def relation_families(n, psi=None):
     return rels
 
 
-def flag_presentation(n, psi=None):
+def flag_presentation(n, psi):
     """relation_families(n, psi) plus the Euler-type quadrics whose column
     sets contain 0, tau = {0} | tau' with |tau'| <= n - 3: the relations
     whose ideal psi_kernel proves to be ker(psi).  The images are not
     checked here; the contained certificate checks them."""
-    return _relations(n, psi or build_psi(n), range(n + 1))
+    return _relations(n, psi, range(n + 1))
 
 
 def flag_sigma(psi, n):
@@ -523,16 +509,17 @@ class SubductionError(ValueError):
 
 class _Codes(NamedTuple):
     """The generators at one n numbered in sort_key order, so a sorted word
-    is a sorted tuple of codes and its flags are a prefix of it.  The flags
-    of one column set take consecutive codes, marks descending."""
+    is a sorted tuple of codes and its flags are a prefix of it.  The
+    generators on one column set take consecutive codes, marks descending,
+    the negated variables last."""
 
     gens: tuple  # the generator of each code
     code: dict  # generator -> code
     text: tuple  # generator_to_text of each code
     flags: int  # codes below this are flags, the rest negated variables
-    value: tuple  # the mark of a flag, the index of a negated variable
-    cap: tuple  # the prefix capacity of a flag's column set
-    bare: tuple  # the code of the mark-0 flag on the same column set
+    value: tuple  # the mark of each code
+    cap: tuple  # the capacity of each code's column set
+    bare: tuple  # the code of mark 0 on the same column set
 
 
 @lru_cache(maxsize=None)
@@ -547,12 +534,11 @@ def _codes(n):
         raise CapExceeded(f"n = {n} has {count} generators, over the cap {SWEEP_CAP}", size=count)
     gens = tuple(sorted(all_generators(n), key=MarkedGenerator.sort_key))
     code = {gen: c for c, gen in enumerate(gens)}
-    flags = sum(gen.kind == "flag" for gen in gens)
     return _Codes(
-        gens, code, tuple(map(generator_to_text, gens)), flags,
-        tuple(gen.mark if gen.kind == "flag" else gen.value for gen in gens),
-        tuple(_prefix_capacity(gen.sigma) for gen in gens[:flags]),
-        tuple(code[gen._replace(mark=0)] for gen in gens[:flags]),
+        gens, code, tuple(map(generator_to_text, gens)), sum(bool(gen.sigma) for gen in gens),
+        tuple(gen.mark for gen in gens),
+        tuple(_capacity(gen.sigma, n) for gen in gens),
+        tuple(code[gen._replace(mark=0)] for gen in gens),
     )
 
 
@@ -618,9 +604,9 @@ def _incomparable_pair(flags, n):
 
 
 def _with_mark(t, c, mark):
-    """The code of the flag on flag code c's column set carrying `mark`."""
+    """The code of the generator on code c's column set carrying `mark`."""
     if mark > t.cap[c]:
-        MarkedGenerator.flag(t.gens[c].sigma, mark)  # raises ValueError
+        raise AssertionError(f"mark {mark} does not fit the column set of {t.text[c]}")
     return t.bare[c] - mark
 
 
@@ -670,8 +656,12 @@ def _rewrite(word, n):
     form a chain; then values move onto their _mark_targets, largest value
     first.  A move keeps the multisets of flag sets and of nonzero values
     and the number of negated generators, so the targets are computed once.
-    Bringing a value v to its slot always displaces a strictly smaller
-    mark, so both directions of an exchange stay valid.
+    A move swaps the values of two generators: the slot and the donor, the
+    first generator in word order that holds v and is not at a slot that
+    wants v.  It is a mark-transport when the donor is a flag and a
+    marking-exchange when it is a negated variable.  Bringing a value v to
+    its slot always displaces a strictly smaller mark, so both directions
+    of a move stay valid.
     """
     t = _codes(n)
     steps = []
@@ -693,15 +683,10 @@ def _rewrite(word, n):
             return word, steps
         idx, v = move
         a = flags[idx]
-        donor = next((c for c, want in zip(flags, targets) if value[c] == v and want != v), None)
-        if donor is not None:
-            added = (_with_mark(t, a, value[donor]), _with_mark(t, donor, value[a]))
-            word = _apply_step(steps, word, n, "mark-transport", (a, donor), added)
-        else:
-            neg = next(c for c in word[k:] if value[c] == v)
-            # the negated variables follow the flags, largest index first
-            added = (_with_mark(t, a, v), t.flags + n - value[a])
-            word = _apply_step(steps, word, n, "marking-exchange", (a, neg), added)
+        donor = next(c for c, want in zip_longest(word, targets) if value[c] == v and want != v)
+        rule = "mark-transport" if donor < t.flags else "marking-exchange"
+        added = (_with_mark(t, a, v), _with_mark(t, donor, value[a]))
+        word = _apply_step(steps, word, n, rule, (a, donor), added)
 
 
 def canonicalize(word, n):
@@ -743,14 +728,14 @@ def subduct(word1, word2, n):
 
 
 def all_generators(n):
-    gens = [MarkedGenerator.neg(a) for a in range(n + 1)]
-    for size in range(1, n):
-        for tau in combinations(range(1, n + 1), size):
-            sigma = frozenset(tau)
-            gens.append(MarkedGenerator.flag(sigma, 0))
-            for mark in range(1, _prefix_capacity(sigma) + 1):
-                gens.append(MarkedGenerator.flag(sigma, mark))
-    return gens
+    """Every column set of size 0..n - 1 with every mark up to its
+    capacity: [-0]..[-n], then the flags."""
+    return [
+        MarkedGenerator(sigma, mark)
+        for size in range(n)
+        for sigma in map(frozenset, combinations(range(1, n + 1), size))
+        for mark in range(_capacity(sigma, n) + 1)
+    ]
 
 
 def generator_count(n):
@@ -807,7 +792,7 @@ def confluence_sweep(n, max_len=3):
     }
 
 
-def lift_step_check(step, n, kernel_gb, order, psi=None):
+def lift_step_check(step, n, kernel_gb, order, psi):
     """A classic marking-exchange step lifts into ker(psi) through its
     Euler-family relation: the relation reduces to zero against the kernel
     basis and contains both word monomials of the step.
@@ -819,11 +804,10 @@ def lift_step_check(step, n, kernel_gb, order, psi=None):
         return None
     removed = [parse_generator(t) for t in step["removed"]]
     added = [parse_generator(t) for t in step["added"]]
-    flag_before = next(g for g in removed if g.kind == "flag")
-    flag_after = next(g for g in added if g.kind == "flag")
+    flag_before = next(g for g in removed if g.sigma)
+    flag_after = next(g for g in added if g.sigma)
     if min(flag_before.mark, flag_after.mark) != 0:
         return None  # composite exchange, not a single Euler-family lift
-    psi = psi or build_psi(n)
     source = psi.source
     tau = flag_after.sigma - {flag_after.mark}
     relation = euler_flag_relation(n, tau, psi)

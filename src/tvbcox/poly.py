@@ -167,9 +167,6 @@ class Polynomial:
         """Indices of variables that actually occur."""
         return {i for m in self.terms for i, e in enumerate(m) if e}
 
-    def coefficient(self, exps):
-        return self.terms.get(tuple(exps), 0)
-
     def leading_term(self, order):
         m = max(self.terms, key=order.key)
         return m, self.terms[m]

@@ -141,7 +141,7 @@ def check_degrees(level):
     return {"w_degree": spec.degrees["W"], "max_sym_degree": spec.max_sym_degree()}
 
 
-def gz_relation_check(n, psi=None):
+def gz_relation_check(n, psi):
     """Every emitted relation has image zero under the presentation map;
     returns the number of relations."""
     return len(gz.relation_families(n, psi))

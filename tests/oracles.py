@@ -6,16 +6,20 @@ elimination, tableau enumeration instead of hook contents, subset
 enumeration instead of branch and bound, sign search through the
 presentation map instead of the Laplace expansion, and textbook monomial
 comparisons instead of matrix-order keys, division that compares
-exponents term by term instead of filtering divisors by support masks, and
-column sets enumerated by size instead of read off the marked flags.
+exponents term by term instead of filtering divisors by support masks,
+column sets enumerated by size instead of read off the marked flags, and
+generators enumerated as negated variables and then flags instead of as
+marks on column sets of every size.  It also holds helpers that only tests
+use.
 """
 
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations
 
-from tvbcox.cox import x_name
-from tvbcox.gz import p_name
+from tvbcox import poly
+from tvbcox.cox import lemma_ring, maximal_minors, row_completing_order, x_name
+from tvbcox.gz import MarkedGenerator, p_name
 
 
 def det_permutation_sum(rows):
@@ -133,6 +137,33 @@ def flag_column_sets_by_size(n):
         for tau in combinations(range(1, n + 1), size):
             sets.append(frozenset({0}) | frozenset(tau))
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
+
+
+def generators_by_kind(n):
+    """The generators at n: [-0]..[-n], then each nonempty strict subset of
+    [n], size by size, with mark 0 and then every mark a >= 1 whose prefix
+    {1..a} lies inside it."""
+    gens = [MarkedGenerator.neg(a) for a in range(n + 1)]
+    for size in range(1, n):
+        for tau in combinations(range(1, n + 1), size):
+            sigma = frozenset(tau)
+            gens.append(MarkedGenerator.flag(sigma, 0))
+            mark = 1
+            while frozenset(range(1, mark + 1)) <= sigma:
+                gens.append(MarkedGenerator.flag(sigma, mark))
+                mark += 1
+    return gens
+
+
+def sort_word(word):
+    return tuple(sorted(word, key=MarkedGenerator.sort_key))
+
+
+def minors_only_dimension(n):
+    """Zero-set dimension of the ideal of all maximal minors of [Y_ij]."""
+    ring = lemma_ring(n)
+    ideal = poly.Ideal(ring, maximal_minors(ring, n))
+    return poly.zero_set_dimension(ideal, row_completing_order(ring, n))
 
 
 def euler_quadric_by_sign_search(n, tau, psi):

@@ -116,6 +116,23 @@ def test_region_csv_and_svg(capsys, tmp_path):
     assert svg.read_text().startswith("<svg")
 
 
+def test_region_csv_goes_to_the_file_alone(capsys, tmp_path):
+    csv = tmp_path / "region.csv"
+    code, out, _ = run(capsys, "region", "--r-max", "6", "--s-max", "8", "--csv", str(csv))
+    assert code == EXIT_OK
+    assert out == ""
+    text = csv.read_text()
+    assert text.startswith("r,s,stability\n") and "4,6,2" in text
+
+
+def test_cox_tangent_verify_kernel_exits_1_when_unequal(capsys, monkeypatch):
+    real = cox.verify_kernel
+    monkeypatch.setattr(cox, "verify_kernel", lambda n, **kw: {**real(n, **kw), "equal": False})
+    code, out, _ = run(capsys, "cox", "tangent", "--n", "2", "--m", "2", "--verify-kernel")
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(out)["results"]["kernel"]["equal"] is False
+
+
 def test_cox_tangent_emit(capsys):
     code, out, _ = run(capsys, "cox", "tangent", "--n", "2", "--m", "2")
     assert code == EXIT_OK

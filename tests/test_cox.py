@@ -17,7 +17,6 @@ from tvbcox.cox import (
     kernel_by_saturation,
     lemma_ideal,
     maximal_minors,
-    minors_only_dimension,
     phi_target_ring,
     plucker_quadrics,
     pluecker_match,
@@ -48,7 +47,7 @@ from tvbcox.poly import (
     symbolic_det,
     weight_initial,
 )
-from oracles import det_permutation_sum
+from oracles import det_permutation_sum, minors_only_dimension
 
 
 def test_euler_ideal_shape():

@@ -25,14 +25,18 @@ from tvbcox.gz import (
     psi_kernel,
     quadratic_plucker_relations,
     relation_families,
-    sort_word,
     subduct,
     word_pattern_sum,
     word_to_text,
 )
 from tvbcox.poly import Ideal, RingMap, grevlex, ideal_equal, poly_to_text, ring_map_kernel
 from tvbcox.suite import gz_relation_check
-from oracles import euler_quadric_by_sign_search, flag_column_sets_by_size
+from oracles import (
+    euler_quadric_by_sign_search,
+    flag_column_sets_by_size,
+    generators_by_kind,
+    sort_word,
+)
 
 
 def subsets(n):
@@ -80,23 +84,21 @@ def test_marked_generator_validity():
 @pytest.mark.parametrize("mark", [1, 2, -1, None])
 def test_check_refuses_a_hand_built_mark_past_the_prefix(mark):
     # {2} holds no prefix {1..a} with a >= 1, so only mark 0 is valid
-    gen = MarkedGenerator("flag", sigma=frozenset({2}), mark=mark)
+    gen = MarkedGenerator(frozenset({2}), mark)
     with pytest.raises(ValueError, match="is not in 0..0"):
         gen.check(3)
     with pytest.raises(ValueError, match="is not in 0..0"):
         canonicalize([gen, MarkedGenerator.neg(1)], 3)
-    MarkedGenerator("flag", sigma=frozenset({2}), mark=0).check(3)
+    MarkedGenerator(frozenset({2}), 0).check(3)
 
 
 @pytest.mark.parametrize(
     "gen, message",
     [
-        (MarkedGenerator("neg", value=None), "negated index None"),
-        (MarkedGenerator("flag", sigma=None, mark=0), "nonempty strict subset"),
-        (MarkedGenerator("flag", sigma=frozenset({1}), mark=None), "mark None"),
-        (MarkedGenerator("flag", sigma=frozenset(), mark=0), "nonempty strict subset"),
-        (MarkedGenerator("pos", value=1), "unknown generator kind 'pos'"),
-        (MarkedGenerator("pos", sigma=frozenset({1}), mark=0), "unknown generator kind"),
+        (MarkedGenerator(frozenset(), None), "negated index None"),
+        (MarkedGenerator(None, 0), "nonempty strict subset"),
+        (MarkedGenerator(frozenset({1}), None), "mark None"),
+        (MarkedGenerator(frozenset({1, 2, 3}), 0), "nonempty strict subset"),
     ],
 )
 def test_check_refuses_a_hand_built_generator_with_value_error(gen, message):
@@ -105,9 +107,16 @@ def test_check_refuses_a_hand_built_generator_with_value_error(gen, message):
 
 
 def test_canonicalize_refuses_an_empty_column_set_with_value_error():
-    # once KeyError [{},0] from the code table
-    with pytest.raises(ValueError, match="nonempty strict subset"):
-        canonicalize([MarkedGenerator("flag", sigma=frozenset(), mark=0)], 3)
+    # the empty column set is the negated variables' set: only `flag`
+    # refuses it, and there it carries marks 0..n
+    with pytest.raises(ValueError, match="flag needs a nonempty column set"):
+        MarkedGenerator.flag(set())
+    with pytest.raises(ValueError, match="flag needs a nonempty column set"):
+        parse_word("[{},0]")
+    assert MarkedGenerator(frozenset(), 2) == MarkedGenerator.neg(2)
+    assert canonicalize([MarkedGenerator(frozenset(), 0)], 3) == ((MarkedGenerator.neg(0),), [])
+    with pytest.raises(ValueError, match="negated index 4 out of range 0..3"):
+        canonicalize([MarkedGenerator(frozenset(), 4)], 3)
 
 
 def test_extended_patterns_of_generators():
@@ -188,7 +197,7 @@ def test_zero_column_euler_family():
     v = psi.source.var
     assert extra == [v("x1") * v("P01") + v("x2") * v("P02") + v("x3") * v("P03")]
     with pytest.raises(ValueError):
-        euler_flag_relation(3, {0, 1})
+        euler_flag_relation(3, {0, 1}, psi)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -242,7 +251,7 @@ def test_psi_kernel_refuses_a_failed_certificate(monkeypatch):
 
 
 def test_quadratic_relations_count_n3():
-    rels = quadratic_plucker_relations(3)
+    rels = quadratic_plucker_relations(3, build_psi(3))
     assert len(rels) == 5
     assert all(len(r) == 3 for r in rels)
 
@@ -253,8 +262,9 @@ def test_pair_and_word_counts_at_their_caps(monkeypatch):
 
     monkeypatch.setattr(gz, "build_psi", built)
     assert gz.plucker_pair_count(5) == 1596
+    # the cap is checked before psi is read
     with pytest.raises(poly.CapExceeded, match="7140 P-variable pairs") as exc:
-        quadratic_plucker_relations(6)
+        quadratic_plucker_relations(6, None)
     assert exc.value.size == 7140
     assert gz.sweep_word_count(6, 2) == 8127
 
@@ -272,6 +282,12 @@ def test_pair_and_word_counts_at_their_caps(monkeypatch):
 @pytest.mark.parametrize("n", range(2, 10))
 def test_flag_column_sets_match_the_enumeration_by_size(n):
     assert flag_column_sets(n) == flag_column_sets_by_size(n)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_all_generators_match_the_enumeration_by_kind(n):
+    # one loop over column sets of every size, the empty one first
+    assert all_generators(n) == generators_by_kind(n)
 
 
 def test_closed_form_counts_match_the_enumerations():
@@ -329,12 +345,13 @@ def test_lead_pattern_rejects_a_non_unit_coefficient():
 
 def test_lead_pattern_spec_displays():
     n = 3
-    x2 = lead_pattern(MarkedGenerator.neg(2), n)
+    psi = build_psi(n)
+    x2 = lead_pattern(MarkedGenerator.neg(2), n, psi)
     assert x2.zvec == (0, 0, -1, 0)
-    p = lead_pattern(MarkedGenerator.flag({1, 3}, 0), n)
+    p = lead_pattern(MarkedGenerator.flag({1, 3}, 0), n, psi)
     assert p.pattern == generator_pattern({1, 3}, n)
     assert p.zvec == (0, 1, 0, 1)
-    marked = lead_pattern(MarkedGenerator.flag({1, 2}, 2), n)
+    marked = lead_pattern(MarkedGenerator.flag({1, 2}, 2), n, psi)
     assert marked.pattern == generator_pattern({1, 2}, n)
     assert marked.zvec == (1, 1, 0, 0)
 
@@ -545,6 +562,40 @@ def test_lift_property_n2():
                 if result:
                     lifted += 1
     assert lifted > 0
+
+
+def test_lift_step_check_at_n3_covers_every_rule():
+    # at n = 2 every step is a zero-mark marking-exchange; n = 3 also has
+    # composite exchanges, mark transports and straightenings
+    psi = build_psi(3)
+    order = grevlex(psi.source)
+    gb = psi_kernel(3).groebner(order)
+    results = {}
+    for size in range(1, 4):
+        for combo in combinations_with_replacement(all_generators(3), size):
+            for step in canonicalize(combo, 3)[1]:
+                key = (step["rule"], lift_step_check(step, 3, gb, order, psi))
+                results[key] = results.get(key, 0) + 1
+    assert results == {
+        ("marking-exchange", True): 58,
+        ("marking-exchange", None): 15,
+        ("mark-transport", None): 37,
+        ("union-intersection", None): 29,
+    }
+    # the Euler-type quadric is not in the ideal of the Plucker relations
+    plucker = Ideal(psi.source, quadratic_plucker_relations(3, psi)).groebner(order)
+    (step,) = canonicalize(parse_word("[-1],[{1},0]"), 3)[1]
+    assert (step["rule"], step["added"]) == ("marking-exchange", ["[{1},1]", "[-0]"])
+    assert lift_step_check(step, 3, plucker, order, psi) is False
+    assert lift_step_check(step, 3, gb, order, psi) is True
+
+
+def test_a_mark_past_the_capacity_is_an_internal_error(monkeypatch):
+    # a broken placement asks [{2},0] for mark 1; the rewrite must not
+    # blame the input with ValueError
+    monkeypatch.setattr(gz, "_mark_targets", lambda t, word: [1])
+    with pytest.raises(AssertionError, match="mark 1 does not fit"):
+        canonicalize(parse_word("[{2},0],[-1]"), 3)
 
 
 def test_negative_control_sign_flip_detected():
