@@ -220,44 +220,11 @@ def tangent_bundle(n: int):
     return BundleData([[1] * (n + 1)], identity, label=f"tangent(P^{n})")
 
 
-def kaneyama_bundle(weights):
-    """Sparse hypersurface bundle with diagonal diagram entries a_i > 0."""
-    weights = list(weights)
-    if any(a <= 0 for a in weights):
-        raise ValueError("diagonal entries must be positive")
-    diagonal = [[a if i == j else 0 for j in range(len(weights))] for i, a in enumerate(weights)]
-    return BundleData([[1] * len(weights)], diagonal, label="kaneyama")
-
-
-def uniform_sparse_bundle(d, s, positions=None):
-    """Uniform bundle with a sparse diagram.
-
-    positions: one entry per diagram row, either None (zero row) or a
-    (column, value) pair with value > 0 and 1-based column.  Defaults to the
-    s x s identity.  M is the Vandermonde matrix, hence no vanishing minors.
-    """
-    if positions is None:
-        positions = [(j, 1) for j in range(1, s + 1)]
-    rows = []
-    seen = set()
-    for pos in positions:
-        row = [0] * s
-        if pos is not None:
-            col, value = pos
-            if not 1 <= col <= s:
-                raise ValueError(f"column {col} out of range")
-            if value <= 0:
-                raise ValueError("sparse diagram entries must be positive")
-            if col in seen:
-                raise ValueError(f"two nonzero entries in column {col}")
-            seen.add(col)
-            row[col - 1] = value
-        rows.append(row)
-    return BundleData(
-        vandermonde_matrix(d, s),
-        rows,
-        label=f"uniform-sparse(d={d}, s={s})",
-    )
+def uniform_sparse_bundle(d, s):
+    """Uniform bundle with the s x s identity diagram; M is the Vandermonde
+    matrix, hence no vanishing minors."""
+    identity = [[int(i == j) for j in range(s)] for i in range(s)]
+    return BundleData(vandermonde_matrix(d, s), identity, label=f"uniform-sparse(d={d}, s={s})")
 
 
 def example_514_bundle():
@@ -300,8 +267,9 @@ def region_csv(rows):
     return "\n".join(out) + "\n"
 
 
-def region_svg(rows, lines, cell=32, margin=40):
+def region_svg(rows, lines):
     """Scatter of the stability region with the boundary lines."""
+    cell, margin = 32, 40
     r_max = max(r for r, _, _ in rows)
     s_max = max(s for _, s, _ in rows)
     width = margin * 2 + cell * r_max

@@ -13,7 +13,7 @@ import sys
 import time
 
 from . import __version__, bundle, cox, gz, poly, schur, suite
-from .linalg import format_rational, parse_rational
+from .linalg import parse_rational
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -52,18 +52,6 @@ def parse_bundle_file(text):
         raise InputError(str(exc))
 
 
-def serialize_bundle(b):
-    payload = {
-        "n": b.n,
-        "s": b.s,
-        "M": [[format_rational(x) for x in row] for row in b.m],
-        "D": [list(row) for row in b.diagram],
-    }
-    if b.label is not None:
-        payload["label"] = b.label
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def load_bundle(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -74,10 +62,24 @@ def make_report(command, inputs_text, results, started):
     return {
         "command": command,
         "inputs_hash": hashlib.sha256(inputs_text.encode()).hexdigest(),
-        "results": suite._plain(results),
+        "results": _plain(results),
         "seconds": round(time.monotonic() - started, 3),
         "version": __version__,
     }
+
+
+def _plain(value):
+    """JSON-friendly copy of a result structure: string keys, lists for
+    tuples, "infinity" for math.inf and text for anything else not JSON."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if value is math.inf:
+        return "infinity"
+    if isinstance(value, (int, float, str, bool)) or value is None:
+        return value
+    return str(value)
 
 
 def emit_report(report, path=None):
@@ -97,7 +99,7 @@ def _stability(b):
     except bundle.NotCompleteIntersection:
         return None
     return {
-        "ci_stability": "infinity" if stab is math.inf else stab,
+        "ci_stability": stab,
         "witness": {"i": witness[0], "A": list(witness[1])} if witness else None,
     }
 
@@ -139,8 +141,7 @@ def cmd_region(args):
         results = {
             "rows": rows,
             "boundary_lines": [
-                {"l": ell, "slope": str(sl), "intercept": str(ic)}
-                for ell, sl, ic in lines
+                {"l": ell, "slope": sl, "intercept": ic} for ell, sl, ic in lines
             ],
         }
     return f"{args.r_max},{args.s_max}", results, EXIT_OK

@@ -227,14 +227,14 @@ def require_homogeneous(gens, weights):
             raise ValueError(f"{g} is not homogeneous for the weights {weights}")
 
 
-def delta_initial_ideal(ideal, grading=None):
+def delta_initial_ideal(ideal, grading):
     """Initial ideal for the minimal-weight degeneration of the W-variables.
 
-    The generators must be homogeneous for the positive grading (the
-    standard one when omitted): then every division stays in one degree,
-    where delta_order is a well-order, and Buchberger ends.
+    The generators must be homogeneous for the positive grading: then every
+    division stays in one degree, where delta_order is a well-order, and
+    Buchberger ends.
     """
-    require_homogeneous(ideal.gens, grading or [1] * ideal.ring.nvars)
+    require_homogeneous(ideal.gens, grading)
     order = delta_order(ideal.ring)
     gb = ideal.groebner(order)
     w = delta_weights(ideal.ring)
@@ -424,7 +424,7 @@ def initial_comparison(n):
     return {
         "n": n,
         "equal": all(certificates.values()) and ideal_equal(initial, quiver_ideal(n)),
-        "dimension": poly.zero_set_dimension(initial, grevlex(spec.ring)),
+        "dimension": poly.zero_set_dimension(initial),
         "generic_dimension": monomial_dimension(leads, spec.ring.nvars),
         "expected_dimension": n * n + n + 1,
     }
@@ -506,13 +506,9 @@ def verify_lemma(n, subset):
 # Plucker identification at n = 2
 
 
-def plucker_ring(m):
-    return PolyRing([f"p{i}{j}" for i, j in combinations(range(1, m + 1), 2)])
-
-
-def plucker_quadrics(m, ring=None):
+def plucker_quadrics(m):
     """Three-term Grassmann quadrics of Gr(2, m), one per 4-subset."""
-    ring = ring or plucker_ring(m)
+    ring = PolyRing([f"p{i}{j}" for i, j in combinations(range(1, m + 1), 2)])
 
     def p(i, j):
         return ring.var(f"p{i}{j}")

@@ -483,14 +483,14 @@ def flag_kernel(n, psi):
 PSI_KERNEL_CAP = 4
 
 
-def psi_kernel(n, allow_large=False):
+def psi_kernel(n):
     """ker(psi), proved equal to the ideal of flag_presentation(n) by the
     certificates of flag_kernel; nothing is eliminated.  Returns the ideal
     of its reduced grevlex basis, computed from the proof's basis (x_0
-    last).  n <= 4 by default, larger n only behind allow_large; raises
-    AssertionError when a certificate fails."""
-    if n > PSI_KERNEL_CAP and not allow_large:
-        raise CapExceeded(f"ker(psi) at n = {n} needs allow_large", size=n)
+    last).  Raises CapExceeded past n = PSI_KERNEL_CAP and AssertionError
+    when a certificate fails."""
+    if n > PSI_KERNEL_CAP:
+        raise CapExceeded(f"ker(psi) at n = {n} is over the cap {PSI_KERNEL_CAP}", size=n)
     psi = build_psi(n)
     basis, _, certificates = flag_kernel(n, psi)
     failed = [name for name, holds in certificates.items() if not holds]
@@ -675,7 +675,8 @@ def _rewrite(word, n):
     targets = _mark_targets(t, word)
     wanted = sorted(set(targets) - {0}, reverse=True)
     value = t.value
-    while True:
+    # each move settles one flag for good, so k moves always suffice
+    for _ in range(k + 1):
         flags = word[:k]
         move = next(((idx, v) for v in wanted for idx, want in enumerate(targets)
                      if want == v and value[flags[idx]] != v), None)
@@ -687,6 +688,7 @@ def _rewrite(word, n):
         rule = "mark-transport" if donor < t.flags else "marking-exchange"
         added = (_with_mark(t, a, v), _with_mark(t, donor, value[a]))
         word = _apply_step(steps, word, n, rule, (a, donor), added)
+    raise AssertionError(f"mark moves did not settle {k} flags in {k + 1} moves")
 
 
 def canonicalize(word, n):

@@ -1,5 +1,5 @@
-"""Exact rational matrices as plain rows: parsing, formatting, and one
-fraction-free elimination for ranks and left kernels."""
+"""Exact rational matrices as plain rows: parsing, and one fraction-free
+elimination for ranks and left kernels."""
 
 from fractions import Fraction
 from math import lcm
@@ -26,11 +26,6 @@ def _is_int(s):
     if s and s[0] in "+-":
         s = s[1:]
     return s.isdigit()
-
-
-def format_rational(q):
-    """Render a Fraction as "p/q", or "p" when the denominator is 1."""
-    return str(Fraction(q))
 
 
 def rational_rank(rows):

@@ -74,13 +74,6 @@ class PolyRing:
             return self.zero()
         return Polynomial(self, {exps: c})
 
-    def from_terms(self, terms):
-        out = {}
-        for exps, c in terms:
-            exps = tuple(exps)
-            out[exps] = out.get(exps, 0) + Fraction(c)
-        return _polynomial(self, out)
-
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self.names == other.names
 
@@ -445,19 +438,18 @@ def _queue_pairs(queue, fresh, order, arrivals):
     heapify(queue)
 
 
-DEFAULT_DEGREE_CAP = 120
-DEFAULT_BASIS_CAP = 4000
+DEGREE_CAP = 120
+BASIS_CAP = 4000
 
 
-def buchberger(gens, order, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BASIS_CAP):
+def buchberger(gens, order):
     """Reduced Groebner basis of the ideal generated by gens.
 
     The inputs enter the basis one at a time through the same step as the
     S-polynomials after them (Gebauer & Moeller 1988): reduce against the
     basis so far, and a nonzero remainder joins it, monic, with its lead
     term, and updates the pairs.  Raises CapExceeded (with the offending
-    degree or size) instead of truncating when the pair queue escapes the
-    configured caps.
+    degree or size) instead of truncating past DEGREE_CAP or BASIS_CAP.
     """
     _require_orthant(gens)
     basis = []  # divisors (lead, 1, mask, tail, g), g monic
@@ -467,9 +459,9 @@ def buchberger(gens, order, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BAS
     def s_polynomials():
         while queue:
             degree, _, _, i, j, _ = heappop(queue)
-            if max_degree is not None and degree > max_degree:
+            if degree > DEGREE_CAP:
                 raise CapExceeded(
-                    f"S-pair degree {degree} exceeds cap {max_degree}", degree=degree
+                    f"S-pair degree {degree} exceeds cap {DEGREE_CAP}", degree=degree
                 )
             yield _s_polynomial(basis[i], basis[j])
 
@@ -477,9 +469,9 @@ def buchberger(gens, order, max_degree=DEFAULT_DEGREE_CAP, max_basis=DEFAULT_BAS
         r = _reduce(f, basis, order)
         if not r:
             continue
-        if max_basis is not None and len(basis) >= max_basis:
+        if len(basis) >= BASIS_CAP:
             raise CapExceeded(
-                f"basis size {len(basis)} exceeds cap {max_basis}", size=len(basis)
+                f"basis size {len(basis)} exceeds cap {BASIS_CAP}", size=len(basis)
             )
         basis.append(_divisor(Polynomial(f.ring, r).monic(order), order))
         _queue_pairs(queue, _gm_update(basis, queue), order, arrivals)
@@ -618,9 +610,10 @@ def leading_monomials(gens, order):
     return [g.leading_term(order)[0] for g in gens if g]
 
 
-def zero_set_dimension(ideal, order=None):
-    """Dimension of the zero set, via the initial ideal of a Groebner basis."""
-    order = order or grevlex(ideal.ring)
+def zero_set_dimension(ideal):
+    """Dimension of the zero set, via the initial ideal of its grevlex
+    Groebner basis (the dimension does not depend on the order)."""
+    order = grevlex(ideal.ring)
     gb = ideal.groebner(order)
     return monomial_dimension(leading_monomials(gb, order), ideal.ring.nvars)
 

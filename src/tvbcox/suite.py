@@ -4,7 +4,6 @@ Each check returns a result dict or raises AssertionError with a reason;
 the runner prints one line per check and reports the first failure.
 """
 
-import math
 import time
 from itertools import combinations, combinations_with_replacement
 
@@ -240,23 +239,10 @@ def run_suite(level="fast", emit=print):
         emit(f"{status} {name} ({elapsed:.2f}s)")
         if status == "FAIL" and first_failure is None:
             first_failure = (name, detail.get("error", ""))
-        results.append({"check": name, "status": status, "detail": _plain(detail)})
+        results.append({"check": name, "status": status, "detail": detail})
     return {
         "level": level,
         "passed": first_failure is None,
         "first_failure": first_failure,
         "checks": results,
     }
-
-
-def _plain(value):
-    """JSON-friendly copy of a result structure."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if value is math.inf:
-        return "infinity"
-    if isinstance(value, (int, float, str, bool)) or value is None:
-        return value
-    return str(value)

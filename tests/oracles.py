@@ -13,12 +13,13 @@ marks on column sets of every size.  It also holds helpers that only tests
 use.
 """
 
+import json
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations, permutations
 
-from tvbcox import poly
-from tvbcox.cox import lemma_ring, maximal_minors, row_completing_order, x_name
+from tvbcox import bundle, poly
+from tvbcox.cox import lemma_ring, maximal_minors, x_name
 from tvbcox.gz import MarkedGenerator, p_name
 
 
@@ -163,7 +164,7 @@ def minors_only_dimension(n):
     """Zero-set dimension of the ideal of all maximal minors of [Y_ij]."""
     ring = lemma_ring(n)
     ideal = poly.Ideal(ring, maximal_minors(ring, n))
-    return poly.zero_set_dimension(ideal, row_completing_order(ring, n))
+    return poly.zero_set_dimension(ideal)
 
 
 def euler_quadric_by_sign_search(n, tau, psi):
@@ -247,3 +248,42 @@ def normal_form_by_division(f, gens, greater):
             term = ring.monomial(m, c)
             rest, remainder = rest - term, remainder + term
     return remainder
+
+
+def from_terms(ring, terms):
+    """The polynomial with the given (exponents, coefficient) terms: the sum
+    of their ring.monomial, so repeated exponents add up and zeros drop."""
+    return sum((ring.monomial(exps, c) for exps, c in terms), ring.zero())
+
+
+def serialize_bundle(b):
+    """The bundle file text of b, as `tvbcox analyze` reads it."""
+    payload = {
+        "n": b.n,
+        "s": b.s,
+        "M": [[str(x) for x in row] for row in b.m],
+        "D": [list(row) for row in b.diagram],
+    }
+    if b.label is not None:
+        payload["label"] = b.label
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def kaneyama_bundle(weights):
+    """Sparse hypersurface bundle with the positive diagonal entries weights."""
+    n = len(weights)
+    diagonal = [[a if i == j else 0 for j in range(n)] for i, a in enumerate(weights)]
+    return bundle.BundleData([[1] * n], diagonal, label="kaneyama")
+
+
+def placed_sparse_bundle(d, s, positions):
+    """The uniform sparse bundle with one diagram row per entry of
+    positions: None for a zero row, or a 1-based (column, value) pair."""
+    rows = [[0] * s for _ in positions]
+    for row, pos in zip(rows, positions):
+        if pos is not None:
+            col, value = pos
+            row[col - 1] = value
+    return bundle.BundleData(
+        bundle.vandermonde_matrix(d, s), rows, label=f"uniform-sparse(d={d}, s={s})"
+    )

@@ -11,8 +11,8 @@ from tvbcox.cli import (
     EXIT_USAGE,
     main,
     parse_bundle_file,
-    serialize_bundle,
 )
+from oracles import serialize_bundle
 
 
 @pytest.fixture
@@ -340,10 +340,11 @@ def test_gz_commands_exit_at_the_cap_at_n40(capsys, monkeypatch, args, message):
 
 
 def test_gz_subduct_unequal_sums(capsys):
-    code, _, err = run(
-        capsys, "gz", "subduct", "--n", "2", "--word1", "[-1]", "--word2", "[-2]"
-    )
-    assert code == EXIT_USAGE
+    for n, word1, word2 in (("2", "[-1]", "[-2]"), ("3", "[-0]", "[-1]")):
+        code, out, err = run(capsys, "gz", "subduct", "--n", n, "--word1", word1, "--word2", word2)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "input error: words have different extended-pattern sums" in err
 
 
 def test_report_file_written(capsys, ex514_path, tmp_path):

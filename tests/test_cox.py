@@ -471,7 +471,7 @@ def test_delta_initial_ideal_rejects_inhomogeneous_input(monkeypatch):
     ring = PolyRing(["x", "y", "W"])
     x, y, w = ring.gens()
     with pytest.raises(ValueError, match="not homogeneous"):
-        delta_initial_ideal(Ideal(ring, [w + 1, x * y]))
+        delta_initial_ideal(Ideal(ring, [w + 1, x * y]), [1] * ring.nvars)
 
 
 def test_euler_complete_intersection_codimension():

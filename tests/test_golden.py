@@ -34,13 +34,7 @@ import tempfile
 from itertools import combinations, combinations_with_replacement
 
 from tvbcox import cli, poly
-from tvbcox.bundle import (
-    BundleData,
-    example_514_bundle,
-    kaneyama_bundle,
-    tangent_bundle,
-    uniform_sparse_bundle,
-)
+from tvbcox.bundle import BundleData, example_514_bundle, tangent_bundle, uniform_sparse_bundle
 from tvbcox.cox import (
     delta_initial_ideal,
     lemma_ideal,
@@ -50,6 +44,7 @@ from tvbcox.cox import (
 )
 from tvbcox.gz import all_generators, build_psi, canonicalize, word_to_text
 from tvbcox.poly import PolyRing, buchberger, grevlex, poly_to_text, ring_map_kernel
+from oracles import kaneyama_bundle, placed_sparse_bundle, serialize_bundle
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "analyze.json")
 GB_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "gb.json")
@@ -107,10 +102,10 @@ def golden_bundles():
     bundles += [(f"tangent-{n}", tangent_bundle(n)) for n in range(2, 7)]
     bundles += [
         ("uniform-sparse-2-6", uniform_sparse_bundle(2, 6)),
-        ("uniform-sparse-3-8-placed", uniform_sparse_bundle(
+        ("uniform-sparse-3-8-placed", placed_sparse_bundle(
             3, 8, [(5, 2), (1, 1), (8, 3), None, (2, 1), (7, 2), (3, 1)])),
         ("uniform-sparse-2-10", uniform_sparse_bundle(2, 10)),
-        ("uniform-sparse-4-10-placed", uniform_sparse_bundle(
+        ("uniform-sparse-4-10-placed", placed_sparse_bundle(
             4, 10, [(c, 1 + c % 3) for c in (10, 3, 7, 1, 9, 2, 5, 8, 4)] + [None])),
         ("kaneyama-1-2-3-4", kaneyama_bundle([1, 2, 3, 4])),
         # tangent(P^2) on rays 2, 9, 10 among zero rays: the witness i is the
@@ -140,7 +135,7 @@ def golden_text(directory):
     for name, b in golden_bundles():
         path = os.path.join(directory, f"{name}.json")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(cli.serialize_bundle(b))
+            fh.write(serialize_bundle(b))
         for command in ("analyze", "ci-stability"):
             code, results = command_results([command, path])
             answers[f"{name} {command}"] = {"exit": code, "results": results}
@@ -220,7 +215,8 @@ def engine_answers():
         with counting_s_polynomials() as calls:
             buchberger(gens, grevlex(gens[0].ring))
         counts[name] = calls[0]
-    kernels["delta initial 2"] = delta_initial_ideal(kernels["ker phi 2"])
+    ker_phi_2 = kernels["ker phi 2"]
+    kernels["delta initial 2"] = delta_initial_ideal(ker_phi_2, [1] * ker_phi_2.ring.nvars)
     texts = {name: gb_text(kernels[name]) for name in kernels}
     for n in (2, 3):
         texts[f"quiver {n}"] = gb_text(quiver_ideal(n))

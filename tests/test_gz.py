@@ -437,6 +437,14 @@ def test_rewrite_step_that_breaks_the_pattern_sum_raises():
         gz._apply_step([], codes, n, "wrong meet", pair, [join, wrong])
 
 
+def test_a_mark_move_that_settles_nothing_raises(monkeypatch):
+    # a move that leaves the word as it was would repeat forever; the loop
+    # stops after one move per flag and one check
+    monkeypatch.setattr(gz, "_with_mark", lambda t, c, mark: c)
+    with pytest.raises(AssertionError, match="mark moves did not settle"):
+        canonicalize(parse_word("[-1],[{1},0]"), 2)
+
+
 def _small_words():
     """Every word of length <= 3 at n = 3 and of length <= 2 at n = 4."""
     for n, max_len in ((3, 3), (4, 2)):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from tvbcox.linalg import (
-    format_rational,
     left_kernel_basis,
     parse_rational,
     rational_rank,
@@ -22,11 +21,6 @@ def test_parse_rational():
         parse_rational("1.5")
     with pytest.raises(ValueError):
         parse_rational("x")
-
-
-def test_format_rational():
-    assert format_rational(Fraction(3, 1)) == "3"
-    assert format_rational(Fraction(-6, 4)) == "-3/2"
 
 
 def test_rank_identity():

@@ -28,6 +28,7 @@ from tvbcox.poly import (
     normal_form,
     ring_map_kernel,
 )
+from oracles import from_terms
 
 
 NAMES = ["x", "y", "z", "w"]
@@ -48,7 +49,7 @@ def from_sympy(expr, ring, syms):
     terms = []
     for mono, coeff in poly.terms():
         terms.append((tuple(mono), Fraction(coeff.p, coeff.q)))
-    return ring.from_terms(terms)
+    return from_terms(ring, terms)
 
 
 def random_system(ring, rng, count, max_degree=2, terms=3):
@@ -190,8 +191,9 @@ def random_laurent(ring, rng, terms):
     """A polynomial of up to the given number of terms, exponents -2 to 2
     and Fraction coefficients."""
     coeffs = [-2, 1, Fraction(3, 2), Fraction(-1, 3)]
-    return ring.from_terms(
-        ([rng.randrange(-2, 3) for _ in ring.names], rng.choice(coeffs)) for _ in range(terms)
+    return from_terms(
+        ring,
+        [([rng.randrange(-2, 3) for _ in ring.names], rng.choice(coeffs)) for _ in range(terms)],
     )
 
 

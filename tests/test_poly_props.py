@@ -9,6 +9,7 @@ on every run.
 
 import itertools
 from fractions import Fraction
+from functools import partial
 from heapq import heappop
 from operator import add, sub
 
@@ -40,7 +41,13 @@ from tvbcox.poly import (
     _s_polynomial,
     _support,
 )
-from oracles import block_greater, grevlex_greater, lex_greater, normal_form_by_division
+from oracles import (
+    block_greater,
+    from_terms,
+    grevlex_greater,
+    lex_greater,
+    normal_form_by_division,
+)
 
 
 RING = PolyRing(["x", "y", "z"])
@@ -49,7 +56,7 @@ MONOMIALS = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
 
 polys = st.lists(
     st.tuples(st.sampled_from(MONOMIALS), st.integers(-3, 3)), min_size=1, max_size=3
-).map(RING.from_terms)
+).map(partial(from_terms, RING))
 systems = st.lists(polys, min_size=1, max_size=3)
 orders = st.sampled_from(ORDERS)
 
@@ -141,7 +148,7 @@ def _polys_over(ring, used, degree):
                 m[i] = e
             monomials.append(tuple(m))
     terms = st.tuples(st.sampled_from(monomials), st.integers(-3, 3))
-    return st.lists(terms, min_size=1, max_size=4).map(ring.from_terms)
+    return st.lists(terms, min_size=1, max_size=4).map(partial(from_terms, ring))
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -222,7 +229,7 @@ def _textbook_s_polynomial(f, g, order):
 non_monic = st.lists(
     st.tuples(st.sampled_from(MONOMIALS), st.sampled_from([-3, -2, 2, 3])),
     min_size=1, max_size=3, unique_by=lambda t: t[0],
-).map(RING.from_terms)
+).map(partial(from_terms, RING))
 
 
 @small
@@ -264,7 +271,7 @@ REDUCE_CASES = [(RING, order, [MONOMIALS]) for order in ORDERS] + [
 
 def _polys_in(ring, monomials, coeffs):
     terms = st.tuples(st.sampled_from(monomials), st.sampled_from(coeffs))
-    return st.lists(terms, min_size=1, max_size=4).map(ring.from_terms)
+    return st.lists(terms, min_size=1, max_size=4).map(partial(from_terms, ring))
 
 
 def _max_scan_division(f, gens, order):
@@ -365,7 +372,7 @@ unit_images = st.tuples(st.sampled_from([1, -1]), st.integers(-2, 2), st.integer
 )
 multi_term_images = st.lists(
     st.tuples(st.sampled_from(ST_MONOMIALS), scales), min_size=2, max_size=3
-).map(ST.from_terms)
+).map(partial(from_terms, ST))
 
 
 def _term_product(a, b):
@@ -392,7 +399,7 @@ def _product_expansion(f, images, target):
             for _ in range(e):
                 part = _term_product(part, factor)
         result += part.items()
-    return target.from_terms(result)
+    return from_terms(target, result)
 
 
 def _is_unit(img):
@@ -409,7 +416,7 @@ def source_polys(images, max_size=4):
     """Polynomials in a, b, c with negative exponents only on variables
     whose image is a unit."""
     exps = st.tuples(*(st.integers(-2 if _is_unit(img) else 0, 2) for img in images))
-    return st.lists(st.tuples(exps, scales), max_size=max_size).map(ABC.from_terms)
+    return st.lists(st.tuples(exps, scales), max_size=max_size).map(partial(from_terms, ABC))
 
 
 @small

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 from test_golden import SUITE_FULL, cli_entry, golden_cli
 
-from tvbcox import cox, poly, suite
+from tvbcox import cli, cox, poly, suite
 from tvbcox.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 
 
 def test_plain_writes_infinity_and_fractions_as_text():
     value = {1: (math.inf, Fraction(3, 4)), "n": [2, None, True, 0.5, "s"]}
-    assert suite._plain(value) == {"1": ["infinity", "3/4"], "n": [2, None, True, 0.5, "s"]}
+    assert cli._plain(value) == {"1": ["infinity", "3/4"], "n": [2, None, True, 0.5, "s"]}
 
 
 def test_run_suite_fast_passes():
