@@ -49,23 +49,26 @@ def w_name(tau=None):
     return "W_" + "".join(str(i) for i in sorted(tau))
 
 
-def presentation_variables(n, m):
-    """The source variables of phi in ring order, each with its bidegree in
-    Pic = Z x Z: x_j (-1, 0), Y_ij (1, 1), and (n + 1, n) for the
-    determinantal generator of each n-subset tau of rows, named W when
-    tau is every row (m = n) and W_tau when m > n; there is none for m < n."""
-    table = [(x_name(j), (-1, 0)) for j in range(n + 1)]
-    table += [(y_name(i, j), (1, 1)) for i in range(1, m + 1) for j in range(n + 1)]
+def presentation_minors(n, m):
+    """phi's minor variables in ring order, as (name, rows, columns): Y_ij
+    on row i and column j, and the determinantal generator of each n-subset
+    tau of rows on rows tau and all n + 1 columns, named W when tau is every
+    row (m = n) and W_tau when m > n; there is none for m < n."""
+    table = [(y_name(i, j), (i,), (j,)) for i in range(1, m + 1) for j in range(n + 1)]
     table += [
-        (w_name(tau if m > n else None), (n + 1, n))
+        (w_name(tau if m > n else None), tau, tuple(range(n + 1)))
         for tau in combinations(range(1, m + 1), n)
     ]
     return table
 
 
-def presentation_ring(n, m):
-    """Source ring K[x_j, Y_ij, W-variables] of presentation_variables."""
-    return PolyRing([name for name, _ in presentation_variables(n, m)])
+def presentation_variables(n, m):
+    """The source variables of phi in ring order, each with its bidegree in
+    Pic = Z x Z: x_j (-1, 0) and (|columns|, |rows|) for a minor, so Y_ij
+    (1, 1) and the W-variables (n + 1, n)."""
+    return [(x_name(j), (-1, 0)) for j in range(n + 1)] + [
+        (name, (len(cols), len(rows))) for name, rows, cols in presentation_minors(n, m)
+    ]
 
 
 def phi_target_ring(n, m):
@@ -96,34 +99,63 @@ def euler_minor(target, n, rows, cols):
     """The minor on rows x cols of the matrix whose column 0 is
     -sum_j y_ij and whose column j is y_ij, times t^cols.  Each row sums
     to 0, as the Euler relations ask; phi and psi send every generator
-    other than x_j to such a minor."""
+    other than x_j to such a minor.  On all n + 1 columns, as for the
+    W-variables, the minor is read on columns 1..n."""
     cols = sorted(cols)
     y = [[target.var(yy_name(i, j)) for j in range(1, n + 1)] for i in rows]
-    image = symbolic_det([[r[j - 1] if j else -sum(r, target.zero()) for j in cols] for r in y])
+    square = cols[len(cols) - len(rows) :]
+    image = symbolic_det([[r[j - 1] if j else -sum(r, target.zero()) for j in square] for r in y])
     for j in cols:
         image = image * target.var(t_name(j))
     return image
 
 
-def build_phi(n: int, m: int):
-    """The presentation map of the Cox ring of P(T_n tensor K^m).
+def minor_map(n, m, minors):
+    """The presentation map of a table of minor variables: from the ring
+    of x_0..x_n and the minors, in table order, into phi_target_ring(n, m),
+    with x_j -> t_j^-1 and each minor -> its euler_minor.  phi and psi are
+    this map on their tables."""
+    source = PolyRing([x_name(j) for j in range(n + 1)] + [name for name, _, _ in minors])
+    target = phi_target_ring(n, m)
+    images = {x_name(j): target.var(t_name(j)) ** -1 for j in range(n + 1)}
+    for name, rows, cols in minors:
+        images[name] = euler_minor(target, n, rows, cols)
+    return RingMap(source, target, images)
 
-    x_j -> t_j^-1, Y_ij -> the (i, j) entry of euler_minor's matrix times
-    t_j, and the determinantal generator of each n-subset tau of rows ->
-    det[y(tau, 1..n)] t_0...t_n, in the order of presentation_variables.
-    """
+
+def build_phi(n: int, m: int):
+    """The presentation map of the Cox ring of P(T_n tensor K^m), minor_map
+    on presentation_minors(n, m): Y_ij -> the (i, j) entry of euler_minor's
+    matrix times t_j, and the W of rows tau -> det[y(tau, 1..n)] t_0...t_n."""
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")
-    source = presentation_ring(n, m)
-    target = phi_target_ring(n, m)
-    images = [target.var(t_name(j)) ** -1 for j in range(n + 1)]
-    images += [euler_minor(target, n, [i], [j]) for i in range(1, m + 1) for j in range(n + 1)]
-    t_0 = target.var(t_name(0))
-    images += [
-        euler_minor(target, n, tau, range(1, n + 1)) * t_0
-        for tau in combinations(range(1, m + 1), n)
-    ]
-    return RingMap(source, target, dict(zip(source.names, images)))
+    return minor_map(n, m, presentation_minors(n, m))
+
+
+def column_action(ring, minors, perm):
+    """The ring map of the permutation perm of the n + 1 matrix columns:
+    x_j -> x_perm[j], and the minor on (rows, S) -> e times the minor on
+    (rows, perm(S)), e the sign that sorts perm over sorted S.  The
+    matrix's rows sum to 0 in any column order, so permuting its columns
+    and the t_j is a map h of the target with h(phi(v)) = phi(g(v)) for
+    the map phi of the table; g keeps ker(phi)."""
+    named = {(rows, cols): name for name, rows, cols in minors}
+    images = {x_name(j): ring.var(x_name(p)) for j, p in enumerate(perm)}
+    for name, rows, cols in minors:
+        moved = [perm[c] for c in cols]
+        images[name] = sorting_sign(moved) * ring.var(named[rows, tuple(sorted(moved))])
+    return RingMap(ring, ring, images)
+
+
+def column_generators(n):
+    """The swap of columns 0 and 1 and the cycle j -> j + 1 mod n + 1,
+    which generate the permutations of the n + 1 columns."""
+    return [[1, 0] + list(range(2, n + 1)), [(j + 1) % (n + 1) for j in range(n + 1)]]
+
+
+def sorting_sign(seq):
+    """The sign of the permutation that sorts the distinct entries of seq."""
+    return (-1) ** sum(a > b for a, b in combinations(seq, 2))
 
 
 class PresentationSpec:
@@ -200,7 +232,7 @@ def quiver_ideal(n: int):
     """Euler relations plus all maximal minors det Y(j), in the m = n ring."""
     if n < 2:
         raise ValueError("need n >= 2")
-    ring = presentation_ring(n, n)
+    ring = PolyRing([name for name, _ in presentation_variables(n, n)])
     return Ideal(ring, euler_generators(ring, n, n) + maximal_minors(ring, n))
 
 
@@ -345,40 +377,14 @@ def tangent_sigma(spec):
     return RingMap(spec.phi.target, ring, images)
 
 
-def sorting_sign(seq):
-    """The sign of the permutation that sorts the distinct entries of seq."""
-    return (-1) ** sum(a > b for a, b in combinations(seq, 2))
-
-
-def column_generators(n):
-    """The swap of columns 0 and 1 and the cycle j -> j + 1 mod n + 1,
-    which generate the permutations of the n + 1 columns."""
-    return [[1, 0] + list(range(2, n + 1)), [(j + 1) % (n + 1) for j in range(n + 1)]]
-
-
-def column_permutation(spec, perm):
-    """The ring map x_j -> x_perm[j], Y_ij -> Y_i,perm[j], W -> e W with e
-    the sign of perm, as the maximal minors follow it."""
-    ring = spec.ring
-    images = {w_name(): sorting_sign(perm) * ring.var(w_name())}
-    for j, p in enumerate(perm):
-        images[x_name(j)] = ring.var(x_name(p))
-        for i in range(1, spec.m + 1):
-            images[y_name(i, j)] = ring.var(y_name(i, p))
-    return RingMap(ring, ring, images)
-
-
-def tangent_symmetries(spec):
-    """column_permutation of the two column generators."""
-    return [column_permutation(spec, perm) for perm in column_generators(spec.n)]
-
-
 def tangent_kernel(spec):
     """kernel_by_saturation on the m = n presentation: sigma inverts the
     x_j, and the column symmetries carry x_0 to every x_j, so only x_0 is
     saturated."""
+    minors = presentation_minors(spec.n, spec.m)
+    symmetries = [column_action(spec.ring, minors, perm) for perm in column_generators(spec.n)]
     return kernel_by_saturation(
-        spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), tangent_symmetries(spec)
+        spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), symmetries
     )
 
 

@@ -15,11 +15,10 @@ from math import comb
 from typing import NamedTuple
 
 from .cox import (
+    column_action,
     column_generators,
-    euler_minor,
     kernel_by_saturation,
-    phi_target_ring,
-    sorting_sign,
+    minor_map,
     t_name,
     x_name,
     yy_name,
@@ -28,10 +27,7 @@ from .linalg import left_kernel_basis
 from .poly import (
     CapExceeded,
     Ideal,
-    PolyRing,
     RingMap,
-    buchberger,
-    grevlex,
     lex,
     normal_form,
     poly_to_text,
@@ -286,23 +282,20 @@ def column_set_count(n):
     return generator_count(n) - n - 1
 
 
-def flag_ring(n: int):
-    names = [x_name(j) for j in range(n + 1)]
-    names += [p_name(cols) for cols in flag_column_sets(n)]
-    return PolyRing(names)
+def flag_minors(n):
+    """psi's minor variables in ring order, as (name, rows, columns): P_S
+    on rows 1..|S| and columns S, for S in flag_column_sets(n)."""
+    return [(p_name(cols), tuple(range(1, len(cols) + 1)), tuple(sorted(cols)))
+            for cols in flag_column_sets(n)]
 
 
 def build_psi(n: int):
     """Presentation map of the Cox ring of the full flag bundle of T_n:
-    x_j -> t_j^-1 and P over columns `cols` -> the top-justified
-    euler_minor on those columns."""
+    the minor_map of flag_minors(n), x_j -> t_j^-1 and P over columns
+    `cols` -> the top-justified euler_minor on those columns."""
     if n < 2:
         raise ValueError("need n >= 2")
-    target = phi_target_ring(n, n - 1)
-    images = {x_name(j): target.var(t_name(j)) ** -1 for j in range(n + 1)}
-    for cols in flag_column_sets(n):
-        images[p_name(cols)] = euler_minor(target, n, range(1, len(cols) + 1), cols)
-    return RingMap(flag_ring(n), target, images)
+    return minor_map(n, n - 1, flag_minors(n))
 
 
 @lru_cache(maxsize=None)
@@ -453,30 +446,17 @@ def flag_sigma(psi, n):
     return RingMap(psi.target, source, images)
 
 
-def column_symmetry(ring, column_sets, perm):
-    """The ring map x_j -> x_perm[j], P_S -> e P_perm(S) for S in
-    column_sets, e the sign that sorts perm over sorted S.  psi's matrix
-    has rows summing to 0 in any column order, so permuting its columns is
-    a map h of the target with h(psi(f)) = psi(g(f)); g keeps ker(psi)."""
-    images = {x_name(j): ring.var(x_name(p)) for j, p in enumerate(perm)}
-    for cols in column_sets:
-        moved = [perm[c] for c in sorted(cols)]
-        images[p_name(cols)] = sorting_sign(moved) * ring.var(p_name(moved))
-    return RingMap(ring, ring, images)
-
-
 def flag_kernel(n, psi):
     """kernel_by_saturation for psi: J the ideal of flag_presentation(n),
     flag_sigma inverting x_0..x_n and the leading minors P_1, ...,
-    P_{1..n-2}, and the column_symmetry of the two column generators,
-    which carry x_0 to every x_j and P_{1..k} to every P_S with |S| = k."""
-    ring = psi.source
-    sets = flag_column_sets(n)
+    P_{1..n-2}, and the column_action of the two column generators, which
+    carry x_0 to every x_j and P_{1..k} to every P_S with |S| = k."""
+    ring, minors = psi.source, flag_minors(n)
     # x_j weighs 1 and P over cols weighs |cols|: every relation is homogeneous
-    weights = [1] * (n + 1) + [len(cols) for cols in sets]
+    weights = [1] * (n + 1) + [len(cols) for _, _, cols in minors]
     return kernel_by_saturation(
         Ideal(ring, flag_presentation(n, psi)), psi, flag_sigma(psi, n), weights,
-        [column_symmetry(ring, sets, perm) for perm in column_generators(n)],
+        [column_action(ring, minors, perm) for perm in column_generators(n)],
     )
 
 
@@ -486,9 +466,10 @@ PSI_KERNEL_CAP = 4
 def psi_kernel(n):
     """ker(psi), proved equal to the ideal of flag_presentation(n) by the
     certificates of flag_kernel; nothing is eliminated.  Returns the ideal
-    of its reduced grevlex basis, computed from the proof's basis (x_0
-    last).  Raises CapExceeded past n = PSI_KERNEL_CAP and AssertionError
-    when a certificate fails."""
+    of the proof's basis (x_0 last), as verify_kernel reports its proof's
+    basis; a caller that wants another basis asks the ideal for it.
+    Raises CapExceeded past n = PSI_KERNEL_CAP and AssertionError when a
+    certificate fails."""
     if n > PSI_KERNEL_CAP:
         raise CapExceeded(f"ker(psi) at n = {n} is over the cap {PSI_KERNEL_CAP}", size=n)
     psi = build_psi(n)
@@ -496,7 +477,7 @@ def psi_kernel(n):
     failed = [name for name, holds in certificates.items() if not holds]
     if failed:
         raise AssertionError(f"ker(psi) at n = {n}: the {', '.join(failed)} certificates fail")
-    return Ideal(psi.source, buchberger(basis, grevlex(psi.source)))
+    return Ideal(psi.source, basis)
 
 
 # ---------------------------------------------------------------------------

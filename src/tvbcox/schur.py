@@ -18,7 +18,10 @@ def normalize_partition(parts):
 
 
 def partitions_bounded(d: int, max_rows: int):
-    """All partitions of d with at most max_rows rows, reverse-lex order."""
+    """All partitions of d with at most max_rows rows, reverse-lex order;
+    a negative max_rows raises ValueError."""
+    if max_rows < 0:
+        raise ValueError(f"the row bound must be at least 0, got {max_rows}")
     if d < 0:
         return []
     out = []
@@ -85,9 +88,11 @@ def cauchy_verify(d: int, e: int, v: int):
 
 def cauchy_table(max_degree: int, e: int, v: int):
     """Rows (d, lhs, rhs, equal) for d = 0..max_degree; max_degree < 0,
-    a table of no row, raises ValueError."""
+    a table of no row, and a negative dimension raise ValueError."""
     if max_degree < 0:
         raise ValueError(f"the largest degree must be at least 0, got {max_degree}")
+    if min(e, v) < 0:
+        raise ValueError(f"the dimensions must be at least 0, got dim_e = {e}, dim_v = {v}")
     rows = []
     for d in range(max_degree + 1):
         equal, lhs, rhs = cauchy_verify(d, e, v)

@@ -7,10 +7,11 @@ enumeration instead of branch and bound, sign search through the
 presentation map instead of the Laplace expansion, and textbook monomial
 comparisons instead of matrix-order keys, division that compares
 exponents term by term instead of filtering divisors by support masks,
-column sets enumerated by size instead of read off the marked flags, and
+column sets enumerated by size instead of read off the marked flags,
 generators enumerated as negated variables and then flags instead of as
-marks on column sets of every size.  It also holds helpers that only tests
-use.
+marks on column sets of every size, and column permutations applied to
+the presentation matrix instead of to a table of minors.  It also holds
+helpers that only tests use.
 """
 
 import json
@@ -19,7 +20,7 @@ from functools import cmp_to_key
 from itertools import combinations, permutations
 
 from tvbcox import bundle, poly
-from tvbcox.cox import lemma_ring, maximal_minors, x_name
+from tvbcox.cox import lemma_ring, maximal_minors, t_name, x_name, yy_name
 from tvbcox.gz import MarkedGenerator, p_name
 
 
@@ -158,6 +159,19 @@ def generators_by_kind(n):
 
 def sort_word(word):
     return tuple(sorted(word, key=MarkedGenerator.sort_key))
+
+
+def permuted_columns(target, n, perm):
+    """The map of the presentation target that moves matrix column j to
+    column perm[j] and t_j to t_perm[j]: y_ij goes to the (i, perm[j])
+    entry of the matrix whose column 0 is -sum_k y_ik, read off the matrix
+    itself rather than off a table of minors."""
+    images = {t_name(j): target.var(t_name(p)) for j, p in enumerate(perm)}
+    for i in range(1, (target.nvars - n - 1) // n + 1):
+        y = [target.var(yy_name(i, j)) for j in range(1, n + 1)]
+        columns = [-sum(y, target.zero())] + y
+        images.update({yy_name(i, j): columns[perm[j]] for j in range(1, n + 1)})
+    return poly.RingMap(target, target, images)
 
 
 def minors_only_dimension(n):

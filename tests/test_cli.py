@@ -237,6 +237,16 @@ def test_cauchy_rejects_a_negative_degree(capsys):
     assert "largest degree must be at least 0, got -1" in err
 
 
+@pytest.mark.parametrize("dims", [("-1", "-1"), ("-2", "3")])
+def test_cauchy_rejects_a_negative_dimension(capsys, dims):
+    # a negative dimension is an input error, not a failed Cauchy identity
+    e, v = dims
+    code, out, err = run(capsys, "cauchy", "--dim-e", e, "--dim-v", v, "--max-degree", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"dimensions must be at least 0, got dim_e = {e}, dim_v = {v}" in err
+
+
 @pytest.mark.parametrize("length", ["0", "-1"])
 def test_gz_verify_rejects_a_sweep_of_no_word(capsys, length):
     code, out, err = run(capsys, "gz", "verify", "--n", "2", "--max-word-length", length)

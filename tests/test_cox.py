@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -7,8 +7,8 @@ from tvbcox import cox, gz, poly
 from tvbcox.cox import (
     PresentationSpec,
     build_phi,
+    column_action,
     column_generators,
-    column_permutation,
     delta_initial_ideal,
     delta_weights,
     euler_generators,
@@ -20,14 +20,13 @@ from tvbcox.cox import (
     phi_target_ring,
     plucker_quadrics,
     pluecker_match,
-    presentation_ring,
+    presentation_minors,
     presentation_variables,
     quiver_ideal,
     row_completing_order,
     t_name,
     tangent_cox_ideal,
     tangent_sigma,
-    tangent_symmetries,
     verify_kernel,
     verify_lemma,
     w_name,
@@ -47,7 +46,7 @@ from tvbcox.poly import (
     symbolic_det,
     weight_initial,
 )
-from oracles import det_permutation_sum, minors_only_dimension
+from oracles import det_permutation_sum, minors_only_dimension, permuted_columns
 
 
 def test_euler_ideal_shape():
@@ -81,8 +80,8 @@ def test_presentation_variables_in_ring_order():
     ]
     for n, m in ((2, 1), (2, 2), (2, 3), (3, 4)):
         names = [name for name, _ in presentation_variables(n, m)]
-        assert list(presentation_ring(n, m).names) == names
-        assert list(build_phi(n, m).images) == names
+        phi = build_phi(n, m)
+        assert list(phi.source.names) == list(phi.images) == names
         if m <= n:
             assert list(tangent_cox_ideal(n, m).degrees) == names
 
@@ -152,7 +151,7 @@ def test_all_generators_vanish_under_phi():
 
 
 def test_symbolic_minor_matches_permutation_oracle():
-    ring = presentation_ring(2, 2)
+    ring = build_phi(2, 2).source
     cols = [1, 2]
     rows = [[ring.var(y_name(i, c)) for c in cols] for i in (1, 2)]
     assert symbolic_det(rows) == det_permutation_sum(rows)
@@ -188,9 +187,16 @@ def test_verify_kernel_matches_the_elimination_route(n):
     assert verify_kernel(n) == elimination_report(n)
 
 
+def column_symmetries(spec):
+    """The column_action of the two column generators, as tangent_kernel
+    passes them."""
+    minors = presentation_minors(spec.n, spec.m)
+    return [column_action(spec.ring, minors, perm) for perm in column_generators(spec.n)]
+
+
 def certificates(spec, symmetries=None):
     if symmetries is None:
-        symmetries = tangent_symmetries(spec)
+        symmetries = column_symmetries(spec)
     return kernel_by_saturation(
         spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), symmetries
     )[-1]
@@ -198,7 +204,7 @@ def certificates(spec, symmetries=None):
 
 def proof_inputs(spec):
     """The arguments tangent_kernel gives kernel_by_saturation."""
-    return spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), tangent_symmetries(spec)
+    return spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), column_symmetries(spec)
 
 
 def certificate_polynomials(claimed, phi, sigma, weights, symmetries):
@@ -310,30 +316,54 @@ def test_left_inverse_certificate_rejects_a_wrong_w_image(n):
     assert got["saturated"] and got["symmetric"]
 
 
+@pytest.mark.parametrize(
+    "case", ["phi 1 1", "phi 2 2", "phi 3 3", "phi 2 3", "phi 2 4", "phi 3 4", "psi 2", "psi 3",
+             "psi 4"],
+)
+def test_the_column_action_commutes_with_the_presentation_map(case):
+    # phi(g(v)) = h(phi(v)) for every source variable v, with g the column
+    # action on the minor table and h the same permutation of the matrix
+    # columns and the t_j: every permutation of the n + 1 columns, the W_tau
+    # of m > n included, and the two generators for psi at n = 4
+    kind, n, *m = case.split()
+    n = int(n)
+    if kind == "phi":
+        phi, minors = build_phi(n, int(m[0])), presentation_minors(n, int(m[0]))
+    else:
+        phi, minors = gz.build_psi(n), gz.flag_minors(n)
+    perms = column_generators(n) if n == 4 else permutations(range(n + 1))
+    for perm in perms:
+        g, h = column_action(phi.source, minors, perm), permuted_columns(phi.target, n, perm)
+        for v in phi.source.gens():
+            assert phi(g(v)) == h(phi(v)), (perm, v)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_symmetry_certificate_rejects_a_wrong_w_sign(n):
     spec = tangent_cox_ideal(n, n)
     for perm in column_generators(n):
-        wrong = with_w_negated(column_permutation(spec, perm))
+        wrong = with_w_negated(column_action(spec.ring, presentation_minors(n, n), perm))
         # beside the right pair, which carries x_0 to every x_j, and alone
-        for symmetries in (tangent_symmetries(spec) + [wrong], [wrong]):
+        for symmetries in (column_symmetries(spec) + [wrong], [wrong]):
             got = certificates(spec, symmetries)
             assert got["symmetric"] is False, perm
             assert got["contained"] and got["left_inverse"] and got["saturated"]
 
 
 def test_a_failed_certificate_fails_both_reports(monkeypatch):
-    def wrong(spec):
-        return [with_w_negated(column_permutation(spec, [1, 0, 2]))]
+    action = cox.column_action
 
-    monkeypatch.setattr(cox, "tangent_symmetries", wrong)
+    def wrong(ring, minors, perm):
+        return with_w_negated(action(ring, minors, perm))
+
+    monkeypatch.setattr(cox, "column_action", wrong)
     assert verify_kernel(2)["equal"] is False
     assert initial_comparison(2)["equal"] is False
 
 
 def test_kernel_by_saturation_needs_a_positive_grading_of_j():
     spec = tangent_cox_ideal(3, 3)
-    sigma, symmetries = tangent_sigma(spec), tangent_symmetries(spec)
+    sigma, symmetries = tangent_sigma(spec), column_symmetries(spec)
     # det Y(j) has degree 3 and x_j W degree 2 in the standard grading
     claimed, phi = spec.ideal(), spec.phi
     with pytest.raises(ValueError, match="not homogeneous"):
@@ -366,7 +396,7 @@ def test_the_symmetries_decide_which_variables_are_saturated(saturated_names, n)
     assert names == [x_name(j) for j in range(n + 1)]
     # the swap alone carries x_0 to x_1 only
     names.clear()
-    assert all(certificates(spec, tangent_symmetries(spec)[:1]).values())
+    assert all(certificates(spec, column_symmetries(spec)[:1]).values())
     assert names == [x_name(j) for j in range(n + 1) if j != 1]
     # a map that is not a signed permutation of the variables carries nothing
     names.clear()

@@ -16,6 +16,10 @@ def test_partitions_bounded_examples():
     assert partitions_bounded(4, 2) == [(4,), (3, 1), (2, 2)]
     assert partitions_bounded(0, 0) == [()]
     assert partitions_bounded(3, 0) == []
+    # a negative bound is an input error, not "no bound": every partition
+    # of 3 would make the Cauchy sums fail at negative dimensions
+    with pytest.raises(ValueError, match="row bound must be at least 0, got -1"):
+        partitions_bounded(3, -1)
 
 
 def test_partitions_bounded_matches_brute():
@@ -69,6 +73,11 @@ def test_cauchy_table():
     assert [r[0] for r in rows] == [0, 1, 2, 3, 4]
     assert all(r[3] for r in rows)
     assert rows[1][1] == 6  # dim of the tensor space itself
+    # dimension 0 is a space with only Sym^0; a negative one is rejected
+    assert cauchy_table(2, 0, 3) == [(0, 1, 1, True), (1, 0, 0, True), (2, 0, 0, True)]
+    for e, v in ((-1, -1), (-2, 3), (2, -1)):
+        with pytest.raises(ValueError, match=f"got dim_e = {e}, dim_v = {v}"):
+            cauchy_table(2, e, v)
 
 
 def test_sym_power_dim():
