@@ -142,7 +142,7 @@ def _pair_bound(size, m_i, m_a):
     return -((size - 1) // -(m_i - m_a)) - 1  # ceil((size - 1)/(m_i - m_a)) - 1
 
 
-def is_complete_intersection(b, summands=1):
+def is_complete_intersection(b, summands):
     """Complete-intersection test for the bundle tensored with K^summands.
 
     The criterion quantifies over ray subsets A with |A| >= 2 and i in A:

@@ -182,20 +182,12 @@ class PresentationSpec:
         return [3 * b - a for a, b in (self.degrees[name] for name in self.ring.names)]
 
     def bidegree_of(self, f):
-        """The common bidegree of f's terms; raises if not bihomogeneous."""
-        seen = None
-        for mono in f.terms:
-            a = b = 0
-            for idx, e in enumerate(mono):
-                if e:
-                    da, db = self.degrees[self.ring.names[idx]]
-                    a += e * da
-                    b += e * db
-            if seen is None:
-                seen = (a, b)
-            elif seen != (a, b):
-                raise ValueError("generator is not bihomogeneous")
-        return seen
+        """f's degrees under the a-row and the b-row of the bidegrees, None
+        for f = 0; raises ValueError unless f is bihomogeneous."""
+        if not f.terms:
+            return None
+        rows = zip(*(self.degrees[name] for name in self.ring.names))
+        return tuple(weighted_degree(f, row) for row in rows)
 
     def check_bihomogeneous(self):
         return [self.bidegree_of(g) for g in self.gens]
@@ -249,14 +241,22 @@ def delta_order(ring):
     return MatrixOrder((minus_w,) + grevlex(ring).rows)
 
 
+def weighted_degree(f, weights):
+    """The weighted degree shared by every term of f, None for f = 0;
+    raises ValueError unless f is homogeneous for the weights."""
+    degrees = {sum(map(mul, weights, m)) for m in f.terms}
+    if len(degrees) > 1:
+        raise ValueError(f"{f} is not homogeneous for the weights {weights}")
+    return next(iter(degrees), None)
+
+
 def require_homogeneous(gens, weights):
     """Raise ValueError unless the weights are positive and every
     generator is homogeneous for them."""
     if min(weights) < 1:
         raise ValueError(f"the weights {weights} are not positive")
     for g in gens:
-        if len({sum(map(mul, weights, m)) for m in g.terms}) > 1:
-            raise ValueError(f"{g} is not homogeneous for the weights {weights}")
+        weighted_degree(g, weights)
 
 
 def delta_initial_ideal(ideal, grading):

@@ -3,9 +3,10 @@
 The Cox ring of the full flag bundle of the tangent bundle is presented by
 variables x_0..x_n and flag minors P over column sets of an (n-1) x (n+1)
 matrix whose 0-th column is forced by the Euler relations.  Initial data of
-generators are tracked as extended patterns (triangular array, Z^{n+1}
-vector); products are rewritten against two relation families until words
-reach a canonical form.
+generators are tracked as extended patterns: a Gelfand-Tsetlin pattern,
+which is a tuple of integer rows, top row first, row i (1-based) of
+n + 1 - i entries, paired with a vector in Z^{n+1}.  Products are rewritten
+against two relation families until words reach a canonical form.
 """
 
 from bisect import bisect_left
@@ -43,44 +44,18 @@ PAIR_CAP = 2**11
 # patterns
 
 
-class GZPattern:
-    """Triangular integer array; row i (1-based) has n + 1 - i entries."""
+def interlaces(g):
+    """Whether the rows of a pattern g interlace: g[i][j] >= g[i+1][j] >=
+    g[i][j+1] for all valid positions."""
+    for i in range(len(g) - 1):
+        for j in range(len(g[i + 1])):
+            if not (g[i][j] >= g[i + 1][j] >= g[i][j + 1]):
+                return False
+    return True
 
-    __slots__ = ("rows",)
 
-    def __init__(self, rows):
-        rows = tuple(tuple(r) for r in rows)
-        n = len(rows)
-        for i, row in enumerate(rows):
-            if len(row) != n - i:
-                raise ValueError("row lengths must decrease by one")
-        self.rows = rows
-
-    @classmethod
-    def zero(cls, n):
-        return cls([(0,) * (n - i) for i in range(n)])
-
-    def interlaces(self):
-        """g[i][j] >= g[i+1][j] >= g[i][j+1] for all valid positions."""
-        g = self.rows
-        for i in range(len(g) - 1):
-            for j in range(len(g[i + 1])):
-                if not (g[i][j] >= g[i + 1][j] >= g[i][j + 1]):
-                    return False
-        return True
-
-    def in_plus_cone(self):
-        """Interlacing and a zero at the end of the top row."""
-        return self.interlaces() and self.rows[0][-1] == 0
-
-    def __eq__(self, other):
-        return isinstance(other, GZPattern) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self):
-        return f"GZPattern({list(map(list, self.rows))})"
+def _zero_pattern(n):
+    return tuple((0,) * (n - i) for i in range(n))
 
 
 def generator_pattern(tau, n: int):
@@ -91,8 +66,8 @@ def generator_pattern(tau, n: int):
     if not tau <= frozenset(range(1, n + 1)):
         raise ValueError(f"tau out of range 1..{n}")
     counts = _prefix_counts(tau, n)
-    pattern = GZPattern((1,) * counts[w - 1] + (0,) * (w - counts[w - 1]) for w in range(n, 0, -1))
-    if not pattern.in_plus_cone():
+    pattern = tuple((1,) * counts[w - 1] + (0,) * (w - counts[w - 1]) for w in range(n, 0, -1))
+    if not (interlaces(pattern) and pattern[0][-1] == 0):
         raise AssertionError(f"generator pattern violates interlacing: {tau}")
     return pattern
 
@@ -100,7 +75,7 @@ def generator_pattern(tau, n: int):
 class ExtendedPattern(NamedTuple):
     """A pattern paired with a vector in Z^{n+1} tracking torus degrees."""
 
-    pattern: GZPattern
+    pattern: tuple  # the rows, top first
     zvec: tuple
 
 
@@ -163,7 +138,7 @@ class MarkedGenerator(NamedTuple):
         """The z-vector is -e_a for [-a] and the indicator of
         variable_columns() for a flag."""
         if not self.sigma:
-            pattern, sign, cols = GZPattern.zero(n), -1, {self.mark}
+            pattern, sign, cols = _zero_pattern(n), -1, {self.mark}
         else:
             pattern, sign, cols = generator_pattern(self.sigma, n), 1, self.variable_columns()
         return ExtendedPattern(pattern, tuple(sign * (j in cols) for j in range(n + 1)))
@@ -241,7 +216,7 @@ def _flat_pattern(gen, n):
     """A generator's extended pattern as one integer tuple: the pattern rows,
     top first, then the z-vector."""
     pattern, zvec = gen.extended_pattern(n)
-    return tuple(chain.from_iterable(pattern.rows)) + zvec
+    return tuple(chain.from_iterable(pattern)) + zvec
 
 
 def _flat_sum(word, n):
@@ -252,11 +227,11 @@ def _flat_sum(word, n):
 def word_pattern_sum(word, n):
     """Entrywise sum of the generators' extended patterns."""
     if not word:
-        return ExtendedPattern(GZPattern.zero(n), (0,) * (n + 1))
+        return ExtendedPattern(_zero_pattern(n), (0,) * (n + 1))
     flat = _flat_sum(word, n)
     cuts = list(accumulate(range(n, 0, -1), initial=0))
-    rows = [flat[a:b] for a, b in zip(cuts, cuts[1:])]
-    return ExtendedPattern(GZPattern(rows), flat[cuts[-1] :])
+    rows = tuple(flat[a:b] for a, b in zip(cuts, cuts[1:]))
+    return ExtendedPattern(rows, flat[cuts[-1] :])
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +475,6 @@ class _Codes(NamedTuple):
     flags: int  # codes below this are flags, the rest negated variables
     value: tuple  # the mark of each code
     cap: tuple  # the capacity of each code's column set
-    bare: tuple  # the code of mark 0 on the same column set
 
 
 @lru_cache(maxsize=None)
@@ -519,7 +493,6 @@ def _codes(n):
         gens, code, tuple(map(generator_to_text, gens)), sum(bool(gen.sigma) for gen in gens),
         tuple(gen.mark for gen in gens),
         tuple(_capacity(gen.sigma, n) for gen in gens),
-        tuple(code[gen._replace(mark=0)] for gen in gens),
     )
 
 
@@ -585,10 +558,11 @@ def _incomparable_pair(flags, n):
 
 
 def _with_mark(t, c, mark):
-    """The code of the generator on code c's column set carrying `mark`."""
+    """The code of the generator on code c's column set carrying `mark`;
+    _Codes numbers marks descending, so mark 0 there is c + value[c]."""
     if mark > t.cap[c]:
         raise AssertionError(f"mark {mark} does not fit the column set of {t.text[c]}")
-    return t.bare[c] - mark
+    return c + t.value[c] - mark
 
 
 def _mark_targets(t, word):
@@ -743,7 +717,7 @@ def sweep_word_count(n, max_len):
     return count
 
 
-def confluence_sweep(n, max_len=3):
+def confluence_sweep(n, max_len):
     """Exhaustively canonicalize words up to max_len; groups with equal
     pattern sums must share a canonical form.  Returns statistics.  Raises
     CapExceeded, before building any word, past SWEEP_CAP words.  Words are

@@ -252,9 +252,9 @@ def grevlex(ring):
     return MatrixOrder(_grevlex_rows(ring.nvars, range(ring.nvars)))
 
 
-def lex(ring, names=None):
-    """Lex with the given variables in falling significance (all by default)."""
-    idx = range(ring.nvars) if names is None else [ring.index[n] for n in names]
+def lex(ring, names):
+    """Lex with the given variables in falling significance."""
+    idx = [ring.index[n] for n in names]
     return MatrixOrder([[1 if j == i else 0 for j in range(ring.nvars)] for i in idx])
 
 

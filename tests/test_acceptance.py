@@ -111,7 +111,7 @@ def test_criterion_9_gz_suite():
         psi = gz.build_psi(n)
         for gen in gz.all_generators(n):
             pattern = gz.lead_pattern(gen, n, psi=psi)
-            ok = ok and pattern.pattern.interlaces()
+            ok = ok and gz.interlaces(pattern.pattern)
         gz_relation_check(n, psi)
         ok = ok and gz.confluence_sweep(n, 3)["confluent"]
     psi2 = gz.build_psi(2)

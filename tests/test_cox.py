@@ -586,3 +586,14 @@ def test_presentation_rejects_inhomogeneous():
     bad = ring.var("x0") + ring.var("W")
     with pytest.raises(ValueError):
         spec.bidegree_of(bad)
+
+
+def test_bidegree_of_reads_both_rows():
+    spec = tangent_cox_ideal(2, 2)
+    ring = spec.ring
+    x0, y, w = ring.var("x0"), ring.var("Y1_0"), ring.var("W")
+    assert spec.bidegree_of(ring.zero()) is None
+    assert spec.bidegree_of(x0 * w + 2 * y * ring.var("Y1_1")) == (2, 2)
+    # both terms have Pic degree 0, only the Sym degrees 1 and 2 differ
+    with pytest.raises(ValueError, match="not homogeneous"):
+        spec.bidegree_of(x0 * y + x0 * x0 * x0 * w)

@@ -4,7 +4,6 @@ import pytest
 
 from tvbcox import gz, poly
 from tvbcox.gz import (
-    GZPattern,
     MarkedGenerator,
     SubductionError,
     all_generators,
@@ -44,20 +43,41 @@ def subsets(n):
 
 
 def test_generator_pattern_examples():
-    assert generator_pattern({1}, 2).rows == ((1, 0), (1,))
-    assert generator_pattern({1, 2}, 3).rows == ((1, 1, 0), (1, 1), (1,))
+    assert generator_pattern({1}, 2) == ((1, 0), (1,))
+    assert generator_pattern({1, 2}, 3) == ((1, 1, 0), (1, 1), (1,))
 
 
 def test_generator_pattern_exhaustive():
     for n in range(2, 7):
         for tau in subsets(n):
             pattern = generator_pattern(tau, n)
-            assert pattern.interlaces()
-            assert pattern.rows[0][-1] == 0
+            assert gz.interlaces(pattern)
+            assert pattern[0][-1] == 0
     with pytest.raises(ValueError):
         generator_pattern(set(), 3)
     with pytest.raises(ValueError):
         generator_pattern({1, 2, 3}, 3)
+
+
+@pytest.mark.parametrize(
+    "rows, holds",
+    [
+        (((1, 0), (1,)), True),
+        (((0, 0), (0,)), True),
+        (((2, 1, 0), (2, 0), (1,)), True),
+        (((0, 1), (0,)), False),  # 0 >= 0 >= 1 fails on the right
+        (((0, 0), (1,)), False),  # 0 >= 1 >= 0 fails on the left
+        (((2, 1, 0), (1, 1), (2,)), False),  # only the lower two rows clash
+    ],
+)
+def test_interlaces_accepts_and_refuses(rows, holds):
+    assert gz.interlaces(rows) is holds
+
+
+def test_generator_pattern_guard_is_live(monkeypatch):
+    monkeypatch.setattr(gz, "interlaces", lambda rows: False)
+    with pytest.raises(AssertionError, match="violates interlacing"):
+        generator_pattern({1}, 2)
 
 
 def test_pattern_addition_preserves_interlacing():
@@ -66,7 +86,7 @@ def test_pattern_addition_preserves_interlacing():
         for a in taus:
             for b in taus:
                 word = (MarkedGenerator.flag(a), MarkedGenerator.flag(b))
-                assert word_pattern_sum(word, n).pattern.interlaces()
+                assert gz.interlaces(word_pattern_sum(word, n).pattern)
 
 
 def test_marked_generator_validity():
@@ -121,7 +141,7 @@ def test_canonicalize_refuses_an_empty_column_set_with_value_error():
 def test_extended_patterns_of_generators():
     n = 3
     x1 = MarkedGenerator.neg(1).extended_pattern(n)
-    assert x1.pattern == GZPattern.zero(n)
+    assert x1.pattern == ((0, 0, 0), (0, 0), (0,))
     flag = MarkedGenerator.flag({1, 2}, 0).extended_pattern(n)
     assert flag.pattern == generator_pattern({1, 2}, n)
     assert flag.zvec == (0, 1, 1, 0)
@@ -646,7 +666,7 @@ def _oracle_canonical_word(total, n):
     flags = []
     level = 1
     while True:
-        rows = [[1 if e >= level else 0 for e in row] for row in total.pattern.rows]
+        rows = [[1 if e >= level else 0 for e in row] for row in total.pattern]
         if not any(any(r) for r in rows):
             break
         for r in rows:

@@ -51,7 +51,7 @@ from oracles import (
 
 
 RING = PolyRing(["x", "y", "z"])
-ORDERS = [grevlex(RING), lex(RING), elimination_order(RING, ["x"])]
+ORDERS = [grevlex(RING), lex(RING, RING.names), elimination_order(RING, ["x"])]
 MONOMIALS = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
 
 polys = st.lists(
@@ -72,7 +72,7 @@ DIVISION_CASES = [
     (RING, ALL, ORDERS[1], lambda a, b: lex_greater(a, b, ALL)),
     (RING, ALL, ORDERS[2], lambda a, b: block_greater(a, b, [[0], [1, 2]])),
     (WIDE, WIDE_USED, grevlex(WIDE), lambda a, b: grevlex_greater(a, b, WIDE_ALL)),
-    (WIDE, WIDE_USED, lex(WIDE), lambda a, b: lex_greater(a, b, WIDE_ALL)),
+    (WIDE, WIDE_USED, lex(WIDE, WIDE.names), lambda a, b: lex_greater(a, b, WIDE_ALL)),
     (WIDE, WIDE_USED, elimination_order(WIDE, ["v64"]),
      lambda a, b: block_greater(a, b, [[64], WIDE_REST])),
 ]
