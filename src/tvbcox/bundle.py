@@ -13,8 +13,9 @@ from typing import NamedTuple
 from .linalg import rational_rank
 from .poly import CapExceeded
 
-# Largest number of ray or column subsets rank_table and classify enumerate.
-SUBSET_CAP = 2**16
+# Largest number of ray or column subsets rank_table and classify enumerate,
+# and of rows region_table builds.
+SUBSET_CAP = REGION_CAP = 2**16
 
 
 class BundleData:
@@ -242,10 +243,15 @@ def region_table(r_max: int, s_max: int):
 
     Returns (rows, boundary_lines): rows are (r, s, stability) and each
     boundary line l*(s - r) = s - 1 is reported as (l, slope, intercept)
-    for s as a function of r.
+    for s as a function of r.  CapExceeded comes before any row is built.
     """
     if not (2 <= r_max < s_max):
         raise ValueError("need 2 <= r_max < s_max")
+    count = r_max * s_max - r_max * (r_max + 1) // 2  # sum of s_max - r over r
+    if count > REGION_CAP:
+        raise CapExceeded(
+            f"the (r, s) grid has {count} rows, over the cap {REGION_CAP}", size=count
+        )
     rows = []
     max_stab = 1
     for r in range(1, r_max + 1):

@@ -152,21 +152,21 @@ def cmd_cox_tangent(args):
         raise InputError(
             f"--verify-kernel checks the m = n presentation only, got n = {args.n}, m = {args.m}"
         )
-    spec = cox.tangent_cox_ideal(args.n, args.m)
+    ideal = cox.tangent_cox_ideal(args.n, args.m)
     results = {
         "n": args.n,
         "m": args.m,
-        "variables": list(spec.ring.names),
-        "bidegrees": spec.check_bihomogeneous(),
+        "variables": list(ideal.ring.names),
+        "bidegrees": cox.bidegrees(args.n, args.m, ideal.gens),
     }
-    order = poly.grevlex(spec.ring)
+    order = poly.grevlex(ideal.ring)
     # each option that changes results joins the inputs only when given
     inputs = f"{args.n},{args.m}"
     if args.emit == "gb":
         inputs += ",--emit gb"
-        gens = spec.ideal().groebner(order)
+        gens = ideal.groebner(order)
     else:
-        gens = spec.gens
+        gens = ideal.gens
     results["generators"] = [poly.poly_to_text(g, order) for g in gens]
     if args.verify_kernel:
         inputs += ",--verify-kernel"

@@ -7,7 +7,7 @@ initial ideal, and the Plucker identification at n = 2.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 
 from . import poly
@@ -79,13 +79,10 @@ def phi_target_ring(n, m):
 
 def euler_generators(ring, n, m):
     """The m Euler relations f_i = sum_j x_j Y_ij."""
-    gens = []
-    for i in range(1, m + 1):
-        f = ring.zero()
-        for j in range(n + 1):
-            f = f + ring.var(x_name(j)) * ring.var(y_name(i, j))
-        gens.append(f)
-    return gens
+    return [
+        sum((ring.var(x_name(j)) * ring.var(y_name(i, j)) for j in range(n + 1)), ring.zero())
+        for i in range(1, m + 1)
+    ]
 
 
 def maximal_minors(ring, n):
@@ -147,10 +144,12 @@ def column_action(ring, minors, perm):
     return RingMap(ring, ring, images)
 
 
-def column_generators(n):
-    """The swap of columns 0 and 1 and the cycle j -> j + 1 mod n + 1,
-    which generate the permutations of the n + 1 columns."""
-    return [[1, 0] + list(range(2, n + 1)), [(j + 1) % (n + 1) for j in range(n + 1)]]
+def column_symmetries(ring, minors, n):
+    """The column_action on the ring of a minor table of the swap of columns
+    0 and 1 and the cycle j -> j + 1 mod n + 1, which generate the column
+    permutations: the symmetries the kernel proofs of phi and psi pass."""
+    swap, cycle = [1, 0] + list(range(2, n + 1)), [(j + 1) % (n + 1) for j in range(n + 1)]
+    return [column_action(ring, minors, perm) for perm in (swap, cycle)]
 
 
 def sorting_sign(seq):
@@ -158,46 +157,24 @@ def sorting_sign(seq):
     return (-1) ** sum(a > b for a, b in combinations(seq, 2))
 
 
-class PresentationSpec:
-    """A presentation of the Cox ring: ring, generators, grading, map."""
+def bidegrees(n, m, gens):
+    """The bidegree (a, b) of each of gens, polynomials in the ring of
+    presentation_variables(n, m), read off those variables, None for 0;
+    raises ValueError unless each is bihomogeneous."""
+    rows = list(zip(*(degree for _, degree in presentation_variables(n, m))))
+    return [tuple(weighted_degree(f, row) for row in rows) if f else None for f in gens]
 
-    def __init__(self, n, m, ring, gens, phi):
-        self.n = n
-        self.m = m
-        self.ring = ring
-        self.gens = gens
-        # variable name -> (Pic degree, Sym degree)
-        self.degrees = dict(presentation_variables(n, m))
-        self.phi = phi
-        self._ideal = Ideal(ring, gens)
 
-    def ideal(self):
-        """The ideal of gens, one object, so each Groebner basis is computed once."""
-        return self._ideal
-
-    def grading(self):
-        """The weights -a + 3b of the bidegrees (a, b): x 1, Y 2, W 2n - 1.
-        They are positive at every n (-a + 2b gives W weight 0 at n = 1),
-        and every generator is homogeneous for them."""
-        return [3 * b - a for a, b in (self.degrees[name] for name in self.ring.names)]
-
-    def bidegree_of(self, f):
-        """f's degrees under the a-row and the b-row of the bidegrees, None
-        for f = 0; raises ValueError unless f is bihomogeneous."""
-        if not f.terms:
-            return None
-        rows = zip(*(self.degrees[name] for name in self.ring.names))
-        return tuple(weighted_degree(f, row) for row in rows)
-
-    def check_bihomogeneous(self):
-        return [self.bidegree_of(g) for g in self.gens]
-
-    def max_sym_degree(self):
-        return max(d[1] for d in self.degrees.values())
+def presentation_weights(n, m):
+    """The weights -a + 3b of the bidegrees (a, b) of presentation_variables(n, m):
+    x 1, Y 2, W 2n - 1, positive at every n (-a + 2b gives W weight 0 at
+    n = 1).  Every generator is homogeneous for them."""
+    return [3 * b - a for _, (a, b) in presentation_variables(n, m)]
 
 
 def tangent_cox_ideal(n: int, m: int):
-    """Presentation of the Cox ring of P(T_n tensor K^m) for 1 <= m <= n.
+    """Presentation of the Cox ring of P(T_n tensor K^m) for 1 <= m <= n,
+    an ideal in the ring of presentation_variables(n, m).
 
     m < n: the Euler relations alone (a complete intersection).
     m = n: Euler relations plus det Y(j) - (-1)^j x_j W.  phi sends
@@ -210,14 +187,13 @@ def tangent_cox_ideal(n: int, m: int):
         raise ValueError(f"need n >= 1, got n = {n}")
     if not 1 <= m <= n:
         raise ValueError("presentation is only produced for 1 <= m <= n")
-    phi = build_phi(n, m)
-    ring = phi.source
+    ring = PolyRing([name for name, _ in presentation_variables(n, m)])
     gens = euler_generators(ring, n, m)
     if m == n:
         w = ring.var(w_name())
         for j, minor in enumerate(maximal_minors(ring, n)):
             gens.append(minor - (-1) ** j * ring.var(x_name(j)) * w)
-    return PresentationSpec(n, m, ring, gens, phi)
+    return Ideal(ring, gens)
 
 
 def quiver_ideal(n: int):
@@ -366,25 +342,23 @@ def _clear_denominators(f):
     return f * f.ring.monomial(shift)
 
 
-def tangent_sigma(spec):
-    """The left inverse of phi once x is inverted: t_j -> 1/x_j,
-    y_ij -> x_j Y_ij."""
-    ring = spec.ring
-    images = {t_name(j): ring.var(x_name(j)) ** -1 for j in range(spec.n + 1)}
-    for i in range(1, spec.m + 1):
-        for j in range(1, spec.n + 1):
-            images[yy_name(i, j)] = ring.var(x_name(j)) * ring.var(y_name(i, j))
-    return RingMap(spec.phi.target, ring, images)
+def tangent_sigma(n, phi):
+    """The left inverse of phi = build_phi(n, n) once x is inverted:
+    t_j -> 1/x_j, y_ij -> x_j Y_ij."""
+    ring = phi.source
+    images = {t_name(j): ring.var(x_name(j)) ** -1 for j in range(n + 1)}
+    for i, j in product(range(1, n + 1), repeat=2):
+        images[yy_name(i, j)] = ring.var(x_name(j)) * ring.var(y_name(i, j))
+    return RingMap(phi.target, ring, images)
 
 
-def tangent_kernel(spec):
-    """kernel_by_saturation on the m = n presentation: sigma inverts the
-    x_j, and the column symmetries carry x_0 to every x_j, so only x_0 is
-    saturated."""
-    minors = presentation_minors(spec.n, spec.m)
-    symmetries = [column_action(spec.ring, minors, perm) for perm in column_generators(spec.n)]
+def tangent_kernel(n, phi):
+    """kernel_by_saturation for phi = build_phi(n, n): J = tangent_cox_ideal(n, n),
+    tangent_sigma inverting the x_j, the weights -a + 3b and the column
+    symmetries, which carry x_0 to every x_j, so only x_0 is saturated."""
     return kernel_by_saturation(
-        spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), symmetries
+        tangent_cox_ideal(n, n), phi, tangent_sigma(n, phi), presentation_weights(n, n),
+        column_symmetries(phi.source, presentation_minors(n, n), n),
     )
 
 
@@ -401,15 +375,13 @@ def verify_kernel(n, allow_large=False):
     is as large as the reduced grevlex basis.
     """
     if n > KERNEL_DEFAULT_CAP and not allow_large:
-        raise poly.CapExceeded(
-            f"kernel verification at n = {n} needs allow_large", size=n
-        )
-    spec = tangent_cox_ideal(n, n)
-    basis, _, certificates = tangent_kernel(spec)
+        raise poly.CapExceeded(f"kernel verification at n = {n} needs allow_large", size=n)
+    basis, _, certificates = tangent_kernel(n, build_phi(n, n))
     return {
         "n": n,
         "kernel_generators": len(basis),
-        "claimed_generators": len(spec.ideal().gens),
+        # J's n Euler relations and n + 1 relations det Y(j) - (-1)^j x_j W
+        "claimed_generators": 2 * n + 1,
         "kernel_gb_size": len(basis),
         "equal": all(certificates.values()),
     }
@@ -419,19 +391,20 @@ def initial_comparison(n):
     """Check in_delta(ker phi) = quiver ideal and its zero-set dimension.
 
     With ker(phi) = J proven by kernel_by_saturation, the degeneration
-    runs on J itself.  It is flat here: the initial ideal's zero set has
-    the same dimension as the kernel's, which is reported alongside.
+    runs on J itself, generated by the proof's basis.  It is flat here:
+    the initial ideal's zero set has the same dimension as the kernel's,
+    which is reported alongside.
     """
-    spec = tangent_cox_ideal(n, n)
-    basis, order, certificates = tangent_kernel(spec)
-    initial = delta_initial_ideal(spec.ideal(), spec.grading())
+    phi = build_phi(n, n)
+    basis, order, certificates = tangent_kernel(n, phi)
+    initial = delta_initial_ideal(Ideal(phi.source, basis), presentation_weights(n, n))
     # J's zero set has the dimension of its initial ideal under any order
     leads = leading_monomials(basis, order)
     return {
         "n": n,
         "equal": all(certificates.values()) and ideal_equal(initial, quiver_ideal(n)),
         "dimension": poly.zero_set_dimension(initial),
-        "generic_dimension": monomial_dimension(leads, spec.ring.nvars),
+        "generic_dimension": monomial_dimension(leads, phi.source.nvars),
         "expected_dimension": n * n + n + 1,
     }
 
@@ -548,14 +521,14 @@ def pluecker_match():
     carries each presentation generator to +-1 times a distinct quadric;
     `ideal_equal`: the substituted ideal is the Plucker ideal.
     """
-    spec = tangent_cox_ideal(2, 2)
+    presentation = tangent_cox_ideal(2, 2)
     target = plucker_quadrics(5)
     table = PLUCKER_SUBSTITUTION
     images = [
         -target.ring.var(t[1:]) if t.startswith("-") else target.ring.var(t)
-        for t in (table[name] for name in spec.ring.names)
+        for t in (table[name] for name in presentation.ring.names)
     ]
-    mapped = [g.substitute(images) for g in spec.gens]
+    mapped = [g.substitute(images) for g in presentation.gens]
     hits = [
         next((k for k, q in enumerate(target.gens) if g in (q, -q)), None)
         for g in mapped

@@ -16,8 +16,7 @@ from math import comb
 from typing import NamedTuple
 
 from .cox import (
-    column_action,
-    column_generators,
+    column_symmetries,
     kernel_by_saturation,
     minor_map,
     t_name,
@@ -424,14 +423,14 @@ def flag_sigma(psi, n):
 def flag_kernel(n, psi):
     """kernel_by_saturation for psi: J the ideal of flag_presentation(n),
     flag_sigma inverting x_0..x_n and the leading minors P_1, ...,
-    P_{1..n-2}, and the column_action of the two column generators, which
+    P_{1..n-2}, and the column_symmetries of flag_minors(n), which
     carry x_0 to every x_j and P_{1..k} to every P_S with |S| = k."""
     ring, minors = psi.source, flag_minors(n)
     # x_j weighs 1 and P over cols weighs |cols|: every relation is homogeneous
     weights = [1] * (n + 1) + [len(cols) for _, _, cols in minors]
     return kernel_by_saturation(
         Ideal(ring, flag_presentation(n, psi)), psi, flag_sigma(psi, n), weights,
-        [column_action(ring, minors, perm) for perm in column_generators(n)],
+        column_symmetries(ring, minors, n),
     )
 
 

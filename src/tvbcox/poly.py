@@ -156,10 +156,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
-    def variables(self):
-        """Indices of variables that actually occur."""
-        return {i for m in self.terms for i, e in enumerate(m) if e}
-
     def leading_term(self, order):
         m = max(self.terms, key=order.key)
         return m, self.terms[m]
@@ -171,9 +167,6 @@ class Polynomial:
         if c == 1:
             return self
         return self * (Fraction(1) / c)
-
-    def sorted_terms(self, order):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def substitute(self, images):
         """Evaluate under variable -> Polynomial images (all in one target ring).
@@ -557,7 +550,7 @@ def eliminate(ideal, drop_names):
     order = elimination_order(ideal.ring, sorted(drop, key=ideal.ring.index.get))
     gb = ideal.groebner(order)
     drop_idx = {ideal.ring.index[n] for n in drop}
-    kept = [g for g in gb if not (g.variables() & drop_idx)]
+    kept = [g for g in gb if not any(m[i] for m in g.terms for i in drop_idx)]
     return Ideal(ideal.ring, kept)
 
 
@@ -802,7 +795,7 @@ def poly_to_text(f, order=None):
         return "0"
     order = order or grevlex(f.ring)
     parts = []
-    for m, c in f.sorted_terms(order):
+    for m, c in sorted(f.terms.items(), key=lambda t: order.key(t[0]), reverse=True):
         factors = []
         for i, e in enumerate(m):
             if e == 0:

@@ -3,6 +3,12 @@
 from fractions import Fraction
 from math import comb
 
+from .poly import CapExceeded
+
+# Largest number of partitions cauchy_table sums over, a degree with none
+# counted as one: degree 27 at dims 20 and 20, about 4 s on a 2-core host.
+CAUCHY_CAP = 2**14
+
 
 def normalize_partition(parts):
     """Trim trailing zeros and validate weak decrease."""
@@ -79,20 +85,39 @@ def cauchy_verify(d: int, e: int, v: int):
 
     Returns (equal, lhs, rhs).
     """
-    lhs = 0
-    for parts in partitions_bounded(d, min(e, v)):
-        lhs += schur_dim(parts, e) * schur_dim(parts, v)
+    lhs = sum(schur_dim(p, e) * schur_dim(p, v) for p in partitions_bounded(d, min(e, v)))
     rhs = sym_power_dim(e * v, d)
     return lhs == rhs, lhs, rhs
 
 
+def check_cauchy_cap(max_degree: int, max_rows: int):
+    """Raise CapExceeded when the partitions of d = 0..max_degree with at
+    most max_rows rows, a degree with none counted as one, pass CAUCHY_CAP.
+    Their conjugates, with parts of size at most max_rows, are counted one
+    part size at a time, stopping at the first count over the cap."""
+    total = max_degree + 1  # parts of size 1: one partition of each degree
+    counts, part = [1] * min(total, CAUCHY_CAP + 1), 2
+    while total <= CAUCHY_CAP and part <= min(max_rows, max_degree):
+        for d in range(part, max_degree + 1):
+            counts[d] += counts[d - part]
+        total, part = sum(counts), part + 1
+    if total > CAUCHY_CAP:
+        raise CapExceeded(
+            f"degrees 0 to {max_degree} have at least {total} partitions under the row"
+            f" bound {max_rows}, over the cap {CAUCHY_CAP}",
+            size=total,
+        )
+
+
 def cauchy_table(max_degree: int, e: int, v: int):
     """Rows (d, lhs, rhs, equal) for d = 0..max_degree; max_degree < 0,
-    a table of no row, and a negative dimension raise ValueError."""
+    a table of no row, and a negative dimension raise ValueError, and
+    CapExceeded comes before any partition is built."""
     if max_degree < 0:
         raise ValueError(f"the largest degree must be at least 0, got {max_degree}")
     if min(e, v) < 0:
         raise ValueError(f"the dimensions must be at least 0, got dim_e = {e}, dim_v = {v}")
+    check_cauchy_cap(max_degree, min(e, v))
     rows = []
     for d in range(max_degree + 1):
         equal, lhs, rhs = cauchy_verify(d, e, v)

@@ -49,8 +49,8 @@ def test_criterion_4_kernel_verification():
     report = cox.verify_kernel(2)
     ok = report["equal"]
     # the classical five-generator form agrees up to renaming and a W sign
-    spec = cox.tangent_cox_ideal(2, 2)
-    ring = spec.ring
+    claimed = cox.tangent_cox_ideal(2, 2)
+    ring = claimed.ring
     x = [ring.var(cox.x_name(j)) for j in range(3)]
     y = [ring.var(cox.y_name(1, j)) for j in range(3)]
     z = [ring.var(cox.y_name(2, j)) for j in range(3)]
@@ -64,7 +64,7 @@ def test_criterion_4_kernel_verification():
             x[0] * z[0] + x[1] * z[1] + x[2] * z[2],
             x[0] * y[0] + x[1] * y[1] + x[2] * y[2],
         ]
-        matched = matched or poly.ideal_equal(poly.Ideal(ring, classical), spec.ideal())
+        matched = matched or poly.ideal_equal(poly.Ideal(ring, classical), claimed)
     verdict(4, ok and matched, "kernel equals the presentation at n = 2", time.monotonic() - start, 300.0)
 
 
@@ -131,11 +131,13 @@ def test_criterion_9_gz_suite():
 
 def test_criterion_10_degree_accounting():
     start = time.monotonic()
-    spec = cox.tangent_cox_ideal(2, 2)
-    ok = spec.degrees["W"] == (3, 2)
-    w_taus = [deg for name, deg in cox.presentation_variables(3, 4) if name.startswith("W_")]
+    degrees = dict(cox.presentation_variables(2, 2))
+    ok = degrees["W"] == (3, 2)
+    # the W-variables are the minors on all n + 1 columns
+    wide = dict(cox.presentation_variables(3, 4))
+    w_taus = [wide[name] for name, _, cols in cox.presentation_minors(3, 4) if len(cols) == 4]
     ok = ok and w_taus == [(4, 3)] * 4
-    ok = ok and spec.max_sym_degree() == 2
-    ok = ok and [n for n, d in spec.degrees.items() if d[1] == 2] == ["W"]
-    spec.check_bihomogeneous()
+    ok = ok and max(b for _, b in degrees.values()) == 2
+    ok = ok and [n for n, d in degrees.items() if d[1] == 2] == ["W"]
+    cox.bidegrees(2, 2, cox.tangent_cox_ideal(2, 2).gens)
     verdict(10, ok, "Picard bidegrees and Sym-degree bound", time.monotonic() - start, 1.0)

@@ -216,6 +216,20 @@ def test_rank_monotonicity_over_subsets(ex514):
                         assert m_a <= restricted_rank(b, b_set)
 
 
+def test_region_table_caps_its_rows(monkeypatch):
+    # the sum over r of s_max - r: 2 * 32769 - 3 = 65,535 rows fit under
+    # the cap of 2^16, and one more row does not
+    assert len(region_table(2, 32769)[0]) == 65535
+
+    def unreachable(r, s):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(bundle, "uniform_sparse_stability", unreachable)
+    for r_max, s_max, count in ((2, 32770, 65537), (3, 21848, 65538), (300, 2000, 554850)):
+        with pytest.raises(CapExceeded, match=f"has {count} rows, over the cap 65536"):
+            region_table(r_max, s_max)
+
+
 def test_region_table_values():
     rows, lines = region_table(12, 14)
     table = {(r, s): stab for r, s, stab in rows}

@@ -237,6 +237,23 @@ def test_cauchy_rejects_a_negative_degree(capsys):
     assert "largest degree must be at least 0, got -1" in err
 
 
+@pytest.mark.parametrize("degree", ["40", "1000000000000"])
+def test_cauchy_over_its_cap_exits_3(capsys, degree):
+    code, out, err = run(capsys, "cauchy", "--dim-e", "20", "--dim-v", "20", "--max-degree", degree)
+    assert code == EXIT_CAP
+    assert out == ""
+    assert f"degrees 0 to {degree} have at least" in err
+
+
+def test_region_over_its_cap_exits_3(capsys, tmp_path):
+    # 2 * 32770 - 3 = 65,537 rows, one over the cap of 2^16
+    svg = tmp_path / "region.svg"
+    code, out, err = run(capsys, "region", "--r-max", "2", "--s-max", "32770", "--svg", str(svg))
+    assert code == EXIT_CAP
+    assert out == "" and not svg.exists()
+    assert "the (r, s) grid has 65537 rows, over the cap 65536" in err
+
+
 @pytest.mark.parametrize("dims", [("-1", "-1"), ("-2", "3")])
 def test_cauchy_rejects_a_negative_dimension(capsys, dims):
     # a negative dimension is an input error, not a failed Cauchy identity

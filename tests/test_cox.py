@@ -5,10 +5,10 @@ import pytest
 
 from tvbcox import cox, gz, poly
 from tvbcox.cox import (
-    PresentationSpec,
+    bidegrees,
     build_phi,
     column_action,
-    column_generators,
+    column_symmetries,
     delta_initial_ideal,
     delta_weights,
     euler_generators,
@@ -22,10 +22,12 @@ from tvbcox.cox import (
     pluecker_match,
     presentation_minors,
     presentation_variables,
+    presentation_weights,
     quiver_ideal,
     row_completing_order,
     t_name,
     tangent_cox_ideal,
+    tangent_kernel,
     tangent_sigma,
     verify_kernel,
     verify_lemma,
@@ -50,7 +52,7 @@ from oracles import det_permutation_sum, minors_only_dimension, permuted_columns
 
 
 def test_euler_ideal_shape():
-    ideal = tangent_cox_ideal(2, 1).ideal()
+    ideal = tangent_cox_ideal(2, 1)
     assert len(ideal.gens) == 1
     ring = ideal.ring
     expected = (
@@ -60,12 +62,11 @@ def test_euler_ideal_shape():
     )
     assert ideal.gens[0] == expected
     assert ideal.ring.names == ("x0", "x1", "x2", "Y1_0", "Y1_1", "Y1_2")
-    assert len(tangent_cox_ideal(3, 2).ideal().gens) == 2
+    assert len(tangent_cox_ideal(3, 2).gens) == 2
 
 
 def test_euler_bidegree():
-    spec = tangent_cox_ideal(3, 2)
-    assert spec.check_bihomogeneous() == [(0, 1), (0, 1)]
+    assert bidegrees(3, 2, tangent_cox_ideal(3, 2).gens) == [(0, 1), (0, 1)]
 
 
 def test_presentation_variables_in_ring_order():
@@ -83,7 +84,17 @@ def test_presentation_variables_in_ring_order():
         phi = build_phi(n, m)
         assert list(phi.source.names) == list(phi.images) == names
         if m <= n:
-            assert list(tangent_cox_ideal(n, m).degrees) == names
+            assert list(tangent_cox_ideal(n, m).ring.names) == names
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_presentation_ring_is_the_source_of_phi(n):
+    # tangent_cox_ideal builds its ring without phi, and the contained
+    # certificate applies phi to its generators: same names, same order
+    for m in range(1, n + 1):
+        ring = tangent_cox_ideal(n, m).ring
+        assert ring == build_phi(n, m).source
+        assert ring.names == build_phi(n, m).source.names
 
 
 def test_tangent_cox_ideal_counts():
@@ -140,13 +151,13 @@ def test_solved_signs_give_kernel_members():
 
 def test_all_generators_vanish_under_phi():
     for n in (2, 3):
-        spec = tangent_cox_ideal(n, n)
-        for g in spec.gens:
-            assert spec.phi(g) == 0
+        claimed, phi = tangent_cox_ideal(n, n), build_phi(n, n)
+        for g in claimed.gens:
+            assert phi(g) == 0
         for g in quiver_ideal(n).gens:
             # Euler generators vanish; minors map to nonzero determinants
-            image = spec.phi(poly.transplant(g, spec.ring))
-            if g in spec.gens[: n]:
+            image = phi(poly.transplant(g, claimed.ring))
+            if g in claimed.gens[: n]:
                 assert image == 0
 
 
@@ -170,14 +181,13 @@ def test_verify_kernel_cap():
 def elimination_report(n):
     """verify_kernel's report by the elimination route: ker(phi) from the
     graph ideal, compared with the claimed ideal."""
-    spec = tangent_cox_ideal(n, n)
-    kernel = ring_map_kernel(spec.phi)
-    claimed = spec.ideal()
+    kernel = ring_map_kernel(build_phi(n, n))
+    claimed = tangent_cox_ideal(n, n)
     return {
         "n": n,
         "kernel_generators": len(kernel.gens),
         "claimed_generators": len(claimed.gens),
-        "kernel_gb_size": len(kernel.groebner(grevlex(spec.ring))),
+        "kernel_gb_size": len(kernel.groebner(grevlex(claimed.ring))),
         "equal": ideal_equal(kernel, claimed),
     }
 
@@ -187,24 +197,19 @@ def test_verify_kernel_matches_the_elimination_route(n):
     assert verify_kernel(n) == elimination_report(n)
 
 
-def column_symmetries(spec):
-    """The column_action of the two column generators, as tangent_kernel
-    passes them."""
-    minors = presentation_minors(spec.n, spec.m)
-    return [column_action(spec.ring, minors, perm) for perm in column_generators(spec.n)]
-
-
-def certificates(spec, symmetries=None):
-    if symmetries is None:
-        symmetries = column_symmetries(spec)
-    return kernel_by_saturation(
-        spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), symmetries
-    )[-1]
-
-
-def proof_inputs(spec):
+def proof_inputs(n, phi):
     """The arguments tangent_kernel gives kernel_by_saturation."""
-    return spec.ideal(), spec.phi, tangent_sigma(spec), spec.grading(), column_symmetries(spec)
+    minors = presentation_minors(n, n)
+    return (
+        tangent_cox_ideal(n, n), phi, tangent_sigma(n, phi), presentation_weights(n, n),
+        column_symmetries(phi.source, minors, n),
+    )
+
+
+def certificates(n, symmetries):
+    """The certificates of tangent_kernel's proof at n with symmetries in
+    place of the column symmetries."""
+    return kernel_by_saturation(*proof_inputs(n, build_phi(n, n))[:-1], symmetries)[-1]
 
 
 def certificate_polynomials(claimed, phi, sigma, weights, symmetries):
@@ -226,11 +231,11 @@ def certificate_polynomials(claimed, phi, sigma, weights, symmetries):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_the_proof_basis_is_a_groebner_basis_as_large_as_grevlex(n):
-    spec = tangent_cox_ideal(n, n)
-    claimed, order = spec.ideal(), grevlex(spec.ring)
-    basis, u_last, _ = kernel_by_saturation(*proof_inputs(spec))
+    args = proof_inputs(n, build_phi(n, n))
+    claimed, order = args[0], grevlex(args[0].ring)
+    basis, u_last, _ = kernel_by_saturation(*args)
     # x_0 last, and no grevlex basis was computed on the way
-    assert u_last is cox._u_last_order(spec.ring, 0, tuple(spec.grading()))
+    assert u_last is cox._u_last_order(claimed.ring, 0, tuple(presentation_weights(n, n)))
     assert order.rows not in claimed._gb
     assert is_groebner_basis(basis, u_last) and basis == claimed.groebner(u_last)
     assert len(basis) == len(claimed.groebner(order)) == verify_kernel(n)["kernel_gb_size"]
@@ -262,10 +267,9 @@ def test_the_proof_basis_decides_membership_as_grevlex_does(monkeypatch, case):
     if kind == "psi":
         args = psi_proof_inputs(monkeypatch, int(n))
     else:
-        spec = tangent_cox_ideal(int(n), int(n))
+        args = proof_inputs(int(n), build_phi(int(n), int(n)))
         if dropped:  # no longer saturated: some quotients fall outside J
-            spec = PresentationSpec(spec.n, spec.m, spec.ring, spec.gens[:-1], spec.phi)
-        args = proof_inputs(spec)
+            args = (Ideal(args[0].ring, args[0].gens[:-1]),) + args[1:]
     claimed, order = args[0], grevlex(args[0].ring)
     basis, u_last, _ = kernel_by_saturation(*args)
     in_proof = poly.membership_test(basis, u_last)
@@ -284,7 +288,7 @@ def with_w_negated(g):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kernel_certificates_hold(n):
-    assert certificates(tangent_cox_ideal(n, n)) == {
+    assert tangent_kernel(n, build_phi(n, n))[-1] == {
         "contained": True, "left_inverse": True, "saturated": True, "symmetric": True,
     }
 
@@ -292,9 +296,8 @@ def test_kernel_certificates_hold(n):
 def test_colon_certificate_rejects_a_dropped_generator():
     # without det Y(3) - e x_3 W the ideal still agrees with ker(phi) once
     # x is inverted, but it is no longer saturated with respect to x_0
-    spec = tangent_cox_ideal(3, 3)
-    dropped = PresentationSpec(3, 3, spec.ring, spec.gens[:-1], spec.phi)
-    got = certificates(dropped)
+    claimed, *rest = proof_inputs(3, build_phi(3, 3))
+    got = kernel_by_saturation(Ideal(claimed.ring, claimed.gens[:-1]), *rest)[-1]
     assert got["saturated"] is False
     assert got["contained"] and got["left_inverse"]
 
@@ -303,13 +306,12 @@ def test_colon_certificate_rejects_a_dropped_generator():
 def test_left_inverse_certificate_rejects_a_wrong_w_image(n):
     # phi with W -> -det[y] t_0...t_n makes sigma(phi(W)) = -det Y(0) / x_0,
     # and x_0 (sigma(phi(W)) - W) = -(det Y(0) + x_0 W) is not in J
-    spec = tangent_cox_ideal(n, n)
-    phi = RingMap(spec.ring, spec.phi.target, dict(spec.phi.images, W=-spec.phi.images["W"]))
-    wrong = PresentationSpec(n, n, spec.ring, spec.gens, phi)
-    ring = spec.ring
-    image = tangent_sigma(wrong)(phi(ring.var("W")))
+    right = build_phi(n, n)
+    ring = right.source
+    phi = RingMap(ring, right.target, dict(right.images, W=-right.images["W"]))
+    image = tangent_sigma(n, phi)(phi(ring.var("W")))
     assert image * ring.var("x0") == -maximal_minors(ring, n)[0]
-    got = certificates(wrong)
+    got = tangent_kernel(n, phi)[-1]
     assert got["left_inverse"] is False
     # the new phi no longer kills det Y(j) - e x_j W either
     assert got["contained"] is False
@@ -324,14 +326,21 @@ def test_the_column_action_commutes_with_the_presentation_map(case):
     # phi(g(v)) = h(phi(v)) for every source variable v, with g the column
     # action on the minor table and h the same permutation of the matrix
     # columns and the t_j: every permutation of the n + 1 columns, the W_tau
-    # of m > n included, and the two generators for psi at n = 4
+    # of m > n included, and the two generators for psi at n = 4: the swap
+    # of columns 0 and 1 and the cycle j -> j + 1, those column_symmetries
+    # acts by
     kind, n, *m = case.split()
     n = int(n)
     if kind == "phi":
         phi, minors = build_phi(n, int(m[0])), presentation_minors(n, int(m[0]))
     else:
         phi, minors = gz.build_psi(n), gz.flag_minors(n)
-    perms = column_generators(n) if n == 4 else permutations(range(n + 1))
+    swap, cycle = [1, 0] + list(range(2, n + 1)), [(j + 1) % (n + 1) for j in range(n + 1)]
+    symmetries = column_symmetries(phi.source, minors, n)
+    assert [g.images for g in symmetries] == [
+        column_action(phi.source, minors, perm).images for perm in (swap, cycle)
+    ]
+    perms = (swap, cycle) if n == 4 else permutations(range(n + 1))
     for perm in perms:
         g, h = column_action(phi.source, minors, perm), permuted_columns(phi.target, n, perm)
         for v in phi.source.gens():
@@ -340,13 +349,14 @@ def test_the_column_action_commutes_with_the_presentation_map(case):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_symmetry_certificate_rejects_a_wrong_w_sign(n):
-    spec = tangent_cox_ideal(n, n)
-    for perm in column_generators(n):
-        wrong = with_w_negated(column_action(spec.ring, presentation_minors(n, n), perm))
+    ring, minors = build_phi(n, n).source, presentation_minors(n, n)
+    right = column_symmetries(ring, minors, n)
+    for k, g in enumerate(right):
+        wrong = with_w_negated(g)
         # beside the right pair, which carries x_0 to every x_j, and alone
-        for symmetries in (column_symmetries(spec) + [wrong], [wrong]):
-            got = certificates(spec, symmetries)
-            assert got["symmetric"] is False, perm
+        for symmetries in (right + [wrong], [wrong]):
+            got = certificates(n, symmetries)
+            assert got["symmetric"] is False, k
             assert got["contained"] and got["left_inverse"] and got["saturated"]
 
 
@@ -362,14 +372,12 @@ def test_a_failed_certificate_fails_both_reports(monkeypatch):
 
 
 def test_kernel_by_saturation_needs_a_positive_grading_of_j():
-    spec = tangent_cox_ideal(3, 3)
-    sigma, symmetries = tangent_sigma(spec), column_symmetries(spec)
+    claimed, phi, sigma, _, symmetries = proof_inputs(3, build_phi(3, 3))
     # det Y(j) has degree 3 and x_j W degree 2 in the standard grading
-    claimed, phi = spec.ideal(), spec.phi
     with pytest.raises(ValueError, match="not homogeneous"):
-        kernel_by_saturation(claimed, phi, sigma, [1] * spec.ring.nvars, symmetries)
+        kernel_by_saturation(claimed, phi, sigma, [1] * claimed.ring.nvars, symmetries)
     with pytest.raises(ValueError, match="not positive"):
-        kernel_by_saturation(claimed, phi, sigma, [0] * spec.ring.nvars, symmetries)
+        kernel_by_saturation(claimed, phi, sigma, [0] * claimed.ring.nvars, symmetries)
 
 
 def test_saturation_orders_are_built_once_per_ring_variable_and_weights():
@@ -390,20 +398,20 @@ def test_verify_kernel_saturates_x0_alone(saturated_names, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_the_symmetries_decide_which_variables_are_saturated(saturated_names, n):
-    spec, names = tangent_cox_ideal(n, n), saturated_names
+    names = saturated_names
+    ring, minors = build_phi(n, n).source, presentation_minors(n, n)
     # no symmetry: every inverted variable is saturated, and the proof holds
-    assert all(certificates(spec, []).values())
+    assert all(certificates(n, []).values())
     assert names == [x_name(j) for j in range(n + 1)]
     # the swap alone carries x_0 to x_1 only
     names.clear()
-    assert all(certificates(spec, column_symmetries(spec)[:1]).values())
+    assert all(certificates(n, column_symmetries(ring, minors, n)[:1]).values())
     assert names == [x_name(j) for j in range(n + 1) if j != 1]
     # a map that is not a signed permutation of the variables carries nothing
     names.clear()
-    ring = spec.ring
     images = {name: ring.var(name) for name in ring.names}
     images.update({x_name(j): ring.var(x_name(j)) + ring.var(x_name(0)) for j in range(1, n + 1)})
-    certificates(spec, [RingMap(ring, ring, images)])
+    certificates(n, [RingMap(ring, ring, images)])
     assert names == [x_name(j) for j in range(n + 1)]
 
 
@@ -425,25 +433,25 @@ def test_euler_minor_matches_the_permutation_sum(n):
 
 
 def test_kernel_membership_and_nonmembership():
-    spec = tangent_cox_ideal(2, 2)
-    kernel = ring_map_kernel(spec.phi)
-    order = grevlex(spec.ring)
+    phi = build_phi(2, 2)
+    kernel = ring_map_kernel(phi)
+    ring = phi.source
+    order = grevlex(ring)
     gb = kernel.groebner(order)
-    ring = spec.ring
     member = maximal_minors(ring, 2)[0] - ring.var("x0") * ring.var("W")
     assert not normal_form(member, gb, order)
     non_member = maximal_minors(ring, 2)[0]
-    assert spec.phi(non_member) != 0
+    assert phi(non_member) != 0
     assert normal_form(non_member, gb, order)
 
 
 def test_kernel_membership_agrees_with_evaluation():
-    spec = tangent_cox_ideal(2, 2)
-    kernel = ring_map_kernel(spec.phi)
-    order = grevlex(spec.ring)
+    phi = build_phi(2, 2)
+    kernel = ring_map_kernel(phi)
+    ring = phi.source
+    order = grevlex(ring)
     gb = kernel.groebner(order)
     rng = random.Random(29)
-    ring = spec.ring
     checked = 0
     for _ in range(50):
         f = ring.zero()
@@ -453,7 +461,7 @@ def test_kernel_membership_agrees_with_evaluation():
                 exps[rng.randrange(ring.nvars)] += 1
             f = f + ring.monomial(exps, rng.randrange(-2, 3))
         in_kernel = not normal_form(f, gb, order)
-        assert in_kernel == (spec.phi(f) == 0)
+        assert in_kernel == (phi(f) == 0)
         checked += 1
     assert checked == 50
 
@@ -465,14 +473,14 @@ def test_quiver_ideal_shape():
 
 def test_delta_initial_contains_quiver_generators():
     for n in (2, 3):
-        spec = tangent_cox_ideal(n, n)
-        w = delta_weights(spec.ring)
+        claimed = tangent_cox_ideal(n, n)
+        w = delta_weights(claimed.ring)
         initial_gens = {
-            poly.poly_to_text(weight_initial(g, w), grevlex(spec.ring))
-            for g in spec.gens
+            poly.poly_to_text(weight_initial(g, w), grevlex(claimed.ring))
+            for g in claimed.gens
         }
         quiver_gens = {
-            poly.poly_to_text(g, grevlex(spec.ring)) for g in quiver_ideal(n).gens
+            poly.poly_to_text(g, grevlex(claimed.ring)) for g in quiver_ideal(n).gens
         }
         # the degeneration of det Y(j) - x_j W keeps the minor, drops x_j W
         assert quiver_gens <= initial_gens
@@ -508,7 +516,7 @@ def test_euler_complete_intersection_codimension():
     # with m < n the zero set drops by exactly one dimension per generator
     for n in (2, 3):
         for m in range(1, n):
-            ideal = tangent_cox_ideal(n, m).ideal()
+            ideal = tangent_cox_ideal(n, m)
             dim = poly.zero_set_dimension(ideal)
             assert dim == ideal.ring.nvars - m
 
@@ -581,19 +589,25 @@ def test_pluecker_match_rejects_a_flipped_sign(monkeypatch):
 
 
 def test_presentation_rejects_inhomogeneous():
-    spec = tangent_cox_ideal(2, 2)
-    ring = spec.ring
+    ring = tangent_cox_ideal(2, 2).ring
     bad = ring.var("x0") + ring.var("W")
     with pytest.raises(ValueError):
-        spec.bidegree_of(bad)
+        bidegrees(2, 2, [bad])
 
 
-def test_bidegree_of_reads_both_rows():
-    spec = tangent_cox_ideal(2, 2)
-    ring = spec.ring
+def test_bidegrees_read_both_rows():
+    ring = tangent_cox_ideal(2, 2).ring
     x0, y, w = ring.var("x0"), ring.var("Y1_0"), ring.var("W")
-    assert spec.bidegree_of(ring.zero()) is None
-    assert spec.bidegree_of(x0 * w + 2 * y * ring.var("Y1_1")) == (2, 2)
+    assert bidegrees(2, 2, [ring.zero()]) == [None]
+    assert bidegrees(2, 2, [x0 * w + 2 * y * ring.var("Y1_1")]) == [(2, 2)]
     # both terms have Pic degree 0, only the Sym degrees 1 and 2 differ
     with pytest.raises(ValueError, match="not homogeneous"):
-        spec.bidegree_of(x0 * y + x0 * x0 * x0 * w)
+        bidegrees(2, 2, [x0 * y + x0 * x0 * x0 * w])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_presentation_weights_are_minus_a_plus_3b(n):
+    # x 1, Y 2, W 2n - 1, and every generator homogeneous for them
+    weights = presentation_weights(n, n)
+    assert weights == [1] * (n + 1) + [2] * (n * (n + 1)) + [2 * n - 1]
+    cox.require_homogeneous(tangent_cox_ideal(n, n).gens, weights)

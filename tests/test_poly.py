@@ -26,12 +26,12 @@ from tvbcox.poly import (
     weight_initial,
 )
 from tvbcox.cox import (
+    build_phi,
     delta_order,
     delta_weights,
     lemma_ring,
     phi_target_ring,
     row_completing_order,
-    tangent_cox_ideal,
 )
 from tvbcox.gz import diagonal_order
 from tvbcox.linalg import rational_rank
@@ -200,7 +200,7 @@ def test_order_keys_match_textbook_comparators():
 
 
 def test_every_order_the_package_builds_has_full_column_rank():
-    phi = tangent_cox_ideal(3, 3).phi
+    phi = build_phi(3, 3)
     source, target = phi.source, phi.target
     graph = PolyRing(source.names + target.names)
     cases = [

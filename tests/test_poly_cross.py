@@ -16,7 +16,7 @@ from sympy.polys.orderings import ProductOrder
 from sympy.polys.orderings import grevlex as sympy_grevlex
 
 from tvbcox import cox
-from tvbcox.cox import delta_initial_ideal, quiver_ideal, tangent_cox_ideal
+from tvbcox.cox import delta_initial_ideal, presentation_weights, quiver_ideal, tangent_cox_ideal
 from tvbcox.poly import (
     Ideal,
     PolyRing,
@@ -241,14 +241,15 @@ def test_delta_initial_ideal_matches_the_flat_degeneration(monkeypatch, n, negat
     """delta_initial_ideal and the quiver ideal against the t = 0 fibre of
     the W-weight family; with the delta weight negated in the library, the
     degeneration goes the other way and the check fails."""
-    spec = tangent_cox_ideal(n, n)
-    syms = sympy.symbols(spec.ring.names)
-    weights = [1 if name.startswith("W") else 0 for name in spec.ring.names]
-    oracle = minimal_weight_initial_basis(spec.gens, weights, syms)
+    claimed = tangent_cox_ideal(n, n)
+    syms = sympy.symbols(claimed.ring.names)
+    weights = [1 if name.startswith("W") else 0 for name in claimed.ring.names]
+    oracle = minimal_weight_initial_basis(claimed.gens, weights, syms)
     assert grevlex_basis(quiver_ideal(n).gens, syms).exprs == oracle.exprs
     if negated:
         monkeypatch.setattr(cox, "delta_weights", lambda ring: [-w for w in weights])
-    initial = grevlex_basis(delta_initial_ideal(spec.ideal(), spec.grading()).gens, syms)
+    initial = delta_initial_ideal(claimed, presentation_weights(n, n))
+    initial = grevlex_basis(initial.gens, syms)
     if negated:
         assert initial.exprs != oracle.exprs
     else:

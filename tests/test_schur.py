@@ -1,7 +1,11 @@
 import pytest
 
+from tvbcox import schur
+from tvbcox.poly import CapExceeded
 from tvbcox.schur import (
+    CAUCHY_CAP,
     cauchy_table,
+    check_cauchy_cap,
     cauchy_verify,
     normalize_partition,
     partitions_bounded,
@@ -78,6 +82,35 @@ def test_cauchy_table():
     for e, v in ((-1, -1), (-2, 3), (2, -1)):
         with pytest.raises(ValueError, match=f"got dim_e = {e}, dim_v = {v}"):
             cauchy_table(2, e, v)
+
+
+@pytest.mark.parametrize("max_degree, max_rows", [(0, 0), (5, 0), (6, 1), (9, 2), (12, 3), (14, 20)])
+def test_cauchy_cap_counts_every_partition(monkeypatch, max_degree, max_rows):
+    # the cap holds exactly at the enumerated count, a degree with no
+    # partition counted as one, and fails one below it
+    count = sum(max(1, len(partitions_bounded(d, max_rows))) for d in range(max_degree + 1))
+    monkeypatch.setattr(schur, "CAUCHY_CAP", count)
+    check_cauchy_cap(max_degree, max_rows)
+    monkeypatch.setattr(schur, "CAUCHY_CAP", count - 1)
+    with pytest.raises(CapExceeded, match=f"over the cap {count - 1}"):
+        check_cauchy_cap(max_degree, max_rows)
+
+
+def test_cauchy_cap_at_one_row():
+    # one partition per degree: degrees 0 to CAUCHY_CAP - 1 fit, one more does not
+    check_cauchy_cap(CAUCHY_CAP - 1, 1)
+    with pytest.raises(CapExceeded, match=f"at least {CAUCHY_CAP + 1} partitions"):
+        check_cauchy_cap(CAUCHY_CAP, 1)
+
+
+@pytest.mark.parametrize("max_degree, e, v", [(40, 20, 20), (10**12, 20, 20), (10**12, 0, 5)])
+def test_cauchy_table_over_the_cap_builds_no_partition(monkeypatch, max_degree, e, v):
+    def unreachable(*args):
+        raise AssertionError("a partition was built")
+
+    monkeypatch.setattr(schur, "partitions_bounded", unreachable)
+    with pytest.raises(CapExceeded, match=f"over the cap {CAUCHY_CAP}"):
+        cauchy_table(max_degree, e, v)
 
 
 def test_sym_power_dim():

@@ -83,8 +83,7 @@ def test_pluecker_check_fails_on_a_flipped_sign(monkeypatch):
 
 
 def test_classical_generators_need_the_w_sign_flip():
-    spec = cox.tangent_cox_ideal(2, 2)
-    claimed = spec.ideal()
+    claimed = cox.tangent_cox_ideal(2, 2)
     for w_sign, equal in ((-1, True), (1, False)):
-        classical = poly.Ideal(spec.ring, suite.classical_generators(spec.ring, w_sign))
+        classical = poly.Ideal(claimed.ring, suite.classical_generators(claimed.ring, w_sign))
         assert poly.ideal_equal(classical, claimed) is equal
