@@ -7,24 +7,25 @@ of the fan.  The bundle rank is r = s - d.  Both are plain rows.
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import NamedTuple
 
-from .linalg import rational_rank
+from .linalg import _integer_rows, rational_rank
 from .poly import CapExceeded
 
-# Largest number of ray or column subsets rank_table and classify enumerate,
-# and of rows region_table builds.
+# Largest number of ray or column subsets rank_table and classify enumerate
+# (one at a time: it bounds their time, not their memory), and of rows region_table builds.
 SUBSET_CAP = REGION_CAP = 2**16
 
 
 class BundleData:
     """The (M, D) pair, given as rows, with the checks on their shape and
     entries.  M is kept as tuples of Fractions and D as tuples of ints;
-    minimal_columns[i - 1] is the set of 1-based columns where row i of D
-    attains its minimum."""
+    integer_m is M with each row scaled by the lcm of its denominators,
+    which keeps the rank of every column selection; minimal_columns[i - 1]
+    is the set of 1-based columns where row i of D attains its minimum."""
 
-    __slots__ = ("n", "s", "d", "m", "diagram", "minimal_columns", "label")
+    __slots__ = ("n", "s", "d", "m", "integer_m", "diagram", "minimal_columns", "label")
 
     def __init__(self, m, diagram, label=None):
         m = tuple(tuple(row) for row in m)
@@ -46,7 +47,8 @@ class BundleData:
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ValueError(f"diagram entry {x!r} is not an integer")
         m = tuple(tuple(map(Fraction, row)) for row in m)
-        d = rational_rank(m)
+        self.integer_m = tuple(map(tuple, _integer_rows(m, s)))
+        d = rational_rank(self.integer_m)
         if d != len(m):
             raise ValueError(f"M has rank {d}, expected full row rank {len(m)}")
         if s <= d:
@@ -95,39 +97,35 @@ def restricted_rank(b, rays):
     cols = common_minimal_columns(b, rays)
     if not cols:
         return 0
-    return rational_rank([[row[j - 1] for j in cols] for row in b.m])
+    return rational_rank([[row[j - 1] for j in cols] for row in b.integer_m])
 
 
 def rank_table(b):
-    """restricted_rank for every nonempty subset of rays, keyed by frozenset.
-
-    It costs 2^n - 1 ranks; is_complete_intersection and ci_stability each
-    build it once.
-    """
+    """(A, restricted_rank(b, A)) for each of the 2^n - 1 nonempty ray subsets
+    A, a frozenset, sizes ascending and combinations order within a size, so
+    the singletons come first.  A lazy iterator holding one subset at a time;
+    CapExceeded comes when it is made, before any rank."""
     count = 2**b.n - 1
     if count > SUBSET_CAP:
         raise CapExceeded(
             f"{b.n} rays give {count} ray subsets, over the cap {SUBSET_CAP}", size=count
         )
-    table = {}
-    rays = list(range(1, b.n + 1))
-    for size in range(1, b.n + 1):
-        for subset in combinations(rays, size):
-            table[frozenset(subset)] = restricted_rank(b, subset)
-    return table
+    rays = range(1, b.n + 1)
+    subsets = (a for size in rays for a in combinations(rays, size))
+    return ((frozenset(a), restricted_rank(b, a)) for a in subsets)
 
 
 def _ci_profile(b):
     """Each distinct (|A|, m_i, m_A) over ray subsets A with |A| >= 2 and
     i in A, the only thing the CI criterion reads, mapped to its first
-    (i, A) in table order, i in the iteration order of the frozenset A."""
-    table = rank_table(b)
-    m_ray = [None] + [table[frozenset((i,))] for i in range(1, b.n + 1)]
+    (i, A) in rank_table order, i in the iteration order of the frozenset A.
+    Each subset is folded in and dropped, so it holds O(n + profile) items."""
+    ranks = rank_table(b)
+    m_ray = [None] + [m_i for _, m_i in islice(ranks, b.n)]
     profile = {}
-    for subset, m_a in table.items():
-        if len(subset) >= 2:
-            for i in subset:
-                profile.setdefault((len(subset), m_ray[i], m_a), (i, subset))
+    for subset, m_a in ranks:
+        for i in subset:
+            profile.setdefault((len(subset), m_ray[i], m_a), (i, subset))
     return profile
 
 
@@ -201,7 +199,7 @@ def classify(b):
         )
     uniform = True
     for subset in combinations(range(b.s), b.d):
-        if rational_rank([[row[j] for j in subset] for row in b.m]) < b.d:
+        if rational_rank([[row[j] for j in subset] for row in b.integer_m]) < b.d:
             uniform = False
             break
     hypersurface = b.d == 1

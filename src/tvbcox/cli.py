@@ -6,6 +6,7 @@ report is due; `main` times the command and writes its report.  Exit codes:
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -237,7 +238,9 @@ def cmd_suite(args):
     return args.level, report, EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser():
+    """Built on the first main call and reused: parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="tvbcox",
         description="Exact toolkit for toric vector bundles given by (M, D) data",
@@ -322,8 +325,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         inputs_text, results, code = args.fn(args)

@@ -36,10 +36,7 @@ def rational_rank(rows):
     entries that are not Fractions or ints raise ValueError.
     """
     ncols = len(rows[0]) if rows else 0
-    work = _integer_rows(rows, ncols)
-    if ncols == 0:
-        return 0
-    return _bareiss(work, ncols)
+    return _bareiss(_integer_rows(rows, ncols), ncols)
 
 
 def left_kernel_basis(rows):
@@ -68,14 +65,15 @@ def left_kernel_basis(rows):
 def _integer_rows(rows, ncols):
     """Clear denominators row by row; row scaling keeps the row space.
     Entries are Fractions or ints (an int's denominator is 1); every row
-    must have ncols entries."""
+    must have ncols entries.  A row of scale 1 keeps its values."""
     work = []
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"ragged rows: {len(row)} entries, expected {ncols}")
         try:
             scale = lcm(*(x.denominator for x in row))
-            work.append([x.numerator * (scale // x.denominator) for x in row])
+            work.append([x.numerator for x in row] if scale == 1 else
+                        [x.numerator * (scale // x.denominator) for x in row])
         except AttributeError:
             bad = next(x for x in row if not isinstance(x, (int, Fraction)))
             raise ValueError(f"matrix entry {bad!r} is not a Fraction or int") from None

@@ -1,6 +1,5 @@
 """Partition combinatorics: Schur dimensions and the Cauchy identity."""
 
-from fractions import Fraction
 from math import comb
 
 from .poly import CapExceeded
@@ -47,30 +46,26 @@ def partitions_bounded(d: int, max_rows: int):
     return out
 
 
-def hook_length(parts, i: int, j: int) -> int:
-    """Hook length of cell (i, j), 0-based, in the diagram of parts."""
-    arm = parts[i] - j - 1
-    leg = sum(1 for k in range(i + 1, len(parts)) if parts[k] > j)
-    return arm + leg + 1
-
-
 def schur_dim(parts, n: int) -> int:
     """dim of the Schur module S_parts(K^n) via the hook content formula.
 
-    Zero when the partition has more rows than n.  The product of the
-    contents over the product of the hooks is an integer; the division is
-    done once at the end and checked.
+    Zero when the partition has more rows than n.  The contents and the
+    hooks are multiplied as integers, and their quotient is one exact
+    division, checked.
     """
     parts = normalize_partition(parts)
     if len(parts) > n:
         return 0
-    value = Fraction(1)
+    column_length = [sum(1 for row in parts if row > j) for j in range(parts[0] if parts else 0)]
+    contents = hooks = 1
     for i, row in enumerate(parts):
         for j in range(row):
-            value *= Fraction(n + j - i, hook_length(parts, i, j))
-    if value.denominator != 1:
+            contents *= n + j - i
+            hooks *= row - j + column_length[j] - i - 1  # arm + leg + 1
+    value, rest = divmod(contents, hooks)
+    if rest:
         raise AssertionError(f"hook content product not integral for {parts}, n={n}")
-    return int(value)
+    return value
 
 
 def sym_power_dim(space_dim: int, d: int) -> int:
@@ -85,7 +80,10 @@ def cauchy_verify(d: int, e: int, v: int):
 
     Returns (equal, lhs, rhs).
     """
-    lhs = sum(schur_dim(p, e) * schur_dim(p, v) for p in partitions_bounded(d, min(e, v)))
+    lhs = 0
+    for p in partitions_bounded(d, min(e, v)):
+        dim_e = schur_dim(p, e)
+        lhs += dim_e * (dim_e if e == v else schur_dim(p, v))
     rhs = sym_power_dim(e * v, d)
     return lhs == rhs, lhs, rhs
 

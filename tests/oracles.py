@@ -283,6 +283,24 @@ def serialize_bundle(b):
     return json.dumps(payload, indent=2) + "\n"
 
 
+def ci_profile_by_table(b):
+    """bundle._ci_profile read off a whole table: a dict of the restricted
+    rank of every nonempty ray subset, built first, then one pass over its
+    items."""
+    rays = range(1, b.n + 1)
+    table = {}
+    for size in rays:
+        for subset in combinations(rays, size):
+            table[frozenset(subset)] = bundle.restricted_rank(b, subset)
+    m_ray = [None] + [table[frozenset((i,))] for i in rays]
+    profile = {}
+    for subset, m_a in table.items():
+        if len(subset) >= 2:
+            for i in subset:
+                profile.setdefault((len(subset), m_ray[i], m_a), (i, subset))
+    return profile
+
+
 def kaneyama_bundle(weights):
     """Sparse hypersurface bundle with the positive diagonal entries weights."""
     n = len(weights)

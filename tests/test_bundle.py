@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,7 +26,8 @@ from tvbcox.bundle import (
     uniform_sparse_stability,
 )
 from tvbcox.poly import CapExceeded
-from oracles import kaneyama_bundle, placed_sparse_bundle
+from oracles import ci_profile_by_table, kaneyama_bundle, placed_sparse_bundle
+from test_golden import golden_bundles
 
 
 @pytest.fixture(scope="module")
@@ -108,22 +110,66 @@ def test_ci_stability_cross_check_rejects_a_wrong_closed_form(monkeypatch):
 
 
 def test_ci_stability_reads_the_table_once(monkeypatch):
-    class CountingTable(dict):
-        passes = 0
-
-        def items(self):
-            CountingTable.passes += 1
-            return super().items()
+    # the profile is folded from rank_table as it streams: one rank for each
+    # of the 2^5 - 1 ray subsets, and no second pass through the criterion
+    ranked = []
+    rank = bundle.restricted_rank
 
     def no_call(*args):
         raise AssertionError("ci_stability called is_complete_intersection")
 
-    b = tangent_bundle(4)
-    table = CountingTable(rank_table(b))
-    monkeypatch.setattr(bundle, "rank_table", lambda _: table)
+    monkeypatch.setattr(bundle, "restricted_rank", lambda b, rays: ranked.append(rays) or rank(b, rays))
     monkeypatch.setattr(bundle, "is_complete_intersection", no_call)
-    assert ci_stability(b) == (3, (1, (1, 2, 3, 4, 5)))
-    assert CountingTable.passes == 1
+    assert ci_stability(tangent_bundle(4)) == (3, (1, (1, 2, 3, 4, 5)))
+    assert len(ranked) == len(set(ranked)) == 31
+
+
+def random_bundles(seed, count):
+    """Bundles of 3 to 11 rays with small random M and D: several ray ranks
+    per bundle, and from 9 rays on, frozensets whose iteration order depends
+    on the order their rays were added in."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, s = rng.randrange(3, 12), rng.randrange(3, 7)
+        m = [[rng.randrange(-2, 3) for _ in range(s)] for _ in range(rng.randrange(1, s))]
+        diagram = [[rng.randrange(0, 3) for _ in range(s)] for _ in range(n)]
+        try:
+            out.append(BundleData(m, diagram))
+        except ValueError:  # M not of full row rank
+            continue
+    return out
+
+
+def test_streamed_ci_profile_matches_the_table():
+    instances = [b for _, b in golden_bundles()] + random_bundles(29, 12)
+    assert any(b.n >= 9 for b in instances[-12:])
+    for b in instances:
+        assert list(bundle._ci_profile(b).items()) == list(ci_profile_by_table(b).items())
+
+
+def test_rank_table_is_lazy_and_checks_its_cap_first(monkeypatch):
+    def unreachable(b, rays):
+        raise AssertionError("a rank was computed")
+
+    monkeypatch.setattr(bundle, "restricted_rank", unreachable)
+    ranks = rank_table(tangent_bundle(4))  # nothing ranked until it is read
+    with pytest.raises(CapExceeded, match="131071 ray subsets"):
+        rank_table(tangent_bundle(16))
+    with pytest.raises(AssertionError, match="a rank was computed"):
+        next(ranks)
+
+
+def test_ci_stability_memory_does_not_grow_with_the_subsets():
+    # 8,191 ray subsets; the whole table of them peaked at 6.45 MiB
+    b = tangent_bundle(12)
+    tracemalloc.start()
+    try:
+        assert ci_stability(b) == (11, (1, tuple(range(1, 14))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_uniform_sparse_stability_closed_form():

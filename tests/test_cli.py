@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -104,6 +105,33 @@ def test_stability_builds_one_ci_profile(capsys, ex514_path, monkeypatch, comman
     code, _, _ = run(capsys, command, ex514_path)
     assert code == EXIT_OK
     assert len(calls) == 1
+
+
+def test_one_parser_serves_every_call(capsys, tmp_path, ex514_path, monkeypatch):
+    # the reports' seconds read 0.0, so a call's output is the same bytes
+    # each time it runs
+    monkeypatch.setattr(cli, "time", SimpleNamespace(monotonic=lambda: 0.0))
+    report = tmp_path / "report.json"
+    calls = [
+        ["analyze", ex514_path, "--report", str(report)],
+        ["cox", "tangent", "--n", "2", "--m", "2"],
+        ["analyze", ex514_path],
+    ]
+
+    def outputs(argv):
+        report.unlink(missing_ok=True)
+        code, out, err = run(capsys, *argv)
+        return code, out, err, report.read_text() if report.exists() else None
+
+    alone = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        alone.append(outputs(argv))
+    assert alone[0][1] == "" and alone[0][3] and alone[2][1] and alone[2][3] is None
+    cli.build_parser.cache_clear()
+    for k in (0, 1, 2, 0, 2, 1, 1, 0):
+        assert outputs(calls[k]) == alone[k]
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_region_csv_and_svg(capsys, tmp_path):
