@@ -37,6 +37,9 @@ def parse_bundle_file(text):
         if key not in data:
             raise InputError(f"missing field {key!r}")
     n, s = data["n"], data["s"]
+    for key, value in (("n", n), ("s", s)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise InputError(f"declared {key} {json.dumps(value)} is not an integer")
     for key in ("M", "D"):
         rows = data[key]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -54,9 +57,22 @@ def parse_bundle_file(text):
 
 
 def load_bundle(path):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
     return parse_bundle_file(text), text
+
+
+def write_file(path, text):
+    """Write text to a file the user named: an OSError there (a directory,
+    a missing parent, no permission) is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def make_report(command, inputs_text, results, started):
@@ -86,8 +102,7 @@ def _plain(value):
 def emit_report(report, path=None):
     text = json.dumps(report, indent=2, sort_keys=False) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_file(path, text)
     else:
         sys.stdout.write(text)
 
@@ -130,13 +145,11 @@ def cmd_region(args):
     rows, lines = bundle.region_table(args.r_max, args.s_max)
     csv_text = bundle.region_csv(rows)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
+        write_file(args.csv, csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(bundle.region_svg(rows, lines))
+        write_file(args.svg, bundle.region_svg(rows, lines))
     results = None
     if args.report:
         results = {
@@ -335,7 +348,7 @@ def main(argv=None):
     except poly.CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (InputError, FileNotFoundError, ValueError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

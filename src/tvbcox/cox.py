@@ -1,9 +1,14 @@
 """Cox ring presentations of P(T_n tensor K^m) and their verifications.
 
-Everything here is specific to the tangent bundle of projective space:
-the Euler relations, the degree-(n+1, n) determinantal generators, the
-presentation map into the Laurent/polynomial target ring, the quiver-style
-initial ideal, and the Plucker identification at n = 2.
+The tangent bundle of projective space: the Euler relations, the
+degree-(n+1, n) determinantal generators, the presentation map phi into
+the Laurent/polynomial target ring, the quiver-style initial ideal, and
+the Plucker identification at n = 2.
+
+Some of it serves the flag-ring map psi of gz.py as well: a presentation
+map is minor_map on a table of minors, each sent to its euler_minor;
+column_action and column_symmetries permute the matrix columns of any
+such table, and kernel_by_saturation proves the kernel of either map.
 """
 
 from functools import lru_cache

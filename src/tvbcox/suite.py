@@ -87,6 +87,9 @@ def check_lemma(level):
             for subset in combinations(range(1, n + 1), size):
                 rep = cox.verify_lemma(n, subset)
                 assert rep["is_groebner_basis"], f"not a GB: n={n}, S={subset}"
+                assert rep["dimension"] == n * n - 1, (
+                    f"dimension {rep['dimension']} != {n * n - 1} at n={n}, S={subset}"
+                )
                 assert rep["dimension"] == rep["expected_dimension"], (
                     f"dimension {rep['dimension']} != {rep['expected_dimension']}"
                     f" at n={n}, S={subset}"
@@ -100,6 +103,9 @@ def check_initial_ideal(level):
     for n in (2, 3, 4) if level == "full" else (2,):
         rep = reports[f"n{n}"] = cox.initial_comparison(n)
         assert rep["equal"], f"delta-initial ideal does not match the quiver ideal at n = {n}"
+        assert rep["dimension"] == n * n + n + 1, (
+            f"dimension {rep['dimension']} != {n * n + n + 1} at n = {n}"
+        )
         assert rep["dimension"] == rep["expected_dimension"], (
             f"dimension {rep['dimension']} != {rep['expected_dimension']} at n = {n}"
         )

@@ -418,6 +418,23 @@ def test_report_in_missing_directory(capsys, ex514_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{dir}"],
+        ["analyze", "{bundle}", "--report", "{dir}"],
+        ["region", "--r-max", "2", "--s-max", "4", "--csv", "{dir}"],
+    ],
+    ids=["input-path", "report-path", "csv-path"],
+)
+def test_a_directory_for_a_file_is_an_input_error(capsys, tmp_path, ex514_path, argv):
+    argv = [a.format(dir=tmp_path, bundle=ex514_path) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("input error: ") and "Is a directory" in err
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         (
@@ -433,8 +450,16 @@ def test_report_in_missing_directory(capsys, ex514_path):
             '{"n": 1, "s": 3, "M": [["1", "1", "1"]], "D": ["100"]}',
             "D must be an array of rows, each a JSON array",
         ),
+        (
+            '{"n": true, "s": 2, "M": [["1", "1"]], "D": [[0, 1]]}',
+            "declared n true is not an integer",
+        ),
+        (
+            '{"n": 1, "s": 2.0, "M": [["1", "1"]], "D": [[0, 1]]}',
+            "declared s 2.0 is not an integer",
+        ),
     ],
-    ids=["boolean-diagram-entry", "string-row-of-M", "string-row-of-D"],
+    ids=["boolean-diagram-entry", "string-row-of-M", "string-row-of-D", "boolean-n", "float-s"],
 )
 def test_analyze_rejects_boolean_entries_and_rows_that_are_not_arrays(
     capsys, tmp_path, text, message

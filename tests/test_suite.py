@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from test_acceptance import BUDGETS, accept
 from test_golden import SUITE_FULL, cli_entry, golden_cli
 
 from tvbcox import cli, cox, poly, suite
@@ -87,3 +88,30 @@ def test_classical_generators_need_the_w_sign_flip():
     for w_sign, equal in ((-1, True), (1, False)):
         classical = poly.Ideal(claimed.ring, suite.classical_generators(claimed.ring, w_sign))
         assert poly.ideal_equal(classical, claimed) is equal
+
+
+def _injected_failure(level):
+    raise AssertionError("injected failure")
+
+
+@pytest.mark.parametrize(
+    "entry, budget, message, printed",
+    [
+        (("example-5.14", _injected_failure), None, "example-5.14: injected failure", True),
+        (("unbudgeted", lambda level: {}), None, "unbudgeted: no runtime budget", False),
+        (None, 0.0, "example-5.14: .* over the 0s budget", True),
+    ],
+    ids=["failing-check", "check-without-a-budget", "overrun-budget"],
+)
+def test_acceptance_fails_on_a_broken_check(monkeypatch, capsys, entry, budget, message, printed):
+    # the negative control of tests/test_acceptance.py: its helper fails,
+    # never skips, on a check that fails, has no budget or overruns it
+    if entry is not None:
+        monkeypatch.setattr(suite, "CHECKS", [entry] + suite.CHECKS[1:])
+    if budget is not None:
+        monkeypatch.setitem(BUDGETS, "example-5.14", budget)
+    with pytest.raises(AssertionError, match=message):
+        accept(1)
+    verdict = "ACCEPTANCE 1: FAIL - example-5.14 (" if printed else ""
+    out = capsys.readouterr().out
+    assert out.startswith(verdict) and bool(out) is printed
