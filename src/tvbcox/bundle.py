@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations, islice
 from typing import NamedTuple
 
-from .linalg import _integer_rows, rational_rank
+from .linalg import rational_rank
 from .poly import CapExceeded
 
 # Largest number of ray or column subsets rank_table and classify enumerate
@@ -20,12 +20,13 @@ SUBSET_CAP = REGION_CAP = 2**16
 
 class BundleData:
     """The (M, D) pair, given as rows, with the checks on their shape and
-    entries.  M is kept as tuples of Fractions and D as tuples of ints;
-    integer_m is M with each row scaled by the lcm of its denominators,
-    which keeps the rank of every column selection; minimal_columns[i - 1]
-    is the set of 1-based columns where row i of D attains its minimum."""
+    entries.  M (ints or Fractions) is kept as integer rows, each scaled by
+    the lcm of its denominators, which keeps the rank of every column
+    selection: rationals are cleared here, once.  D is kept as tuples of
+    ints; minimal_columns[i - 1] is the set of 1-based columns where row i
+    of D attains its minimum."""
 
-    __slots__ = ("n", "s", "d", "m", "integer_m", "diagram", "minimal_columns", "label")
+    __slots__ = ("n", "s", "d", "m", "diagram", "minimal_columns", "label")
 
     def __init__(self, m, diagram, label=None):
         m = tuple(tuple(row) for row in m)
@@ -46,9 +47,12 @@ class BundleData:
         for x in (x for row in diagram for x in row):
             if isinstance(x, bool) or not isinstance(x, int):
                 raise ValueError(f"diagram entry {x!r} is not an integer")
-        m = tuple(tuple(map(Fraction, row)) for row in m)
-        self.integer_m = tuple(map(tuple, _integer_rows(m, s)))
-        d = rational_rank(self.integer_m)
+        rows = []
+        for row in m:
+            scale = math.lcm(*(x.denominator for x in row))
+            rows.append(tuple(x.numerator * (scale // x.denominator) for x in row))
+        m = tuple(rows)
+        d = rational_rank(m)
         if d != len(m):
             raise ValueError(f"M has rank {d}, expected full row rank {len(m)}")
         if s <= d:
@@ -81,14 +85,14 @@ class BundleClass(NamedTuple):
 
 
 def common_minimal_columns(b, rays):
-    """Columns where every row of D indexed by rays attains its row minimum:
-    the intersection of those rays' minimal-column sets."""
-    rays = set(rays)
+    """Columns where every row of D indexed by rays, a nonempty collection
+    of 1-based ray indices, attains its row minimum: the frozenset
+    intersection of those rays' minimal-column sets."""
     if not rays:
         raise ValueError("the ray subset must be nonempty")
     if min(rays) < 1 or max(rays) > b.n:
         raise ValueError(f"ray index out of range 1..{b.n}")
-    return set(frozenset.intersection(*(b.minimal_columns[i - 1] for i in rays)))
+    return frozenset.intersection(*(b.minimal_columns[i - 1] for i in rays))
 
 
 def restricted_rank(b, rays):
@@ -97,7 +101,7 @@ def restricted_rank(b, rays):
     cols = common_minimal_columns(b, rays)
     if not cols:
         return 0
-    return rational_rank([[row[j - 1] for j in cols] for row in b.integer_m])
+    return rational_rank([[row[j - 1] for j in cols] for row in b.m])
 
 
 def rank_table(b):
@@ -199,7 +203,7 @@ def classify(b):
         )
     uniform = True
     for subset in combinations(range(b.s), b.d):
-        if rational_rank([[row[j] for j in subset] for row in b.integer_m]) < b.d:
+        if rational_rank([[row[j] for j in subset] for row in b.m]) < b.d:
             uniform = False
             break
     hypersurface = b.d == 1

@@ -9,6 +9,7 @@ n + 1 - i entries, paired with a vector in Z^{n+1}.  Products are rewritten
 against two relation families until words reach a canonical form.
 """
 
+import re
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, combinations_with_replacement, zip_longest
@@ -188,23 +189,12 @@ def parse_generator(text):
 
 
 def parse_word(text):
-    """Words use a bracket syntax like "[-2],[{1,3},0]"."""
-    depth = 0
-    chunks = []
-    buf = []
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            chunks.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    if buf:
-        chunks.append("".join(buf))
-    return tuple(parse_generator(c) for c in chunks if c.strip())
+    """Words use a bracket syntax like "[-2],[{1,3},0]": each comma outside
+    the brackets ends a generator, and none may be blank.  A blank text is
+    the empty word."""
+    if not text.strip():
+        return ()
+    return tuple(map(parse_generator, re.split(r",(?![^\[\]]*\])", text)))
 
 
 def word_to_text(word):

@@ -1,8 +1,9 @@
-"""Exact rational matrices as plain rows: parsing, and one fraction-free
-elimination for ranks and left kernels."""
+"""Exact linear algebra over Q on integer rows: "p/q" parsing, and one
+fraction-free elimination for ranks and left kernels.  Rank and left kernel
+take ints only; a caller with rational entries clears their denominators
+first, as BundleData does once where a bundle's M enters."""
 
 from fractions import Fraction
-from math import lcm
 
 
 def parse_rational(text):
@@ -29,30 +30,28 @@ def _is_int(s):
 
 
 def rational_rank(rows):
-    """Rank over Q of a matrix given as equal-length rows of Fractions or
-    ints, by fraction-free (Bareiss) elimination.
+    """Rank over Q of a matrix given as equal-length rows of ints, by
+    fraction-free (Bareiss) elimination.
 
     A matrix with zero rows or zero columns has rank 0.  Ragged rows or
-    entries that are not Fractions or ints raise ValueError.
+    entries that are not ints raise ValueError.
     """
     ncols = len(rows[0]) if rows else 0
-    return _bareiss(_integer_rows(rows, ncols), ncols)
+    return _bareiss(_int_rows(rows, ncols), ncols)
 
 
 def left_kernel_basis(rows):
     """Basis of the row vectors v with v * m = 0, for the matrix m given as
-    equal-length rows of Fractions or ints.
+    equal-length rows of ints.
 
     Bareiss elimination on [m | I]: the rows left zero in the columns of m
     carry the kernel vectors in the identity part.  There is one vector per
     unit of rank deficiency, each scaled so its first nonzero entry is 1.
     """
     ncols = len(rows[0]) if rows else 0
-    unit = range(len(rows))
-    work = _integer_rows(
-        (list(row) + [int(i == k) for k in unit] for i, row in enumerate(rows)),
-        ncols + len(rows),
-    )
+    work = _int_rows(rows, ncols)
+    for i, row in enumerate(work):
+        row.extend(int(i == k) for k in range(len(work)))
     rank = _bareiss(work, ncols)
     kernel = []
     for row in work[rank:]:
@@ -62,21 +61,18 @@ def left_kernel_basis(rows):
     return kernel
 
 
-def _integer_rows(rows, ncols):
-    """Clear denominators row by row; row scaling keeps the row space.
-    Entries are Fractions or ints (an int's denominator is 1); every row
-    must have ncols entries.  A row of scale 1 keeps its values."""
+def _int_rows(rows, ncols):
+    """The rows as fresh lists, each checked to hold ncols ints: a Fraction
+    or float would be floor-divided into a wrong rank, and a bool is no
+    matrix entry."""
     work = []
     for row in rows:
         if len(row) != ncols:
             raise ValueError(f"ragged rows: {len(row)} entries, expected {ncols}")
-        try:
-            scale = lcm(*(x.denominator for x in row))
-            work.append([x.numerator for x in row] if scale == 1 else
-                        [x.numerator * (scale // x.denominator) for x in row])
-        except AttributeError:
-            bad = next(x for x in row if not isinstance(x, (int, Fraction)))
-            raise ValueError(f"matrix entry {bad!r} is not a Fraction or int") from None
+        if not {int}.issuperset(map(type, row)):
+            bad = next(x for x in row if type(x) is not int)
+            raise ValueError(f"matrix entry {bad!r} is not an int")
+        work.append(list(row))
     return work
 
 

@@ -201,7 +201,7 @@ class MatrixOrder:
     __slots__ = ("rows", "key", "neg_key")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(int(a) for a in row) for row in rows)
+        self.rows = tuple(map(tuple, rows))
         rank, ncols = rational_rank(self.rows), len(self.rows[0]) if self.rows else 0
         if rank < ncols:
             raise ValueError(f"order matrix has rank {rank} < {ncols} columns: not a total order")

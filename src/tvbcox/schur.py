@@ -5,7 +5,7 @@ from math import comb
 from .poly import CapExceeded
 
 # Largest number of partitions cauchy_table sums over, a degree with none
-# counted as one: degree 27 at dims 20 and 20, about 4 s on a 2-core host.
+# counted as one: degree 27 at dims 20 and 20, about 0.2 s on a 2-core host.
 CAUCHY_CAP = 2**14
 
 

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from tvbcox import bundle
+from tvbcox import bundle, linalg
 from tvbcox.bundle import (
     BundleData,
     NotCompleteIntersection,
@@ -25,8 +25,9 @@ from tvbcox.bundle import (
     uniform_sparse_bundle,
     uniform_sparse_stability,
 )
+from tvbcox.linalg import rational_rank
 from tvbcox.poly import CapExceeded
-from oracles import ci_profile_by_table, kaneyama_bundle, placed_sparse_bundle
+from oracles import ci_profile_by_table, kaneyama_bundle, placed_sparse_bundle, rank_by_minors
 from test_golden import golden_bundles
 
 
@@ -111,17 +112,29 @@ def test_ci_stability_cross_check_rejects_a_wrong_closed_form(monkeypatch):
 
 def test_ci_stability_reads_the_table_once(monkeypatch):
     # the profile is folded from rank_table as it streams: one rank for each
-    # of the 2^5 - 1 ray subsets, and no second pass through the criterion
-    ranked = []
-    rank = bundle.restricted_rank
+    # of the 2^5 - 1 ray subsets, and no second pass through the criterion.
+    # Each restricted_rank takes its columns from one common_minimal_columns
+    # and ranks them with one rational_rank, except for the full ray set,
+    # whose common column set is empty (the bench tracer reads this wiring)
+    t4 = tangent_bundle(4)
+    calls = {"restricted_rank": [], "common_minimal_columns": [], "rational_rank": []}
+
+    def logged(name):
+        fn = getattr(bundle, name)
+        return lambda *args: calls[name].append(args[-1]) or fn(*args)
+
+    for name in calls:
+        monkeypatch.setattr(bundle, name, logged(name))
 
     def no_call(*args):
         raise AssertionError("ci_stability called is_complete_intersection")
 
-    monkeypatch.setattr(bundle, "restricted_rank", lambda b, rays: ranked.append(rays) or rank(b, rays))
     monkeypatch.setattr(bundle, "is_complete_intersection", no_call)
-    assert ci_stability(tangent_bundle(4)) == (3, (1, (1, 2, 3, 4, 5)))
+    assert ci_stability(t4) == (3, (1, (1, 2, 3, 4, 5)))
+    ranked = calls["restricted_rank"]
     assert len(ranked) == len(set(ranked)) == 31
+    assert calls["common_minimal_columns"] == ranked
+    assert len(calls["rational_rank"]) == 30
 
 
 def random_bundles(seed, count):
@@ -303,12 +316,44 @@ def test_region_csv_and_svg():
     assert svg.startswith("<svg") and "circle" in svg
 
 
+# rows scaled by 4 and 6 to clear their denominators: (2, -3, 4, 0), (0, 4, 5, 6)
+RATIONAL_M = [[Fraction(1, 2), Fraction(-3, 4), 1, 0], [0, Fraction(2, 3), Fraction(5, 6), 1]]
+
+
 def test_bundle_stores_rows_as_tuples():
     b = BundleData([[Fraction(1, 2), 1, 2]], [[0, 1, 0], [2, 2, 1]])
-    assert b.m == ((Fraction(1, 2), Fraction(1), Fraction(2)),)
-    assert all(type(x) is Fraction for x in b.m[0])
+    assert b.m == ((1, 2, 4),)
+    assert all(type(x) is int for x in b.m[0])
     assert b.diagram == ((0, 1, 0), (2, 2, 1))
     assert b.minimal_columns == (frozenset({1, 3}), frozenset({3}))
+    # each row is scaled by the lcm of its denominators, which keeps the
+    # rank of every column selection
+    b2 = BundleData(RATIONAL_M, [[0, 1, 1, 2]])
+    assert b2.m == ((2, -3, 4, 0), (0, 4, 5, 6))
+    for matrix, scaled in (([[Fraction(1, 2), 1, 2]], b.m), (RATIONAL_M, b2.m)):
+        for size in range(1, len(matrix[0]) + 1):
+            for cols in combinations(range(len(matrix[0])), size):
+                assert rational_rank([[row[j] for j in cols] for row in scaled]) == (
+                    rank_by_minors([[row[j] for j in cols] for row in matrix])
+                )
+
+
+def test_denominators_are_cleared_once(monkeypatch):
+    # M's denominators are cleared when the bundle is built; no rank after
+    # that, in the CI profile, classify or restricted_rank, clears one again
+    b = BundleData(RATIONAL_M, [[2, 1, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]])
+    expected = ci_stability(b), classify(b), restricted_rank(b, [2, 3, 4])
+    assert expected == ((1, (1, (1, 2, 3))), (False, True, False, 2), 1)
+
+    def no_clearing(*args):
+        raise AssertionError("a denominator was cleared after the bundle was built")
+
+    # math.lcm, and any lcm a tvbcox module imported by name
+    monkeypatch.setattr(math, "lcm", no_clearing)
+    for module in (bundle, linalg):
+        if hasattr(module, "lcm"):
+            monkeypatch.setattr(module, "lcm", no_clearing)
+    assert (ci_stability(b), classify(b), restricted_rank(b, [2, 3, 4])) == expected
 
 
 def test_bundle_validation():

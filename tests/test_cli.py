@@ -86,6 +86,26 @@ def test_analyze_malformed_rational(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "ci-stability"])
+def test_rational_m_reads_as_its_rows_scaled_to_integers(capsys, tmp_path, command):
+    # each row of M times the lcm of its denominators: 4 and 6
+    diagram = [[2, 1, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1], [0, 1, 0, 0]]
+    rows = {
+        "rational": [["1/2", "-3/4", "1", "0"], ["0", "2/3", "5/6", "1"]],
+        "integral": [["2", "-3", "4", "0"], ["0", "4", "5", "6"]],
+    }
+    results = {}
+    for label, m in rows.items():
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({"n": 4, "s": 4, "M": m, "D": diagram, "label": label}))
+        code, out, _ = run(capsys, command, str(path))
+        assert code == EXIT_OK
+        results[label] = json.loads(out)["results"]
+        assert results[label].pop("label", label) == label
+    assert results["rational"] == results["integral"]
+    assert results["rational"]["ci_stability"] == 1
+
+
 def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "/no/such/file.json")
     assert code == EXIT_USAGE
@@ -352,6 +372,16 @@ def test_gz_subduct_command(capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["results"]["success"] is True
+
+
+@pytest.mark.parametrize("word1", ["[-0],,[-1]", "[-0],[-1],", ",[-0],[-1]"])
+def test_gz_subduct_refuses_an_empty_generator(capsys, word1):
+    code, out, err = run(
+        capsys, "gz", "subduct", "--n", "3", "--word1", word1, "--word2", "[-0],[-1]"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "input error: bad generator syntax: ''" in err
 
 
 def test_gz_subduct_checks_generators_before_summing(capsys):

@@ -396,6 +396,16 @@ def test_word_parsing_roundtrip():
     assert gen.sigma == frozenset({1, 3}) and gen.mark == 1
 
 
+@pytest.mark.parametrize("text", ["[-0],,[-1]", "[-0], ,[-1]", "[-0],", ",[-0]", ","])
+def test_word_with_an_empty_generator_is_refused(text):
+    with pytest.raises(ValueError, match="bad generator syntax"):
+        parse_word(text)
+
+
+def test_blank_word_is_the_empty_word():
+    assert parse_word("") == parse_word("  ") == ()
+
+
 def test_subduct_marking_exchange():
     res = subduct(parse_word("[-1],[{1},0]"), parse_word("[-0],[{1},1]"), 2)
     assert res["success"]

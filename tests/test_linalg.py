@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -41,20 +42,12 @@ def test_rank_empty_matrices():
     assert rational_rank([[]] * 3) == 0
 
 
-def test_rank_mixes_fractions_and_ints():
-    assert rational_rank([[Fraction(1, 2), 1], [1, 2]]) == 1
-    assert rational_rank([(Fraction(1, 3), 0), (0, Fraction(-2, 7))]) == 2
-
-
 def test_rank_matches_minor_oracle_random():
     rng = random.Random(7)
     for _ in range(40):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
-        data = [
-            [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
+        data = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
         assert rational_rank(data) == rank_by_minors(data)
 
 
@@ -76,7 +69,7 @@ def test_rank_row_scaling_and_swaps():
         base = rational_rank(data)
         i = rng.randrange(rows)
         scaled = [list(r) for r in data]
-        scale = Fraction(rng.choice([1, 2, 3, -1, -5]), rng.choice([1, 2, 7]))
+        scale = rng.choice([1, 2, 3, -1, -5, 14])
         scaled[i] = [scale * x for x in scaled[i]]
         assert rational_rank(scaled) == base
         j = rng.randrange(rows)
@@ -92,10 +85,15 @@ def test_matrix_validation():
         rational_rank([[1], [3, 4]])
     with pytest.raises(ValueError, match="ragged rows"):
         left_kernel_basis([[1, 2], [3]])
-    with pytest.raises(ValueError, match="not a Fraction or int"):
-        rational_rank([[Fraction(1, 2), 0.5]])
-    with pytest.raises(ValueError, match="not a Fraction or int"):
-        left_kernel_basis([[1, "2"]])
+    # rows with denominators are cleared before they reach the elimination
+    # (BundleData does it once); a Fraction there would be floor-divided,
+    # even an integral one
+    for bad in (Fraction(1, 2), Fraction(2), 0.5, 2.0, True, "2"):
+        message = re.escape(f"matrix entry {bad!r} is not an int")
+        with pytest.raises(ValueError, match=message):
+            rational_rank([[1, 1], [1, bad]])
+        with pytest.raises(ValueError, match=message):
+            left_kernel_basis([[1, bad]])
 
 
 def test_left_kernel_basis_random():
@@ -103,14 +101,11 @@ def test_left_kernel_basis_random():
     for _ in range(40):
         rows = rng.randrange(1, 6)
         cols = rng.randrange(1, 5)
-        data = [
-            [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(cols)]
-            for _ in range(rows)
-        ]
+        data = [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
         if rows > 2:
             # a row combined from two others, so the rank drops
             i, j, k = rng.sample(range(rows), 3)
-            a, b = Fraction(rng.randrange(-3, 4), 2), Fraction(rng.randrange(-3, 4))
+            a, b = rng.randrange(-3, 4), rng.randrange(-3, 4)
             data[i] = [a * x + b * y for x, y in zip(data[j], data[k])]
         kernel = left_kernel_basis(data)
         assert len(kernel) == rows - rank_by_minors(data)

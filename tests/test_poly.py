@@ -224,6 +224,14 @@ def test_order_matrix_without_full_column_rank_is_rejected(xyz):
         MatrixOrder([[1, 1, 1], [2, 2, 2], [0, 0, -1]])
 
 
+def test_order_matrix_entries_must_be_ints():
+    # an entry is taken as given, never truncated: 3/2 is not 1, 2.7 not 2
+    with pytest.raises(ValueError, match=r"matrix entry Fraction\(3, 2\) is not an int"):
+        MatrixOrder([[Fraction(3, 2), 0], [0, 1]])
+    with pytest.raises(ValueError, match="matrix entry 2.7 is not an int"):
+        MatrixOrder([[2.7, 0], [0, 1]])
+
+
 def test_normal_form_examples(xyz):
     x, y, z = xyz.gens()
     o = lex(xyz, xyz.names)
