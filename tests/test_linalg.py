@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tvbcox.bundle import BundleData
 from tvbcox.linalg import (
     left_kernel_basis,
     parse_rational,
@@ -40,6 +41,18 @@ def test_rank_vandermonde_2x4():
 def test_rank_empty_matrices():
     assert rational_rank([]) == 0
     assert rational_rank([[]] * 3) == 0
+
+
+def test_rank_mixes_fractions_and_ints():
+    # rational_rank takes integer rows; BundleData clears each row of M by
+    # the lcm of its denominators, and the rank survives the clearing
+    with pytest.raises(ValueError, match="M has rank 1, expected full row rank 2"):
+        BundleData([[Fraction(1, 2), 1, 0], [1, 2, 0]], [[0, 0, 0]])
+    b = BundleData([(Fraction(1, 3), 0, 0), (0, Fraction(-2, 7), 0)], [[0, 0, 0]])
+    assert b.d == 2 and b.m == ((1, 0, 0), (0, -2, 0))
+    assert rational_rank([[1, 2], [1, 2]]) == 1
+    with pytest.raises(ValueError, match="is not an int"):
+        rational_rank([[Fraction(1, 2), 1], [1, 2]])
 
 
 def test_rank_matches_minor_oracle_random():
