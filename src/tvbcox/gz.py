@@ -172,20 +172,27 @@ def generator_to_text(gen):
     return f"[{{{cols}}},{gen.mark}]"
 
 
+# a negated variable [-a], or a flag {c,...} with an optional mark after a comma
+_GENERATOR = re.compile(
+    r"\s*\[\s*(?:-\s*([0-9]+)|\{\s*([0-9]+(?:\s*,\s*[0-9]+)*)?\s*\}\s*(?:,\s*([0-9]+))?)\s*\]\s*"
+)
+
+
 def parse_generator(text):
-    s = text.strip()
-    if not (s.startswith("[") and s.endswith("]")):
+    """The generator written as generator_to_text writes it; a flag's mark
+    may be left out for 0.  Raises ValueError naming the text for anything
+    else: a blank or doubled comma, a missing brace or comma, a sign or a
+    repeated column."""
+    match = _GENERATOR.fullmatch(text)
+    if match is None:
         raise ValueError(f"bad generator syntax: {text!r}")
-    body = s[1:-1].strip()
-    if body.startswith("-"):
-        return MarkedGenerator.neg(int(body[1:]))
-    if not body.startswith("{"):
-        raise ValueError(f"bad generator syntax: {text!r}")
-    close = body.index("}")
-    cols = {int(x) for x in body[1:close].split(",") if x.strip()}
-    rest = body[close + 1 :].lstrip(",").strip()
-    mark = int(rest) if rest else 0
-    return MarkedGenerator.flag(cols, mark)
+    neg, cols, mark = match.groups()
+    if neg is not None:
+        return MarkedGenerator.neg(int(neg))
+    cols = [int(c) for c in cols.split(",")] if cols else []
+    if len(set(cols)) < len(cols):
+        raise ValueError(f"repeated column in generator {text!r}")
+    return MarkedGenerator.flag(cols, int(mark or 0))
 
 
 def parse_word(text):
@@ -464,6 +471,7 @@ class _Codes(NamedTuple):
     flags: int  # codes below this are flags, the rest negated variables
     value: tuple  # the mark of each code
     cap: tuple  # the capacity of each code's column set
+    chains: dict  # sorted flag codes -> _incomparable_pair of them, filled as met
 
 
 @lru_cache(maxsize=None)
@@ -481,7 +489,7 @@ def _codes(n):
     return _Codes(
         gens, code, tuple(map(generator_to_text, gens)), sum(bool(gen.sigma) for gen in gens),
         tuple(gen.mark for gen in gens),
-        tuple(_capacity(gen.sigma, n) for gen in gens),
+        tuple(_capacity(gen.sigma, n) for gen in gens), {},
     )
 
 
@@ -537,13 +545,18 @@ def _straighten(n, a, b):
     return tuple(t.code[gen] for gen in added)
 
 
-def _incomparable_pair(flags, n):
-    """The first pair of a sorted word's flags that _straighten replaces."""
-    for i, a in enumerate(flags[:-1]):
-        for b in flags[i + 1 :]:
-            if _straighten(n, a, b):
-                return a, b
-    return None
+def _incomparable_pair(t, flags, n):
+    """The first pair of a sorted word's flags that _straighten replaces and
+    its replacement, None when the flags form a chain.  It depends on the
+    flags alone, so it is decided once per flag tuple and kept in t.chains;
+    straightening never adds a flag, so a sweep up to length L keeps at most
+    one entry per multiset of at most L flags."""
+    found = t.chains.get(flags, False)
+    if found is False:
+        found = t.chains[flags] = next(
+            (((a, b), added) for i, a in enumerate(flags) for b in flags[i + 1 :]
+             if (added := _straighten(n, a, b))), None)
+    return found
 
 
 def _with_mark(t, c, mark):
@@ -562,17 +575,22 @@ def _mark_targets(t, word):
     flag, in word order, whose prefix capacity admits them; the rest stay
     negated.  Returns the target of each flag.
     """
-    flags = word[: bisect_left(word, t.flags)]
-    targets = [0] * len(flags)
+    k = bisect_left(word, t.flags)
+    targets = [0] * k
+    values = [v for v in map(t.value.__getitem__, word) if v]
+    if not values:
+        return targets
+    values.sort(reverse=True)
+    cap = t.cap
     leftover = 0
-    for v in sorted(filter(None, map(t.value.__getitem__, word)), reverse=True):
-        for idx, c in enumerate(flags):
-            if targets[idx] == 0 and t.cap[c] >= v:
+    for v in values:
+        for idx in range(k):
+            if not targets[idx] and cap[word[idx]] >= v:
                 targets[idx] = v
                 break
         else:
             leftover += 1
-    if leftover > len(word) - len(flags):
+    if leftover > len(word) - k:
         raise AssertionError("value bookkeeping lost a negated variable")
     return targets
 
@@ -581,13 +599,15 @@ def _apply_step(steps, word, n, rule, removed, added):
     """Append the step to `steps` as a (rule, removed, added, word) tuple of
     codes and return the new sorted word."""
     # the word's pattern sum is kept iff the step's own generators balance
-    packed = _packed(n, 2)
-    if sum(packed[c] for c in removed) != sum(packed[c] for c in added):
+    packed = _packed(n, 2).__getitem__
+    if sum(map(packed, removed)) != sum(map(packed, added)):
         raise AssertionError(f"rewrite step broke the pattern sum: {rule}")
     new_word = list(word)
     for c in removed:
         new_word.remove(c)
-    new_word = tuple(sorted(new_word + list(added)))
+    new_word += added
+    new_word.sort()
+    new_word = tuple(new_word)
     steps.append((rule, tuple(removed), tuple(added), new_word))
     return new_word
 
@@ -600,34 +620,34 @@ def _rewrite(word, n):
     form a chain; then values move onto their _mark_targets, largest value
     first.  A move keeps the multisets of flag sets and of nonzero values
     and the number of negated generators, so the targets are computed once.
-    A move swaps the values of two generators: the slot and the donor, the
-    first generator in word order that holds v and is not at a slot that
-    wants v.  It is a mark-transport when the donor is a flag and a
-    marking-exchange when it is a negated variable.  Bringing a value v to
-    its slot always displaces a strictly smaller mark, so both directions
-    of a move stay valid.
+    A move swaps the values of two generators: the slot, the first flag
+    whose target is the largest value not yet in place, and the donor, the
+    first generator in word order that holds that value v and is not at a
+    slot that wants v.  It is a mark-transport when the donor is a flag and
+    a marking-exchange when it is a negated variable.  Bringing a value v
+    to its slot always displaces a strictly smaller mark, so both
+    directions of a move stay valid.  A word with no flag is canonical as
+    it stands.
     """
     t = _codes(n)
     steps = []
     word = tuple(sorted(word))
-    while True:
+    k = bisect_left(word, t.flags)
+    if not k:
+        return word, steps
+    while (straightening := _incomparable_pair(t, word[:k], n)) is not None:
+        word = _apply_step(steps, word, n, "union-intersection", *straightening)
         k = bisect_left(word, t.flags)
-        pair = _incomparable_pair(word[:k], n)
-        if pair is None:
-            break
-        word = _apply_step(steps, word, n, "union-intersection", pair, _straighten(n, *pair))
     targets = _mark_targets(t, word)
-    wanted = sorted(set(targets) - {0}, reverse=True)
     value = t.value
     # each move settles one flag for good, so k moves always suffice
     for _ in range(k + 1):
-        flags = word[:k]
-        move = next(((idx, v) for v in wanted for idx, want in enumerate(targets)
-                     if want == v and value[flags[idx]] != v), None)
-        if move is None:
+        v = 0
+        for idx, want in enumerate(targets):
+            if want > v and value[word[idx]] != want:
+                v, a = want, word[idx]
+        if not v:
             return word, steps
-        idx, v = move
-        a = flags[idx]
         donor = next(c for c, want in zip_longest(word, targets) if value[c] == v and want != v)
         rule = "mark-transport" if donor < t.flags else "marking-exchange"
         added = (_with_mark(t, a, v), _with_mark(t, donor, value[a]))

@@ -384,6 +384,25 @@ def test_gz_subduct_refuses_an_empty_generator(capsys, word1):
     assert "input error: bad generator syntax: ''" in err
 
 
+@pytest.mark.parametrize(
+    ("generator", "message"),
+    [
+        ("[{1,,2},0]", "bad generator syntax"),
+        ("[{1,1},0]", "repeated column in generator"),
+        ("[{1,2},,1]", "bad generator syntax"),
+        ("[{1,2}1]", "bad generator syntax"),
+        ("[{1,2,0]", "bad generator syntax"),
+    ],
+)
+def test_gz_subduct_refuses_a_malformed_generator_by_name(capsys, generator, message):
+    code, out, err = run(
+        capsys, "gz", "subduct", "--n", "3", "--word1", generator, "--word2", "[{1,2},0]"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"input error: {message}" in err and repr(generator) in err
+
+
 def test_gz_subduct_checks_generators_before_summing(capsys):
     code, _, err = run(
         capsys, "gz", "subduct", "--n", "2", "--word1", "[-5]", "--word2", "[-5]"

@@ -1,4 +1,7 @@
+import hashlib
+import re
 from itertools import combinations, combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -402,6 +405,24 @@ def test_word_with_an_empty_generator_is_refused(text):
         parse_word(text)
 
 
+@pytest.mark.parametrize("text", ["[{1,,2},0]", "[{1,2},,1]", "[{1,2}1]", "[{1,2,0]", "[{1,2},0",
+                                  "[{1,2},0]x", "[-+1]", "[--1]", "[{-1,2},0]", "[{1,2},-1]", "[-]"])
+def test_malformed_generator_is_refused_by_name(text):
+    with pytest.raises(ValueError, match="bad generator syntax: " + re.escape(repr(text))):
+        parse_generator(text)
+
+
+def test_repeated_column_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"repeated column in generator '\[\{1,1\},0\]'"):
+        parse_generator("[{1,1},0]")
+
+
+def test_generator_spacing_and_an_omitted_mark_are_accepted():
+    assert parse_generator(" [ - 2 ] ") == MarkedGenerator.neg(2)
+    assert parse_generator("[{ 1 , 3 } , 1]") == MarkedGenerator.flag({1, 3}, 1)
+    assert parse_generator("[{1,2}]") == MarkedGenerator.flag({1, 2}, 0)
+
+
 def test_blank_word_is_the_empty_word():
     assert parse_word("") == parse_word("  ") == ()
 
@@ -535,6 +556,40 @@ def test_sweep_canonical_words_match_canonicalize(monkeypatch):
             }
             for rule, removed, added, after in steps
         ]
+
+
+# sha256 of repr([(word, _rewrite(word, n)) ...]) over every word of 1 to L
+# generators at n, numbered as all_generators(n) lists them; (3, 5) and
+# (4, 3) are the bench sweeps.  Canonical words and steps must not move.
+REWRITE_DIGESTS = {
+    (2, 6): "f35d73bf828b1156bf56271f57a7f29d5c544dcc226e7fd2776bd846cd26df11",
+    (3, 5): "a3956f932927cf2e0c796483809e161d60b42e48dc9256f5af8e4857edb25e16",
+    (4, 3): "94b38d843dd9f4b1ff85a8a97f613bb8fee06e1f12c365bb13aba9745644d5f2",
+    (5, 2): "30afef2d6f4c151bab9345ea84f01779f41afffda4fc8d60b2ffeccc6f4817f4",
+}
+
+
+@pytest.mark.parametrize(("n", "max_len"), sorted(REWRITE_DIGESTS))
+def test_rewrite_core_output_is_pinned(n, max_len):
+    codes = [gz._codes(n).code[g] for g in all_generators(n)]
+    words = [word for size in range(1, max_len + 1)
+             for word in combinations_with_replacement(codes, size)]
+    text = repr([(word, gz._rewrite(word, n)) for word in words])
+    assert hashlib.sha256(text.encode()).hexdigest() == REWRITE_DIGESTS[n, max_len]
+
+
+def test_the_chain_memo_is_bounded_by_the_flag_multisets():
+    # straightening never adds a flag, so a sweep up to length L looks up
+    # at most the multisets of at most L flags, and a second sweep none new
+    gz._codes.cache_clear()
+    for n, max_len, bound in ((3, 5, 3003), (4, 3, 3276)):
+        t = gz._codes(n)
+        assert comb(t.flags + max_len, max_len) == bound
+        confluence_sweep(n, max_len)
+        kept = len(t.chains)
+        assert 0 < kept <= bound
+        confluence_sweep(n, max_len)
+        assert len(t.chains) == kept
 
 
 @pytest.mark.parametrize("text", ["[{1,2,3},0]", "[-4]"])
