@@ -8,9 +8,11 @@ ideals at n = 2, 3, and the reduced bases of every lemma ideal at n = 2, 3
 under the row-completing order, are compared, as `poly_to_text` lines in
 the order of their basis, with tests/golden/gb.json.  The canonical word and
 trace of every n = 3 word of length <= 3 and every n = 4 word of length
-<= 2 that rewrites at all, and the `results` of `gz verify --n 3` (with
+<= 2 that rewrites at all, the `results` of `gz verify --n 3` (with
 the default and with 5 as the largest word length), of `gz verify --n 4`
-and of README's `gz subduct` example, are compared with
+and of README's `gz subduct` example, and the `poly_to_text` lines of
+`relation_families(n)` and `flag_presentation(n)` (as lines at n = 2, 3,
+as the sha256 of the lines at n = 4) are compared with
 tests/golden/gz.json.  The
 exit code and whole report, but its top-level `seconds`, of each fast README
 command line and of `suite --level full` are compared with
@@ -25,6 +27,7 @@ and names the answer that changed.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -42,7 +45,14 @@ from tvbcox.cox import (
     quiver_ideal,
     row_completing_order,
 )
-from tvbcox.gz import all_generators, build_psi, canonicalize, word_to_text
+from tvbcox.gz import (
+    all_generators,
+    build_psi,
+    canonicalize,
+    flag_presentation,
+    relation_families,
+    word_to_text,
+)
 from tvbcox.poly import PolyRing, buchberger, grevlex, poly_to_text, ring_map_kernel
 from oracles import kaneyama_bundle, placed_sparse_bundle, serialize_bundle
 
@@ -229,9 +239,26 @@ def engine_answers():
     return json.dumps(texts, indent=1) + "\n", counts
 
 
+def relation_texts():
+    """The poly_to_text lines of relation_families(n) and
+    flag_presentation(n), in emitted order: the lines themselves at n = 2, 3
+    and the sha256 of their newline-joined text at n = 4."""
+    texts = {}
+    for n in (2, 3, 4):
+        psi = build_psi(n)
+        for name, family in (("relation_families", relation_families),
+                             ("flag_presentation", flag_presentation)):
+            lines = [poly_to_text(r) for r in family(n, psi)]
+            if n == 4:
+                lines = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            texts[f"{name}({n})"] = lines
+    return texts
+
+
 def gz_answers():
     """Canonical word and trace of each word that rewrites, n = 3 up to
-    length 3 and n = 4 up to length 2, and four gz command results."""
+    length 3 and n = 4 up to length 2, four gz command results and the
+    relation texts."""
     traces = {}
     for n, max_len in ((3, 3), (4, 2)):
         for size in range(1, max_len + 1):
@@ -251,6 +278,7 @@ def gz_answers():
         "gz subduct --n 3": command_results(
             ["gz", "subduct", "--n", "3", "--word1", "[-2],[{1,2},1]",
              "--word2", "[-1],[{1,2},2]"])[1],
+        "relations": relation_texts(),
     }
     return json.dumps(answers, indent=1) + "\n"
 
