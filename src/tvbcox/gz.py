@@ -13,7 +13,8 @@ import re
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, combinations_with_replacement, zip_longest
-from math import comb
+from math import comb, lcm
+from operator import add
 from typing import NamedTuple
 
 from .cox import (
@@ -28,6 +29,7 @@ from .linalg import left_kernel_basis
 from .poly import (
     CapExceeded,
     Ideal,
+    Polynomial,
     RingMap,
     lex,
     normal_form,
@@ -176,16 +178,21 @@ def generator_to_text(gen):
 _GENERATOR = re.compile(
     r"\s*\[\s*(?:-\s*([0-9]+)|\{\s*([0-9]+(?:\s*,\s*[0-9]+)*)?\s*\}\s*(?:,\s*([0-9]+))?)\s*\]\s*"
 )
+# Most digits a number in a generator may have: every column and mark is at
+# most n, far below this, and int() never meets Python's own digit limit.
+GENERATOR_DIGITS = 9
 
 
 def parse_generator(text):
     """The generator written as generator_to_text writes it; a flag's mark
     may be left out for 0.  Raises ValueError naming the text for anything
-    else: a blank or doubled comma, a missing brace or comma, a sign or a
-    repeated column."""
+    else: a blank or doubled comma, a missing brace or comma, a sign, a
+    repeated column or a number of more than GENERATOR_DIGITS digits."""
     match = _GENERATOR.fullmatch(text)
     if match is None:
         raise ValueError(f"bad generator syntax: {text!r}")
+    if any(len(digits) > GENERATOR_DIGITS for digits in re.findall(r"[0-9]+", text)):
+        raise ValueError(f"number of more than {GENERATOR_DIGITS} digits in generator {text!r}")
     neg, cols, mark = match.groups()
     if neg is not None:
         return MarkedGenerator.neg(int(neg))
@@ -342,58 +349,89 @@ def quadratic_plucker_relations(n, psi):
 
     Computed degree by degree: products of two P-variables share a torus
     multidegree exactly when their column multisets agree, and inside each
-    group the kernel of the presentation map is exact linear algebra.
-    Raises CapExceeded, before psi is read, past PAIR_CAP pairs.
+    group the kernel of the presentation map is exact linear algebra on the
+    rows of the pair images.  Each kernel vector is then proved on those
+    rows: psi(rel) is the sum of its coefficients times the pair images, so
+    the vector scaled to integers times the rows must be zero.  The images
+    live only until their group's rows are built.  Raises CapExceeded,
+    before psi is read, past PAIR_CAP pairs, and AssertionError("relations
+    with nonzero image: ...") naming the relations whose check fails.
     """
     plucker_pair_count(n)
     source = psi.source
+    column_sets = flag_column_sets(n)
     groups = {}
-    for a, b in combinations_with_replacement(flag_column_sets(n), 2):
+    for a, b in combinations_with_replacement(column_sets, 2):
         groups.setdefault(tuple(sorted(chain(a, b))), []).append((a, b))
-    relations = []
+    # the exponent vector of each P-variable; a pair monomial is their sum
+    exps = {cols: tuple(int(k == source.index[p_name(cols)]) for k in range(source.nvars))
+            for cols in column_sets}
+    relations, bad = [], []
     for key in sorted(groups):
         pairs = groups[key]
         if len(pairs) < 2:
             continue
-        monomials = [source.var(p_name(a)) * source.var(p_name(b)) for a, b in pairs]
-        images = [psi(mono) for mono in monomials]
-        support = sorted({m for img in images for m in img.terms})
-        rows = [[img.terms.get(m, 0) for m in support] for img in images]
+        monomials = [tuple(map(add, exps[a], exps[b])) for a, b in pairs]
+        rows = _image_rows(psi, monomials)
         for coeffs in left_kernel_basis(rows):
-            rel = source.zero()
-            for c, mono in zip(coeffs, monomials):
-                rel = rel + c * mono
+            rel = Polynomial(source, {
+                mono: c.numerator if c.denominator == 1 else c
+                for c, mono in zip(coeffs, monomials) if c
+            })
+            if not _vanishes(coeffs, rows):
+                bad.append(poly_to_text(rel))
             relations.append(rel)
+    if bad:
+        raise AssertionError(f"relations with nonzero image: {bad[:3]}")
     return relations
 
 
-def _relations(n, psi, columns):
-    """The quadratic Plucker relations and the Euler-type quadrics for
-    every tau in columns with |tau| <= n - 2."""
-    rels = quadratic_plucker_relations(n, psi)
-    for size in range(0, n - 1):
-        for tau in combinations(columns, size):
-            rels.append(euler_flag_relation(n, tau, psi))
-    return rels
+def _image_rows(psi, monomials):
+    """The psi-image of each monomial as an integer row over the sorted
+    union of their supports; the images are dropped on return."""
+    images = [psi(Polynomial(psi.source, {mono: 1})).terms for mono in monomials]
+    support = sorted({m for img in images for m in img})
+    return [[img.get(m, 0) for m in support] for img in images]
+
+
+def _vanishes(coeffs, rows):
+    """Whether the rational combination of the rows is zero, summed as its
+    integer multiple by the common denominator."""
+    scale = lcm(*(c.denominator for c in coeffs))
+    total = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        k = c.numerator * (scale // c.denominator)
+        if k:
+            total = [t + k * x for t, x in zip(total, row)]
+    return not any(total)
+
+
+def _euler_quadrics(n, psi, columns):
+    """The Euler-type quadrics for every tau in columns with |tau| <= n - 2."""
+    return [euler_flag_relation(n, tau, psi)
+            for size in range(0, n - 1) for tau in combinations(columns, size)]
 
 
 def relation_families(n, psi):
     """All emitted relations: quadratic Plucker exchanges plus the
     Euler-type quadrics with tau in [n]; raises AssertionError unless
-    every element has presentation image zero."""
-    rels = _relations(n, psi, range(1, n + 1))
-    bad = [poly_to_text(r) for r in rels if psi(r) != 0]
+    every element has presentation image zero.  quadratic_plucker_relations
+    proves its own relations on its pair images; the Euler-type quadrics
+    are sent through psi here."""
+    plucker = quadratic_plucker_relations(n, psi)
+    euler = _euler_quadrics(n, psi, range(1, n + 1))
+    bad = [poly_to_text(r) for r in euler if psi(r) != 0]
     if bad:
         raise AssertionError(f"relations with nonzero image: {bad[:3]}")
-    return rels
+    return plucker + euler
 
 
 def flag_presentation(n, psi):
     """relation_families(n, psi) plus the Euler-type quadrics whose column
     sets contain 0, tau = {0} | tau' with |tau'| <= n - 3: the relations
-    whose ideal psi_kernel proves to be ker(psi).  The images are not
-    checked here; the contained certificate checks them."""
-    return _relations(n, psi, range(n + 1))
+    whose ideal psi_kernel proves to be ker(psi).  The Euler-type images
+    are not checked here; the contained certificate checks them."""
+    return quadratic_plucker_relations(n, psi) + _euler_quadrics(n, psi, range(n + 1))
 
 
 def flag_sigma(psi, n):

@@ -648,16 +648,21 @@ def symbolic_det(rows):
 
 def _expand(f, images, target, powers):
     """f under variable -> Polynomial images in target, expanded on term
-    dicts; powers memoizes images[i] ** e as terms by (i, e), so a caller
-    whose images are fixed can keep it."""
+    dicts: each term starts from the power of its first variable's image,
+    times its coefficient, and takes one product per further variable.
+    powers memoizes images[i] ** e as terms by (i, e), so a caller whose
+    images are fixed can keep it."""
     out = {}
     for m, c in f.terms.items():
-        part = {(0,) * target.nvars: c}
+        part = None
         for i, e in enumerate(m):
             if e:
                 if images[i] is None:
                     raise ValueError(f"no image for variable {f.ring.names[i]}")
-                part = _times(part, _power(images, i, e, powers))
+                factor = _power(images, i, e, powers)
+                part = {t: c * a for t, a in factor.items()} if part is None else _times(part, factor)
+        if part is None:
+            part = {(0,) * target.nvars: c}
         for t, a in part.items():
             out[t] = out.get(t, 0) + a
     return _polynomial(target, out)
@@ -695,7 +700,8 @@ class RingMap:
 
     Images may be Laurent monomials (negative exponents); a call expands
     symbolically.  The images are fixed when the map is built, so the map
-    memoizes their powers across calls.
+    memoizes their powers across calls, and nothing else: the image of a
+    monomial or polynomial is expanded afresh on every call.
     """
 
     def __init__(self, source, target, images):

@@ -403,6 +403,22 @@ def test_gz_subduct_refuses_a_malformed_generator_by_name(capsys, generator, mes
     assert f"input error: {message}" in err and repr(generator) in err
 
 
+@pytest.mark.parametrize(
+    "generator",
+    ["[-" + "9" * 5000 + "]", "[{1," + "2" * 5000 + "},0]", "[{1,2}," + "0" * 10 + "]"],
+)
+def test_gz_subduct_refuses_an_over_long_number_by_name(capsys, generator):
+    # refused before int(), so the message is the same whether or not the
+    # interpreter limits the digits of an integer conversion
+    code, out, err = run(
+        capsys, "gz", "subduct", "--n", "3", "--word1", generator, "--word2", "[-0]"
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == (f"input error: number of more than {gz.GENERATOR_DIGITS} digits "
+                   f"in generator {generator!r}\n")
+
+
 def test_gz_subduct_checks_generators_before_summing(capsys):
     code, _, err = run(
         capsys, "gz", "subduct", "--n", "2", "--word1", "[-5]", "--word2", "[-5]"

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -412,6 +413,13 @@ def test_malformed_generator_is_refused_by_name(text):
         parse_generator(text)
 
 
+def test_a_number_has_at_most_generator_digits_digits():
+    longest = "9" * gz.GENERATOR_DIGITS
+    assert parse_generator(f"[-{longest}]") == MarkedGenerator.neg(int(longest))
+    with pytest.raises(ValueError, match=r"number of more than 9 digits in generator '\[-0{10}\]'"):
+        parse_generator("[-" + "0" * 10 + "]")
+
+
 def test_repeated_column_is_refused_by_name():
     with pytest.raises(ValueError, match=r"repeated column in generator '\[\{1,1\},0\]'"):
         parse_generator("[{1,1},0]")
@@ -697,6 +705,46 @@ def test_negative_control_sign_flip_detected():
     tampered = poly.RingMap(psi.source, psi.target, tampered_images)
     with pytest.raises(AssertionError):
         gz_relation_check(2, tampered)
+
+
+def first_vector_perturbed(monkeypatch):
+    """Make gz.left_kernel_basis return its first vector, the one of the
+    relation P0*P12 - P1*P02 + P2*P01 at n = 3, with 3/2 for its leading 1."""
+    original, calls = gz.left_kernel_basis, []
+
+    def perturbed(rows):
+        vectors = original(rows)
+        if not calls:
+            vectors[0][0] = Fraction(3, 2)
+        calls.append(rows)
+        return vectors
+
+    monkeypatch.setattr(gz, "left_kernel_basis", perturbed)
+
+
+@pytest.mark.parametrize("family", [quadratic_plucker_relations, relation_families])
+def test_a_perturbed_plucker_coefficient_is_refused_by_name(monkeypatch, family):
+    psi = build_psi(3)
+    first_vector_perturbed(monkeypatch)
+    with pytest.raises(AssertionError, match=re.escape(
+            "relations with nonzero image: ['P2*P01 - P1*P02 + 3/2*P0*P12']")):
+        family(3, psi)
+
+
+def test_a_flipped_euler_sign_is_refused_by_name(monkeypatch):
+    psi = build_psi(3)
+    v = psi.source.var
+    flipped = v("x0") * v("P0") - v("x1") * v("P1") + v("x2") * v("P2") + v("x3") * v("P3")
+    original = gz.euler_flag_relation
+
+    def one_sign_flipped(n, tau, psi):
+        rel = original(n, tau, psi)
+        return rel - 2 * v("x1") * v("P1") if not tau else rel
+
+    monkeypatch.setattr(gz, "euler_flag_relation", one_sign_flipped)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"relations with nonzero image: [{poly_to_text(flipped)!r}]")):
+        relation_families(3, psi)
 
 
 def test_gz_relation_check_reuses_psi(monkeypatch):
