@@ -107,8 +107,8 @@ def euler_minor(target, n, rows, cols):
     y = [[target.var(yy_name(i, j)) for j in range(1, n + 1)] for i in rows]
     square = cols[len(cols) - len(rows) :]
     image = symbolic_det([[r[j - 1] if j else -sum(r, target.zero()) for j in square] for r in y])
-    t_cols = {target.index[t_name(j)] for j in cols}
-    return image * target.monomial(int(k in t_cols) for k in range(target.nvars))
+    t_names = {t_name(j) for j in cols}
+    return image * target.monomial(int(name in t_names) for name in target.names)
 
 
 def minor_map(n, m, minors):

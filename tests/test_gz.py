@@ -710,13 +710,13 @@ def test_negative_control_sign_flip_detected():
 def first_vector_perturbed(monkeypatch):
     """Make gz.left_kernel_basis return its first vector, the one of the
     relation P0*P12 - P1*P02 + P2*P01 at n = 3, with 3/2 for its leading 1."""
-    original, calls = gz.left_kernel_basis, []
+    original, called = gz.left_kernel_basis, []
 
     def perturbed(rows):
         vectors = original(rows)
-        if not calls:
+        if not called:
             vectors[0][0] = Fraction(3, 2)
-        calls.append(rows)
+            called.append(True)
         return vectors
 
     monkeypatch.setattr(gz, "left_kernel_basis", perturbed)
