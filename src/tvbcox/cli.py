@@ -167,6 +167,8 @@ def cmd_cox_tangent(args):
             f"--verify-kernel checks the m = n presentation only, got n = {args.n}, m = {args.m}"
         )
     ideal = cox.tangent_cox_ideal(args.n, args.m)
+    # the proof checks its cap before the basis below is computed
+    kernel = cox.verify_kernel(args.n, allow_large=args.allow_large) if args.verify_kernel else None
     results = {
         "n": args.n,
         "m": args.m,
@@ -182,10 +184,10 @@ def cmd_cox_tangent(args):
     else:
         gens = ideal.gens
     results["generators"] = [poly.poly_to_text(g, order) for g in gens]
-    if args.verify_kernel:
+    if kernel is not None:
         inputs += ",--verify-kernel"
-        results["kernel"] = cox.verify_kernel(args.n, allow_large=args.allow_large)
-        if not results["kernel"]["equal"]:
+        results["kernel"] = kernel
+        if not kernel["equal"]:
             return inputs, results, EXIT_CHECK_FAILED
     return inputs, results, EXIT_OK
 

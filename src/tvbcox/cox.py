@@ -8,11 +8,13 @@ the Plucker identification at n = 2.
 Some of it serves the flag-ring map psi of gz.py as well: a presentation
 map is minor_map on a table of minors, each sent to its euler_minor;
 column_action and column_symmetries permute the matrix columns of any
-such table, and kernel_by_saturation proves the kernel of either map.
+such table, minor_sigma reads the map's left inverse off it, and
+minor_kernel passes both to kernel_by_saturation, which proves the
+kernel of either map.
 """
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from operator import mul
 
 from . import poly
@@ -346,23 +348,43 @@ def _clear_denominators(f):
     return f * f.ring.monomial(shift)
 
 
-def tangent_sigma(n, phi):
-    """The left inverse of phi = build_phi(n, n) once x is inverted:
-    t_j -> 1/x_j, y_ij -> x_j Y_ij."""
-    ring = phi.source
-    images = {t_name(j): ring.var(x_name(j)) ** -1 for j in range(n + 1)}
-    for i, j in product(range(1, n + 1), repeat=2):
-        images[yy_name(i, j)] = ring.var(x_name(j)) * ring.var(y_name(i, j))
-    return RingMap(phi.target, ring, images)
+def minor_sigma(phi, minors, n):
+    """The left inverse of the presentation map phi of a minor table, read
+    off the table: t_j -> 1/x_j, and y_ij -> x_j M(rows, (1..r-1, j)) /
+    M(rows[:-1], (1..r-1)) for the minor M of the table on r rows ending
+    in row i, j >= r, the denominator 1 when r = 1; y_ij -> 0 when the
+    table has no such minor.  For phi it is y_ij -> x_j Y_ij.  For psi it
+    inverts the leading minors P_1, ..., P_{1..n-2} as well; where they
+    are units, lower unipotent row operations clear the entries below the
+    diagonal and fix every top-justified minor (the big cell of the flag
+    variety, Fulton 1997, Young Tableaux, section 9)."""
+    ring, target = phi.source, phi.target
+    named = {(rows, cols): name for name, rows, cols in minors}
+    images = {name: ring.zero() for name in target.names}
+    images.update({t_name(j): ring.var(x_name(j)) ** -1 for j in range(n + 1)})
+    for (rows, cols), name in named.items():
+        r, j = len(rows), cols[-1]
+        if cols[:-1] == tuple(range(1, r)) and j >= r:
+            below = ring.var(named[rows[:-1], cols[:-1]]) ** -1 if r > 1 else ring.one()
+            images[yy_name(rows[-1], j)] = ring.var(x_name(j)) * ring.var(name) * below
+    return RingMap(target, ring, images)
+
+
+def minor_kernel(claimed, phi, minors, n, weights):
+    """kernel_by_saturation for the presentation map phi of a minor table:
+    J = claimed, minor_sigma's left inverse and the table's
+    column_symmetries, which carry x_0 to every x_j."""
+    return kernel_by_saturation(
+        claimed, phi, minor_sigma(phi, minors, n), weights,
+        column_symmetries(phi.source, minors, n),
+    )
 
 
 def tangent_kernel(n, phi):
-    """kernel_by_saturation for phi = build_phi(n, n): J = tangent_cox_ideal(n, n),
-    tangent_sigma inverting the x_j, the weights -a + 3b and the column
-    symmetries, which carry x_0 to every x_j, so only x_0 is saturated."""
-    return kernel_by_saturation(
-        tangent_cox_ideal(n, n), phi, tangent_sigma(n, phi), presentation_weights(n, n),
-        column_symmetries(phi.source, presentation_minors(n, n), n),
+    """minor_kernel for phi = build_phi(n, n): J = tangent_cox_ideal(n, n)
+    and the weights -a + 3b; the proof saturates x_0 alone."""
+    return minor_kernel(
+        tangent_cox_ideal(n, n), phi, presentation_minors(n, n), n, presentation_weights(n, n)
     )
 
 

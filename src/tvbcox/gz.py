@@ -18,8 +18,7 @@ from operator import add
 from typing import NamedTuple
 
 from .cox import (
-    column_symmetries,
-    kernel_by_saturation,
+    minor_kernel,
     minor_map,
     t_name,
     x_name,
@@ -30,7 +29,6 @@ from .poly import (
     CapExceeded,
     Ideal,
     Polynomial,
-    RingMap,
     lex,
     normal_form,
     poly_to_text,
@@ -434,39 +432,14 @@ def flag_presentation(n, psi):
     return quadratic_plucker_relations(n, psi) + _euler_quadrics(n, psi, range(n + 1))
 
 
-def flag_sigma(psi, n):
-    """The left inverse of psi once x_0..x_n and the leading minors P_1,
-    P_12, ..., P_{1..n-2} are inverted: t_j -> 1/x_j, y_ij -> 0 for j < i
-    and y_ij -> x_j P_{{1..i-1}+j} / P_{1..i-1} for j >= i.  Where the
-    leading minors are units, lower unipotent row operations clear the
-    entries below the diagonal and fix every top-justified minor (the big
-    cell of the flag variety, Fulton 1997, Young Tableaux, section 9)."""
-    source = psi.source
-    images = {t_name(j): source.var(x_name(j)) ** -1 for j in range(n + 1)}
-    for i in range(1, n):
-        head = frozenset(range(1, i))
-        lead = source.var(p_name(head)) ** -1 if head else source.one()
-        for j in range(1, n + 1):
-            images[yy_name(i, j)] = (
-                source.var(x_name(j)) * source.var(p_name(head | {j})) * lead
-                if j >= i
-                else source.zero()
-            )
-    return RingMap(psi.target, source, images)
-
-
 def flag_kernel(n, psi):
-    """kernel_by_saturation for psi: J the ideal of flag_presentation(n),
-    flag_sigma inverting x_0..x_n and the leading minors P_1, ...,
-    P_{1..n-2}, and the column_symmetries of flag_minors(n), which
-    carry x_0 to every x_j and P_{1..k} to every P_S with |S| = k."""
+    """minor_kernel for psi: J the ideal of flag_presentation(n) and the
+    weights below; the column symmetries carry P_{1..k} to every P_S with
+    |S| = k, so the proof saturates x_0 and the leading minors."""
     ring, minors = psi.source, flag_minors(n)
     # x_j weighs 1 and P over cols weighs |cols|: every relation is homogeneous
     weights = [1] * (n + 1) + [len(cols) for _, _, cols in minors]
-    return kernel_by_saturation(
-        Ideal(ring, flag_presentation(n, psi)), psi, flag_sigma(psi, n), weights,
-        column_symmetries(ring, minors, n),
-    )
+    return minor_kernel(Ideal(ring, flag_presentation(n, psi)), psi, minors, n, weights)
 
 
 PSI_KERNEL_CAP = 4

@@ -10,7 +10,9 @@ exponents term by term instead of filtering divisors by support masks,
 column sets enumerated by size instead of read off the marked flags,
 generators enumerated as negated variables and then flags instead of as
 marks on column sets of every size, and column permutations applied to
-the presentation matrix instead of to a table of minors.  It also holds
+the presentation matrix instead of to a table of minors, and the left
+inverses of the presentation maps in closed form instead of read off a
+table of minors.  It also holds
 helpers that only tests use.
 """
 
@@ -20,7 +22,7 @@ from functools import cmp_to_key
 from itertools import combinations, permutations
 
 from tvbcox import bundle, poly
-from tvbcox.cox import lemma_ring, maximal_minors, t_name, x_name, yy_name
+from tvbcox.cox import lemma_ring, maximal_minors, t_name, x_name, y_name, yy_name
 from tvbcox.gz import MarkedGenerator, p_name
 
 
@@ -172,6 +174,29 @@ def permuted_columns(target, n, perm):
         columns = [-sum(y, target.zero())] + y
         images.update({yy_name(i, j): columns[perm[j]] for j in range(1, n + 1)})
     return poly.RingMap(target, target, images)
+
+
+def left_inverse_images(kind, source, n):
+    """The images of the left inverse of phi at m = n (kind "phi") or of
+    psi (kind "psi") on the source ring of the map, by their closed forms:
+    t_j -> 1/x_j, and y_ij -> x_j Y_ij for phi; for psi y_ij -> x_j
+    P_{[i-1]+j} / P_{[i-1]} when j >= i, P_{[0]} read as 1, and y_ij -> 0
+    below the diagonal."""
+    images = {t_name(j): source.var(x_name(j)) ** -1 for j in range(n + 1)}
+    for i in range(1, n + 1 if kind == "phi" else n):
+        head = set(range(1, i))
+        for j in range(1, n + 1):
+            x = source.var(x_name(j))
+            if kind == "phi":
+                images[yy_name(i, j)] = x * source.var(y_name(i, j))
+            elif j < i:
+                images[yy_name(i, j)] = source.zero()
+            else:
+                image = x * source.var(p_name(head | {j}))
+                if head:
+                    image = image * source.var(p_name(head)) ** -1
+                images[yy_name(i, j)] = image
+    return images
 
 
 def minors_only_dimension(n):

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from tvbcox import bundle, cli, cox, gz
+from tvbcox import bundle, cli, cox, gz, poly
 from tvbcox.bundle import example_514_bundle, tangent_bundle
 from tvbcox.cli import (
     EXIT_CAP,
@@ -193,6 +193,19 @@ def test_cox_tangent_kernel_cap(capsys):
         capsys, "cox", "tangent", "--n", "5", "--m", "5", "--verify-kernel"
     )
     assert code == EXIT_CAP
+    assert "cap exceeded" in err
+
+
+def test_cox_tangent_kernel_cap_comes_before_the_basis(capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("a basis was computed before the kernel cap was checked")
+
+    monkeypatch.setattr(poly, "buchberger", refused)
+    code, out, err = run(
+        capsys, "cox", "tangent", "--n", "5", "--m", "5", "--emit", "gb", "--verify-kernel"
+    )
+    assert code == EXIT_CAP
+    assert out == ""
     assert "cap exceeded" in err
 
 

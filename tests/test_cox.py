@@ -17,6 +17,7 @@ from tvbcox.cox import (
     kernel_by_saturation,
     lemma_ideal,
     maximal_minors,
+    minor_sigma,
     phi_target_ring,
     plucker_quadrics,
     pluecker_match,
@@ -28,7 +29,6 @@ from tvbcox.cox import (
     t_name,
     tangent_cox_ideal,
     tangent_kernel,
-    tangent_sigma,
     verify_kernel,
     verify_lemma,
     w_name,
@@ -48,7 +48,12 @@ from tvbcox.poly import (
     symbolic_det,
     weight_initial,
 )
-from oracles import det_permutation_sum, minors_only_dimension, permuted_columns
+from oracles import (
+    det_permutation_sum,
+    left_inverse_images,
+    minors_only_dimension,
+    permuted_columns,
+)
 
 
 def test_euler_ideal_shape():
@@ -198,10 +203,11 @@ def test_verify_kernel_matches_the_elimination_route(n):
 
 
 def proof_inputs(n, phi):
-    """The arguments tangent_kernel gives kernel_by_saturation."""
+    """The arguments tangent_kernel gives kernel_by_saturation through
+    minor_kernel."""
     minors = presentation_minors(n, n)
     return (
-        tangent_cox_ideal(n, n), phi, tangent_sigma(n, phi), presentation_weights(n, n),
+        tangent_cox_ideal(n, n), phi, minor_sigma(phi, minors, n), presentation_weights(n, n),
         column_symmetries(phi.source, minors, n),
     )
 
@@ -253,10 +259,10 @@ def test_a_proof_that_inverts_nothing_uses_variable_0_last():
 
 
 def psi_proof_inputs(monkeypatch, n):
-    """The arguments flag_kernel gives kernel_by_saturation, caught on
-    their way in."""
+    """The arguments flag_kernel gives kernel_by_saturation through
+    minor_kernel, caught on their way in."""
     caught = []
-    monkeypatch.setattr(gz, "kernel_by_saturation", lambda *args: caught.append(args))
+    monkeypatch.setattr(cox, "kernel_by_saturation", lambda *args: caught.append(args))
     gz.flag_kernel(n, gz.build_psi(n))
     return caught[0]
 
@@ -309,13 +315,44 @@ def test_left_inverse_certificate_rejects_a_wrong_w_image(n):
     right = build_phi(n, n)
     ring = right.source
     phi = RingMap(ring, right.target, dict(right.images, W=-right.images["W"]))
-    image = tangent_sigma(n, phi)(phi(ring.var("W")))
+    image = minor_sigma(phi, presentation_minors(n, n), n)(phi(ring.var("W")))
     assert image * ring.var("x0") == -maximal_minors(ring, n)[0]
     got = tangent_kernel(n, phi)[-1]
     assert got["left_inverse"] is False
     # the new phi no longer kills det Y(j) - e x_j W either
     assert got["contained"] is False
     assert got["saturated"] and got["symmetric"]
+
+
+@pytest.mark.parametrize(
+    "case", [f"phi {n}" for n in range(1, 7)] + [f"psi {n}" for n in range(2, 6)]
+)
+def test_the_left_inverse_read_off_the_table_has_the_closed_forms(case):
+    kind, n = case.split()
+    n = int(n)
+    if kind == "phi":
+        phi, minors = build_phi(n, n), presentation_minors(n, n)
+    else:
+        phi, minors = gz.build_psi(n), gz.flag_minors(n)
+    sigma = minor_sigma(phi, minors, n)
+    assert list(sigma.images) == list(phi.target.names)
+    assert sigma.images == left_inverse_images(kind, phi.source, n)
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 3), (2, 4), (3, 4)])
+def test_the_left_inverse_read_off_the_table_extends_to_m_above_n(n, m):
+    # sigma(phi(v)) = v on x_j and on Y_ij off column 0, and
+    # x_0 sigma(phi(W_tau)) = det Y(tau; 1..n) for every n-subset tau of rows
+    phi = build_phi(n, m)
+    ring, sigma = phi.source, minor_sigma(phi, presentation_minors(n, m), n)
+    for v in [x_name(j) for j in range(n + 1)] + [
+        y_name(i, j) for i in range(1, m + 1) for j in range(1, n + 1)
+    ]:
+        assert sigma(phi(ring.var(v))) == ring.var(v), v
+    for tau in combinations(range(1, m + 1), n):
+        rows = [[ring.var(y_name(i, j)) for j in range(1, n + 1)] for i in tau]
+        minor = det_permutation_sum(rows)
+        assert ring.var(x_name(0)) * sigma(phi(ring.var(w_name(tau)))) == minor, tau
 
 
 @pytest.mark.parametrize(
@@ -413,6 +450,21 @@ def test_the_symmetries_decide_which_variables_are_saturated(saturated_names, n)
     images.update({x_name(j): ring.var(x_name(j)) + ring.var(x_name(0)) for j in range(1, n + 1)})
     certificates(n, [RingMap(ring, ring, images)])
     assert names == [x_name(j) for j in range(n + 1)]
+
+
+def test_the_symmetry_gate_passes_only_weight_keeping_bijections(saturated_names):
+    # neither map carries x_0 to x_1, so x_0, x_1 and x_2 are all saturated;
+    # a gate that let either through would saturate [x0, x2]
+    ring = build_phi(2, 2).source
+    fixed = {name: ring.var(name) for name in ring.names}
+    not_a_bijection = dict(fixed, x0=ring.var("x1"))
+    # Y1_0 weighs 2 and W weighs 3
+    moves_weights = dict(fixed, x0=ring.var("x1"), x1=ring.var("x0"), Y1_0=ring.var("W"),
+                         W=ring.var("Y1_0"))
+    for images in (not_a_bijection, moves_weights):
+        saturated_names.clear()
+        certificates(2, [RingMap(ring, ring, images)])
+        assert saturated_names == ["x0", "x1", "x2"]
 
 
 @pytest.mark.parametrize("n", [2, 3])
