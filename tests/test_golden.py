@@ -6,7 +6,9 @@ reduced grevlex Groebner bases of ker(phi) at n = 2, 3, of its
 delta-initial ideal at n = 2, of ker(psi) at n = 2, 3 and of the quiver
 ideals at n = 2, 3, and the reduced bases of every lemma ideal at n = 2, 3
 under the row-completing order, are compared, as `poly_to_text` lines in
-the order of their basis, with tests/golden/gb.json.  The canonical word and
+the order of their basis, with tests/golden/gb.json; so is every basis the
+kernel proofs of flag_kernel(4) and tangent_kernel(5) compute, as the
+sha256 of its lines.  The canonical word and
 trace of every n = 3 word of length <= 3 and every n = 4 word of length
 <= 2 that rewrites at all, the `results` of `gz verify --n 3` (with
 the default and with 5 as the largest word length), of `gz verify --n 4`
@@ -41,6 +43,7 @@ from tvbcox.bundle import BundleData, example_514_bundle, tangent_bundle, unifor
 from tvbcox.cox import (
     build_phi,
     delta_initial_ideal,
+    tangent_kernel,
     lemma_ideal,
     quiver_ideal,
     row_completing_order,
@@ -49,6 +52,7 @@ from tvbcox.gz import (
     all_generators,
     build_psi,
     canonicalize,
+    flag_kernel,
     flag_presentation,
     relation_families,
     word_to_text,
@@ -90,7 +94,8 @@ README_COMMANDS = [
 ]
 SUITE_FULL = "suite --level full"
 
-# S-polynomials each kernel elimination forms.  The engine's pair selection
+# S-polynomials each kernel elimination, and each basis of the n >= 4
+# kernel proofs, forms.  The engine's pair selection
 # and criteria decide these counts, so a change to either shows here even
 # when the bases come out the same.  The kernels are eliminated here with
 # ring_map_kernel, as a guard on the engine: verify_kernel and psi_kernel
@@ -104,6 +109,10 @@ S_POLYNOMIALS = {
     "ker psi 3": 1155,
     "tie witness 1": 6,
     "tie witness 2": 9,
+    "flag_kernel(4) x0 last": 717,
+    "flag_kernel(4) P1 last": 716,
+    "flag_kernel(4) P12 last": 787,
+    "tangent_kernel(5) x0 last": 117,
 }
 
 
@@ -199,6 +208,45 @@ def gb_text(ideal, order=None):
     return [poly_to_text(g, order) for g in ideal.groebner(order)]
 
 
+@contextlib.contextmanager
+def recording_bases():
+    """Record, in call order, each basis poly.buchberger computes inside
+    the block, as (name, poly_to_text lines, S-polynomials formed); the
+    name is the variable the order puts last, as the saturation orders
+    put the variable they saturate."""
+    bases = []
+    original = poly.buchberger
+
+    def recorded(gens, order):
+        with counting_s_polynomials() as calls:
+            basis = original(gens, order)
+        last = gens[0].ring.names[order.rows[1].index(-1)]
+        bases.append((last, [poly_to_text(g, order) for g in basis], calls[0]))
+        return basis
+
+    poly.buchberger = recorded
+    try:
+        yield bases
+    finally:
+        poly.buchberger = original
+
+
+def proof_bases():
+    """Every basis the kernel proofs compute for flag_kernel(4) and
+    tangent_kernel(5), by the variable it puts last: the sha256 of its
+    newline-joined poly_to_text lines, and the S-polynomials it forms."""
+    texts, counts = {}, {}
+    for name, proof in (("flag_kernel(4)", lambda: flag_kernel(4, build_psi(4))),
+                        ("tangent_kernel(5)", lambda: tangent_kernel(5, build_phi(5, 5)))):
+        with recording_bases() as bases:
+            proof()
+        for last, lines, calls in bases:
+            key = f"{name} {last} last"
+            texts[key] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            counts[key] = calls
+    return texts, counts
+
+
 def tie_witnesses():
     """Small inhomogeneous systems whose pair queues meet equal lcms."""
     ring = PolyRing(["x", "y", "z"])
@@ -235,6 +283,9 @@ def engine_answers():
                 ideal, _ = lemma_ideal(n, subset)
                 name = f"lemma {n} {{{','.join(map(str, subset))}}}"
                 texts[name] = gb_text(ideal, row_completing_order(ideal.ring, n))
+    proofs, proof_counts = proof_bases()
+    texts.update(proofs)
+    counts.update(proof_counts)
     texts = {name: texts[name] for name in sorted(texts)}
     return json.dumps(texts, indent=1) + "\n", counts
 
