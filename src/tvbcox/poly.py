@@ -10,11 +10,12 @@ dicts themselves, and its one product (_times) and one power (_power) serve
 both Polynomial * and ** and ring-map images.
 """
 
+import struct
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import chain, combinations, compress, count
-from operator import add, le, sub
+from itertools import chain, combinations, count
+from operator import add, or_
 
 from .linalg import rational_rank
 
@@ -193,28 +194,29 @@ class MatrixOrder:
     """Term order given by an integer matrix (Robbiano 1985).
 
     A monomial's key is the tuple of row . exps, compared lexicographically;
-    max(key) is the lead term, as is min(neg_key), the negated rows' key.
-    Lex, grevlex, weight and block orders are all matrix orders, built by
-    the constructors below.  Full column rank keeps keys distinct.
+    max(key) is the lead term.  Lex, grevlex, weight and block orders are
+    all matrix orders, built by the constructors below.  Full column rank
+    keeps keys distinct.  packings holds the engine's packings of the
+    order, one per field width, built when first used.
     """
 
-    __slots__ = ("rows", "key", "neg_key")
+    __slots__ = ("rows", "key", "packings")
 
     def __init__(self, rows):
         self.rows = tuple(map(tuple, rows))
         rank, ncols = rational_rank(self.rows), len(self.rows[0]) if self.rows else 0
         if rank < ncols:
             raise ValueError(f"order matrix has rank {rank} < {ncols} columns: not a total order")
-        self.key = _compile_key(self.rows)
-        self.neg_key = _compile_key([[-a for a in row] for row in self.rows])
+        self.key = eval(f"lambda e: ({''.join(p + ',' for p in _row_sums(self.rows))})")
+        self.packings = {}
 
 
-def _compile_key(rows):
-    # The key runs on every step of normal_form, so it is compiled once into
-    # one flat tuple expression over the nonzero entries, e.g.
-    # lambda e: (e[0]+e[1]+e[2], -e[2], -e[1]); a Python loop over the rows
-    # per call is an order of magnitude slower.  The entries are ints, so
-    # the generated source holds nothing but indices and integers.
+def _row_sums(rows):
+    # The key and the engine's packing are compiled once from flat
+    # expressions over the nonzero entries, e.g. e[0]+e[1]+e[2], -e[2] and
+    # -e[1] for grevlex on three variables; a Python loop over the rows per
+    # call is an order of magnitude slower.  The entries are ints, so the
+    # generated source holds nothing but indices and integers.
     parts = []
     for row in rows:
         terms = []
@@ -223,7 +225,7 @@ def _compile_key(rows):
                 coeff = "" if a == 1 else "-" if a == -1 else f"{a}*"
                 terms.append(f"{coeff}e[{i}]")
         parts.append("+".join(terms).replace("+-", "-") or "0")
-    return eval(f"lambda e: ({''.join(p + ',' for p in parts)})")
+    return parts
 
 
 def _grevlex_rows(nvars, idx):
@@ -259,29 +261,99 @@ def elimination_order(ring, drop_names):
 
 
 # ---------------------------------------------------------------------------
-# division and Buchberger
+# packed monomials
 
 
-def _require_orthant(polys):
-    for f in polys:
-        for m in f.terms:
-            if any(e < 0 for e in m):
+class _Overflow(Exception):
+    """An exponent outgrew its field: the run starts over with wider ones."""
+
+
+class _Packing:
+    """The monomials of an order's ring as ints, M = (K << width(E)) | E.
+
+    E holds the exponents, `size` bytes a variable, variable 0 highest.  The
+    top bit of each field is a guard, so an exponent is below 2^(8 size - 1).
+    K holds the order's rows, most significant first, each as row . e less
+    its least value over those exponents, in the narrowest struct field that
+    holds its largest.  So the packing is linear: a product is +, the shift
+    m - lt of a divisor is - (the biases cancel), and ints compare as the
+    order's keys do.  The sum of two valid exponents stays below
+    2^(8 size), so an exponent that outgrows its field sets its guard bit
+    and changes no other field.
+    """
+
+    __slots__ = ("pack", "exponents", "guard", "emask", "low")
+
+    def __init__(self, order, size):
+        nvars, bits = len(order.rows[0]), 8 * size
+        emax = (1 << bits - 1) - 1
+        fields, codes = [], ""
+        for row, expr in zip(order.rows, _row_sums(order.rows)):
+            low, span = emax * sum(a for a in row if a < 0), emax * sum(map(abs, row))
+            code = next((c for c in "BHIQ" if not span >> 8 * struct.calcsize(c)), None)
+            if code is None:
+                raise CapExceeded(f"an order row outgrows 64 bits at exponents up to {emax}")
+            fields.append(f"{expr}+{-low},")
+            codes += code
+        # signed exponent fields: a negative exponent packs with its guard set
+        exps = struct.Struct(">" + "bhi"[size.bit_length() - 1] * nvars)
+        layout = struct.Struct(">" + codes + exps.format[1:])
+        self.pack = eval(
+            f"lambda e: from_bytes(pack({''.join(fields)}*e), 'big')",
+            {"from_bytes": int.from_bytes, "pack": layout.pack},
+        )
+        length, offset = layout.size, layout.size - exps.size
+        self.exponents = lambda m: exps.unpack_from(m.to_bytes(length, "big"), offset)
+        self.guard = int.from_bytes((b"\x80" + bytes(size - 1)) * nvars, "big")
+        self.emask = (1 << exps.size * 8) - 1
+        self.low = bits - 1
+
+    def terms(self, f):
+        """f's terms, packed.  Raises ValueError on a negative exponent and
+        _Overflow on one its field cannot hold."""
+        try:
+            packed = {self.pack(m): c for m, c in f.terms.items()}
+        except struct.error:
+            packed = None
+        if packed is None or reduce(or_, packed, 0) & self.guard:
+            if any(e < 0 for m in f.terms for e in m):
                 raise ValueError("Laurent exponents are not allowed here")
+            raise _Overflow
+        return packed
+
+    def polynomial(self, ring, terms):
+        return _polynomial(ring, {self.exponents(m): c for m, c in terms.items()})
+
+    def lcm(self, a, b):
+        """The lcm of two exponent parts E: a SWAR max, field by field."""
+        ge = ((a | self.guard) - b) & self.guard  # the guard of each field where a >= b
+        take = ge - (ge >> self.low)
+        return a & take | b & ~take
 
 
-def _divides(a, b):
-    return all(map(le, a, b))
+def _packed_run(polys, order, run):
+    """run(packing) in the narrowest fields, 1, 2 or 4 bytes a variable,
+    that no exponent of polys and none the run makes outgrows; past
+    2^31 - 1, CapExceeded.  Raises ValueError first unless polys come from
+    one ring with as many variables as the order has columns."""
+    rings = {f.ring for f in polys}
+    if len(rings) > 1:
+        raise ValueError(f"polynomials from different rings: {', '.join(sorted(map(repr, rings)))}")
+    for ring in rings:
+        if ring.nvars != len(order.rows[0]):
+            raise ValueError(f"an order on {len(order.rows[0])} variables for {ring!r}")
+    for size in (1, 2, 4):
+        if size not in order.packings:
+            order.packings[size] = _Packing(order, size)
+        try:
+            return run(order.packings[size])
+        except _Overflow:
+            pass
+    raise CapExceeded("an exponent outgrew 31 bits")
 
 
-@lru_cache(maxsize=None)
-def _bits(nvars):
-    return tuple(1 << i for i in range(nvars))
-
-
-def _support(m):
-    """Bitmask of the variables of m (bit i iff m[i] > 0), a plain int of
-    any width: a divides b only if a's support is a subset of b's."""
-    return sum(compress(_bits(len(m)), m))
+# ---------------------------------------------------------------------------
+# division and Buchberger
 
 
 def _engine(c):
@@ -295,16 +367,11 @@ def _polynomial(ring, terms):
     return Polynomial(ring, {m: _engine(c) for m, c in terms.items() if c})
 
 
-def _divisor(g, order):
-    """g as a divisor (lead, coeff, support of lead, tail, g), the tail
-    holding g's other terms."""
-    lt, lc = g.leading_term(order)
-    return lt, lc, _support(lt), [t for t in g.terms.items() if t[0] != lt], g
-
-
-def _mono_lcm(a, b):
-    # a comprehension: map(max, a, b) is three times slower on Python 3.11
-    return tuple([x if x > y else y for x, y in zip(a, b)])
+def _divisor(terms, p):
+    """Packed terms as a divisor (lead, coeff, tail, exponents of the lead,
+    terms, packing p), the tail holding the other terms."""
+    lt = max(terms)
+    return lt, terms[lt], [t for t in terms.items() if t[0] != lt], lt & p.emask, terms, p
 
 
 def normal_form(f, gens, order):
@@ -313,47 +380,54 @@ def normal_form(f, gens, order):
     Deterministic: the largest reducible term is always reduced against the
     first divisor (in list order) whose lead term divides it.
     """
-    _require_orthant([f] + list(gens))
-    return _polynomial(f.ring, _reduce(f, [_divisor(g, order) for g in gens if g], order))
+    return _packed_run([f, *gens], order, lambda p: p.polynomial(
+        f.ring, _reduce(p.terms(f), [_divisor(p.terms(g), p) for g in gens if g], p)))
 
 
 def membership_test(basis, order):
     """The test f -> (f reduces to 0 against basis), a Groebner basis under
     order: the same division as normal_form, with the basis checked and
-    its divisors built once for every f tested."""
-    _require_orthant(basis)
-    divisors = [_divisor(g, order) for g in basis if g]
+    packed into divisors once for every f tested."""
+    packed = {}  # packing -> the basis as its divisors, None if it overflowed
+
+    def divisors(p):
+        if p not in packed:
+            packed[p] = None
+            packed[p] = [_divisor(p.terms(g), p) for g in basis if g]
+        if packed[p] is None:
+            raise _Overflow
+        return packed[p]
 
     def reduces_to_zero(f):
-        _require_orthant([f])
-        return not _reduce(f, divisors, order)
+        return _packed_run([f, *basis[:1]], order, lambda p: not _reduce(p.terms(f), divisors(p), p))
 
+    _packed_run(basis, order, divisors)
     return reduces_to_zero
 
 
-def _reduce(f, divisors, order):
-    """The division loop of normal_form, over divisors whose exponents were
-    checked already; returns the remainder's terms, not yet normalized.
-    Pending terms sit in a heap keyed once by neg_key (Monagan & Pearce
-    2007); one that cancels stays in work at 0 and is skipped when popped.
-    Reduction adds only smaller terms, so a popped monomial never returns.
-    A divisor whose lead support is not inside the term's is skipped
-    before exponents are compared (Bachmann & Schoenemann 1998)."""
-    key = order.neg_key
-    work = dict(f.terms)
-    heap = [(key(m), m) for m in work]
+def _reduce(terms, divisors, p):
+    """The division loop of normal_form on packed terms; returns the
+    remainder's terms, not yet normalized.  Pending terms sit in a heap of
+    negated packed monomials (Monagan & Pearce 2007); one that cancels stays
+    in work at 0 and is skipped when popped.  Reduction adds only smaller
+    terms, so a popped monomial never returns.  A lead divides m iff
+    ((E_m | G) - E_lead) & G keeps every guard bit G, on the exponent parts
+    alone, which are half as long (Bachmann & Schoenemann 1998)."""
+    guard, emask = p.guard, p.emask
+    work = dict(terms)
+    heap = [-m for m in work]
     heapify(heap)
     remainder = {}
     while heap:
-        m = heappop(heap)[1]
+        m = -heappop(heap)
         c = work.pop(m)
         if not c:
             continue
-        outside = ~_support(m)
+        above = m & emask | guard
         for d in divisors:
-            if not d[2] & outside and _divides(d[0], m):
+            if (above - d[3]) & guard == guard:
                 for t in _subtract_tail(work, c, m, d):
-                    heappush(heap, (key(t), t))
+                    heappush(heap, -t)
                 break
         else:
             remainder[m] = c
@@ -363,15 +437,18 @@ def _reduce(f, divisors, order):
 def _subtract_tail(work, c, m, divisor):
     """work -= (c / lc) * x^(m - lt) * tail, in place: the lead term would
     only cancel c * x^m.  Basis divisors are monic (lc == 1); Fraction(c)
-    keeps int / int exact.  Returns the monomials new to work."""
-    lt, lc, _, tail, _ = divisor
+    keeps int / int exact.  Returns the monomials new to work, and raises
+    _Overflow when one has an exponent past its field."""
+    lt, lc, tail, _, _, p = divisor
     factor = c if lc == 1 else _engine(Fraction(c) / lc)
-    shift = tuple(map(sub, m, lt))
+    shift, guard = m - lt, p.guard
     fresh = []
     for gm, gc in tail:
-        t = tuple(map(add, gm, shift))
+        t = gm + shift
         acc = work.get(t)
         if acc is None:
+            if t & guard:
+                raise _Overflow
             work[t] = -factor * gc
             fresh.append(t)
         else:
@@ -380,54 +457,59 @@ def _subtract_tail(work, c, m, divisor):
 
 
 def _s_polynomial(a, b):
-    """S-polynomial of two divisors, built from the two tails alone: the
-    lead terms cancel by construction."""
-    l = _mono_lcm(a[0], b[0])
+    """S-polynomial of two divisors as packed terms, built from the two
+    tails alone: the lead terms cancel by construction."""
+    p = a[5]
+    l = p.pack(p.exponents(p.lcm(a[3], b[3])))
     work = {}
     _subtract_tail(work, -1, l, a)
     _subtract_tail(work, 1, l, b)
-    return _polynomial(a[4].ring, work)
+    return work
 
 
 def _gm_update(basis, queue):
     """Gebauer-Moeller pair update after appending basis[-1]: filters the
     queued pairs (..., i, j, lcm) in place and returns the new pairs
-    (i, j, lcm) in the order they join the queue."""
-    new, (t, _, mask) = len(basis) - 1, basis[-1][:3]
-    # drop old pairs whose lcm is strictly covered by the new lead term,
-    # which cannot divide an lcm whose mask does not hold its own
+    (i, j, lcm) in the order they join the queue; an lcm is an exponent
+    part E."""
+    new, t, p = len(basis) - 1, basis[-1][3], basis[-1][5]
+    guard, lcm = p.guard, p.lcm
+    # drop old pairs whose lcm is strictly covered by the new lead term
     queue[:] = [
-        p
-        for p in queue
-        if mask & ~(basis[p[-3]][2] | basis[p[-2]][2])
-        or not _divides(t, p[-1])
-        or _mono_lcm(basis[p[-3]][0], t) == p[-1]
-        or _mono_lcm(basis[p[-2]][0], t) == p[-1]
+        q
+        for q in queue
+        if ((q[-1] | guard) - t) & guard != guard
+        or lcm(basis[q[-3]][3], t) == q[-1]
+        or lcm(basis[q[-2]][3], t) == q[-1]
     ]
-    # an lcm's support is the union of the two leads' supports
-    fresh = [(i, new, _mono_lcm(d[0], t), d[2] | mask) for i, d in enumerate(basis[:new])]
-    # Buchberger's first criterion: coprime lead terms, i.e. disjoint supports
-    return [(i, j, l) for i, j, l, _ in _prune_pairs(fresh) if basis[i][2] & mask]
+    fresh = [(i, new, lcm(d[3], t)) for i, d in enumerate(basis[:new])]
+    # Buchberger's first criterion: coprime lead terms, whose lcm is their product
+    return [(i, j, l) for i, j, l in _prune_pairs(fresh, p) if l != basis[i][3] + t]
 
 
-def _prune_pairs(fresh):
-    """Gebauer-Moeller M and F among the new pairs (i, j, lcm, mask), by
-    degree: a pair whose lcm an earlier kept lcm divides, or equals, goes.
-    A kept lcm whose support mask is not inside the candidate's cannot
-    divide it and is skipped before the exponents are compared."""
-    kept = []
-    for p in sorted(fresh, key=lambda p: sum(p[2])):
-        l, outside = p[2], ~p[3]
-        if not any(not q[3] & outside and _divides(q[2], l) for q in kept):
-            kept.append(p)
+def _prune_pairs(fresh, p):
+    """Gebauer-Moeller M and F among the new pairs (i, j, lcm), by degree:
+    a pair whose lcm an earlier kept lcm divides, or equals, goes."""
+    guard, kept, lcms = p.guard, [], []
+    for q in sorted(fresh, key=lambda q: sum(p.exponents(q[2]))):
+        above = q[2] | guard
+        for l in lcms:
+            if (above - l) & guard == guard:
+                break
+        else:
+            kept.append(q)
+            lcms.append(q[2])
     return kept
 
 
-def _queue_pairs(queue, fresh, order, arrivals):
-    """Push the new pairs (i, j, lcm), keyed once by (degree, order key) of
-    the lcm, and heapify.  The negated arrival number pops the pair queued
-    last first among equal keys, as a stable reverse sort and pop does."""
-    queue.extend((sum(l), order.key(l), -next(arrivals), i, j, l) for i, j, l in fresh)
+def _queue_pairs(queue, fresh, p, arrivals):
+    """Push the new pairs (i, j, lcm), keyed once by the degree and the
+    packed monomial of the lcm, and heapify.  The negated arrival number
+    pops the pair queued last first among equal keys, as a stable reverse
+    sort and pop does."""
+    for i, j, l in fresh:
+        e = p.exponents(l)
+        queue.append((sum(e), p.pack(e), -next(arrivals), i, j, l))
     heapify(queue)
 
 
@@ -444,9 +526,14 @@ def buchberger(gens, order):
     term, and updates the pairs.  Raises CapExceeded (with the offending
     degree or size) instead of truncating past DEGREE_CAP or BASIS_CAP.
     """
-    _require_orthant(gens)
-    basis = []  # divisors (lead, 1, mask, tail, g), g monic
-    queue = []  # heap of pairs (degree, key, -arrival, i, j, lcm)
+    return _packed_run(gens, order, lambda p: [
+        p.polynomial(gens[0].ring, t) for t in _buchberger([p.terms(g) for g in gens], p)])
+
+
+def _buchberger(gens, p):
+    """buchberger on packed terms; returns the reduced basis as packed terms."""
+    basis = []  # divisors (lead, 1, tail, exponents, terms, p), monic
+    queue = []  # heap of pairs (degree, packed lcm, -arrival, i, j, lcm's E)
     arrivals = count()
 
     def s_polynomials():
@@ -459,46 +546,51 @@ def buchberger(gens, order):
             yield _s_polynomial(basis[i], basis[j])
 
     for f in chain(gens, s_polynomials()):
-        r = _reduce(f, basis, order)
+        r = _reduce(f, basis, p)
         if not r:
             continue
         if len(basis) >= BASIS_CAP:
             raise CapExceeded(
                 f"basis size {len(basis)} exceeds cap {BASIS_CAP}", size=len(basis)
             )
-        basis.append(_divisor(Polynomial(f.ring, r).monic(order), order))
-        _queue_pairs(queue, _gm_update(basis, queue), order, arrivals)
-    return _reduce_basis(basis, order)
+        lc = r[max(r)]
+        if lc != 1:
+            r = {m: _engine(Fraction(c) / lc) for m, c in r.items()}
+        basis.append(_divisor(r, p))
+        _queue_pairs(queue, _gm_update(basis, queue), p, arrivals)
+    return _reduce_basis(basis, p)
 
 
-def _reduce_basis(basis, order):
-    """Minimalize and tail-reduce divisors (lead, 1, mask, tail, g) of a
-    Groebner basis; the result is the canonical reduced GB."""
-    items = sorted(basis, key=lambda d: (sum(d[0]), order.key(d[0])))
-    minimal = []
+def _reduce_basis(basis, p):
+    """Minimalize and tail-reduce the divisors of a Groebner basis; the
+    result, as packed terms, is the canonical reduced GB."""
+    items = sorted(basis, key=lambda d: (sum(p.exponents(d[3])), d[0]))
+    guard, minimal = p.guard, []
     for d in items:
-        if not any(_divides(m[0], d[0]) for m in minimal):
+        above = d[3] | guard
+        if not any((above - m[3]) & guard == guard for m in minimal):
             minimal.append(d)
     # no other lead divides a minimal lead, so each remainder keeps its
     # lead term and stays monic
     reduced = [
-        (d[0], _polynomial(d[4].ring, _reduce(d[4], minimal[:i] + minimal[i + 1 :], order)))
-        for i, d in enumerate(minimal)
+        _reduce(d[4], minimal[:i] + minimal[i + 1 :], p) for i, d in enumerate(minimal)
     ]
-    reduced.sort(key=lambda d: order.key(d[0]))
-    return [g for _, g in reduced]
+    return sorted(reduced, key=max)
 
 
 def is_groebner_basis(gens, order):
     """True iff every S-pair of gens reduces to zero against gens."""
     gens = [g for g in gens if g]
-    _require_orthant(gens)
-    divisors = [_divisor(g, order) for g in gens]
-    # coprime lead terms (disjoint supports) always reduce to zero
-    return not any(
-        a[2] & b[2] and _reduce(_s_polynomial(a, b), divisors, order)
-        for a, b in combinations(divisors, 2)
-    )
+
+    def run(p):
+        divisors = [_divisor(p.terms(g), p) for g in gens]
+        # coprime lead terms, whose lcm is their product, always reduce to zero
+        return not any(
+            p.lcm(a[3], b[3]) != a[3] + b[3] and _reduce(_s_polynomial(a, b), divisors, p)
+            for a, b in combinations(divisors, 2)
+        )
+
+    return _packed_run(gens, order, run)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from tvbcox.poly import (
     ideal_equal,
     is_groebner_basis,
     lex,
+    membership_test,
     monomial_dimension,
     normal_form,
     poly_to_text,
@@ -26,6 +27,7 @@ from tvbcox.poly import (
     weight_initial,
 )
 from tvbcox.cox import (
+    _u_last_order,
     build_phi,
     delta_order,
     delta_weights,
@@ -43,6 +45,7 @@ from oracles import (
     lex_greater,
     min_weight_greater,
     monomial_dimension_brute,
+    normal_form_by_division,
 )
 
 
@@ -193,7 +196,6 @@ def test_order_keys_match_textbook_comparators():
             for order, greater in cases:
                 assert (order.key(a) > order.key(b)) == greater(a, b)
                 assert (order.key(a) == order.key(b)) == (a == b)
-                assert order.neg_key(a) == tuple(-k for k in order.key(a))
             # the elimination property: meeting the dropped block wins
             if any(a[i] for i in drop) and not any(b[i] for i in drop):
                 assert elim.key(a) > elim.key(b)
@@ -533,3 +535,141 @@ def test_ideal_equal_scaling(xyz):
     x, y, _ = xyz.gens()
     assert ideal_equal(Ideal(xyz, [x - y]), Ideal(xyz, [2 * x - 2 * y]))
     assert not ideal_equal(Ideal(xyz, [x]), Ideal(xyz, [y]))
+
+
+# ---------------------------------------------------------------------------
+# the engine's inputs: one ring, and exponents past the packed fields
+
+
+TWO_RINGS = {
+    "normal_form": lambda f, g, order: normal_form(f, [g], order),
+    "membership_test": lambda f, g, order: membership_test([f, g], order),
+    "the membership test": lambda f, g, order: membership_test([f], order)(g),
+    "buchberger": lambda f, g, order: buchberger([f, g], order),
+    "is_groebner_basis": lambda f, g, order: is_groebner_basis([f, g], order),
+}
+
+
+@pytest.mark.parametrize("entry", TWO_RINGS)
+def test_engine_entry_points_reject_a_second_ring_and_a_foreign_order(entry):
+    r2, r3 = PolyRing(["x", "y"]), PolyRing(["x", "y", "z"])
+    (x, y), (a, _, c) = r2.gens(), r3.gens()
+    call = TWO_RINGS[entry]
+    with pytest.raises(ValueError, match=r"different rings: PolyRing\(x, y\), PolyRing\(x, y, z\)"):
+        call(x * y, a - c, grevlex(r2))
+    with pytest.raises(ValueError, match=r"an order on 3 variables for PolyRing\(x, y\)"):
+        call(x * y, x - y, grevlex(r3))
+
+
+def test_exponents_past_the_first_field_width():
+    ring = PolyRing(["x", "y"])
+    x, y = ring.gens()
+    # hand-checked: one generator is its own reduced basis; y - x^k reduces
+    # y^2 - x to x^(2k) - x, and the two leads are coprime
+    assert buchberger([x**200 - y], lex(ring, ["x", "y"])) == [x**200 - y]
+    yx = lex(ring, ["y", "x"])
+    assert buchberger([y - x**200, y**2 - x], yx) == [x**400 - x, y - x**200]
+    # inputs inside the one-byte fields, a basis outside them
+    assert buchberger([y - x**100, y**2 - x], yx) == [x**200 - x, y - x**100]
+    for order, greater in ((grevlex(ring), lambda a, b: grevlex_greater(a, b, range(2))),
+                           (yx, lambda a, b: lex_greater(a, b, [1, 0]))):
+        for f, gens in ((x**300, [x**2 - y]), (x**3 * y**130, [x * y - 1, y**129 - x**40])):
+            assert normal_form(f, gens, order) == normal_form_by_division(f, gens, greater)
+    with pytest.raises(CapExceeded):
+        normal_form(x ** (2**31), [x - y], grevlex(ring))
+
+
+def test_exponents_that_outgrow_their_fields_mid_buchberger():
+    """z -> z^45 keeps every lex comparison, divisibility and lcm, so it
+    carries the reduced lex basis of gens to that of the images.  The
+    images have exponents below 128, their bases exponents past it."""
+    ring = PolyRing(["x", "y", "z"])
+    x, y, z = ring.gens()
+    order = lex(ring, ring.names)
+    for gens in ([x * y - z**2, x * z - y**2], [x**2 * y - z**2, x * z - y**3 + z]):
+        images = [g.substitute([x, y, z**45]) for g in gens]
+        basis = buchberger(images, order)
+        assert max(e for g in images for m in g.terms for e in m) < 128
+        assert max(e for g in basis for m in g.terms for e in m) >= 128
+        assert basis == [g.substitute([x, y, z**45]) for g in buchberger(gens, order)]
+
+
+def test_order_rows_with_entries_near_2_to_the_30():
+    ring = PolyRing(["x", "y", "z"])
+    x, y, z = ring.gens()
+    order = MatrixOrder([[2**30, 2**30 - 1, 1], [0, 0, -1], [0, -1, 0]])
+
+    def greater(a, b):
+        return order.key(a) > order.key(b)
+
+    rng = random.Random(30)
+    for _ in range(20):
+        gens = [random_poly(ring, rng) for _ in range(2)]
+        f = random_poly(ring, rng, max_degree=5)
+        assert normal_form(f, gens, order) == normal_form_by_division(f, gens, greater)
+    f, gens = x**140 * y + z**300, [x * y - z**3, y**2 - z]
+    assert normal_form(f, gens, order) == normal_form_by_division(f, gens, greater)
+    gens = [x * y - z**3, x**2 - y * z, y**2 - x * z]
+    basis = buchberger(gens, order)
+    assert all(not normal_form_by_division(g, basis, greater) for g in gens)
+
+
+@pytest.mark.parametrize("size", [1, 2, 4])
+def test_packed_monomials_compare_as_their_keys(size):
+    ring = PolyRing(["x0", "x1", "W0", "W1", "y"])
+    orders = [
+        grevlex(ring),
+        lex(ring, ["y", "W1", "x0", "W0", "x1"]),
+        elimination_order(ring, ["x1", "W0"]),
+        _u_last_order(ring, 2, (1, 2, 3, 1, 2)),
+        delta_order(ring),  # its first row is negative
+    ]
+    top = (1 << 8 * size - 1) - 1
+    rng = random.Random(size)
+    for order in orders:
+        p = poly._Packing(order, size)
+        for _ in range(100):
+            a, b = (tuple(rng.choice([0, 1, 2, top, rng.randrange(top + 1)]) for _ in range(5))
+                    for _ in "ab")
+            assert p.exponents(p.pack(a)) == a
+            assert (p.pack(a) < p.pack(b)) == (order.key(a) < order.key(b))
+            assert (p.pack(a) == p.pack(b)) == (a == b)
+            # the engine's shift arithmetic: lcm = a + b - gcd, packed alike
+            lcm, gcd = tuple(map(max, a, b)), tuple(map(min, a, b))
+            assert p.pack(a) + p.pack(b) - p.pack(gcd) == p.pack(lcm)
+            assert p.lcm(p.pack(a) & p.emask, p.pack(b) & p.emask) == p.pack(lcm) & p.emask
+        with pytest.raises(poly._Overflow):
+            p.terms(ring.monomial([0, top + 1, 0, 0, 0]))
+        with pytest.raises(ValueError, match="Laurent"):
+            p.terms(ring.monomial([0, 0, -1, 0, 0]))
+
+
+# ---------------------------------------------------------------------------
+# the input gates of poly
+
+
+def _gates():
+    xyz, uv = PolyRing(["x", "y", "z"]), PolyRing(["u", "v"])
+    x, y, _ = xyz.gens()
+    u, v = uv.gens()
+    return {
+        "duplicate names": (lambda: PolyRing(["x", "y", "x"]), "duplicate variable names"),
+        "monomial length": (lambda: xyz.monomial([1, 2]), "exponent vector length mismatch"),
+        "Ideal ring": (lambda: Ideal(xyz, [x, u]), "generator from the wrong ring"),
+        "ideal_equal rings": (lambda: ideal_equal(Ideal(xyz, [x]), Ideal(uv, [u])),
+                              "ideals in different rings"),
+        "det side 0": (lambda: symbolic_det([]), "empty matrix"),
+        "det not square": (lambda: symbolic_det([[x, y], [y]]), "matrix is not square"),
+        "RingMap missing image": (lambda: RingMap(uv, xyz, {"u": x}), r"no image for \['v'\]"),
+        "RingMap image ring": (lambda: RingMap(uv, xyz, {"u": x, "v": v}),
+                               "image of v lives in the wrong ring"),
+        "RingMap argument ring": (lambda: RingMap(uv, xyz, {"u": x, "v": y})(x),
+                                  "argument from the wrong ring"),
+    }
+
+
+@pytest.mark.parametrize("gate", list(_gates()))
+def test_poly_input_gates_refuse_bad_input(gate):
+    call, message = _gates()[gate]
+    with pytest.raises(ValueError, match=message):
+        call()

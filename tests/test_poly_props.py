@@ -2,8 +2,9 @@
 
 The inputs stay small (3 variables, up to 3 generators of up to 3 terms of
 degree at most 2; the division check also uses 6 of 70 variables, so that
-support masks reach past 64 bits) so that every example runs in
-milliseconds.  Runs are derandomized, so the suite gives the same verdict
+packed monomials reach far past 64 bits) so that every example runs in
+milliseconds.  The engine's parts run on packed terms: each test packs its
+inputs with the engine's packing of the order and unpacks what it compares.  Runs are derandomized, so the suite gives the same verdict
 on every run.
 """
 
@@ -34,12 +35,12 @@ from tvbcox.poly import (
     lex,
     normal_form,
     ring_map_kernel,
+    _Packing,
     _divisor,
     _prune_pairs,
     _queue_pairs,
     _reduce,
     _s_polynomial,
-    _support,
 )
 from oracles import (
     block_greater,
@@ -178,15 +179,17 @@ rounds = st.lists(
 def test_pair_heap_pops_like_a_stable_reverse_sort(rounds, order):
     queue, arrivals, serials = [], itertools.count(), itertools.count()
     model = []  # the textbook queue: stable reverse sort, then pop
+    p = _Packing(order, 1)
     for lcms, divisor, pops in rounds:
-        queue[:] = [p for p in queue if p[-3] % divisor]
-        model = [p for p in model if p[0] % divisor]
+        queue[:] = [q for q in queue if q[-3] % divisor]
+        model = [q for q in model if q[0] % divisor]
         fresh = [(next(serials), 0, l) for l in lcms]
-        _queue_pairs(queue, fresh, order, arrivals)
+        _queue_pairs(queue, [(i, j, p.pack(l) & p.emask) for i, j, l in fresh], p, arrivals)
         model += fresh
         for _ in range(min(pops, len(model))):
-            model.sort(key=lambda p: (sum(p[2]), order.key(p[2])), reverse=True)
-            assert heappop(queue)[-3:] == model.pop()
+            model.sort(key=lambda q: (sum(q[2]), order.key(q[2])), reverse=True)
+            i, j, l = heappop(queue)[-3:]
+            assert (i, j, p.exponents(l)) == model.pop()
 
 
 def _plain_prune(lcms):
@@ -211,9 +214,10 @@ def _lcms_over(nvars, used):
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(st.one_of(_lcms_over(5, range(5)), _lcms_over(70, WIDE_USED)))
-def test_mask_filtered_pruning_keeps_the_plain_scans_pairs(lcms):
-    fresh = [(k, len(lcms), l, _support(l)) for k, l in enumerate(lcms)]
-    assert [p[0] for p in _prune_pairs(fresh)] == _plain_prune(lcms)
+def test_packed_pruning_keeps_the_plain_scans_pairs(lcms):
+    p = _Packing(grevlex(PolyRing(WIDE.names[: len(lcms[0])])) if lcms else ORDERS[0], 1)
+    fresh = [(k, len(lcms), p.pack(l) & p.emask) for k, l in enumerate(lcms)]
+    assert [q[0] for q in _prune_pairs(fresh, p)] == _plain_prune(lcms)
 
 
 def _textbook_s_polynomial(f, g, order):
@@ -235,7 +239,8 @@ non_monic = st.lists(
 @small
 @given(non_monic, non_monic, orders)
 def test_tail_only_s_polynomial_is_the_textbook_one(f, g, order):
-    s = _s_polynomial(_divisor(f, order), _divisor(g, order))
+    p = _Packing(order, 1)
+    s = p.polynomial(RING, _s_polynomial(_divisor(p.terms(f), p), _divisor(p.terms(g), p)))
     assert s == _textbook_s_polynomial(f, g, order)
     assert _exact([s])
 
@@ -312,7 +317,9 @@ def test_heap_division_matches_max_scan_division(case, data):
     h, rest = (data.draw(_polys_in(ring, MONOMIALS, GEN_COEFFS + [-1, 1])) for _ in "hr")
     f = h * gens[data.draw(st.integers(0, len(gens) - 1))] + rest
     textbook = _max_scan_division(f, gens, order)
-    remainder = _reduce(f, [_divisor(g, order) for g in gens], order)
+    p = _Packing(order, 1)
+    packed = _reduce(p.terms(f), [_divisor(p.terms(g), p) for g in gens if g], p)
+    remainder = {p.exponents(m): c for m, c in packed.items()}
     assert remainder == textbook
     assert all(type(c) in (int, Fraction) for c in remainder.values())
     assert normal_form(f, gens, order).terms == textbook
