@@ -2,12 +2,19 @@
 
 Monomials are exponent tuples over a fixed variable table (PolyRing).
 Exponents may be negative in plain arithmetic (Laurent monomials are needed
-to evaluate ring maps like x_j -> t_j^-1); everything order-related
-(division, Groebner bases) insists on the positive orthant.  Coefficients
-have one representation, in a Polynomial and in the engine alike: an int
-when integral, a Fraction only when not.  The engine works on the terms
-dicts themselves, and its one product (_times) and one power (_power) serve
-both Polynomial * and ** and ring-map images.
+to evaluate ring maps like x_j -> t_j^-1); the one product (_times) and one
+power (_power) serve both Polynomial * and ** and ring-map images.
+
+Inside the Groebner engine (normal_form, membership_test, buchberger,
+is_groebner_basis) a monomial is one int, packed for the order where a
+polynomial enters and unpacked where a result leaves (_Packing): the
+exponents one byte a variable under a guard bit, so at most 127, and the
+order's rows above them in fields of 8 to 64 bits.  An exponent past its
+field sets its guard bit, and the run starts over with 16-bit, then
+32-bit exponents; past 2^31 - 1 it raises CapExceeded, and a negative
+exponent, ValueError.  Coefficients have one representation, in a
+Polynomial and in the engine alike: an int when integral, a Fraction only
+when not.
 """
 
 import struct
@@ -282,7 +289,7 @@ class _Packing:
     and changes no other field.
     """
 
-    __slots__ = ("pack", "exponents", "guard", "emask", "low")
+    __slots__ = ("pack", "exponents", "guard", "emask", "gshift")
 
     def __init__(self, order, size):
         nvars, bits = len(order.rows[0]), 8 * size
@@ -306,7 +313,7 @@ class _Packing:
         self.exponents = lambda m: exps.unpack_from(m.to_bytes(length, "big"), offset)
         self.guard = int.from_bytes((b"\x80" + bytes(size - 1)) * nvars, "big")
         self.emask = (1 << exps.size * 8) - 1
-        self.low = bits - 1
+        self.gshift = bits - 1
 
     def terms(self, f):
         """f's terms, packed.  Raises ValueError on a negative exponent and
@@ -327,7 +334,7 @@ class _Packing:
     def lcm(self, a, b):
         """The lcm of two exponent parts E: a SWAR max, field by field."""
         ge = ((a | self.guard) - b) & self.guard  # the guard of each field where a >= b
-        take = ge - (ge >> self.low)
+        take = ge - (ge >> self.gshift)  # the value bits of those fields
         return a & take | b & ~take
 
 
@@ -388,14 +395,11 @@ def membership_test(basis, order):
     """The test f -> (f reduces to 0 against basis), a Groebner basis under
     order: the same division as normal_form, with the basis checked and
     packed into divisors once for every f tested."""
-    packed = {}  # packing -> the basis as its divisors, None if it overflowed
+    packed = {}  # packing -> the basis as its divisors
 
     def divisors(p):
         if p not in packed:
-            packed[p] = None
             packed[p] = [_divisor(p.terms(g), p) for g in basis if g]
-        if packed[p] is None:
-            raise _Overflow
         return packed[p]
 
     def reduces_to_zero(f):
@@ -411,8 +415,9 @@ def _reduce(terms, divisors, p):
     negated packed monomials (Monagan & Pearce 2007); one that cancels stays
     in work at 0 and is skipped when popped.  Reduction adds only smaller
     terms, so a popped monomial never returns.  A lead divides m iff
-    ((E_m | G) - E_lead) & G keeps every guard bit G, on the exponent parts
-    alone, which are half as long (Bachmann & Schoenemann 1998)."""
+    ((E_m | G) - E_lead) & G keeps every guard bit G, tested on the exponent
+    parts alone, shorter than the packed monomials (Bachmann & Schoenemann
+    1998)."""
     guard, emask = p.guard, p.emask
     work = dict(terms)
     heap = [-m for m in work]

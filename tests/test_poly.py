@@ -571,6 +571,11 @@ def test_exponents_past_the_first_field_width():
     assert buchberger([y - x**200, y**2 - x], yx) == [x**400 - x, y - x**200]
     # inputs inside the one-byte fields, a basis outside them
     assert buchberger([y - x**100, y**2 - x], yx) == [x**200 - x, y - x**100]
+    assert not is_groebner_basis([y - x**200, y**2 - x], yx)
+    assert is_groebner_basis([x**400 - x, y - x**200], yx)
+    # x^400 - y^2 = (x^200 - y)(x^200 + y)
+    in_ideal = membership_test([x**200 - y], lex(ring, ["x", "y"]))
+    assert in_ideal(x**400 - y**2) and not in_ideal(x**400 - y)
     for order, greater in ((grevlex(ring), lambda a, b: grevlex_greater(a, b, range(2))),
                            (yx, lambda a, b: lex_greater(a, b, [1, 0]))):
         for f, gens in ((x**300, [x**2 - y]), (x**3 * y**130, [x * y - 1, y**129 - x**40])):
