@@ -297,7 +297,7 @@ class _Packing:
         fields, codes = [], ""
         for row, expr in zip(order.rows, _row_sums(order.rows)):
             low, span = emax * sum(a for a in row if a < 0), emax * sum(map(abs, row))
-            code = next((c for c in "BHIQ" if not span >> 8 * struct.calcsize(c)), None)
+            code = next((c for c in "BHIQ" if not span >> 8 * struct.calcsize(">" + c)), None)
             if code is None:
                 raise CapExceeded(f"an order row outgrows 64 bits at exponents up to {emax}")
             fields.append(f"{expr}+{-low},")
@@ -345,7 +345,8 @@ def _packed_run(polys, order, run):
     one ring with as many variables as the order has columns."""
     rings = {f.ring for f in polys}
     if len(rings) > 1:
-        raise ValueError(f"polynomials from different rings: {', '.join(sorted(map(repr, rings)))}")
+        names = ", ".join(sorted(map(repr, rings)))
+        raise ValueError(f"polynomials from different rings: {names}")
     for ring in rings:
         if ring.nvars != len(order.rows[0]):
             raise ValueError(f"an order on {len(order.rows[0])} variables for {ring!r}")
@@ -403,7 +404,9 @@ def membership_test(basis, order):
         return packed[p]
 
     def reduces_to_zero(f):
-        return _packed_run([f, *basis[:1]], order, lambda p: not _reduce(p.terms(f), divisors(p), p))
+        return _packed_run(
+            [f, *basis[:1]], order, lambda p: not _reduce(p.terms(f), divisors(p), p)
+        )
 
     _packed_run(basis, order, divisors)
     return reduces_to_zero

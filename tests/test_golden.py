@@ -43,10 +43,10 @@ from tvbcox.bundle import BundleData, example_514_bundle, tangent_bundle, unifor
 from tvbcox.cox import (
     build_phi,
     delta_initial_ideal,
-    tangent_kernel,
     lemma_ideal,
     quiver_ideal,
     row_completing_order,
+    tangent_kernel,
 )
 from tvbcox.gz import (
     all_generators,
@@ -94,9 +94,9 @@ README_COMMANDS = [
 ]
 SUITE_FULL = "suite --level full"
 
-# S-polynomials each kernel elimination, and each basis of the n >= 4
-# kernel proofs, forms.  The engine's pair selection
-# and criteria decide these counts, so a change to either shows here even
+# S-polynomials each kernel elimination forms, and each basis of the
+# n >= 4 kernel proofs.  The engine's pair selection and criteria decide
+# these counts, so a change to either shows here even
 # when the bases come out the same.  The kernels are eliminated here with
 # ring_map_kernel, as a guard on the engine: verify_kernel and psi_kernel
 # prove theirs by certificates and eliminate nothing.  The eliminations are

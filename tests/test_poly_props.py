@@ -4,8 +4,9 @@ The inputs stay small (3 variables, up to 3 generators of up to 3 terms of
 degree at most 2; the division check also uses 6 of 70 variables, so that
 packed monomials reach far past 64 bits) so that every example runs in
 milliseconds.  The engine's parts run on packed terms: each test packs its
-inputs with the engine's packing of the order and unpacks what it compares.  Runs are derandomized, so the suite gives the same verdict
-on every run.
+inputs with the engine's packing of the order and unpacks what it
+compares.  Runs are derandomized, so the suite gives the same verdict on
+every run.
 """
 
 import itertools
