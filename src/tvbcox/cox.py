@@ -215,10 +215,11 @@ def delta_weights(ring):
     return [1 if name.startswith("W") else 0 for name in ring.names]
 
 
+@lru_cache(maxsize=None)
 def delta_order(ring):
     """Minimal delta-weight leads, grevlex breaks ties: the row -w on top
-    of the grevlex rows.  It puts 1 above W, so it is a well-order only
-    on the monomials of one degree of a positive grading."""
+    of the grevlex rows, built once per ring.  It puts 1 above W, so it is
+    a well-order only on the monomials of one degree of a positive grading."""
     minus_w = [-w for w in delta_weights(ring)]
     return MatrixOrder((minus_w,) + grevlex(ring).rows)
 
@@ -308,7 +309,7 @@ def kernel_by_saturation(claimed, phi, sigma, weights, symmetries):
     return basis, order, {
         "contained": all(phi(g) == 0 for g in claimed.gens),
         "left_inverse": all(
-            in_claimed(_clear_denominators(sigma(phi(s)) - s)) for s in ring.gens()
+            in_claimed(_clear_denominators(sigma(phi.images[s]) - ring.var(s))) for s in ring.names
         ),
         "saturated": all(in_claimed(g) for g in quotients),
         "symmetric": all(in_claimed(g(f)) for g in symmetries for f in claimed.gens),
@@ -344,7 +345,7 @@ def _variable_permutation(g, weights):
 
 def _clear_denominators(f):
     """f times the least monomial that leaves no negative exponent."""
-    shift = [max([0] + [-m[i] for m in f.terms]) for i in range(f.ring.nvars)]
+    shift = [-min(column) for column in zip((0,) * f.ring.nvars, *f.terms)]
     return f * f.ring.monomial(shift)
 
 

@@ -361,16 +361,17 @@ def quadratic_plucker_relations(n, psi):
     groups = {}
     for a, b in combinations_with_replacement(column_sets, 2):
         groups.setdefault(tuple(sorted(chain(a, b))), []).append((a, b))
-    # the exponent vector of each P-variable; a pair monomial is their sum
-    exps = {cols: tuple(int(k == source.index[p_name(cols)]) for k in range(source.nvars))
-            for cols in column_sets}
+    # a pair monomial is the sum of two P-variables' exponent vectors, and
+    # its image the product of their images
+    names = {cols: p_name(cols) for cols in column_sets}
+    exps = {cols: next(iter(source.var(name).terms)) for cols, name in names.items()}
     relations, bad = [], []
     for key in sorted(groups):
         pairs = groups[key]
         if len(pairs) < 2:
             continue
         monomials = [tuple(map(add, exps[a], exps[b])) for a, b in pairs]
-        rows = _image_rows(psi, monomials)
+        rows = _image_rows([psi.images[names[a]] * psi.images[names[b]] for a, b in pairs])
         for coeffs in left_kernel_basis(rows):
             rel = Polynomial(source, {
                 mono: c.numerator if c.denominator == 1 else c
@@ -384,12 +385,11 @@ def quadratic_plucker_relations(n, psi):
     return relations
 
 
-def _image_rows(psi, monomials):
-    """The psi-image of each monomial as an integer row over the sorted
-    union of their supports; the images are dropped on return."""
-    images = [psi(Polynomial(psi.source, {mono: 1})).terms for mono in monomials]
-    support = sorted({m for img in images for m in img})
-    return [[img.get(m, 0) for m in support] for img in images]
+def _image_rows(images):
+    """Each image as an integer row over the sorted union of their
+    supports."""
+    support = sorted({m for img in images for m in img.terms})
+    return [[img.terms.get(m, 0) for m in support] for img in images]
 
 
 def _vanishes(coeffs, rows):

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, count
-from operator import add, or_
+from operator import add, itemgetter, or_
 
 from .linalg import rational_rank
 
@@ -83,7 +83,7 @@ class PolyRing:
         return Polynomial(self, {exps: c})
 
     def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.names == other.names
+        return self is other or isinstance(other, PolyRing) and self.names == other.names
 
     def __hash__(self):
         return hash(self.names)
@@ -366,7 +366,7 @@ def _packed_run(polys, order, run):
 
 def _engine(c):
     """c as the engine holds it: an int when integral, else a Fraction."""
-    return c.numerator if c.denominator == 1 else c
+    return c if type(c) is int or c.denominator != 1 else c.numerator
 
 
 def _polynomial(ring, terms):
@@ -475,50 +475,44 @@ def _s_polynomial(a, b):
     return work
 
 
-def _gm_update(basis, queue):
-    """Gebauer-Moeller pair update after appending basis[-1]: filters the
-    queued pairs (..., i, j, lcm) in place and returns the new pairs
-    (i, j, lcm) in the order they join the queue; an lcm is an exponent
-    part E."""
+def _gm_update(basis, queue, dropped):
+    """Gebauer-Moeller pair update after appending basis[-1]: adds to dropped
+    the -arrival of each queued pair (..., -arrival, i, j, lcm) it drops, and
+    returns the new pairs (degree, exponents, i, j, lcm) in the order they
+    join the queue; an lcm is an exponent part E, unpacked once."""
     new, t, p = len(basis) - 1, basis[-1][3], basis[-1][5]
     guard, lcm = p.guard, p.lcm
     # drop old pairs whose lcm is strictly covered by the new lead term
-    queue[:] = [
-        q
-        for q in queue
-        if ((q[-1] | guard) - t) & guard != guard
-        or lcm(basis[q[-3]][3], t) == q[-1]
-        or lcm(basis[q[-2]][3], t) == q[-1]
-    ]
-    fresh = [(i, new, lcm(d[3], t)) for i, d in enumerate(basis[:new])]
+    dropped.update(q[-4] for q in queue if ((q[-1] | guard) - t) & guard == guard
+                   and lcm(basis[q[-3]][3], t) != q[-1] and lcm(basis[q[-2]][3], t) != q[-1])
+    lcms = [lcm(d[3], t) for d in basis[:new]]
+    fresh = [(sum(e), e, i, new, l) for i, (l, e) in enumerate(zip(lcms, map(p.exponents, lcms)))]
     # Buchberger's first criterion: coprime lead terms, whose lcm is their product
-    return [(i, j, l) for i, j, l in _prune_pairs(fresh, p) if l != basis[i][3] + t]
+    return [q for q in _prune_pairs(fresh, p) if q[-1] != basis[q[2]][3] + t]
 
 
 def _prune_pairs(fresh, p):
-    """Gebauer-Moeller M and F among the new pairs (i, j, lcm), by degree:
-    a pair whose lcm an earlier kept lcm divides, or equals, goes."""
+    """Gebauer-Moeller M and F among the new pairs (degree, ..., lcm), by
+    degree: a pair whose lcm an earlier kept lcm divides, or equals, goes."""
     guard, kept, lcms = p.guard, [], []
-    for q in sorted(fresh, key=lambda q: sum(p.exponents(q[2]))):
-        above = q[2] | guard
+    for q in sorted(fresh, key=itemgetter(0)):
+        above = q[-1] | guard
         for l in lcms:
             if (above - l) & guard == guard:
                 break
         else:
             kept.append(q)
-            lcms.append(q[2])
+            lcms.append(q[-1])
     return kept
 
 
 def _queue_pairs(queue, fresh, p, arrivals):
-    """Push the new pairs (i, j, lcm), keyed once by the degree and the
-    packed monomial of the lcm, and heapify.  The negated arrival number
-    pops the pair queued last first among equal keys, as a stable reverse
-    sort and pop does."""
-    for i, j, l in fresh:
-        e = p.exponents(l)
-        queue.append((sum(e), p.pack(e), -next(arrivals), i, j, l))
-    heapify(queue)
+    """Push the new pairs (degree, exponents, i, j, lcm), keyed once by the
+    degree and the packed lcm.  The negated arrival number pops the pair
+    queued last first among equal keys, as a stable reverse sort and pop
+    does; keys are distinct, so the pops do not depend on the heap's shape."""
+    for degree, e, i, j, l in fresh:
+        heappush(queue, (degree, p.pack(e), -next(arrivals), i, j, l))
 
 
 DEGREE_CAP = 120
@@ -542,11 +536,13 @@ def _buchberger(gens, p):
     """buchberger on packed terms; returns the reduced basis as packed terms."""
     basis = []  # divisors (lead, 1, tail, exponents, terms, p), monic
     queue = []  # heap of pairs (degree, packed lcm, -arrival, i, j, lcm's E)
-    arrivals = count()
+    arrivals, dropped = count(), set()  # -arrival of each pair _gm_update drops
 
     def s_polynomials():
         while queue:
-            degree, _, _, i, j, _ = heappop(queue)
+            degree, _, arrival, i, j, _ = heappop(queue)
+            if arrival in dropped:
+                continue
             if degree > DEGREE_CAP:
                 raise CapExceeded(
                     f"S-pair degree {degree} exceeds cap {DEGREE_CAP}", degree=degree
@@ -565,7 +561,7 @@ def _buchberger(gens, p):
         if lc != 1:
             r = {m: _engine(Fraction(c) / lc) for m, c in r.items()}
         basis.append(_divisor(r, p))
-        _queue_pairs(queue, _gm_update(basis, queue), p, arrivals)
+        _queue_pairs(queue, _gm_update(basis, queue, dropped), p, arrivals)
     return _reduce_basis(basis, p)
 
 
@@ -769,13 +765,16 @@ def _expand(f, images, target, powers):
 
 
 def _power(images, i, e, powers):
-    """images[i] ** e as terms, memoized in powers: a monomial directly
-    (inverted for e < 0 when it is a unit), else by squaring."""
+    """images[i] ** e as terms: for e = 1 the image's own, which no caller
+    writes to; else memoized in powers, a monomial directly (inverted for
+    e < 0 when it is a unit), else by squaring."""
+    base = images[i].terms
+    if e == 1:
+        return base
     if (i, e) not in powers:
-        base = images[i].terms
         if e < 0 and [abs(c) for c in base.values()] != [1]:
             raise ValueError("negative power of a non-unit")
-        if len(base) == 1 or e == 1:
+        if len(base) == 1:
             p = {tuple(a * e for a in m): c ** abs(e) for m, c in base.items()}
         else:
             half = _power(images, i, e >> 1, powers)

@@ -226,6 +226,22 @@ def test_determinant_cap_exits_3(capsys):
         assert "cap exceeded: determinant side 7 exceeds cap 6" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lemma-js", "--n", "3", "--set", "0,1"], "column index out of range 1..3"),
+        (["lemma-js", "--n", "3", "--set", "4"], "column index out of range 1..3"),
+        (["lemma-js", "--n", "3", "--set", ","], "subset must be nonempty"),
+        (["quiver", "--n", "1"], "need n >= 2"),
+    ],
+)
+def test_cox_lemma_and_quiver_refuse_bad_input(capsys, argv, message):
+    code, out, err = run(capsys, "cox", *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"input error: {message}" in err
+
+
 def test_cox_tangent_rejects_m_above_n(capsys):
     code, _, err = run(capsys, "cox", "tangent", "--n", "2", "--m", "3")
     assert code == EXIT_USAGE

@@ -10,6 +10,7 @@ from tvbcox.cox import (
     column_action,
     column_symmetries,
     delta_initial_ideal,
+    delta_order,
     delta_weights,
     euler_generators,
     euler_minor,
@@ -427,6 +428,41 @@ def test_saturation_orders_are_built_once_per_ring_variable_and_weights():
     assert order.key((0, 1, 0)) > order.key((2, 0, 0))
 
 
+def test_delta_order_is_built_once_per_ring_and_keys_as_a_fresh_order():
+    ring = build_phi(2, 2).source
+    order = delta_order(ring)
+    assert delta_order(PolyRing(ring.names)) is order
+    fresh, rng = poly.MatrixOrder(order.rows), random.Random(5)
+    monomials = [tuple(rng.randrange(3) for _ in ring.names) for _ in range(50)]
+    assert [order.key(m) for m in monomials] == [fresh.key(m) for m in monomials]
+
+
+def test_the_proofs_leave_every_ring_map_image_as_it_was():
+    # a power 1 is the image's own terms and sigma reads phi's images as
+    # they are, so a proof that wrote to a term dict would change a map
+    phi, psi = build_phi(3, 3), gz.build_psi(3)
+    tables = [(phi, presentation_minors(3, 3)), (psi, gz.flag_minors(3))]
+    sigmas = [minor_sigma(g, minors, 3) for g, minors in tables]
+    actions = [column_symmetries(g.source, minors, 3) for g, minors in tables]
+    power = phi.images["W"] ** 1
+    polys = [img for g in [phi, psi, *sigmas, *actions[0], *actions[1]]
+             for img in g.images.values()] + [power]
+    before = [dict(f.terms) for f in polys]
+    verify_kernel(3)
+    gz.psi_kernel(3)
+    kernel_by_saturation(
+        tangent_cox_ideal(3, 3), phi, sigmas[0], presentation_weights(3, 3), actions[0]
+    )
+    weights = [1] * 4 + [len(cols) for _, _, cols in gz.flag_minors(3)]
+    kernel_by_saturation(
+        Ideal(psi.source, gz.flag_presentation(3, psi)), psi, sigmas[1], weights, actions[1]
+    )
+    gz.relation_families(3, psi)
+    assert power * power == phi.images["W"] ** 2 and power ** 3 == phi.images["W"] ** 3
+    assert power.terms is not phi.images["W"].terms
+    assert [dict(f.terms) for f in polys] == before
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_verify_kernel_saturates_x0_alone(saturated_names, n):
     assert verify_kernel(n, allow_large=True)["equal"]
@@ -582,6 +618,13 @@ def test_row_completing_order_lead_terms():
     lead, _ = det0.leading_term(order)
     diag = ring.var(y_name(1, 1)) * ring.var(y_name(2, 2))
     assert lead == next(iter(diag.terms))
+
+
+@pytest.mark.parametrize("n, m", [(0, 1), (1, 0)])
+def test_build_phi_refuses_n_or_m_below_1(n, m):
+    # library-only: at the CLI tangent_cox_ideal's gate fires first
+    with pytest.raises(ValueError, match="need n, m >= 1"):
+        build_phi(n, m)
 
 
 def test_lemma_canonicalization_permutation():

@@ -531,6 +531,12 @@ def test_grevlex_is_built_once_per_ring():
     assert grevlex(a) is not grevlex(PolyRing(["x", "y"]))
 
 
+def test_rings_built_apart_compare_equal_and_hash_alike():
+    a, b = PolyRing(("x", "y")), PolyRing(("x", "y"))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != PolyRing(("y", "x")) and a != ("x", "y")
+
+
 def test_ideal_equal_scaling(xyz):
     x, y, _ = xyz.gens()
     assert ideal_equal(Ideal(xyz, [x - y]), Ideal(xyz, [2 * x - 2 * y]))
