@@ -6,7 +6,7 @@ the Laurent/polynomial target ring, the quiver-style initial ideal, and
 the Plucker identification at n = 2.
 
 Some of it serves the flag-ring map psi of gz.py as well: a presentation
-map is minor_map on a table of minors, each sent to its euler_minor;
+map is minor_map on a table of minors, each sent to its Euler minor;
 column_action and column_symmetries permute the matrix columns of any
 such table, minor_sigma reads the map's left inverse off it, and
 minor_kernel passes both to kernel_by_saturation, which proves the
@@ -22,14 +22,15 @@ from .poly import (
     Ideal,
     MatrixOrder,
     PolyRing,
+    Polynomial,
     RingMap,
     grevlex,
     ideal_equal,
     is_groebner_basis,
+    leading_minors,
     leading_monomials,
     lex,
     monomial_dimension,
-    symbolic_det,
     weight_initial,
 )
 
@@ -94,35 +95,68 @@ def euler_generators(ring, n, m):
 
 def maximal_minors(ring, n):
     """The n + 1 maximal minors det Y(j) of the n x (n + 1) matrix [Y_ij],
-    det Y(j) forgetting column j."""
-    rows = [[ring.var(y_name(i, c)) for c in range(n + 1)] for i in range(1, n + 1)]
-    return [symbolic_det([r[:j] + r[j + 1 :] for r in rows]) for j in range(n + 1)]
+    det Y(j) forgetting column j, all from one leading_minors pass."""
+    minors = leading_minors(
+        [[ring.var(y_name(i, c)) for c in range(n + 1)] for i in range(1, n + 1)]
+    )
+    return [minors[tuple(c for c in range(n + 1) if c != j)] for j in range(n + 1)]
+
+
+def euler_minors(target, n, minors):
+    """The image of each (name, rows, cols) of a minor table, by name: the
+    minor on rows x cols of the matrix whose column 0 is -sum_j y_ij and
+    whose column j is y_ij, times t^cols.  Each row sums to 0, as the
+    Euler relations ask; phi and psi send every generator other than x_j
+    to such a minor.  On all n + 1 columns, as for the W-variables, the
+    minor is read on columns 1..n, its square columns.
+
+    Each row tuple of the table that is the prefix of no longer one takes
+    one leading_minors pass, over its rows and the square columns of the
+    table's minors on two or more of them; the pass gives the minors on
+    every prefix as well, and a minor on one row is an entry.  So psi's
+    top-justified table takes one pass over all n + 1 columns, and phi's
+    at m = n one over columns 1..n."""
+    table = []  # (name, rows, square columns, columns)
+    squares = {}  # rows -> the square columns of the table's minors on them
+    for name, rows, cols in minors:
+        rows, cols = tuple(rows), sorted(cols)
+        table.append((name, rows, tuple(cols[len(cols) - len(rows) :]), cols))
+        squares.setdefault(rows, set()).add(table[-1][2])
+    found = {}  # (rows, square columns) -> the minor
+    for top in squares:
+        if any(len(s) > len(top) and s[: len(top)] == top for s in squares):
+            continue
+        y = [[target.var(yy_name(i, j)) for j in range(1, n + 1)] for i in top]
+        matrix = [[-sum(r, target.zero())] + r for r in y]
+        found.update((((top[0],), (c,)), entry) for c, entry in enumerate(matrix[0]))
+        used = sorted({c for k in range(2, len(top) + 1) for s in squares.get(top[:k], ())
+                       for c in s})
+        if used:
+            for cols, minor in leading_minors([[r[c] for c in used] for r in matrix]).items():
+                found[top[: len(cols)], tuple(used[c] for c in cols)] = minor
+    images = {}
+    for name, rows, square, cols in table:
+        t = [0] * target.nvars
+        for j in cols:
+            t[target.index[t_name(j)]] = 1
+        images[name] = found[rows, square] * Polynomial(target, {tuple(t): 1})
+    return images
 
 
 def euler_minor(target, n, rows, cols):
-    """The minor on rows x cols of the matrix whose column 0 is
-    -sum_j y_ij and whose column j is y_ij, times t^cols.  Each row sums
-    to 0, as the Euler relations ask; phi and psi send every generator
-    other than x_j to such a minor.  On all n + 1 columns, as for the
-    W-variables, the minor is read on columns 1..n."""
-    cols = sorted(cols)
-    y = [[target.var(yy_name(i, j)) for j in range(1, n + 1)] for i in rows]
-    square = cols[len(cols) - len(rows) :]
-    image = symbolic_det([[r[j - 1] if j else -sum(r, target.zero()) for j in square] for r in y])
-    t_names = {t_name(j) for j in cols}
-    return image * target.monomial(int(name in t_names) for name in target.names)
+    """euler_minors of the table of the one minor on rows x cols."""
+    return euler_minors(target, n, [(None, rows, cols)])[None]
 
 
 def minor_map(n, m, minors):
     """The presentation map of a table of minor variables: from the ring
     of x_0..x_n and the minors, in table order, into phi_target_ring(n, m),
-    with x_j -> t_j^-1 and each minor -> its euler_minor.  phi and psi are
-    this map on their tables."""
+    with x_j -> t_j^-1 and each minor -> its image under euler_minors.
+    phi and psi are this map on their tables."""
     source = PolyRing([x_name(j) for j in range(n + 1)] + [name for name, _, _ in minors])
     target = phi_target_ring(n, m)
     images = {x_name(j): target.var(t_name(j)) ** -1 for j in range(n + 1)}
-    for name, rows, cols in minors:
-        images[name] = euler_minor(target, n, rows, cols)
+    images.update(euler_minors(target, n, minors))
     return RingMap(source, target, images)
 
 
@@ -146,7 +180,8 @@ def column_action(ring, minors, perm):
     images = {x_name(j): ring.var(x_name(p)) for j, p in enumerate(perm)}
     for name, rows, cols in minors:
         moved = [perm[c] for c in cols]
-        images[name] = sorting_sign(moved) * ring.var(named[rows, tuple(sorted(moved))])
+        image = ring.var(named[rows, tuple(sorted(moved))])
+        images[name] = image if sorting_sign(moved) > 0 else -image
     return RingMap(ring, ring, images)
 
 
@@ -269,25 +304,27 @@ def kernel_by_saturation(claimed, phi, sigma, weights, symmetries):
       source variable s, v^a (sigma(phi(s)) - s) lies in J.  Then each f
       in K equals f - sigma(phi(f)) in J_v, so K lies in J : v^inf.
     - saturated: J : u^inf = J for the first inverted variable u, in ring
-      order, of each orbit under the symmetries that permute the
-      variables up to sign and keep the weights.  J is homogeneous for
+      order, of each orbit under the symmetries.  J is homogeneous for
       the positive weights (checked), so under the weighted revlex order
       with u last the basis elements divided by their largest power of u
       generate J : u^inf (Bayer & Stillman 1987); each must lie in J.
-    - symmetric: each ring map of symmetries sends every generator into
-      J.  One that permutes the variables up to sign and keeps the
-      weights then maps J onto J, and carries J : u^inf = J to
-      J : g(u)^inf = J, so J is saturated by every inverted variable.
+    - symmetric: each of symmetries sends every generator into J.  Each
+      must permute the variables up to sign and keep the weights
+      (ValueError otherwise), so it maps J onto J and carries
+      J : u^inf = J to J : g(u)^inf = J: J is saturated by every inverted
+      variable.
 
     All four give K = J : v^inf = J.  Any Groebner basis of J decides
     membership in J, so the first saturation basis (variable 0 last when
-    sigma inverts none) decides every membership tested here.  Returns
+    sigma inverts none) decides every membership tested here.  Where
+    membership is plain no division is made: an image that is +- a
+    generator of J lies in J, and so does sigma(phi(s)) - s = 0.  Returns
     that basis, its order and the certificates by name, each True when it
     holds.
     """
     ring = claimed.ring
     require_homogeneous(claimed.gens, weights)
-    moves = [p for p in (_variable_permutation(g, weights) for g in symmetries) if p]
+    moves = [_variable_permutation(g, weights) for g in symmetries]
     inverted = {
         i for img in sigma.images.values() for m in img.terms for i, e in enumerate(m) if e < 0
     }
@@ -298,7 +335,7 @@ def kernel_by_saturation(claimed, phi, sigma, weights, symmetries):
         orbit = {i}
         while orbit:
             covered |= orbit
-            orbit = {p[k] for p in moves for k in orbit} - covered
+            orbit = {perm[k] for perm, _ in moves for k in orbit} - covered
         orders.append(_u_last_order(ring, i, tuple(weights)))
         # an element that u does not divide is its own quotient, in J already
         powers = [(g, min(m[i] for m in g.terms)) for g in claimed.groebner(orders[-1])]
@@ -306,13 +343,16 @@ def kernel_by_saturation(claimed, phi, sigma, weights, symmetries):
     order = orders[0] if orders else _u_last_order(ring, 0, tuple(weights))
     basis = claimed.groebner(order)
     in_claimed = poly.membership_test(basis, order)
+    signed_gens = set(claimed.gens) | {-f for f in claimed.gens}
+    differences = (sigma(phi.images[s]) - ring.var(s) for s in ring.names)
     return basis, order, {
         "contained": all(phi(g) == 0 for g in claimed.gens),
-        "left_inverse": all(
-            in_claimed(_clear_denominators(sigma(phi.images[s]) - ring.var(s))) for s in ring.names
-        ),
+        "left_inverse": all(not d or in_claimed(_clear_denominators(d)) for d in differences),
         "saturated": all(in_claimed(g) for g in quotients),
-        "symmetric": all(in_claimed(g(f)) for g in symmetries for f in claimed.gens),
+        "symmetric": all(
+            image in signed_gens or in_claimed(image)
+            for image in (_permuted(f, move) for move in moves for f in claimed.gens)
+        ),
     }
 
 
@@ -329,18 +369,40 @@ def _u_last_order(ring, i, weights):
 
 
 def _variable_permutation(g, weights):
-    """The list perm with g(x_i) = +-x_perm[i] when g permutes the
-    variables up to sign and keeps the weights; else None."""
-    ring, perm = g.source, []
+    """The ring map g read as (perm, signs), g(x_i) = signs[i] x_perm[i];
+    raises ValueError unless g permutes the variables of its source up to
+    sign and keeps the weights."""
+    ring, perm, signs = g.source, [], []
     for name in ring.names:
         terms = g.images[name].terms
         m, c = next(iter(terms.items()), (None, 0))
         if g.target != ring or len(terms) != 1 or abs(c) != 1 or sum(m) != 1 or min(m) < 0:
-            return None
+            raise ValueError(f"a symmetry sends {name} to {g.images[name]}, not to +-a variable")
         perm.append(m.index(1))
+        signs.append(c)
     if sorted(perm) != list(range(ring.nvars)):
-        return None
-    return perm if all(weights[i] == weights[p] for i, p in enumerate(perm)) else None
+        raise ValueError("a symmetry sends two variables to one: not a permutation")
+    moved = [ring.names[i] for i, p in enumerate(perm) if weights[i] != weights[p]]
+    if moved:
+        raise ValueError(f"a symmetry moves the weight of {', '.join(moved)}")
+    return perm, signs
+
+
+def _permuted(f, move):
+    """f under the signed permutation move = (perm, signs) of its ring's
+    variables, x_i -> signs[i] x_perm[i]: each exponent tuple permuted, its
+    coefficient times the signs of the variables it holds to odd powers.
+    The image under the ring map that _variable_permutation read, with no
+    product taken."""
+    perm, signs = move
+    inverse = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inverse[p] = i
+    negated = [i for i, sign in enumerate(signs) if sign < 0]
+    return Polynomial(f.ring, {
+        tuple(map(m.__getitem__, inverse)): -c if sum(map(m.__getitem__, negated)) & 1 else c
+        for m, c in f.terms.items()
+    })
 
 
 def _clear_denominators(f):

@@ -3,7 +3,8 @@
 Monomials are exponent tuples over a fixed variable table (PolyRing).
 Exponents may be negative in plain arithmetic (Laurent monomials are needed
 to evaluate ring maps like x_j -> t_j^-1); the one product (_times) and one
-power (_power) serve both Polynomial * and ** and ring-map images.
+power (_power) serve both Polynomial * and ** and ring-map images, and the
+product serves the one determinant routine, leading_minors.
 
 Inside the Groebner engine (normal_form, membership_test, buchberger,
 is_groebner_basis) a monomial is one int, packed for the order where a
@@ -22,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, count
+from math import comb
 from operator import add, itemgetter, or_
 
 from .linalg import rational_rank
@@ -113,10 +115,23 @@ class Polynomial:
         if self.ring != other.ring:
             raise ValueError("polynomials from different rings")
 
+    def _operand(self, other):
+        """other as a Polynomial of this ring: itself, or an int or Fraction
+        as a constant; None for any other type, bool included, so the
+        operator returns NotImplemented and Python raises TypeError.  The
+        Polynomial test comes first, and the scalar test reads the exact
+        type: isinstance(c, Fraction) goes through the ABC machinery."""
+        if isinstance(other, Polynomial):
+            self._check_ring(other)
+            return other
+        if type(other) in (int, Fraction):
+            return self.ring.const(other)
+        return None
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        self._check_ring(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
             acc = out.get(m, 0) + c
@@ -133,17 +148,18 @@ class Polynomial:
         return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return self.__add__(other.__neg__())
 
     def __rsub__(self, other):
         return self.__neg__().__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        self._check_ring(other)
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
         return _polynomial(self.ring, _times(self.terms, other.terms))
 
     def __rmul__(self, other):
@@ -464,11 +480,10 @@ def _subtract_tail(work, c, m, divisor):
     return fresh
 
 
-def _s_polynomial(a, b):
+def _s_polynomial(a, b, l):
     """S-polynomial of two divisors as packed terms, built from the two
-    tails alone: the lead terms cancel by construction."""
-    p = a[5]
-    l = p.pack(p.exponents(p.lcm(a[3], b[3])))
+    tails alone: the lead terms cancel by construction.  l is the packed
+    lcm of their leads, which a queued pair carries in its key."""
     work = {}
     _subtract_tail(work, -1, l, a)
     _subtract_tail(work, 1, l, b)
@@ -540,14 +555,14 @@ def _buchberger(gens, p):
 
     def s_polynomials():
         while queue:
-            degree, _, arrival, i, j, _ = heappop(queue)
+            degree, l, arrival, i, j, _ = heappop(queue)
             if arrival in dropped:
                 continue
             if degree > DEGREE_CAP:
                 raise CapExceeded(
                     f"S-pair degree {degree} exceeds cap {DEGREE_CAP}", degree=degree
                 )
-            yield _s_polynomial(basis[i], basis[j])
+            yield _s_polynomial(basis[i], basis[j], l)
 
     for f in chain(gens, s_polynomials()):
         r = _reduce(f, basis, p)
@@ -588,11 +603,13 @@ def is_groebner_basis(gens, order):
 
     def run(p):
         divisors = [_divisor(p.terms(g), p) for g in gens]
-        # coprime lead terms, whose lcm is their product, always reduce to zero
-        return not any(
-            p.lcm(a[3], b[3]) != a[3] + b[3] and _reduce(_s_polynomial(a, b), divisors, p)
-            for a, b in combinations(divisors, 2)
-        )
+        for a, b in combinations(divisors, 2):
+            l = p.lcm(a[3], b[3])
+            # coprime lead terms, whose lcm is their product, always reduce to zero
+            if l != a[3] + b[3]:
+                if _reduce(_s_polynomial(a, b, p.pack(p.exponents(l))), divisors, p):
+                    return False
+        return True
 
     return _packed_run(gens, order, run)
 
@@ -712,30 +729,59 @@ def zero_set_dimension(ideal):
 
 
 DET_SIDE_CAP = 6
+MINOR_CAP = 2**10
+
+
+def leading_minors(rows):
+    """Every minor of a matrix of Polynomials on its first k rows, for
+    every k up to the side min(rows, columns) and every k-subset of
+    columns, keyed by the sorted column tuple (k is its length).
+
+    Built level by level on term dicts: the minor on the first k rows and
+    columns S is the Laplace expansion along row k over the minors on the
+    first k - 1 rows and S less one column, so each sub-minor is built
+    once, with the one product _times.  Raises ValueError for an empty or
+    ragged matrix or entries from two rings, and CapExceeded, before any
+    product, past DET_SIDE_CAP on the side or MINOR_CAP minors.
+    """
+    ncols = len(rows[0]) if rows else 0
+    if not ncols:
+        raise ValueError("empty matrix")
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix: rows of different lengths")
+    ring = rows[0][0].ring
+    if any(f.ring != ring for r in rows for f in r):
+        raise ValueError("polynomials from different rings")
+    side = min(len(rows), ncols)
+    if side > DET_SIDE_CAP:
+        raise CapExceeded(f"determinant side {side} exceeds cap {DET_SIDE_CAP}", size=side)
+    count = sum(comb(ncols, k) for k in range(1, side + 1))
+    if count > MINOR_CAP:
+        raise CapExceeded(f"{count} minors on {ncols} columns, over the cap {MINOR_CAP}",
+                          size=count)
+    minors = {(c,): f.terms for c, f in enumerate(rows[0])}
+    for k in range(1, side):
+        entries = [f.terms for f in rows[k]]
+        for cols in combinations(range(ncols), k + 1):
+            acc = {}
+            for pos, c in enumerate(cols):
+                sub = minors[cols[:pos] + cols[pos + 1 :]]
+                if entries[c] and sub:
+                    sign = -1 if (k + pos) & 1 else 1
+                    for m, a in _times(entries[c], sub).items():
+                        acc[m] = acc.get(m, 0) + sign * a
+            minors[cols] = {m: a for m, a in acc.items() if a}
+    return {cols: _polynomial(ring, terms) for cols, terms in minors.items()}
 
 
 def symbolic_det(rows):
-    """Exact determinant of a square matrix of Polynomials.
-
-    Standard alternating cofactor expansion along the first row.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
+    """Exact determinant of a square matrix of Polynomials: the top minor
+    of leading_minors, whose Laplace pass shares every sub-minor.  Raises
+    ValueError unless the matrix is square; leading_minors refuses side 0
+    and caps the side at DET_SIDE_CAP."""
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix is not square")
-    if n == 0:
-        raise ValueError("empty matrix")
-    if n > DET_SIDE_CAP:
-        raise CapExceeded(f"determinant side {n} exceeds cap {DET_SIDE_CAP}", size=n)
-    if n == 1:
-        return rows[0][0]
-    ring = rows[0][0].ring
-    result = ring.zero()
-    for j in range(n):
-        minor = [[rows[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        cofactor = symbolic_det(minor)
-        term = rows[0][j] * cofactor
-        result = result + (term if j % 2 == 0 else -term)
-    return result
+    return leading_minors(rows)[tuple(range(len(rows)))]
 
 
 # ---------------------------------------------------------------------------

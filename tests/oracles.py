@@ -1,8 +1,9 @@
 """Independent brute-force oracles the tests check library results against.
 
 These deliberately use different algorithms from the library: permutation
-sums instead of cofactor expansion, minor enumeration instead of
-elimination, tableau enumeration instead of hook contents, subset
+sums instead of Laplace expansion over shared sub-minors, minor
+enumeration instead of elimination, tableau enumeration instead of hook
+contents, subset
 enumeration instead of branch and bound, sign search through the
 presentation map instead of the Laplace expansion, and textbook monomial
 comparisons instead of matrix-order keys, division that compares

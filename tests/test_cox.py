@@ -385,6 +385,29 @@ def test_the_column_action_commutes_with_the_presentation_map(case):
             assert phi(g(v)) == h(phi(v)), (perm, v)
 
 
+@pytest.mark.parametrize("case", ["phi 2", "phi 3", "psi 3", "psi 4"])
+def test_a_column_action_applied_as_a_signed_permutation_is_the_ring_map(case):
+    # every column permutation at n = 2, 3 and the swap and the cycle at
+    # n = 4, on every generator of J and on the squares of four of them,
+    # whose even powers of a negated variable keep their sign
+    kind, n = case.split()
+    n = int(n)
+    if kind == "phi":
+        phi, minors, claimed = build_phi(n, n), presentation_minors(n, n), tangent_cox_ideal(n, n)
+        weights = presentation_weights(n, n)
+    else:
+        phi, minors = gz.build_psi(n), gz.flag_minors(n)
+        claimed = Ideal(phi.source, gz.flag_presentation(n, phi))
+        weights = [1] * (n + 1) + [len(cols) for _, _, cols in minors]
+    swap, cycle = [1, 0] + list(range(2, n + 1)), [(j + 1) % (n + 1) for j in range(n + 1)]
+    polys = claimed.gens + [f * f for f in claimed.gens[-4:]]
+    for perm in (swap, cycle) if n == 4 else permutations(range(n + 1)):
+        g = column_action(phi.source, minors, perm)
+        move = cox._variable_permutation(g, weights)
+        for f in polys:
+            assert cox._permuted(f, move) == g(f), (perm, f)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_symmetry_certificate_rejects_a_wrong_w_sign(n):
     ring, minors = build_phi(n, n).source, presentation_minors(n, n)
@@ -480,27 +503,37 @@ def test_the_symmetries_decide_which_variables_are_saturated(saturated_names, n)
     names.clear()
     assert all(certificates(n, column_symmetries(ring, minors, n)[:1]).values())
     assert names == [x_name(j) for j in range(n + 1) if j != 1]
-    # a map that is not a signed permutation of the variables carries nothing
+    # a map that is not a signed permutation of the variables is refused
+    # before anything is saturated
     names.clear()
     images = {name: ring.var(name) for name in ring.names}
     images.update({x_name(j): ring.var(x_name(j)) + ring.var(x_name(0)) for j in range(1, n + 1)})
-    certificates(n, [RingMap(ring, ring, images)])
-    assert names == [x_name(j) for j in range(n + 1)]
+    with pytest.raises(ValueError, match="x1 to x0 \\+ x1, not to \\+-a variable"):
+        certificates(n, [RingMap(ring, ring, images)])
+    assert names == []
 
 
 def test_the_symmetry_gate_passes_only_weight_keeping_bijections(saturated_names):
-    # neither map carries x_0 to x_1, so x_0, x_1 and x_2 are all saturated;
-    # a gate that let either through would saturate [x0, x2]
+    # each map would carry x_0 to x_1, so a gate that let it through would
+    # saturate [x0, x2]; the gate refuses it before anything is saturated
     ring = build_phi(2, 2).source
     fixed = {name: ring.var(name) for name in ring.names}
     not_a_bijection = dict(fixed, x0=ring.var("x1"))
     # Y1_0 weighs 2 and W weighs 3
     moves_weights = dict(fixed, x0=ring.var("x1"), x1=ring.var("x0"), Y1_0=ring.var("W"),
                          W=ring.var("Y1_0"))
-    for images in (not_a_bijection, moves_weights):
+    for images, message in ((not_a_bijection, "two variables to one"),
+                            (moves_weights, "moves the weight of Y1_0, W")):
+        with pytest.raises(ValueError, match=message):
+            certificates(2, [RingMap(ring, ring, images)])
+        assert saturated_names == []
+    # signed permutations that keep the weights pass the gate and are
+    # checked: x_0 and x_1 swapped, or x_0 negated, keep no Euler relation
+    for images, names in ((dict(fixed, x0=ring.var("x1"), x1=ring.var("x0")), ["x0", "x2"]),
+                          (dict(fixed, x0=-ring.var("x0")), ["x0", "x1", "x2"])):
         saturated_names.clear()
-        certificates(2, [RingMap(ring, ring, images)])
-        assert saturated_names == ["x0", "x1", "x2"]
+        assert certificates(2, [RingMap(ring, ring, images)])["symmetric"] is False
+        assert saturated_names == names
 
 
 @pytest.mark.parametrize("n", [2, 3])

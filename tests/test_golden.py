@@ -192,9 +192,9 @@ def counting_s_polynomials():
     calls = [0]
     original = poly._s_polynomial
 
-    def counted(a, b):
+    def counted(a, b, lcm):
         calls[0] += 1
-        return original(a, b)
+        return original(a, b, lcm)
 
     poly._s_polynomial = counted
     try:

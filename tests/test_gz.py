@@ -233,6 +233,11 @@ def test_psi_kernel_matches_the_elimination(n):
     ]
 
 
+def test_build_psi_refuses_n_below_2():
+    with pytest.raises(ValueError, match="need n >= 2"):
+        build_psi(1)
+
+
 def test_psi_kernel_cap(monkeypatch):
     def built(n):
         raise AssertionError("psi was built before the cap was checked")

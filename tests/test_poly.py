@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -34,6 +35,7 @@ from tvbcox.cox import (
     lemma_ring,
     phi_target_ring,
     row_completing_order,
+    yy_name,
 )
 from tvbcox.gz import diagonal_order
 from tvbcox.linalg import rational_rank
@@ -110,6 +112,21 @@ def test_products_by_zero_and_across_rings(xyz):
             assert product.terms == {} and product.ring == xyz
     with pytest.raises(ValueError, match="polynomials from different rings"):
         f * PolyRing(["x", "y"]).var("x")
+
+
+@pytest.mark.parametrize("op", ["+", "-", "*"])
+def test_arithmetic_refuses_operands_that_are_not_polynomials_or_rationals(xyz, op):
+    # a bool is refused too, not taken as 0 or 1; ints and Fractions are
+    # constants, on either side
+    x = xyz.var("x")
+    apply = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b}[op]
+    for other in (1.5, True, False, "x", None, [1]):
+        with pytest.raises(TypeError):
+            apply(x, other)
+        with pytest.raises(TypeError):
+            apply(other, x)
+    for c in (2, Fraction(2, 3)):
+        assert apply(x, c) == apply(x, xyz.const(c)) and apply(c, x) == apply(xyz.const(c), x)
 
 
 def test_products_and_powers_have_fraction_coefficients(xyz):
@@ -379,6 +396,53 @@ def test_symbolic_det_cap():
     assert exc.value.size == 7
     with pytest.raises(ValueError):
         symbolic_det([[gens[0], gens[1]]])
+
+
+def euler_rows(n):
+    """The n x (n + 1) matrix of the presentation target whose column 0 is
+    -sum_j y_ij and whose column j is y_ij."""
+    target = phi_target_ring(n, n)
+    y = [[target.var(yy_name(i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return [[-sum(r, target.zero())] + r for r in y]
+
+
+def integer_matrix(rng, nrows, ncols, ring):
+    return [[ring.const(rng.choice([0, 0, 1, -1, 2, -3, 5])) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+def test_leading_minors_match_the_permutation_sum(xyz):
+    rng = random.Random(38)
+    matrices = [integer_matrix(rng, r, c, xyz)
+                for r in range(1, 5) for c in range(1, 6) for _ in range(3)]
+    matrices += [[[random_poly(xyz, rng, max_degree=1, terms=2) for _ in range(4)]
+                  for _ in range(3)]]
+    matrices += [euler_rows(n) for n in (2, 3, 4)]
+    for rows in matrices:
+        minors = poly.leading_minors(rows)
+        ncols, side = len(rows[0]), min(len(rows), len(rows[0]))
+        expected = {cols: det_permutation_sum([[r[c] for c in cols] for r in rows[:k]])
+                    for k in range(1, side + 1) for cols in combinations(range(ncols), k)}
+        assert minors == expected
+
+
+def test_leading_minors_gates(xyz, monkeypatch):
+    x, y, _ = xyz.gens()
+
+    def no_product(a, b):
+        raise AssertionError("a product was taken before the cap was checked")
+
+    monkeypatch.setattr(poly, "_times", no_product)
+    # side 7 over DET_SIDE_CAP, and 2 x 45 with 45 + 990 minors over MINOR_CAP
+    with pytest.raises(CapExceeded, match="determinant side 7 exceeds cap 6") as exc:
+        poly.leading_minors([[x] * 8] * 7)
+    assert exc.value.size == 7
+    with pytest.raises(CapExceeded, match="1035 minors on 45 columns, over the cap 1024") as exc:
+        poly.leading_minors([[x] * 45] * 2)
+    assert exc.value.size == 1035
+    # 2 x 44 has 44 + 946 = 990 minors, under the cap: the first product is taken
+    with pytest.raises(AssertionError, match="a product was taken"):
+        poly.leading_minors([[x] * 44] * 2)
 
 
 def test_buchberger_cap_exceeded(xyz, monkeypatch):
@@ -672,6 +736,10 @@ def _gates():
                               "ideals in different rings"),
         "det side 0": (lambda: symbolic_det([]), "empty matrix"),
         "det not square": (lambda: symbolic_det([[x, y], [y]]), "matrix is not square"),
+        "minors no rows": (lambda: poly.leading_minors([]), "empty matrix"),
+        "minors no columns": (lambda: poly.leading_minors([[], []]), "empty matrix"),
+        "minors ragged": (lambda: poly.leading_minors([[x, y], [y]]), "ragged matrix"),
+        "minors rings": (lambda: poly.leading_minors([[x, u]]), "polynomials from different rings"),
         "RingMap missing image": (lambda: RingMap(uv, xyz, {"u": x}), r"no image for \['v'\]"),
         "RingMap image ring": (lambda: RingMap(uv, xyz, {"u": x, "v": v}),
                                "image of v lives in the wrong ring"),

@@ -246,7 +246,9 @@ non_monic = st.lists(
 @given(non_monic, non_monic, orders)
 def test_tail_only_s_polynomial_is_the_textbook_one(f, g, order):
     p = _Packing(order, 1)
-    s = p.polynomial(RING, _s_polynomial(_divisor(p.terms(f), p), _divisor(p.terms(g), p)))
+    a, b = _divisor(p.terms(f), p), _divisor(p.terms(g), p)
+    # the packed lcm of the leads, as a queued pair carries it
+    s = p.polynomial(RING, _s_polynomial(a, b, p.pack(p.exponents(p.lcm(a[3], b[3])))))
     assert s == _textbook_s_polynomial(f, g, order)
     assert _exact([s])
 
