@@ -32,6 +32,7 @@ from .poly import (
     lex,
     normal_form,
     poly_to_text,
+    product_rows,
 )
 
 # Largest number of words confluence_sweep canonicalizes.
@@ -324,11 +325,14 @@ def euler_flag_relation(n, tau, psi):
     if not tau <= frozenset(range(n + 1)) or len(tau) > n - 2:
         raise ValueError("tau must be a subset of {0..n} with |tau| <= n - 2")
     source = psi.source
-    relation = source.zero()
+    # each term is x_j P_{tau+j} for its own j: distinct monomials, built as
+    # exponent tuples
+    terms = {}
     for j in sorted(set(range(n + 1)) - tau):
-        sign = (-1) ** sum(0 < t < j for t in tau)
-        relation = relation + sign * source.var(x_name(j)) * source.var(p_name(tau | {j}))
-    return relation
+        exps = [0] * source.nvars
+        exps[source.index[x_name(j)]] = exps[source.index[p_name(tau | {j})]] = 1
+        terms[tuple(exps)] = (-1) ** sum(0 < t < j for t in tau)
+    return Polynomial(source, terms)
 
 
 def plucker_pair_count(n):
@@ -348,30 +352,30 @@ def quadratic_plucker_relations(n, psi):
     Computed degree by degree: products of two P-variables share a torus
     multidegree exactly when their column multisets agree, and inside each
     group the kernel of the presentation map is exact linear algebra on the
-    rows of the pair images.  Each kernel vector is then proved on those
-    rows: psi(rel) is the sum of its coefficients times the pair images, so
-    the vector scaled to integers times the rows must be zero.  The images
-    live only until their group's rows are built.  Raises CapExceeded,
-    before psi is read, past PAIR_CAP pairs, and AssertionError("relations
-    with nonzero image: ...") naming the relations whose check fails.
+    rows of the pair images, which poly.product_rows forms on packed terms
+    under the diagonal order, lex in the target's ring order, so the
+    columns are the image monomials in sorted order.  Each kernel vector is
+    then proved on those rows: psi(rel) is the sum of its coefficients
+    times the pair images, so the vector scaled to integers times the rows
+    must be zero.  Raises CapExceeded, before psi is read, past PAIR_CAP
+    pairs, and AssertionError("relations with nonzero image: ...") naming
+    the relations whose check fails.
     """
     plucker_pair_count(n)
     source = psi.source
     column_sets = flag_column_sets(n)
-    groups = {}
-    for a, b in combinations_with_replacement(column_sets, 2):
-        groups.setdefault(tuple(sorted(chain(a, b))), []).append((a, b))
+    by_columns = {}
+    for (i, a), (j, b) in combinations_with_replacement(enumerate(column_sets), 2):
+        by_columns.setdefault(tuple(sorted(chain(a, b))), []).append((i, j))
+    groups = [pairs for _, pairs in sorted(by_columns.items()) if len(pairs) > 1]
+    names = [p_name(cols) for cols in column_sets]
+    images = [psi.images[name] for name in names]
     # a pair monomial is the sum of two P-variables' exponent vectors, and
     # its image the product of their images
-    names = {cols: p_name(cols) for cols in column_sets}
-    exps = {cols: next(iter(source.var(name).terms)) for cols, name in names.items()}
+    exps = [next(iter(source.var(name).terms)) for name in names]
     relations, bad = [], []
-    for key in sorted(groups):
-        pairs = groups[key]
-        if len(pairs) < 2:
-            continue
-        monomials = [tuple(map(add, exps[a], exps[b])) for a, b in pairs]
-        rows = _image_rows([psi.images[names[a]] * psi.images[names[b]] for a, b in pairs])
+    for pairs, rows in zip(groups, product_rows(images, groups, diagonal_order(psi.target, n))):
+        monomials = [tuple(map(add, exps[i], exps[j])) for i, j in pairs]
         for coeffs in left_kernel_basis(rows):
             rel = Polynomial(source, {
                 mono: c.numerator if c.denominator == 1 else c
@@ -383,13 +387,6 @@ def quadratic_plucker_relations(n, psi):
     if bad:
         raise AssertionError(f"relations with nonzero image: {bad[:3]}")
     return relations
-
-
-def _image_rows(images):
-    """Each image as an integer row over the sorted union of their
-    supports."""
-    support = sorted({m for img in images for m in img.terms})
-    return [[img.terms.get(m, 0) for m in support] for img in images]
 
 
 def _vanishes(coeffs, rows):

@@ -26,7 +26,9 @@ def _is_int(s):
     s = s.strip()
     if s and s[0] in "+-":
         s = s[1:]
-    return s.isdigit()
+    # ASCII digits only: str.isdigit also takes other scripts' digits and
+    # superscripts, which int() reads or refuses with its own message
+    return s.isascii() and s.isdigit()
 
 
 def rational_rank(rows):

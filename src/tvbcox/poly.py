@@ -7,15 +7,15 @@ power (_power) serve both Polynomial * and ** and ring-map images, and the
 product serves the one determinant routine, leading_minors.
 
 Inside the Groebner engine (normal_form, membership_test, buchberger,
-is_groebner_basis) a monomial is one int, packed for the order where a
-polynomial enters and unpacked where a result leaves (_Packing): the
-exponents one byte a variable under a guard bit, so at most 127, and the
-order's rows above them in fields of 8 to 64 bits.  An exponent past its
-field sets its guard bit, and the run starts over with 16-bit, then
-32-bit exponents; past 2^31 - 1 it raises CapExceeded, and a negative
-exponent, ValueError.  Coefficients have one representation, in a
-Polynomial and in the engine alike: an int when integral, a Fraction only
-when not.
+is_groebner_basis, and product_rows, whose pair products never leave it)
+a monomial is one int, packed for the order where a polynomial enters and
+unpacked where a result leaves (_Packing): the exponents one byte a
+variable under a guard bit, so at most 127, and the order's rows above
+them in fields of 8 to 64 bits.  An exponent past its field sets its
+guard bit, and the run starts over with 16-bit, then 32-bit exponents;
+past 2^31 - 1 it raises CapExceeded, and a negative exponent,
+ValueError.  Coefficients have one representation, in a Polynomial and in
+the engine alike: an int when integral, a Fraction only when not.
 """
 
 import struct
@@ -173,7 +173,8 @@ class Polynomial:
         return _polynomial(self.ring, _power([self], 0, k, {}))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # the exact-type test of _operand: a bool is not the constant 1 or 0
+        if type(other) in (int, Fraction):
             other = self.ring.const(other)
         return isinstance(other, Polynomial) and self.ring == other.ring and self.terms == other.terms
 
@@ -478,6 +479,38 @@ def _subtract_tail(work, c, m, divisor):
         else:
             work[t] = acc - factor * gc
     return fresh
+
+
+def product_rows(factors, groups, order):
+    """The products of pairs of factors as coefficient rows: for each group
+    of index pairs (i, j), one row per pair, factors[i] * factors[j], over
+    the union of the group's nonzero product terms, increasing under order.
+
+    Each factor is packed once, and each product is formed on packed terms
+    by the loop that subtracts a divisor: factors[j] is the tail of a
+    divisor whose lead is the monomial 1, shifted to each term of
+    factors[i].  Rows of int factors are ints.  Raises as buchberger does
+    for factors from two rings, an order of another width, a negative
+    exponent or one past 2^31 - 1; a product exponent past its field
+    restarts the run with wider ones."""
+
+    def run(p):
+        one = p.pack((0,) * len(order.rows[0]))
+        packed = [p.terms(f) for f in factors]
+        divisors = [(one, 1, list(terms.items()), 0, terms, p) for terms in packed]
+        out = []
+        for pairs in groups:
+            products = []
+            for i, j in pairs:
+                work, d = {}, divisors[j]
+                for m, c in packed[i].items():
+                    _subtract_tail(work, -c, m, d)
+                products.append(work)
+            support = sorted({m for work in products for m, c in work.items() if c})
+            out.append([[work.get(m, 0) for m in support] for work in products])
+        return out
+
+    return _packed_run(factors, order, run)
 
 
 def _s_polynomial(a, b, l):

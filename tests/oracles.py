@@ -13,7 +13,8 @@ generators enumerated as negated variables and then flags instead of as
 marks on column sets of every size, and column permutations applied to
 the presentation matrix instead of to a table of minors, and the left
 inverses of the presentation maps in closed form instead of read off a
-table of minors.  It also holds
+table of minors, and pair products multiplied by Polynomial * on exponent
+tuples instead of on packed terms.  It also holds
 helpers that only tests use.
 """
 
@@ -288,6 +289,18 @@ def normal_form_by_division(f, gens, greater):
             term = ring.monomial(m, c)
             rest, remainder = rest - term, remainder + term
     return remainder
+
+
+def rows_by_polynomial_products(factors, groups, key=None):
+    """poly.product_rows by Polynomial *: for each group of index pairs, the
+    pair products as rows over the union of the group's product terms,
+    sorted by key (by the exponent tuples themselves when None)."""
+    out = []
+    for pairs in groups:
+        products = [factors[i] * factors[j] for i, j in pairs]
+        support = sorted({m for f in products for m in f.terms}, key=key)
+        out.append([[f.terms.get(m, 0) for m in support] for f in products])
+    return out
 
 
 def from_terms(ring, terms):

@@ -37,6 +37,7 @@ from oracles import (
     euler_quadric_by_sign_search,
     flag_column_sets_by_size,
     generators_by_kind,
+    rows_by_polynomial_products,
     sort_word,
 )
 
@@ -282,6 +283,23 @@ def test_quadratic_relations_count_n3():
     rels = quadratic_plucker_relations(3, build_psi(3))
     assert len(rels) == 5
     assert all(len(r) == 3 for r in rels)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_packed_pair_rows_are_the_polynomial_products(n):
+    # every group of P-variable pairs with one column multiset, a lone pair
+    # included: the rows poly.product_rows forms under the diagonal order
+    # are the pair images multiplied by Polynomial *, over their sorted
+    # exponent tuples, so the kernels see the same columns in the same order
+    psi = build_psi(n)
+    column_sets = flag_column_sets(n)
+    images = [psi.images[gz.p_name(cols)] for cols in column_sets]
+    groups = {}
+    for (i, a), (j, b) in combinations_with_replacement(enumerate(column_sets), 2):
+        groups.setdefault(tuple(sorted([*a, *b])), []).append((i, j))
+    groups = [groups[key] for key in sorted(groups)]
+    assert poly.product_rows(images, groups, diagonal_order(psi.target, n)) == (
+        rows_by_polynomial_products(images, groups))
 
 
 def test_pair_and_word_counts_at_their_caps(monkeypatch):

@@ -25,6 +25,16 @@ def test_parse_rational():
         parse_rational("x")
 
 
+@pytest.mark.parametrize(
+    "text", ["\u0663", "1/\u0662", "\u00b2", "\u00b2/3", "1_000", "1/1_0", "\uff11"])
+def test_parse_rational_takes_ascii_digits_only(text):
+    # other scripts' digits (Arabic-Indic 3 and 2, fullwidth 1), a
+    # superscript 2 and an underscore separator are not "p/q" literals,
+    # though int() reads all but the superscript
+    with pytest.raises(ValueError, match="not a rational literal"):
+        parse_rational(text)
+
+
 def test_rank_identity():
     assert rational_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 

@@ -48,6 +48,7 @@ from oracles import (
     min_weight_greater,
     monomial_dimension_brute,
     normal_form_by_division,
+    rows_by_polynomial_products,
 )
 
 
@@ -127,6 +128,15 @@ def test_arithmetic_refuses_operands_that_are_not_polynomials_or_rationals(xyz, 
             apply(other, x)
     for c in (2, Fraction(2, 3)):
         assert apply(x, c) == apply(x, xyz.const(c)) and apply(c, x) == apply(xyz.const(c), x)
+
+
+def test_a_bool_is_not_a_constant_in_a_comparison(xyz):
+    # == takes ints and Fractions as constants, as + - * do, and a bool as
+    # neither
+    one, zero = xyz.one(), xyz.zero()
+    assert one == 1 and zero == 0 and xyz.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert not one == True and one != True
+    assert not zero == False and zero != False
 
 
 def test_products_and_powers_have_fraction_coefficients(xyz):
@@ -617,6 +627,7 @@ TWO_RINGS = {
     "the membership test": lambda f, g, order: membership_test([f], order)(g),
     "buchberger": lambda f, g, order: buchberger([f, g], order),
     "is_groebner_basis": lambda f, g, order: is_groebner_basis([f, g], order),
+    "product_rows": lambda f, g, order: poly.product_rows([f, g], [[(0, 1)]], order),
 }
 
 
@@ -668,6 +679,37 @@ def test_exponents_that_outgrow_their_fields_mid_buchberger():
         assert max(e for g in basis for m in g.terms for e in m) >= 128
         assert sorted(order.packings) == [1, 2]  # the one-byte run was started over
         assert basis == [g.substitute([x, y, z**45]) for g in buchberger(gens, order)]
+
+
+def test_product_rows_match_polynomial_products():
+    ring = PolyRing(["x", "y", "z"])
+    x, y, z = ring.gens()
+    rng = random.Random(41)
+    factors = [random_poly(ring, rng) for _ in range(6)] + [x - y, x + y, ring.zero(), 3 * z]
+    pairs = list(combinations(range(len(factors)), 2)) + [(i, i) for i in range(len(factors))]
+    groups = [pairs[:7], pairs[7:20], pairs[20:], [(7, 6), (6, 7)], []]
+    for order in (grevlex(ring), lex(ring, ["z", "x", "y"]), elimination_order(ring, ["y"])):
+        assert poly.product_rows(factors, groups, order) == rows_by_polynomial_products(
+            factors, groups, order.key)
+    # (x - y)(x + y) = x^2 - y^2: the cancelled xy is no column
+    assert poly.product_rows([x - y, x + y], [[(0, 1)]], lex(ring, ring.names)) == [[[-1, 1]]]
+
+
+def test_product_rows_restart_when_a_product_outgrows_its_field():
+    ring = PolyRing(["x", "y", "z"])
+    x, y, z = ring.gens()
+    # every factor's exponents fit one byte, the products' pass 127
+    factors = [x**100 * y - z, x**60 + y**127 * z, 2 * y**90 - x * z**3]
+    groups = [[(0, 1), (1, 2), (0, 2)], [(1, 1), (0, 0)]]
+    assert max(e for f in factors for m in f.terms for e in m) < 128
+    order = lex(ring, ring.names)
+    assert poly.product_rows(factors, groups, order) == rows_by_polynomial_products(
+        factors, groups, order.key)
+    assert sorted(order.packings) == [1, 2]  # the one-byte run was started over
+    with pytest.raises(CapExceeded):
+        poly.product_rows([x ** (2**30)], [[(0, 0)]], grevlex(ring))
+    with pytest.raises(ValueError, match="Laurent"):
+        poly.product_rows([x * y, x**-1], [[(0, 1)]], grevlex(ring))
 
 
 def test_order_rows_with_entries_near_2_to_the_30():
