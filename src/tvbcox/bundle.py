@@ -216,9 +216,8 @@ def vandermonde_matrix(d: int, s: int):
 
 
 def tangent_bundle(n: int):
-    """Tangent bundle of P^n: M the all-ones row, D the identity."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    """Tangent bundle of P^n: M the all-ones row, D the identity.
+    BundleData refuses n < 1: no row at n < 0, and rank 0 at n = 0."""
     identity = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
     return BundleData([[1] * (n + 1)], identity, label=f"tangent(P^{n})")
 

@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__, bundle, cox, gz, poly, schur, suite
-from .linalg import parse_rational
+from .linalg import is_int_literal, parse_rational
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -24,6 +24,15 @@ EXIT_CAP = 3
 
 class InputError(ValueError):
     pass
+
+
+def integer(text):
+    """An integer option or --set item: ASCII digits under an optional
+    sign, the rule of bundle-file rationals; int() would also read other
+    scripts' digits and "1_0"."""
+    if not is_int_literal(text):
+        raise InputError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_bundle_file(text):
@@ -203,7 +212,7 @@ def cmd_cox_quiver(args):
 
 
 def cmd_cox_lemma(args):
-    subset = [int(x) for x in args.set.split(",") if x.strip()]
+    subset = [integer(x) for x in args.set.split(",") if x.strip()]
     results = cox.verify_lemma(args.n, subset)
     ok = results["is_groebner_basis"] and results["dimension"] == results["expected_dimension"]
     return f"{args.n},{subset}", results, EXIT_OK if ok else EXIT_CHECK_FAILED
@@ -262,78 +271,70 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=f"tvbcox {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # every leaf command takes --report; the cox and gz groups do not
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", help="write the JSON report here instead of stdout")
 
-    p = sub.add_parser("analyze", help="classify a bundle file and compute CI-stability")
+    p = sub.add_parser("analyze", help="classify a bundle file and compute CI-stability", parents=[report])
     p.add_argument("path")
-    p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.set_defaults(fn=cmd_analyze, name="analyze")
 
-    p = sub.add_parser("ci-stability", help="CI-stability of a bundle file")
+    p = sub.add_parser("ci-stability", help="CI-stability of a bundle file", parents=[report])
     p.add_argument("path")
-    p.add_argument("--report")
     p.set_defaults(fn=cmd_ci_stability, name="ci-stability")
 
-    p = sub.add_parser("region", help="stability table of sparse uniform bundles")
-    p.add_argument("--r-max", type=int, required=True)
-    p.add_argument("--s-max", type=int, required=True)
+    p = sub.add_parser("region", help="stability table of sparse uniform bundles", parents=[report])
+    p.add_argument("--r-max", type=integer, required=True)
+    p.add_argument("--s-max", type=integer, required=True)
     p.add_argument("--csv", help="write the CSV here instead of stdout")
     p.add_argument("--svg", help="also write an SVG scatter")
-    p.add_argument("--report")
     p.set_defaults(fn=cmd_region, name="region")
 
     p_cox = sub.add_parser("cox", help="tangent-bundle presentations and checks")
     cox_sub = p_cox.add_subparsers(dest="cox_command", required=True)
 
-    p = cox_sub.add_parser("tangent", help="presentation of P(T_n tensor K^m)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p = cox_sub.add_parser("tangent", help="presentation of P(T_n tensor K^m)", parents=[report])
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--m", type=integer, required=True)
     p.add_argument("--verify-kernel", action="store_true", help="prove the kernel equality (m = n only)")
     p.add_argument("--allow-large", action="store_true", help="enable kernel verification for n >= 5")
     p.add_argument("--emit", choices=["generators", "gb"], default="generators")
-    p.add_argument("--report")
     p.set_defaults(fn=cmd_cox_tangent, name="cox tangent")
 
-    p = cox_sub.add_parser("quiver", help="Euler relations plus maximal minors")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--report")
+    p = cox_sub.add_parser("quiver", help="Euler relations plus maximal minors", parents=[report])
+    p.add_argument("--n", type=integer, required=True)
     p.set_defaults(fn=cmd_cox_quiver, name="cox quiver")
 
-    p = cox_sub.add_parser("lemma-js", help="row-sum/minors Groebner and dimension check")
-    p.add_argument("--n", type=int, required=True)
+    p = cox_sub.add_parser("lemma-js", help="row-sum/minors Groebner and dimension check", parents=[report])
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--set", required=True, help="comma separated column subset, e.g. 1,2")
-    p.add_argument("--report")
     p.set_defaults(fn=cmd_cox_lemma, name="cox lemma-js")
 
-    p = cox_sub.add_parser("pluecker-match", help="check the written-out signed substitution onto the Gr(2,5) quadrics")
-    p.add_argument("--report")
+    p = cox_sub.add_parser("pluecker-match", help="check the written-out signed substitution onto the Gr(2,5) quadrics", parents=[report])
     p.set_defaults(fn=cmd_cox_pluecker, name="cox pluecker-match")
 
-    p = sub.add_parser("cauchy", help="Cauchy identity table")
-    p.add_argument("--dim-e", type=int, required=True)
-    p.add_argument("--dim-v", type=int, required=True)
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--report")
+    p = sub.add_parser("cauchy", help="Cauchy identity table", parents=[report])
+    p.add_argument("--dim-e", type=integer, required=True)
+    p.add_argument("--dim-v", type=integer, required=True)
+    p.add_argument("--max-degree", type=integer, required=True)
     p.set_defaults(fn=cmd_cauchy, name="cauchy")
 
     p_gz = sub.add_parser("gz", help="pattern semigroup checks and subduction")
     gz_sub = p_gz.add_subparsers(dest="gz_command", required=True)
 
-    p = gz_sub.add_parser("verify", help="patterns, relations, confluence at one n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-word-length", type=int, default=3)
-    p.add_argument("--report")
+    p = gz_sub.add_parser("verify", help="patterns, relations, confluence at one n", parents=[report])
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--max-word-length", type=integer, default=3)
     p.set_defaults(fn=cmd_gz_verify, name="gz verify")
 
-    p = gz_sub.add_parser("subduct", help="rewrite two words to canonical form")
-    p.add_argument("--n", type=int, required=True)
+    p = gz_sub.add_parser("subduct", help="rewrite two words to canonical form", parents=[report])
+    p.add_argument("--n", type=integer, required=True)
     p.add_argument("--word1", required=True, help='bracket syntax, e.g. "[-2],[{1,3},0]"')
     p.add_argument("--word2", required=True)
-    p.add_argument("--report")
     p.set_defaults(fn=cmd_gz_subduct, name="gz subduct")
 
-    p = sub.add_parser("suite", help="run the verification suite")
+    p = sub.add_parser("suite", help="run the verification suite", parents=[report])
     p.add_argument("--level", choices=["fast", "full"], default="fast")
-    p.add_argument("--report")
     p.set_defaults(fn=cmd_suite, name="suite")
 
     return parser

@@ -143,11 +143,6 @@ def euler_minors(target, n, minors):
     return images
 
 
-def euler_minor(target, n, rows, cols):
-    """euler_minors of the table of the one minor on rows x cols."""
-    return euler_minors(target, n, [(None, rows, cols)])[None]
-
-
 def minor_map(n, m, minors):
     """The presentation map of a table of minor variables: from the ring
     of x_0..x_n and the minors, in table order, into phi_target_ring(n, m),
@@ -162,7 +157,7 @@ def minor_map(n, m, minors):
 
 def build_phi(n: int, m: int):
     """The presentation map of the Cox ring of P(T_n tensor K^m), minor_map
-    on presentation_minors(n, m): Y_ij -> the (i, j) entry of euler_minor's
+    on presentation_minors(n, m): Y_ij -> the (i, j) entry of euler_minors'
     matrix times t_j, and the W of rows tau -> det[y(tau, 1..n)] t_0...t_n."""
     if n < 1 or m < 1:
         raise ValueError("need n, m >= 1")

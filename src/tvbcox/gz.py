@@ -269,7 +269,7 @@ def flag_minors(n):
 def build_psi(n: int):
     """Presentation map of the Cox ring of the full flag bundle of T_n:
     the minor_map of flag_minors(n), x_j -> t_j^-1 and P over columns
-    `cols` -> the top-justified euler_minor on those columns."""
+    `cols` -> the top-justified Euler minor on those columns."""
     if n < 2:
         raise ValueError("need n >= 2")
     return minor_map(n, n - 1, flag_minors(n))

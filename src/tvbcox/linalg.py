@@ -11,18 +11,18 @@ def parse_rational(text):
     s = text.strip()
     if "/" in s:
         num, _, den = s.partition("/")
-        if not _is_int(num) or not _is_int(den):
+        if not is_int_literal(num) or not is_int_literal(den):
             raise ValueError(f"not a rational literal: {text!r}")
         d = int(den)
         if d == 0:
             raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), d)
-    if not _is_int(s):
+    if not is_int_literal(s):
         raise ValueError(f"not a rational literal: {text!r}")
     return Fraction(int(s))
 
 
-def _is_int(s):
+def is_int_literal(s):
     s = s.strip()
     if s and s[0] in "+-":
         s = s[1:]

@@ -170,7 +170,7 @@ class Polynomial:
             raise TypeError(f"exponent must be an int, not {type(k).__name__}")
         if k == 0:
             return self.ring.one()
-        return _polynomial(self.ring, _power([self], 0, k, {}))
+        return _polynomial(self.ring, _power(self.terms, k))
 
     def __eq__(self, other):
         # the exact-type test of _operand: a bool is not the constant 1 or 0
@@ -204,7 +204,7 @@ class Polynomial:
             raise ValueError("no images given")
         if len(rings) > 1:
             raise ValueError("polynomials from different rings")
-        return _expand(self, images, rings.pop(), {})
+        return _expand(self, images, rings.pop())
 
     def __repr__(self):
         return poly_to_text(self, None)
@@ -821,12 +821,10 @@ def symbolic_det(rows):
 # ring maps
 
 
-def _expand(f, images, target, powers):
+def _expand(f, images, target):
     """f under variable -> Polynomial images in target, expanded on term
     dicts: each term starts from the power of its first variable's image,
-    times its coefficient, and takes one product per further variable.
-    powers memoizes images[i] ** e as terms by (i, e), so a caller whose
-    images are fixed can keep it."""
+    times its coefficient, and takes one product per further variable."""
     out = {}
     for m, c in f.terms.items():
         part = None
@@ -834,7 +832,7 @@ def _expand(f, images, target, powers):
             if e:
                 if images[i] is None:
                     raise ValueError(f"no image for variable {f.ring.names[i]}")
-                factor = _power(images, i, e, powers)
+                factor = _power(images[i].terms, e)
                 part = {t: c * a for t, a in factor.items()} if part is None else _times(part, factor)
         if part is None:
             part = {(0,) * target.nvars: c}
@@ -843,24 +841,19 @@ def _expand(f, images, target, powers):
     return _polynomial(target, out)
 
 
-def _power(images, i, e, powers):
-    """images[i] ** e as terms: for e = 1 the image's own, which no caller
-    writes to; else memoized in powers, a monomial directly (inverted for
-    e < 0 when it is a unit), else by squaring."""
-    base = images[i].terms
+def _power(base, e):
+    """The term dict base ** e: for e = 1 base itself, which no caller
+    writes to; a monomial directly (inverted for e < 0 when it is a
+    unit), else by squaring."""
     if e == 1:
         return base
-    if (i, e) not in powers:
-        if e < 0 and [abs(c) for c in base.values()] != [1]:
-            raise ValueError("negative power of a non-unit")
-        if len(base) == 1:
-            p = {tuple(a * e for a in m): c ** abs(e) for m, c in base.items()}
-        else:
-            half = _power(images, i, e >> 1, powers)
-            p = _times(half, half)
-            p = _times(p, base) if e & 1 else p
-        powers[i, e] = p
-    return powers[i, e]
+    if e < 0 and [abs(c) for c in base.values()] != [1]:
+        raise ValueError("negative power of a non-unit")
+    if len(base) == 1:
+        return {tuple(a * e for a in m): c ** abs(e) for m, c in base.items()}
+    half = _power(base, e >> 1)
+    p = _times(half, half)
+    return _times(p, base) if e & 1 else p
 
 
 def _times(a, b):
@@ -877,9 +870,7 @@ class RingMap:
     """Assignment of each source variable to a target Polynomial.
 
     Images may be Laurent monomials (negative exponents); a call expands
-    symbolically.  The images are fixed when the map is built, so the map
-    memoizes their powers across calls, and nothing else: the image of a
-    monomial or polynomial is expanded afresh on every call.
+    symbolically, afresh on every call.
     """
 
     def __init__(self, source, target, images):
@@ -893,12 +884,11 @@ class RingMap:
             if img.ring != target:
                 raise ValueError(f"image of {name} lives in the wrong ring")
         self._images = [self.images[name] for name in source.names]
-        self._powers = {}
 
     def __call__(self, f):
         if f.ring != self.source:
             raise ValueError("argument from the wrong ring")
-        return _expand(f, self._images, self.target, self._powers)
+        return _expand(f, self._images, self.target)
 
 
 def transplant(f, target_ring):

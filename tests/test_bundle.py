@@ -289,6 +289,12 @@ def test_region_table_caps_its_rows(monkeypatch):
             region_table(r_max, s_max)
 
 
+@pytest.mark.parametrize("r_max, s_max", [(1, 5), (5, 5), (6, 5)])
+def test_region_table_refuses_r_max_below_2_or_not_below_s_max(r_max, s_max):
+    with pytest.raises(ValueError, match="need 2 <= r_max < s_max"):
+        region_table(r_max, s_max)
+
+
 def test_region_table_values():
     rows, lines = region_table(12, 14)
     table = {(r, s): stab for r, s, stab in rows}

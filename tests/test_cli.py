@@ -233,6 +233,9 @@ def test_determinant_cap_exits_3(capsys):
         (["lemma-js", "--n", "3", "--set", "4"], "column index out of range 1..3"),
         (["lemma-js", "--n", "3", "--set", ","], "subset must be nonempty"),
         (["quiver", "--n", "1"], "need n >= 2"),
+        (["lemma-js", "--n", "2", "--set", "\u0661"], "not an integer: '\u0661'"),
+        (["lemma-js", "--n", "2", "--set", "1,\u0662"], "not an integer: '\u0662'"),
+        (["lemma-js", "--n", "2", "--set", "1_0"], "not an integer: '1_0'"),
     ],
 )
 def test_cox_lemma_and_quiver_refuse_bad_input(capsys, argv, message):
@@ -329,6 +332,34 @@ def test_region_over_its_cap_exits_3(capsys, tmp_path):
     assert code == EXIT_CAP
     assert out == "" and not svg.exists()
     assert "the (r, s) grid has 65537 rows, over the cap 65536" in err
+
+
+def test_region_refuses_r_max_below_2(capsys):
+    code, out, err = run(capsys, "region", "--r-max", "1", "--s-max", "5")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "input error: need 2 <= r_max < s_max" in err
+
+
+@pytest.mark.parametrize(
+    "command, digits, ascii_digits",
+    [
+        ("cox quiver --n {}", "\u0662", "2"),
+        ("region --r-max {} --s-max 5", "\uff12", "2"),
+        ("gz verify --n 2 --max-word-length {}", "1_0", "10"),
+    ],
+)
+def test_integer_options_are_ascii_digits(capsys, command, digits, ascii_digits):
+    # int() reads Arabic-Indic and fullwidth digits and underscores; an
+    # option takes ASCII digits only, and those spell the same int
+    with pytest.raises(SystemExit) as exc:
+        main(command.format(digits).split())
+    assert exc.value.code == EXIT_USAGE
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"invalid integer value: {digits!r}" in out.err
+    args = cli.build_parser().parse_args(command.format(ascii_digits).split())
+    assert int(digits) in vars(args).values()
 
 
 @pytest.mark.parametrize("dims", [("-1", "-1"), ("-2", "3")])

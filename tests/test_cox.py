@@ -13,7 +13,7 @@ from tvbcox.cox import (
     delta_order,
     delta_weights,
     euler_generators,
-    euler_minor,
+    euler_minors,
     initial_comparison,
     kernel_by_saturation,
     lemma_ideal,
@@ -550,7 +550,7 @@ def test_euler_minor_matches_the_permutation_sum(n):
                 want = det_permutation_sum([[y[i, j] for j in cols] for i in rows])
                 for j in cols:
                     want = want * target.var(t_name(j))
-                assert euler_minor(target, n, rows, cols) == want, (rows, cols)
+                assert euler_minors(target, n, [(None, rows, cols)])[None] == want, (rows, cols)
 
 
 def test_kernel_membership_and_nonmembership():

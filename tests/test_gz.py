@@ -62,6 +62,8 @@ def test_generator_pattern_exhaustive():
         generator_pattern(set(), 3)
     with pytest.raises(ValueError):
         generator_pattern({1, 2, 3}, 3)
+    with pytest.raises(ValueError, match="tau out of range 1..3"):
+        generator_pattern({4}, 3)
 
 
 @pytest.mark.parametrize(

@@ -787,6 +787,10 @@ def _gates():
                                "image of v lives in the wrong ring"),
         "RingMap argument ring": (lambda: RingMap(uv, xyz, {"u": x, "v": y})(x),
                                   "argument from the wrong ring"),
+        "eliminate unknown name": (lambda: poly.eliminate(Ideal(xyz, [x]), ["z", "w"]),
+                                   r"unknown variables: \['w'\]"),
+        "transplant missing variable": (lambda: poly.transplant(x * y + 1, PolyRing(["y"])),
+                                        "variable x missing from target ring"),
     }
 
 

@@ -451,7 +451,7 @@ def test_substitute_matches_the_product_expansion(data):
 
 @small
 @given(st.data())
-def test_a_ring_map_keeps_its_powers_across_calls(data):
+def test_a_ring_map_gives_the_same_image_on_every_call(data):
     images = data.draw(ring_maps())
     fs = data.draw(st.lists(source_polys(images, max_size=3), min_size=2, max_size=6))
     phi = RingMap(ABC, ST, dict(zip(ABC.names, images)))
