@@ -286,35 +286,38 @@ def delta_initial_ideal(ideal, grading):
     return Ideal(ideal.ring, [weight_initial(g, w) for g in gb])
 
 
-def kernel_by_saturation(claimed, phi, sigma, weights, symmetries):
+def kernel_by_saturation(claimed, phi, sigma, weights, symmetries, order):
     """Certificates that ker(phi) is the ideal J = claimed, with no
     elimination: the swap of an elimination for a saturation used for
     toric ideals (Sturmfels 1996, ch. 12; Bigatti, La Scala & Robbiano
-    1999).  Let K = ker(phi) and v the product of the variables that
-    sigma inverts.
+    1999).  Let K = ker(phi), v the product of the variables that sigma
+    inverts and G the Groebner basis of J under order, a term order (the
+    callers' put the positive weights first), the one basis the proof
+    computes.
 
     - contained: every generator of J maps to 0, so J lies in K.
     - left_inverse: sigma, a map from phi's target into the source with
       Laurent images, inverts phi modulo J once v is inverted: for every
       source variable s, v^a (sigma(phi(s)) - s) lies in J.  Then each f
       in K equals f - sigma(phi(f)) in J_v, so K lies in J : v^inf.
-    - saturated: J : u^inf = J for the first inverted variable u, in ring
-      order, of each orbit under the symmetries.  J is homogeneous for
-      the positive weights (checked), so under the weighted revlex order
-      with u last the basis elements divided by their largest power of u
-      generate J : u^inf (Bayer & Stillman 1987); each must lie in J.
+    - saturated: each orbit of the inverted variables under the
+      symmetries has a member u that divides no lead term of G.  Then
+      J : u = J: if u f lies in J for an f in normal form, u in(f) lies
+      in in(J), so a lead l divides u in(f); u does not divide l, so l
+      divides in(f), which forces f = 0.  Bayer & Stillman (1987) is the
+      u-last revlex case, where for a reduced basis the condition is
+      also necessary.
     - symmetric: each of symmetries sends every generator into J.  Each
       must permute the variables up to sign and keep the weights
-      (ValueError otherwise), so it maps J onto J and carries
-      J : u^inf = J to J : g(u)^inf = J: J is saturated by every inverted
-      variable.
+      (ValueError otherwise), and J is homogeneous for the positive
+      weights (checked), so g maps each degree of J onto itself and
+      carries J : u = J to J : g(u) = J: J is saturated by every
+      variable of the orbit.
 
-    All four give K = J : v^inf = J.  Any Groebner basis of J decides
-    membership in J, so the first saturation basis (variable 0 last when
-    sigma inverts none) decides every membership tested here.  Where
-    membership is plain no division is made: an image that is +- a
-    generator of J lies in J, and so does sigma(phi(s)) - s = 0.  Returns
-    that basis, its order and the certificates by name, each True when it
+    All four give K = J : v^inf = J.  G decides every membership tested
+    here.  Where membership is plain no division is made: an image that
+    is +- a generator of J lies in J, and so does sigma(phi(s)) - s = 0.
+    Returns G, order and the certificates by name, each True when it
     holds.
     """
     ring = claimed.ring
@@ -323,19 +326,6 @@ def kernel_by_saturation(claimed, phi, sigma, weights, symmetries):
     inverted = {
         i for img in sigma.images.values() for m in img.terms for i, e in enumerate(m) if e < 0
     }
-    quotients, covered, orders = [], set(), []
-    for i in sorted(inverted):
-        if i in covered:  # a symmetry carries an earlier saturated variable to it
-            continue
-        orbit = {i}
-        while orbit:
-            covered |= orbit
-            orbit = {perm[k] for perm, _ in moves for k in orbit} - covered
-        orders.append(_u_last_order(ring, i, tuple(weights)))
-        # an element that u does not divide is its own quotient, in J already
-        powers = [(g, min(m[i] for m in g.terms)) for g in claimed.groebner(orders[-1])]
-        quotients += [g * ring.var(ring.names[i]) ** -k for g, k in powers if k]
-    order = orders[0] if orders else _u_last_order(ring, 0, tuple(weights))
     basis = claimed.groebner(order)
     in_claimed = poly.membership_test(basis, order)
     signed_gens = set(claimed.gens) | {-f for f in claimed.gens}
@@ -343,7 +333,9 @@ def kernel_by_saturation(claimed, phi, sigma, weights, symmetries):
     return basis, order, {
         "contained": all(phi(g) == 0 for g in claimed.gens),
         "left_inverse": all(not d or in_claimed(_clear_denominators(d)) for d in differences),
-        "saturated": all(in_claimed(g) for g in quotients),
+        "saturated": None not in _free_members(
+            ring, leading_monomials(basis, order), inverted, moves
+        ).values(),
         "symmetric": all(
             image in signed_gens or in_claimed(image)
             for image in (_permuted(f, move) for move in moves for f in claimed.gens)
@@ -351,12 +343,32 @@ def kernel_by_saturation(claimed, phi, sigma, weights, symmetries):
     }
 
 
+def _free_members(ring, leads, inverted, moves):
+    """The orbits of the inverted variables under the signed permutations
+    moves, each named by its first inverted member in ring order, mapped
+    to the name of its first variable that divides none of the leads, or
+    to None when every variable of the orbit divides one."""
+    bound = {i for m in leads for i, e in enumerate(m) if e}
+    free, covered = {}, set()
+    for i in sorted(inverted):
+        if i in covered:  # in the orbit of an earlier inverted variable
+            continue
+        orbit, new = set(), {i}
+        while new:
+            orbit |= new
+            new = {perm[k] for perm, _ in moves for k in new} - orbit
+        covered |= orbit
+        u = min(orbit - bound, default=None)
+        free[ring.names[i]] = None if u is None else ring.names[u]
+    return free
+
+
 @lru_cache(maxsize=None)
 def _u_last_order(ring, i, weights):
     """The weighted degree, then revlex with variable i last: within one
     degree the fewest x_i lead, so x_i^k divides a lead term only if it
-    divides the element.  Built once per (ring, i, weights), since every
-    proof saturates the same variables and compiling the key is not free."""
+    divides the element.  Built once per (ring, i, weights), since
+    compiling the key is not free."""
     revlex = [i] + [k for k in reversed(range(ring.nvars)) if k != i]
     return MatrixOrder(
         [weights] + [[-1 if k == r else 0 for k in range(ring.nvars)] for r in revlex]
@@ -428,22 +440,23 @@ def minor_sigma(phi, minors, n):
     return RingMap(target, ring, images)
 
 
-def minor_kernel(claimed, phi, minors, n, weights):
-    """kernel_by_saturation for the presentation map phi of a minor table:
-    J = claimed, minor_sigma's left inverse and the table's
+def minor_kernel(claimed, phi, minors, n, weights, order):
+    """kernel_by_saturation under order for the presentation map phi of a
+    minor table: J = claimed, minor_sigma's left inverse and the table's
     column_symmetries, which carry x_0 to every x_j."""
     return kernel_by_saturation(
         claimed, phi, minor_sigma(phi, minors, n), weights,
-        column_symmetries(phi.source, minors, n),
+        column_symmetries(phi.source, minors, n), order,
     )
 
 
 def tangent_kernel(n, phi):
-    """minor_kernel for phi = build_phi(n, n): J = tangent_cox_ideal(n, n)
-    and the weights -a + 3b; the proof saturates x_0 alone."""
-    return minor_kernel(
-        tangent_cox_ideal(n, n), phi, presentation_minors(n, n), n, presentation_weights(n, n)
-    )
+    """minor_kernel for phi = build_phi(n, n): J = tangent_cox_ideal(n, n),
+    the weights -a + 3b and the order with x_0 last, under which x_0
+    divides no lead of J's reduced basis (Bayer and Stillman)."""
+    claimed, weights = tangent_cox_ideal(n, n), presentation_weights(n, n)
+    order = _u_last_order(claimed.ring, 0, tuple(weights))
+    return minor_kernel(claimed, phi, presentation_minors(n, n), n, weights, order)
 
 
 KERNEL_DEFAULT_CAP = 4

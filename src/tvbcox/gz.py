@@ -14,7 +14,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, combinations_with_replacement, zip_longest
 from math import comb, lcm
-from operator import add
+from operator import add, mul
 from typing import NamedTuple
 
 from .cox import (
@@ -28,6 +28,7 @@ from .linalg import left_kernel_basis
 from .poly import (
     CapExceeded,
     Ideal,
+    MatrixOrder,
     Polynomial,
     lex,
     normal_form,
@@ -429,26 +430,49 @@ def flag_presentation(n, psi):
     return quadratic_plucker_relations(n, psi) + _euler_quadrics(n, psi, range(n + 1))
 
 
+def lead_order(psi, n, weights):
+    """The order L of psi's leads: the weights; then, for each target
+    variable in diagonal_order's lex sequence, its exponent in the lead of
+    each source variable's image; then revlex.  The lead of psi(m) is the
+    sum of its variables' leads, so L compares monomials of one weight by
+    the leads of their images first.  Built once per (weights, leads)."""
+    order = diagonal_order(psi.target, n)
+    leads = [psi.images[name].leading_term(order)[0] for name in psi.source.names]
+    return _lead_order(tuple(weights), tuple(
+        tuple(sum(map(mul, row, lead)) for lead in leads) for row in order.rows))
+
+
+@lru_cache(maxsize=None)
+def _lead_order(weights, lead_rows):
+    revlex = [[-int(k == r) for k in range(len(weights))] for r in reversed(range(len(weights)))]
+    return MatrixOrder([weights, *lead_rows, *revlex])
+
+
 def flag_kernel(n, psi):
-    """minor_kernel for psi: J the ideal of flag_presentation(n) and the
-    weights below; the column symmetries carry P_{1..k} to every P_S with
-    |S| = k, so the proof saturates x_0 and the leading minors."""
+    """minor_kernel for psi: J the ideal of flag_presentation(n), the
+    weights below and lead_order, under which Buchberger keeps one element
+    per relation and every S-polynomial reduces to 0.  The column
+    symmetries carry x_0 to every x_j and P_{1..k} to every P_S with
+    |S| = k, and x_{n-1}, x_n, P_n, P_{n-1,n}, ..., P_{2..n} divide no
+    lead: a free variable in each orbit."""
     ring, minors = psi.source, flag_minors(n)
     # x_j weighs 1 and P over cols weighs |cols|: every relation is homogeneous
     weights = [1] * (n + 1) + [len(cols) for _, _, cols in minors]
-    return minor_kernel(Ideal(ring, flag_presentation(n, psi)), psi, minors, n, weights)
+    return minor_kernel(Ideal(ring, flag_presentation(n, psi)), psi, minors, n, weights,
+                        lead_order(psi, n, weights))
 
 
-PSI_KERNEL_CAP = 4
+PSI_KERNEL_CAP = 5
 
 
 def psi_kernel(n):
     """ker(psi), proved equal to the ideal of flag_presentation(n) by the
     certificates of flag_kernel; nothing is eliminated.  Returns the ideal
-    of the proof's basis (x_0 last), as verify_kernel reports its proof's
-    basis; a caller that wants another basis asks the ideal for it.
-    Raises CapExceeded past n = PSI_KERNEL_CAP and AssertionError when a
-    certificate fails."""
+    of the proof's basis, one element per relation under lead_order (10
+    at n = 3, 66 at n = 4, 364 at n = 5), as verify_kernel reports its
+    proof's basis; a caller that wants another basis asks the
+    ideal for it.  Raises CapExceeded past n = PSI_KERNEL_CAP and
+    AssertionError when a certificate fails."""
     if n > PSI_KERNEL_CAP:
         raise CapExceeded(f"ker(psi) at n = {n} is over the cap {PSI_KERNEL_CAP}", size=n)
     psi = build_psi(n)

@@ -5,15 +5,18 @@ from tvbcox import cox, gz
 
 @pytest.fixture
 def saturated_names(monkeypatch):
-    """The names of the variables that the kernel proofs saturate, in
-    order, as they run."""
-    names, built = [], cox._u_last_order
+    """The orbits the kernel proofs saturate, in order, as they run: one
+    (first inverted member, free member) pair of names per orbit, the
+    free member the variable that divides no lead of the proof's basis,
+    None where the orbit has none."""
+    names, found = [], cox._free_members
 
-    def recorded(ring, i, weights):
-        names.append(ring.names[i])
-        return built(ring, i, weights)
+    def recorded(ring, leads, inverted, moves):
+        free = found(ring, leads, inverted, moves)
+        names.extend(free.items())
+        return free
 
-    monkeypatch.setattr(cox, "_u_last_order", recorded)
+    monkeypatch.setattr(cox, "_free_members", recorded)
     return names
 
 

@@ -206,25 +206,29 @@ def test_verify_kernel_matches_the_elimination_route(n):
 def proof_inputs(n, phi):
     """The arguments tangent_kernel gives kernel_by_saturation through
     minor_kernel."""
-    minors = presentation_minors(n, n)
+    minors, weights = presentation_minors(n, n), presentation_weights(n, n)
+    claimed = tangent_cox_ideal(n, n)
     return (
-        tangent_cox_ideal(n, n), phi, minor_sigma(phi, minors, n), presentation_weights(n, n),
+        claimed, phi, minor_sigma(phi, minors, n), weights,
         column_symmetries(phi.source, minors, n),
+        cox._u_last_order(claimed.ring, 0, tuple(weights)),
     )
 
 
 def certificates(n, symmetries):
     """The certificates of tangent_kernel's proof at n with symmetries in
     place of the column symmetries."""
-    return kernel_by_saturation(*proof_inputs(n, build_phi(n, n))[:-1], symmetries)[-1]
+    claimed, phi, sigma, weights, _, order = proof_inputs(n, build_phi(n, n))
+    return kernel_by_saturation(claimed, phi, sigma, weights, symmetries, order)[-1]
 
 
-def certificate_polynomials(claimed, phi, sigma, weights, symmetries):
-    """The polynomials that the left_inverse, saturated and symmetric
-    certificates test for membership in claimed, the quotients taken for
-    every variable that sigma inverts; and each again plus the first
-    variable, which lies in none of the ideals tested here (weight 1,
-    below the weight of every generator)."""
+def certificate_polynomials(claimed, phi, sigma, weights, symmetries, order):
+    """The polynomials that the left_inverse and symmetric certificates
+    test for membership in claimed, and Bayer and Stillman's quotients of
+    J : u^inf for every variable u that sigma inverts, each element of the
+    u-last basis divided by its largest power of u; and each again plus
+    the first variable, which lies in none of the ideals tested here
+    (weight 1, below the weight of every generator)."""
     ring, variables = claimed.ring, claimed.ring.gens()
     polys = [cox._clear_denominators(sigma(phi(s)) - s) for s in variables]
     polys += [g(f) for g in symmetries for f in claimed.gens]
@@ -248,14 +252,17 @@ def test_the_proof_basis_is_a_groebner_basis_as_large_as_grevlex(n):
     assert len(basis) == len(claimed.groebner(order)) == verify_kernel(n)["kernel_gb_size"]
 
 
-def test_a_proof_that_inverts_nothing_uses_variable_0_last():
+def test_a_proof_that_inverts_nothing_has_no_orbit_to_saturate():
     # J = (x - y) is the kernel of x, y -> t, and t -> x inverts it outright
     source, target = PolyRing(["x", "y"]), PolyRing(["t"])
     x, y = source.gens()
     phi = RingMap(source, target, {"x": target.var("t"), "y": target.var("t")})
     sigma = RingMap(target, source, {"t": x})
-    basis, order, got = kernel_by_saturation(Ideal(source, [x - y]), phi, sigma, [1, 1], [])
-    assert order is cox._u_last_order(source, 0, (1, 1)) and basis == [y - x]
+    # nothing inverted leaves no orbit to saturate; the proof keeps the
+    # order it is given
+    order = cox._u_last_order(source, 0, (1, 1))
+    basis, used, got = kernel_by_saturation(Ideal(source, [x - y]), phi, sigma, [1, 1], [], order)
+    assert used is order and basis == [y - x]
     assert all(got.values())
 
 
@@ -302,10 +309,14 @@ def test_kernel_certificates_hold(n):
 
 def test_colon_certificate_rejects_a_dropped_generator():
     # without det Y(3) - e x_3 W the ideal still agrees with ker(phi) once
-    # x is inverted, but it is no longer saturated with respect to x_0
+    # x is inverted, but it is no longer saturated with respect to x_0.
+    # x_3 still divides no lead of its x_0-last basis, so the saturated
+    # certificate holds through x_3; the cycle carries a kept generator to
+    # the dropped one, so the symmetric certificate, which would carry
+    # J : x_3 = J to x_0, fails and the proof with it
     claimed, *rest = proof_inputs(3, build_phi(3, 3))
     got = kernel_by_saturation(Ideal(claimed.ring, claimed.gens[:-1]), *rest)[-1]
-    assert got["saturated"] is False
+    assert not all(got.values()) and got["symmetric"] is False
     assert got["contained"] and got["left_inverse"]
 
 
@@ -414,11 +425,13 @@ def test_symmetry_certificate_rejects_a_wrong_w_sign(n):
     right = column_symmetries(ring, minors, n)
     for k, g in enumerate(right):
         wrong = with_w_negated(g)
-        # beside the right pair, which carries x_0 to every x_j, and alone
-        for symmetries in (right + [wrong], [wrong]):
+        # beside the right pair, which carries x_0 to every x_j, and alone;
+        # a sign moves no variable, so saturated reads as with g itself
+        for symmetries, unsigned in ((right + [wrong], right), ([wrong], [g])):
             got = certificates(n, symmetries)
             assert got["symmetric"] is False, k
-            assert got["contained"] and got["left_inverse"] and got["saturated"]
+            assert got["contained"] and got["left_inverse"]
+            assert got["saturated"] is certificates(n, unsigned)["saturated"]
 
 
 def test_a_failed_certificate_fails_both_reports(monkeypatch):
@@ -433,12 +446,12 @@ def test_a_failed_certificate_fails_both_reports(monkeypatch):
 
 
 def test_kernel_by_saturation_needs_a_positive_grading_of_j():
-    claimed, phi, sigma, _, symmetries = proof_inputs(3, build_phi(3, 3))
+    claimed, phi, sigma, _, symmetries, order = proof_inputs(3, build_phi(3, 3))
     # det Y(j) has degree 3 and x_j W degree 2 in the standard grading
     with pytest.raises(ValueError, match="not homogeneous"):
-        kernel_by_saturation(claimed, phi, sigma, [1] * claimed.ring.nvars, symmetries)
+        kernel_by_saturation(claimed, phi, sigma, [1] * claimed.ring.nvars, symmetries, order)
     with pytest.raises(ValueError, match="not positive"):
-        kernel_by_saturation(claimed, phi, sigma, [0] * claimed.ring.nvars, symmetries)
+        kernel_by_saturation(claimed, phi, sigma, [0] * claimed.ring.nvars, symmetries, order)
 
 
 def test_saturation_orders_are_built_once_per_ring_variable_and_weights():
@@ -473,12 +486,15 @@ def test_the_proofs_leave_every_ring_map_image_as_it_was():
     before = [dict(f.terms) for f in polys]
     verify_kernel(3)
     gz.psi_kernel(3)
+    weights = presentation_weights(3, 3)
     kernel_by_saturation(
-        tangent_cox_ideal(3, 3), phi, sigmas[0], presentation_weights(3, 3), actions[0]
+        tangent_cox_ideal(3, 3), phi, sigmas[0], weights, actions[0],
+        cox._u_last_order(phi.source, 0, tuple(weights)),
     )
     weights = [1] * 4 + [len(cols) for _, _, cols in gz.flag_minors(3)]
     kernel_by_saturation(
-        Ideal(psi.source, gz.flag_presentation(3, psi)), psi, sigmas[1], weights, actions[1]
+        Ideal(psi.source, gz.flag_presentation(3, psi)), psi, sigmas[1], weights, actions[1],
+        gz.lead_order(psi, 3, weights),
     )
     gz.relation_families(3, psi)
     assert power * power == phi.images["W"] ** 2 and power ** 3 == phi.images["W"] ** 3
@@ -489,20 +505,28 @@ def test_the_proofs_leave_every_ring_map_image_as_it_was():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_verify_kernel_saturates_x0_alone(saturated_names, n):
     assert verify_kernel(n, allow_large=True)["equal"]
-    assert saturated_names == ["x0"]
+    assert saturated_names == [("x0", "x0")]
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_the_symmetries_decide_which_variables_are_saturated(saturated_names, n):
     names = saturated_names
     ring, minors = build_phi(n, n).source, presentation_minors(n, n)
-    # no symmetry: every inverted variable is saturated, and the proof holds
-    assert all(certificates(n, []).values())
-    assert names == [x_name(j) for j in range(n + 1)]
-    # the swap alone carries x_0 to x_1 only
+
+    def free(j):  # x_0 last, x_0 and x_n alone of the x_j divide no lead
+        return x_name(j) if j in (0, n) else None
+
+    # no symmetry: each x_j is its own orbit, and x_1 divides a lead, so
+    # saturated fails
+    got = certificates(n, [])
+    assert got["saturated"] is False and got["symmetric"]
+    assert names == [(x_name(j), free(j)) for j in range(n + 1)]
+    # the swap alone carries x_0 to x_1 only, and leaves x_2 alone: free at
+    # n = 2, a lead's divisor at n = 3
     names.clear()
-    assert all(certificates(n, column_symmetries(ring, minors, n)[:1]).values())
-    assert names == [x_name(j) for j in range(n + 1) if j != 1]
+    got = certificates(n, column_symmetries(ring, minors, n)[:1])
+    assert got["saturated"] is (n == 2) and got["symmetric"]
+    assert names == [("x0", "x0")] + [(x_name(j), free(j)) for j in range(2, n + 1)]
     # a map that is not a signed permutation of the variables is refused
     # before anything is saturated
     names.clear()
@@ -515,7 +539,8 @@ def test_the_symmetries_decide_which_variables_are_saturated(saturated_names, n)
 
 def test_the_symmetry_gate_passes_only_weight_keeping_bijections(saturated_names):
     # each map would carry x_0 to x_1, so a gate that let it through would
-    # saturate [x0, x2]; the gate refuses it before anything is saturated
+    # saturate the orbits of x0 and x2; the gate refuses it before anything
+    # is saturated
     ring = build_phi(2, 2).source
     fixed = {name: ring.var(name) for name in ring.names}
     not_a_bijection = dict(fixed, x0=ring.var("x1"))
@@ -529,8 +554,10 @@ def test_the_symmetry_gate_passes_only_weight_keeping_bijections(saturated_names
         assert saturated_names == []
     # signed permutations that keep the weights pass the gate and are
     # checked: x_0 and x_1 swapped, or x_0 negated, keep no Euler relation
-    for images, names in ((dict(fixed, x0=ring.var("x1"), x1=ring.var("x0")), ["x0", "x2"]),
-                          (dict(fixed, x0=-ring.var("x0")), ["x0", "x1", "x2"])):
+    for images, names in ((dict(fixed, x0=ring.var("x1"), x1=ring.var("x0")),
+                           [("x0", "x0"), ("x2", "x2")]),
+                          (dict(fixed, x0=-ring.var("x0")),
+                           [("x0", "x0"), ("x1", None), ("x2", "x2")])):
         saturated_names.clear()
         assert certificates(2, [RingMap(ring, ring, images)])["symmetric"] is False
         assert saturated_names == names

@@ -6,9 +6,9 @@ reduced grevlex Groebner bases of ker(phi) at n = 2, 3, of its
 delta-initial ideal at n = 2, of ker(psi) at n = 2, 3 and of the quiver
 ideals at n = 2, 3, and the reduced bases of every lemma ideal at n = 2, 3
 under the row-completing order, are compared, as `poly_to_text` lines in
-the order of their basis, with tests/golden/gb.json; so is every basis the
-kernel proofs of flag_kernel(4) and tangent_kernel(5) compute, as the
-sha256 of its lines.  The canonical word and
+the order of their basis, with tests/golden/gb.json; so is the one basis
+each of the kernel proofs of flag_kernel(4) and tangent_kernel(5)
+computes, as the sha256 of its lines.  The canonical word and
 trace of every n = 3 word of length <= 3 and every n = 4 word of length
 <= 2 that rewrites at all, the `results` of `gz verify --n 3` (with
 the default and with 5 as the largest word length), of `gz verify --n 4`
@@ -94,8 +94,8 @@ README_COMMANDS = [
 ]
 SUITE_FULL = "suite --level full"
 
-# S-polynomials each kernel elimination forms, and each basis of the
-# n >= 4 kernel proofs.  The engine's pair selection and criteria decide
+# S-polynomials each kernel elimination forms, and the one basis of each
+# n >= 4 kernel proof.  The engine's pair selection and criteria decide
 # these counts, so a change to either shows here even
 # when the bases come out the same.  The kernels are eliminated here with
 # ring_map_kernel, as a guard on the engine: verify_kernel and psi_kernel
@@ -109,9 +109,7 @@ S_POLYNOMIALS = {
     "ker psi 3": 1155,
     "tie witness 1": 6,
     "tie witness 2": 9,
-    "flag_kernel(4) x0 last": 717,
-    "flag_kernel(4) P1 last": 716,
-    "flag_kernel(4) P12 last": 787,
+    "flag_kernel(4) psi leads": 352,
     "tangent_kernel(5) x0 last": 117,
 }
 
@@ -211,17 +209,14 @@ def gb_text(ideal, order=None):
 @contextlib.contextmanager
 def recording_bases():
     """Record, in call order, each basis poly.buchberger computes inside
-    the block, as (name, poly_to_text lines, S-polynomials formed); the
-    name is the variable the order puts last, as the saturation orders
-    put the variable they saturate."""
+    the block, as (poly_to_text lines, S-polynomials formed)."""
     bases = []
     original = poly.buchberger
 
     def recorded(gens, order):
         with counting_s_polynomials() as calls:
             basis = original(gens, order)
-        last = gens[0].ring.names[order.rows[1].index(-1)]
-        bases.append((last, [poly_to_text(g, order) for g in basis], calls[0]))
+        bases.append(([poly_to_text(g, order) for g in basis], calls[0]))
         return basis
 
     poly.buchberger = recorded
@@ -232,18 +227,17 @@ def recording_bases():
 
 
 def proof_bases():
-    """Every basis the kernel proofs compute for flag_kernel(4) and
-    tangent_kernel(5), by the variable it puts last: the sha256 of its
-    newline-joined poly_to_text lines, and the S-polynomials it forms."""
+    """The one basis each of the kernel proofs of flag_kernel(4), under
+    psi's lead order, and tangent_kernel(5), x_0 last, computes: the
+    sha256 of its newline-joined poly_to_text lines, and the
+    S-polynomials it forms."""
     texts, counts = {}, {}
-    for name, proof in (("flag_kernel(4)", lambda: flag_kernel(4, build_psi(4))),
-                        ("tangent_kernel(5)", lambda: tangent_kernel(5, build_phi(5, 5)))):
+    for key, proof in (("flag_kernel(4) psi leads", lambda: flag_kernel(4, build_psi(4))),
+                       ("tangent_kernel(5) x0 last", lambda: tangent_kernel(5, build_phi(5, 5)))):
         with recording_bases() as bases:
             proof()
-        for last, lines, calls in bases:
-            key = f"{name} {last} last"
-            texts[key] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-            counts[key] = calls
+        ((lines, counts[key]),) = bases
+        texts[key] = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     return texts, counts
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import random
 import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -105,6 +106,13 @@ def test_marked_generator_validity():
     gen = MarkedGenerator.flag({1, 3}, 1)
     assert gen.variable_columns() == frozenset({0, 3})
     assert MarkedGenerator.neg(2).extended_pattern(3).zvec == (0, 0, -1, 0)
+
+
+@pytest.mark.parametrize("value", [None, -1])
+def test_neg_refuses_a_missing_or_negative_value(value):
+    with pytest.raises(ValueError, match="negated variable needs a value in 0..n"):
+        MarkedGenerator.neg(value)
+    assert MarkedGenerator.neg(0) == MarkedGenerator(frozenset(), 0)
 
 
 @pytest.mark.parametrize("mark", [1, 2, -1, None])
@@ -246,8 +254,8 @@ def test_psi_kernel_cap(monkeypatch):
         raise AssertionError("psi was built before the cap was checked")
 
     monkeypatch.setattr(gz, "build_psi", built)
-    with pytest.raises(poly.CapExceeded):
-        psi_kernel(5)
+    with pytest.raises(poly.CapExceeded, match="n = 6 is over the cap 5"):
+        psi_kernel(6)
 
 
 def test_saturation_certificate_needs_the_zero_column_family(monkeypatch):
@@ -255,6 +263,37 @@ def test_saturation_certificate_needs_the_zero_column_family(monkeypatch):
     got = flag_kernel(3, build_psi(3))[-1]
     assert got["saturated"] is False
     assert got["contained"] and got["left_inverse"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lead_order_compares_monomials_by_the_leads_of_their_images(n):
+    psi, rng = build_psi(n), random.Random(n)
+    weights = [1] * (n + 1) + [len(cols) for _, _, cols in gz.flag_minors(n)]
+    order, diagonal = gz.lead_order(psi, n, weights), diagonal_order(psi.target, n)
+    assert gz.lead_order(build_psi(n), n, weights) is order
+    variables, width = psi.source.gens(), len(diagonal.rows)
+    for _ in range(40):
+        monomial = rng.choice(variables) * rng.choice(variables) * rng.choice(variables)
+        (m,) = monomial.terms
+        key = order.key(m)
+        assert key[0] == sum(w * e for w, e in zip(weights, m))
+        assert key[1 : 1 + width] == diagonal.key(psi(monomial).leading_term(diagonal)[0])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("dropped", ["first Plucker", "first Euler-type", "last"])
+def test_the_flag_proof_fails_with_a_relation_dropped(monkeypatch, n, dropped):
+    # every relation of flag_presentation(n) lies in ker(psi), so the
+    # smaller ideal is still contained; it is not ker(psi), so another
+    # certificate must fail (at n = 3, left_inverse alone sees the first
+    # Euler-type quadric gone, symmetric alone the last)
+    psi, presentation = build_psi(n), gz.flag_presentation
+    k = {"first Plucker": 0, "first Euler-type": len(quadratic_plucker_relations(n, psi)),
+         "last": len(presentation(n, psi)) - 1}[dropped]
+    monkeypatch.setattr(gz, "flag_presentation",
+                        lambda n, psi: presentation(n, psi)[:k] + presentation(n, psi)[k + 1:])
+    got = flag_kernel(n, psi)[-1]
+    assert got["contained"] and not all(got.values())
 
 
 def test_contained_certificate_rejects_a_flipped_zero_column_sign(monkeypatch):
@@ -271,8 +310,13 @@ def test_contained_certificate_rejects_a_flipped_zero_column_sign(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_the_flag_proof_saturates_x0_and_the_leading_minors(saturated_names, n):
+    # the orbits of x_0 and of each leading minor; in each, the variable on
+    # the last columns divides no lead under psi's lead order (x_n-1 is
+    # the first of x_n-1 and x_n)
     psi_kernel(n)
-    assert saturated_names == ["x0"] + [gz.p_name(range(1, k + 1)) for k in range(1, n - 1)]
+    assert saturated_names == [("x0", f"x{n - 1}")] + [
+        (gz.p_name(range(1, k + 1)), gz.p_name(range(n - k + 1, n + 1))) for k in range(1, n - 1)
+    ]
 
 
 def test_psi_kernel_refuses_a_failed_certificate(monkeypatch):
