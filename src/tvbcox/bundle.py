@@ -87,9 +87,8 @@ class BundleClass(NamedTuple):
 def common_minimal_columns(b, rays):
     """Columns where every row of D indexed by rays, a nonempty collection
     of 1-based ray indices, attains its row minimum: the frozenset
-    intersection of those rays' minimal-column sets."""
-    if not rays:
-        raise ValueError("the ray subset must be nonempty")
+    intersection of those rays' minimal-column sets.  Raises ValueError on
+    no rays (from min) and on an index out of range."""
     if min(rays) < 1 or max(rays) > b.n:
         raise ValueError(f"ray index out of range 1..{b.n}")
     return frozenset.intersection(*(b.minimal_columns[i - 1] for i in rays))

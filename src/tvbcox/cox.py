@@ -490,17 +490,20 @@ def initial_comparison(n):
     With ker(phi) = J proven by kernel_by_saturation, the degeneration
     runs on J itself, generated by the proof's basis.  It is flat here:
     the initial ideal's zero set has the same dimension as the kernel's,
-    which is reported alongside.
+    which is reported alongside.  The initial ideal's generators, the
+    weight-initial forms of J's basis under delta_order (the weights refined
+    by grevlex), are a grevlex basis of it (Sturmfels 1996, Prop. 1.13).
     """
     phi = build_phi(n, n)
     basis, order, certificates = tangent_kernel(n, phi)
     initial = delta_initial_ideal(Ideal(phi.source, basis), presentation_weights(n, n))
-    # J's zero set has the dimension of its initial ideal under any order
+    # a zero set has the dimension of the leads of any Groebner basis
+    initial_leads = leading_monomials(initial.gens, grevlex(phi.source))
     leads = leading_monomials(basis, order)
     return {
         "n": n,
         "equal": all(certificates.values()) and ideal_equal(initial, quiver_ideal(n)),
-        "dimension": poly.zero_set_dimension(initial),
+        "dimension": monomial_dimension(initial_leads, phi.source.nvars),
         "generic_dimension": monomial_dimension(leads, phi.source.nvars),
         "expected_dimension": n * n + n + 1,
     }

@@ -570,10 +570,10 @@ def _straighten(n, a, b):
     hi = marks[0] if marks else 0
     lo = marks[1] if len(marks) > 1 else 0
     added = [MarkedGenerator.flag(join, hi)]
+    # a nonzero mark a needs {1..a} in its set, so with two marks both sets
+    # hold 1, and so does the meet: only an unmarked meet can vanish
     if meet:
         added.append(MarkedGenerator.flag(meet, lo))
-    elif lo:
-        raise AssertionError("meet of two marked flags cannot vanish")
     return tuple(t.code[gen] for gen in added)
 
 

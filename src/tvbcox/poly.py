@@ -652,7 +652,7 @@ def is_groebner_basis(gens, order):
 
 
 class Ideal:
-    """Generator list plus its reduced Groebner bases, memoized per order."""
+    """A generator list in one ring; groebner computes a basis per call."""
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -660,12 +660,9 @@ class Ideal:
         for g in self.gens:
             if g.ring != ring:
                 raise ValueError("generator from the wrong ring")
-        self._gb = {}
 
     def groebner(self, order):
-        if order.rows not in self._gb:
-            self._gb[order.rows] = buchberger(self.gens, order)
-        return self._gb[order.rows]
+        return buchberger(self.gens, order)
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens in {self.ring!r})"
@@ -747,14 +744,6 @@ def monomial_dimension(monomials, nvars):
 
 def leading_monomials(gens, order):
     return [g.leading_term(order)[0] for g in gens if g]
-
-
-def zero_set_dimension(ideal):
-    """Dimension of the zero set, via the initial ideal of its grevlex
-    Groebner basis (the dimension does not depend on the order)."""
-    order = grevlex(ideal.ring)
-    gb = ideal.groebner(order)
-    return monomial_dimension(leading_monomials(gb, order), ideal.ring.nvars)
 
 
 # ---------------------------------------------------------------------------

@@ -201,11 +201,18 @@ def left_inverse_images(kind, source, n):
     return images
 
 
+def zero_set_dimension(ideal):
+    """Dimension of the zero set, via the leads of the ideal's grevlex
+    Groebner basis (the dimension does not depend on the order)."""
+    order = poly.grevlex(ideal.ring)
+    leads = poly.leading_monomials(ideal.groebner(order), order)
+    return poly.monomial_dimension(leads, ideal.ring.nvars)
+
+
 def minors_only_dimension(n):
     """Zero-set dimension of the ideal of all maximal minors of [Y_ij]."""
     ring = lemma_ring(n)
-    ideal = poly.Ideal(ring, maximal_minors(ring, n))
-    return poly.zero_set_dimension(ideal)
+    return zero_set_dimension(poly.Ideal(ring, maximal_minors(ring, n)))
 
 
 def euler_quadric_by_sign_search(n, tau, psi):

@@ -3,7 +3,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from tvbcox import cox, gz, poly
+from tvbcox import cox, gz, poly, suite
 from tvbcox.cox import (
     bidegrees,
     build_phi,
@@ -54,6 +54,7 @@ from oracles import (
     left_inverse_images,
     minors_only_dimension,
     permuted_columns,
+    zero_set_dimension,
 )
 
 
@@ -241,13 +242,21 @@ def certificate_polynomials(claimed, phi, sigma, weights, symmetries, order):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_the_proof_basis_is_a_groebner_basis_as_large_as_grevlex(n):
+def test_the_proof_basis_is_a_groebner_basis_as_large_as_grevlex(n, monkeypatch):
     args = proof_inputs(n, build_phi(n, n))
     claimed, order = args[0], grevlex(args[0].ring)
+    computed, buchberger = [], poly.buchberger
+
+    def recorded(gens, term_order):
+        computed.append(term_order.rows)
+        return buchberger(gens, term_order)
+
+    monkeypatch.setattr(poly, "buchberger", recorded)
     basis, u_last, _ = kernel_by_saturation(*args)
+    monkeypatch.undo()
     # x_0 last, and no grevlex basis was computed on the way
     assert u_last is cox._u_last_order(claimed.ring, 0, tuple(presentation_weights(n, n)))
-    assert order.rows not in claimed._gb
+    assert computed == [u_last.rows]
     assert is_groebner_basis(basis, u_last) and basis == claimed.groebner(u_last)
     assert len(basis) == len(claimed.groebner(order)) == verify_kernel(n)["kernel_gb_size"]
 
@@ -647,6 +656,42 @@ def test_initial_comparison_n3():
     assert rep["dimension"] == rep["generic_dimension"] == 13
 
 
+def proof_initial_ideal(n):
+    """delta_initial_ideal of J generated by tangent_kernel's basis, as
+    initial_comparison forms it."""
+    phi = build_phi(n, n)
+    basis = tangent_kernel(n, phi)[0]
+    return delta_initial_ideal(Ideal(phi.source, basis), presentation_weights(n, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_delta_initial_forms_are_a_grevlex_basis(n):
+    # Prop. 1.13 of Sturmfels 1996: the weight-initial forms of a basis
+    # under the weights refined by grevlex are a grevlex basis of in_delta(J)
+    initial = proof_initial_ideal(n)
+    assert is_groebner_basis(initial.gens, grevlex(initial.ring))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_initial_comparison_dimension_matches_a_fresh_grevlex_basis(n):
+    assert initial_comparison(n)["dimension"] == zero_set_dimension(proof_initial_ideal(n))
+
+
+def test_initial_forms_of_the_proof_basis_misread_the_dimension(monkeypatch):
+    # the initial forms of the x_0-last basis still generate the quiver
+    # ideal, but they are no grevlex basis at n = 3: their leads read one
+    # dimension too many, and the suite check fails
+    def proof_basis_forms(ideal, grading):
+        w = delta_weights(ideal.ring)
+        return Ideal(ideal.ring, [weight_initial(g, w) for g in ideal.gens])
+
+    monkeypatch.setattr(cox, "delta_initial_ideal", proof_basis_forms)
+    rep = initial_comparison(3)
+    assert rep["equal"] and (rep["dimension"], rep["expected_dimension"]) == (14, 13)
+    with pytest.raises(AssertionError, match="dimension 14 != 13 at n = 3"):
+        suite.check_initial_ideal("full")
+
+
 def test_delta_initial_ideal_rejects_inhomogeneous_input(monkeypatch):
     # delta_order puts 1 above W, so dividing by W + 1 never ends; the
     # grading check comes before Buchberger is reached
@@ -665,7 +710,7 @@ def test_euler_complete_intersection_codimension():
     for n in (2, 3):
         for m in range(1, n):
             ideal = tangent_cox_ideal(n, m)
-            dim = poly.zero_set_dimension(ideal)
+            dim = zero_set_dimension(ideal)
             assert dim == ideal.ring.nvars - m
 
 

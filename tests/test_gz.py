@@ -607,6 +607,15 @@ def test_rebalance_steps_keep_the_mark_targets():
     assert moves > 100
 
 
+def test_a_value_with_no_flag_to_take_it_is_an_internal_error(monkeypatch):
+    # with every capacity 0, the mark of [{1},1] fits no flag, and the word
+    # has no negated variable to keep it
+    table = gz._codes(2)
+    monkeypatch.setattr(gz, "_codes", lambda n: table._replace(cap=(0,) * len(table.cap), chains={}))
+    with pytest.raises(AssertionError, match="lost a negated variable"):
+        canonicalize(parse_word("[{1},1]"), 2)
+
+
 def test_sweep_canonical_words_match_canonicalize(monkeypatch):
     # confluence_sweep rewrites with the core; canonicalize formats its trace
     seen = []

@@ -133,12 +133,13 @@ def test_ideal_equal_is_symmetric(gens_a, gens_b, h, relation):
 
 @small
 @given(systems, orders)
-def test_groebner_is_memoized_by_the_order_matrix(gens, order):
+def test_groebner_depends_on_the_order_matrix_alone(gens, order):
     ideal = Ideal(RING, gens)
     twin = MatrixOrder(order.rows)
     assert twin is not order
-    assert ideal.groebner(twin) is ideal.groebner(order)
-    assert ideal.groebner(order) == buchberger(gens, order)
+    assert ideal.groebner(twin) == buchberger(gens, order)
+    # and an ideal keeps no basis: only its ring and its generators
+    assert set(vars(ideal)) == {"ring", "gens"}
 
 
 def _polys_over(ring, used, degree):

@@ -51,6 +51,14 @@ def test_schur_dim_examples():
     assert schur_dim((1, 1, 1), 2) == 0
 
 
+def test_schur_dim_refuses_a_hook_product_that_does_not_divide(monkeypatch):
+    # with no partition check, (2, 0, 0, 1) reaches the hook content
+    # formula, whose quotient 20 / -3 is no integer
+    monkeypatch.setattr(schur, "normalize_partition", tuple)
+    with pytest.raises(AssertionError, match="not integral"):
+        schur_dim((2, 0, 0, 1), 4)
+
+
 def test_schur_dim_matches_ssyt_count():
     for d in range(0, 7):
         for n in range(1, 5):
