@@ -495,7 +495,9 @@ class _Codes(NamedTuple):
     """The generators at one n numbered in sort_key order, so a sorted word
     is a sorted tuple of codes and its flags are a prefix of it.  The
     generators on one column set take consecutive codes, marks descending,
-    the negated variables last."""
+    the negated variables last: sorted flag codes followed by sorted
+    negated codes are a sorted word.  chains maps each sorted tuple of flag
+    codes met so far to its _straightened path."""
 
     gens: tuple  # the generator of each code
     code: dict  # generator -> code
@@ -503,7 +505,7 @@ class _Codes(NamedTuple):
     flags: int  # codes below this are flags, the rest negated variables
     value: tuple  # the mark of each code
     cap: tuple  # the capacity of each code's column set
-    chains: dict  # sorted flag codes -> _incomparable_pair of them, filled as met
+    chains: dict  # sorted flag codes -> their _straightened path, filled as met
 
 
 @lru_cache(maxsize=None)
@@ -577,18 +579,24 @@ def _straighten(n, a, b):
     return tuple(t.code[gen] for gen in added)
 
 
-def _incomparable_pair(t, flags, n):
-    """The first pair of a sorted word's flags that _straighten replaces and
-    its replacement, None when the flags form a chain.  It depends on the
-    flags alone, so it is decided once per flag tuple and kept in t.chains;
-    straightening never adds a flag, so a sweep up to length L keeps at most
-    one entry per multiset of at most L flags."""
-    found = t.chains.get(flags, False)
-    if found is False:
-        found = t.chains[flags] = next(
-            (((a, b), added) for i, a in enumerate(flags) for b in flags[i + 1 :]
-             if (added := _straighten(n, a, b))), None)
-    return found
+def _straightened(t, flags, n):
+    """The chain a sorted tuple of flag codes straightens to, and the path
+    there: the union-intersection steps, each a (rule, removed, added,
+    flags) tuple of codes, taken on the first pair in word order that
+    _straighten replaces until the flags form a chain.  It depends on the
+    flags alone, so the path is found once per flag tuple, each step's
+    balance checked by _apply_step as it is taken, and kept in t.chains,
+    where a chain's empty path costs no memory; the chain is the last
+    step's flags.  Straightening never adds a flag, so a sweep up to
+    length L keeps at most one entry per multiset of at most L flags."""
+    path = t.chains.get(flags)
+    if path is None:
+        steps, chain = [], flags
+        while pair := next((((a, b), added) for i, a in enumerate(chain) for b in chain[i + 1 :]
+                            if (added := _straighten(n, a, b))), None):
+            chain = _apply_step(steps, chain, n, "union-intersection", *pair)
+        path = t.chains[flags] = tuple(steps)
+    return (path[-1][3] if path else flags), path
 
 
 def _with_mark(t, c, mark):
@@ -644,34 +652,23 @@ def _apply_step(steps, word, n, rule, removed, added):
     return new_word
 
 
-def _rewrite(word, n):
-    """Rewrite a word of codes to the canonical sorted word; returns (word,
-    steps) with each step a (rule, removed, added, word) tuple of codes.
+def _move_marks(t, word, n, steps):
+    """The canonical word of a sorted word of codes whose flags form a
+    chain, appending each move to `steps` as _apply_step does.
 
-    First the first incomparable flag pair is straightened until the flags
-    form a chain; then values move onto their _mark_targets, largest value
-    first.  A move keeps the multisets of flag sets and of nonzero values
-    and the number of negated generators, so the targets are computed once.
-    A move swaps the values of two generators: the slot, the first flag
-    whose target is the largest value not yet in place, and the donor, the
-    first generator in word order that holds that value v and is not at a
-    slot that wants v.  It is a mark-transport when the donor is a flag and
-    a marking-exchange when it is a negated variable.  Bringing a value v
-    to its slot always displaces a strictly smaller mark, so both
-    directions of a move stay valid.  A word with no flag is canonical as
-    it stands.
+    Values move onto their _mark_targets, largest value first.  A move
+    keeps the multisets of flag sets and of nonzero values and the number
+    of negated generators, so the targets are computed once.  A move swaps
+    the values of two generators: the slot, the first flag whose target is
+    the largest value not yet in place, and the donor, the first generator
+    in word order that holds that value v and is not at a slot that wants
+    v.  It is a mark-transport when the donor is a flag and a
+    marking-exchange when it is a negated variable.  Bringing a value v to
+    its slot always displaces a strictly smaller mark, so both directions
+    of a move stay valid.  A word with no flag is canonical as it stands.
     """
-    t = _codes(n)
-    steps = []
-    word = tuple(sorted(word))
-    k = bisect_left(word, t.flags)
-    if not k:
-        return word, steps
-    while (straightening := _incomparable_pair(t, word[:k], n)) is not None:
-        word = _apply_step(steps, word, n, "union-intersection", *straightening)
-        k = bisect_left(word, t.flags)
     targets = _mark_targets(t, word)
-    value = t.value
+    value, k = t.value, len(targets)
     # each move settles one flag for good, so k moves always suffice
     for _ in range(k + 1):
         v = 0
@@ -679,12 +676,27 @@ def _rewrite(word, n):
             if want > v and value[word[idx]] != want:
                 v, a = want, word[idx]
         if not v:
-            return word, steps
+            return word
         donor = next(c for c, want in zip_longest(word, targets) if value[c] == v and want != v)
         rule = "mark-transport" if donor < t.flags else "marking-exchange"
         added = (_with_mark(t, a, v), _with_mark(t, donor, value[a]))
         word = _apply_step(steps, word, n, rule, (a, donor), added)
     raise AssertionError(f"mark moves did not settle {k} flags in {k + 1} moves")
+
+
+def _rewrite(word, n):
+    """Rewrite a word of codes to the canonical sorted word; returns (word,
+    steps) with each step a (rule, removed, added, word) tuple of codes:
+    the _straightened path of its flags, the negated codes, which sort
+    after every flag, appended to each step's word, then the mark moves of
+    _move_marks on the chain."""
+    t = _codes(n)
+    word = tuple(sorted(word))
+    k = bisect_left(word, t.flags)
+    negated = word[k:]
+    chain, path = _straightened(t, word[:k], n)
+    steps = [(rule, removed, added, flags + negated) for rule, removed, added, flags in path]
+    return _move_marks(t, chain + negated, n, steps), steps
 
 
 def canonicalize(word, n):
@@ -761,32 +773,56 @@ def sweep_word_count(n, max_len):
 def confluence_sweep(n, max_len):
     """Exhaustively canonicalize words up to max_len; groups with equal
     pattern sums must share a canonical form.  Returns statistics.  Raises
-    CapExceeded, before building any word, past SWEEP_CAP words.  Words are
-    code tuples grouped by packed pattern sum; only clashes become text."""
+    CapExceeded, before building any word, past SWEEP_CAP words.
+
+    Words are enumerated as combinations_with_replacement of
+    all_generators(n), whose negated variables come first: for each size,
+    each negated multiset N, then each flag multiset F of the remaining
+    size.  A per-sweep table holds for each F its packed pattern sum and
+    its _straightened chain, so a word is the chain followed by N's
+    codes, already sorted, keyed by the sum of two packed sums, and only
+    its mark moves are run word by word.  Groups keep their first word and
+    its canonical form; clashes are listed group by group, in order of
+    first appearance, and only they become text."""
     sweep_word_count(n, max_len)
     t = _codes(n)
     packed = _packed(n, max_len).__getitem__
     codes = [t.code[gen] for gen in all_generators(n)]
-    groups = {}
+    flag_codes = codes[n + 1 :]
+
+    def flag_row(m):
+        for f in combinations_with_replacement(flag_codes, m):
+            yield sum(map(packed, f)), _straightened(t, tuple(sorted(f)), n)[0], f
+
+    # the largest flag multisets meet only the empty negated multiset, once,
+    # so they stream instead of joining the table
+    table = [list(flag_row(m)) for m in range(max_len)] + [flag_row(max_len)]
+    groups, clashes, words = {}, [], 0
     for size in range(1, max_len + 1):
-        for combo in combinations_with_replacement(codes, size):
-            groups.setdefault(sum(map(packed, combo)), []).append(combo)
-    words = 0
-    clashes = []
+        # None stands for a flag: each combination is N, then one None per flag
+        for combo in combinations_with_replacement(codes[: n + 1] + [None], size):
+            neg = combo[: size - combo.count(None)]
+            negated, nkey = tuple(sorted(neg)), sum(map(packed, neg))
+            for fkey, chain, f in table[size - len(neg)]:
+                words += 1
+                canon = _move_marks(t, chain + negated, n, [])
+                key = fkey + nkey
+                first = groups.get(key)
+                if first is None:
+                    groups[key] = canon, neg, f
+                elif first[0] != canon:
+                    clashes.append((key, neg + f))
+    rank = {key: i for i, key in enumerate(groups)} if clashes else {}
+    clashes.sort(key=lambda clash: rank[clash[0]])
     text = t.text.__getitem__
-    for first, *rest in groups.values():
-        words += 1 + len(rest)
-        canon = _rewrite(first, n)[0]
-        for word in rest:
-            if _rewrite(word, n)[0] != canon:
-                clashes.append((",".join(map(text, first)), ",".join(map(text, word))))
     return {
         "n": n,
         "max_len": max_len,
         "words": words,
         "groups": len(groups),
         "confluent": not clashes,
-        "clashes": clashes[:5],
+        "clashes": [(",".join(map(text, groups[key][1] + groups[key][2])),
+                     ",".join(map(text, word))) for key, word in clashes[:5]],
     }
 
 

@@ -20,17 +20,30 @@ def saturated_names(monkeypatch):
     return names
 
 
+def _stick(monkeypatch, n, *texts):
+    """Give the mark moves, the rewrite core that canonicalize and the
+    sweep share, one fault at n: each word of texts, whose flags already
+    form a chain, is left alone, so it no longer reaches the canonical form
+    of its group."""
+    core, table = gz._move_marks, gz._codes(n)
+    stuck = {tuple(sorted(table.code[g] for g in gz.parse_word(text))) for text in texts}
+
+    def broken(t, word, m, steps):
+        return word if m == n and word in stuck else core(t, word, m, steps)
+
+    monkeypatch.setattr(gz, "_move_marks", broken)
+
+
 @pytest.fixture
 def broken_confluence(monkeypatch):
-    """The rewrite core with one fault: at n = 2 it leaves [-1],[{1},0]
-    alone, so that word no longer reaches [{1},1],[-0], the canonical form
-    of its group."""
-    core, table = gz._rewrite, gz._codes(2)
-    stuck = tuple(sorted(table.code[g] for g in gz.parse_word("[-1],[{1},0]")))
+    """At n = 2 the rewrite core leaves [-1],[{1},0] alone, so that word no
+    longer reaches [{1},1],[-0], the canonical form of its group."""
+    _stick(monkeypatch, 2, "[-1],[{1},0]")
 
-    def broken(word, n):
-        if n == 2 and tuple(sorted(word)) == stuck:
-            return stuck, []
-        return core(word, n)
 
-    monkeypatch.setattr(gz, "_rewrite", broken)
+@pytest.fixture
+def twice_broken_confluence(monkeypatch):
+    """At n = 3 the rewrite core leaves one word alone in each of two
+    groups: [-2],[{1,2},0] in the group that [-0],[{1,2},2] opens, and
+    [-1],[{1,3},0], met first, in the later group of [-0],[{1,3},1]."""
+    _stick(monkeypatch, 3, "[-2],[{1,2},0]", "[-1],[{1,3},0]")

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -564,6 +565,20 @@ def test_rewrite_step_that_breaks_the_pattern_sum_raises():
         gz._apply_step([], codes, n, "wrong meet", pair, [join, wrong])
 
 
+def test_an_unbalanced_straightening_raises_in_both_drivers(monkeypatch):
+    # a straightening that drops the meet breaks the pattern sum; the check
+    # runs when a flag multiset is straightened, for canonicalize and for
+    # the sweep alike, so fresh tables keep no path straightened before
+    straighten, codes, tables = gz._straighten, gz._codes, {}
+    monkeypatch.setattr(gz, "_codes", lambda n: tables.setdefault(n, codes(n)._replace(chains={})))
+    monkeypatch.setattr(gz, "_straighten",
+                        lambda n, a, b: (added := straighten(n, a, b)) and added[:1])
+    with pytest.raises(AssertionError, match="broke the pattern sum"):
+        canonicalize(parse_word("[{1,4},0],[{2,3},0]"), 5)
+    with pytest.raises(AssertionError, match="broke the pattern sum"):
+        confluence_sweep(3, 2)
+
+
 def test_a_mark_move_that_settles_nothing_raises(monkeypatch):
     # a move that leaves the word as it was would repeat forever; the loop
     # stops after one move per flag and one check
@@ -590,7 +605,7 @@ def _gens_of(codes, n):
 
 
 def test_rebalance_steps_keep_the_mark_targets():
-    # _rewrite computes the mark targets once per word; that is sound only
+    # _move_marks computes the mark targets once per word; that is sound only
     # if no mark-transport or marking-exchange step changes them
     moves = 0
     for n, word in _small_words():
@@ -617,21 +632,30 @@ def test_a_value_with_no_flag_to_take_it_is_an_internal_error(monkeypatch):
 
 
 def test_sweep_canonical_words_match_canonicalize(monkeypatch):
-    # confluence_sweep rewrites with the core; canonicalize formats its trace
+    # the sweep takes each word's straightened flags from its table and runs
+    # the mark moves, the core it shares with canonicalize, word by word in
+    # the order of _small_words; each swept word must start its mark moves
+    # where _rewrite's straightening ends and reach canonicalize's word,
+    # whose text trace is _rewrite's steps
     seen = []
-    core = gz._rewrite
+    core = gz._move_marks
 
-    def recorded(word, n):
-        canon, steps = core(word, n)
-        seen.append((n, word, canon, steps))
-        return canon, steps
+    def recorded(t, word, n, steps):
+        canon = core(t, word, n, steps)
+        seen.append((word, canon))
+        return canon
 
-    monkeypatch.setattr(gz, "_rewrite", recorded)
+    monkeypatch.setattr(gz, "_move_marks", recorded)
     words = confluence_sweep(3, 3)["words"] + confluence_sweep(4, 2)["words"]
-    monkeypatch.setattr(gz, "_rewrite", core)
+    monkeypatch.setattr(gz, "_move_marks", core)
     assert len(seen) == words == len(list(_small_words()))
-    for n, word, canon, steps in seen:
-        text_canon, text_steps = canonicalize(_gens_of(word, n), n)
+    for (n, word), (chain, canon) in zip(_small_words(), seen):
+        codes = _codes_of(word, n)
+        core_canon, steps = gz._rewrite(codes, n)
+        straightened = [after for rule, _, _, after in steps if rule == "union-intersection"]
+        assert chain == (straightened[-1] if straightened else tuple(sorted(codes)))
+        assert canon == core_canon
+        text_canon, text_steps = canonicalize(word, n)
         assert text_canon == _gens_of(canon, n)
         assert text_steps == [
             {
@@ -666,7 +690,8 @@ def test_rewrite_core_output_is_pinned(n, max_len):
 
 def test_the_chain_memo_is_bounded_by_the_flag_multisets():
     # straightening never adds a flag, so a sweep up to length L looks up
-    # at most the multisets of at most L flags, and a second sweep none new
+    # at most the multisets of at most L flags, and a second sweep none new;
+    # each entry is the whole path from its flags to a chain
     gz._codes.cache_clear()
     for n, max_len, bound in ((3, 5, 3003), (4, 3, 3276)):
         t = gz._codes(n)
@@ -674,6 +699,14 @@ def test_the_chain_memo_is_bounded_by_the_flag_multisets():
         confluence_sweep(n, max_len)
         kept = len(t.chains)
         assert 0 < kept <= bound
+        for flags, path in t.chains.items():
+            chain = flags
+            for rule, removed, added, after in path:
+                assert rule == "union-intersection"
+                left = Counter(chain) - Counter(removed) + Counter(added)
+                assert after == tuple(sorted(left.elements()))
+                chain = after
+            assert not any(gz._straighten(n, a, b) for a, b in combinations(chain, 2))
         confluence_sweep(n, max_len)
         assert len(t.chains) == kept
 
@@ -706,6 +739,18 @@ def test_sweep_reports_a_clash_as_word_text(broken_confluence):
     # the group's first member, in enumeration order, and the clashing word
     assert report["clashes"] == [("[-0],[{1},1]", "[-1],[{1},0]")]
 
+
+def test_sweep_lists_clashes_group_by_group(twice_broken_confluence):
+    # the sweep meets [-1],[{1,3},0] before [-2],[{1,2},0], but the group
+    # of the latter appears first: clashes come in the order their groups
+    # first appear; canonicalize sees the same fault
+    for text in ("[-2],[{1,2},0]", "[-1],[{1,3},0]"):
+        word = parse_word(text)
+        assert canonicalize(word, 3) == (sort_word(word), [])
+    assert confluence_sweep(3, 2)["clashes"] == [
+        ("[-0],[{1,2},2]", "[-2],[{1,2},0]"),
+        ("[-0],[{1,3},1]", "[-1],[{1,3},0]"),
+    ]
 
 def test_critical_pair_with_two_marks():
     res = subduct(parse_word("[-2],[{1,2},1]"), parse_word("[-1],[{1,2},2]"), 3)
