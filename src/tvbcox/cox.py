@@ -245,15 +245,6 @@ def delta_weights(ring):
     return [1 if name.startswith("W") else 0 for name in ring.names]
 
 
-@lru_cache(maxsize=None)
-def delta_order(ring):
-    """Minimal delta-weight leads, grevlex breaks ties: the row -w on top
-    of the grevlex rows, built once per ring.  It puts 1 above W, so it is
-    a well-order only on the monomials of one degree of a positive grading."""
-    minus_w = [-w for w in delta_weights(ring)]
-    return MatrixOrder((minus_w,) + grevlex(ring).rows)
-
-
 def weighted_degree(f, weights):
     """The weighted degree shared by every term of f, None for f = 0;
     raises ValueError unless f is homogeneous for the weights."""
@@ -270,20 +261,6 @@ def require_homogeneous(gens, weights):
         raise ValueError(f"the weights {weights} are not positive")
     for g in gens:
         weighted_degree(g, weights)
-
-
-def delta_initial_ideal(ideal, grading):
-    """Initial ideal for the minimal-weight degeneration of the W-variables.
-
-    The generators must be homogeneous for the positive grading: then every
-    division stays in one degree, where delta_order is a well-order, and
-    Buchberger ends.
-    """
-    require_homogeneous(ideal.gens, grading)
-    order = delta_order(ideal.ring)
-    gb = ideal.groebner(order)
-    w = delta_weights(ideal.ring)
-    return Ideal(ideal.ring, [weight_initial(g, w) for g in gb])
 
 
 def kernel_by_saturation(claimed, phi, sigma, weights, symmetries, order):
@@ -364,14 +341,17 @@ def _free_members(ring, leads, inverted, moves):
 
 
 @lru_cache(maxsize=None)
-def _u_last_order(ring, i, weights):
-    """The weighted degree, then revlex with variable i last: within one
-    degree the fewest x_i lead, so x_i^k divides a lead term only if it
-    divides the element.  Built once per (ring, i, weights), since
-    compiling the key is not free."""
-    revlex = [i] + [k for k in reversed(range(ring.nvars)) if k != i]
+def proof_order(weights, rows, last):
+    """The order of a kernel proof: the weighted degree, then the rows,
+    then revlex with variable `last` last.  Among monomials alike in the
+    weights and the rows the fewest x_last lead, so for an element
+    homogeneous for them all x_last^k divides its lead term only if it
+    divides the element.  Built once per (weights, rows, last), all
+    tuples, since compiling the key is not free."""
+    nvars = len(weights)
+    revlex = [last] + [k for k in reversed(range(nvars)) if k != last]
     return MatrixOrder(
-        [weights] + [[-1 if k == r else 0 for k in range(ring.nvars)] for r in revlex]
+        [weights, *rows] + [[-int(k == r) for k in range(nvars)] for r in revlex]
     )
 
 
@@ -452,10 +432,16 @@ def minor_kernel(claimed, phi, minors, n, weights, order):
 
 def tangent_kernel(n, phi):
     """minor_kernel for phi = build_phi(n, n): J = tangent_cox_ideal(n, n),
-    the weights -a + 3b and the order with x_0 last, under which x_0
-    divides no lead of J's reduced basis (Bayer and Stillman)."""
+    the weights -a + 3b and the proof_order with the row -delta and x_0
+    last.  x_0 divides no lead of J's reduced basis under it, and within
+    one degree the least delta weight leads, so the basis's delta-initial
+    forms are a basis of in_delta(J) (Sturmfels 1996, Prop. 1.13), which
+    initial_comparison reads.  At n = 2..6 the basis, and the S-pairs
+    formed, are those of the plain x_0-last order; without the row that
+    is a coincidence, and the forms need not be a basis."""
     claimed, weights = tangent_cox_ideal(n, n), presentation_weights(n, n)
-    order = _u_last_order(claimed.ring, 0, tuple(weights))
+    minus_delta = tuple(-w for w in delta_weights(claimed.ring))
+    order = proof_order(tuple(weights), (minus_delta,), 0)
     return minor_kernel(claimed, phi, presentation_minors(n, n), n, weights, order)
 
 
@@ -487,24 +473,31 @@ def verify_kernel(n, allow_large=False):
 def initial_comparison(n):
     """Check in_delta(ker phi) = quiver ideal and its zero-set dimension.
 
-    With ker(phi) = J proven by kernel_by_saturation, the degeneration
-    runs on J itself, generated by the proof's basis.  It is flat here:
-    the initial ideal's zero set has the same dimension as the kernel's,
-    which is reported alongside.  The initial ideal's generators, the
-    weight-initial forms of J's basis under delta_order (the weights refined
-    by grevlex), are a grevlex basis of it (Sturmfels 1996, Prop. 1.13).
+    With ker(phi) = J proven by tangent_kernel, the degeneration runs on
+    J itself, and the proof's basis carries it: the order refines -delta
+    within each degree, so the basis's delta-initial forms are a basis of
+    in_delta(J) under it (Sturmfels 1996, Prop. 1.13).  They decide
+    whether the quiver ideal lies in in_delta(J), and the quiver ideal's
+    grevlex basis the converse; both are homogeneous for the weights and
+    for delta.  The forms' leads give the initial ideal's dimension; they
+    are the basis's leads, which give the kernel's, reported alongside:
+    the degeneration is flat.
     """
     phi = build_phi(n, n)
+    ring = phi.source
     basis, order, certificates = tangent_kernel(n, phi)
-    initial = delta_initial_ideal(Ideal(phi.source, basis), presentation_weights(n, n))
-    # a zero set has the dimension of the leads of any Groebner basis
-    initial_leads = leading_monomials(initial.gens, grevlex(phi.source))
-    leads = leading_monomials(basis, order)
+    delta = delta_weights(ring)
+    forms = [weight_initial(g, delta) for g in basis]
+    quiver, by_degree = quiver_ideal(n), grevlex(ring)
+    in_initial = poly.membership_test(forms, order)
+    in_quiver = poly.membership_test(quiver.groebner(by_degree), by_degree)
+    equal = all(map(in_initial, quiver.gens)) and all(map(in_quiver, forms))
     return {
         "n": n,
-        "equal": all(certificates.values()) and ideal_equal(initial, quiver_ideal(n)),
-        "dimension": monomial_dimension(initial_leads, phi.source.nvars),
-        "generic_dimension": monomial_dimension(leads, phi.source.nvars),
+        "equal": all(certificates.values()) and equal,
+        # a zero set has the dimension of the leads of any Groebner basis
+        "dimension": monomial_dimension(leading_monomials(forms, order), ring.nvars),
+        "generic_dimension": monomial_dimension(leading_monomials(basis, order), ring.nvars),
         "expected_dimension": n * n + n + 1,
     }
 

@@ -20,6 +20,7 @@ from typing import NamedTuple
 from .cox import (
     minor_kernel,
     minor_map,
+    proof_order,
     t_name,
     x_name,
     yy_name,
@@ -28,7 +29,6 @@ from .linalg import left_kernel_basis
 from .poly import (
     CapExceeded,
     Ideal,
-    MatrixOrder,
     Polynomial,
     lex,
     normal_form,
@@ -431,21 +431,16 @@ def flag_presentation(n, psi):
 
 
 def lead_order(psi, n, weights):
-    """The order L of psi's leads: the weights; then, for each target
-    variable in diagonal_order's lex sequence, its exponent in the lead of
-    each source variable's image; then revlex.  The lead of psi(m) is the
-    sum of its variables' leads, so L compares monomials of one weight by
-    the leads of their images first.  Built once per (weights, leads)."""
+    """The order L of psi's leads, cox.proof_order with these rows and the
+    last variable last: the weights; then, for each target variable in
+    diagonal_order's lex sequence, its exponent in the lead of each source
+    variable's image; then revlex.  The lead of psi(m) is the sum of its
+    variables' leads, so L compares monomials of one weight by the leads
+    of their images first.  Built once per (weights, leads)."""
     order = diagonal_order(psi.target, n)
     leads = [psi.images[name].leading_term(order)[0] for name in psi.source.names]
-    return _lead_order(tuple(weights), tuple(
-        tuple(sum(map(mul, row, lead)) for lead in leads) for row in order.rows))
-
-
-@lru_cache(maxsize=None)
-def _lead_order(weights, lead_rows):
-    revlex = [[-int(k == r) for k in range(len(weights))] for r in reversed(range(len(weights)))]
-    return MatrixOrder([weights, *lead_rows, *revlex])
+    rows = tuple(tuple(sum(map(mul, row, lead)) for lead in leads) for row in order.rows)
+    return proof_order(tuple(weights), rows, len(weights) - 1)
 
 
 def flag_kernel(n, psi):
@@ -559,7 +554,8 @@ def _straighten(n, a, b):
     join and meet sets); this is the move that preserves the pattern sum
     entrywise.  For containment-comparable interactions it degenerates to
     the union/intersection form.  The larger mark goes to the join; the
-    smaller mark always fits the meet.
+    smaller mark always fits the meet, which is never empty: its last
+    prefix count is the smaller size of the two sets.
     """
     t = _codes(n)
     a, b = t.gens[a], t.gens[b]
@@ -571,12 +567,7 @@ def _straighten(n, a, b):
     marks = sorted((m for m in (a.mark, b.mark) if m), reverse=True)
     hi = marks[0] if marks else 0
     lo = marks[1] if len(marks) > 1 else 0
-    added = [MarkedGenerator.flag(join, hi)]
-    # a nonzero mark a needs {1..a} in its set, so with two marks both sets
-    # hold 1, and so does the meet: only an unmarked meet can vanish
-    if meet:
-        added.append(MarkedGenerator.flag(meet, lo))
-    return tuple(t.code[gen] for gen in added)
+    return t.code[MarkedGenerator.flag(join, hi)], t.code[MarkedGenerator.flag(meet, lo)]
 
 
 def _straightened(t, flags, n):

@@ -9,8 +9,6 @@ from tvbcox.cox import (
     build_phi,
     column_action,
     column_symmetries,
-    delta_initial_ideal,
-    delta_order,
     delta_weights,
     euler_generators,
     euler_minors,
@@ -204,6 +202,12 @@ def test_verify_kernel_matches_the_elimination_route(n):
     assert verify_kernel(n) == elimination_report(n)
 
 
+def tangent_order(ring, weights):
+    """tangent_kernel's order: the weights, the row -delta, then revlex
+    with x_0 last."""
+    return cox.proof_order(tuple(weights), (tuple(-w for w in delta_weights(ring)),), 0)
+
+
 def proof_inputs(n, phi):
     """The arguments tangent_kernel gives kernel_by_saturation through
     minor_kernel."""
@@ -211,8 +215,7 @@ def proof_inputs(n, phi):
     claimed = tangent_cox_ideal(n, n)
     return (
         claimed, phi, minor_sigma(phi, minors, n), weights,
-        column_symmetries(phi.source, minors, n),
-        cox._u_last_order(claimed.ring, 0, tuple(weights)),
+        column_symmetries(phi.source, minors, n), tangent_order(claimed.ring, weights),
     )
 
 
@@ -236,7 +239,7 @@ def certificate_polynomials(claimed, phi, sigma, weights, symmetries, order):
     images = sigma.images.values()
     inverted = {i for img in images for m in img.terms for i, e in enumerate(m) if e < 0}
     for i in sorted(inverted):
-        for g in claimed.groebner(cox._u_last_order(ring, i, tuple(weights))):
+        for g in claimed.groebner(cox.proof_order(tuple(weights), (), i)):
             polys.append(g * variables[i] ** -min(m[i] for m in g.terms))
     return polys + [f + variables[0] for f in polys]
 
@@ -255,7 +258,7 @@ def test_the_proof_basis_is_a_groebner_basis_as_large_as_grevlex(n, monkeypatch)
     basis, u_last, _ = kernel_by_saturation(*args)
     monkeypatch.undo()
     # x_0 last, and no grevlex basis was computed on the way
-    assert u_last is cox._u_last_order(claimed.ring, 0, tuple(presentation_weights(n, n)))
+    assert u_last is tangent_order(claimed.ring, presentation_weights(n, n))
     assert computed == [u_last.rows]
     assert is_groebner_basis(basis, u_last) and basis == claimed.groebner(u_last)
     assert len(basis) == len(claimed.groebner(order)) == verify_kernel(n)["kernel_gb_size"]
@@ -269,7 +272,7 @@ def test_a_proof_that_inverts_nothing_has_no_orbit_to_saturate():
     sigma = RingMap(target, source, {"t": x})
     # nothing inverted leaves no orbit to saturate; the proof keeps the
     # order it is given
-    order = cox._u_last_order(source, 0, (1, 1))
+    order = cox.proof_order((1, 1), (), 0)
     basis, used, got = kernel_by_saturation(Ideal(source, [x - y]), phi, sigma, [1, 1], [], order)
     assert used is order and basis == [y - x]
     assert all(got.values())
@@ -464,19 +467,19 @@ def test_kernel_by_saturation_needs_a_positive_grading_of_j():
 
 
 def test_saturation_orders_are_built_once_per_ring_variable_and_weights():
-    a, b = PolyRing(["x", "y", "z"]), PolyRing(["x", "y", "z"])
-    order = cox._u_last_order(a, 0, (1, 2, 3))
-    assert cox._u_last_order(b, 0, (1, 2, 3)) is order
-    assert cox._u_last_order(a, 1, (1, 2, 3)) is not order
-    assert cox._u_last_order(a, 0, (1, 1, 1)) is not order
+    # cox.proof_order: one order per (weights, rows, last variable), the
+    # ring read off the weights
+    order = cox.proof_order((1, 2, 3), (), 0)
+    assert cox.proof_order((1, 2, 3), (), 0) is order
+    assert cox.proof_order((1, 2, 3), (), 1) is not order
+    assert cox.proof_order((1, 1, 1), (), 0) is not order
+    assert cox.proof_order((1, 2, 3), ((0, 0, -1),), 0) is not order
     # x^2 and y have weighted degree 2; with x last, the one without x leads
     assert order.key((0, 1, 0)) > order.key((2, 0, 0))
-
-
-def test_delta_order_is_built_once_per_ring_and_keys_as_a_fresh_order():
-    ring = build_phi(2, 2).source
-    order = delta_order(ring)
-    assert delta_order(PolyRing(ring.names)) is order
+    # tangent_kernel's order, built once per ring, keys as a fresh order
+    ring, weights = build_phi(2, 2).source, presentation_weights(2, 2)
+    order = tangent_order(ring, weights)
+    assert tangent_order(PolyRing(ring.names), weights) is order
     fresh, rng = poly.MatrixOrder(order.rows), random.Random(5)
     monomials = [tuple(rng.randrange(3) for _ in ring.names) for _ in range(50)]
     assert [order.key(m) for m in monomials] == [fresh.key(m) for m in monomials]
@@ -498,7 +501,7 @@ def test_the_proofs_leave_every_ring_map_image_as_it_was():
     weights = presentation_weights(3, 3)
     kernel_by_saturation(
         tangent_cox_ideal(3, 3), phi, sigmas[0], weights, actions[0],
-        cox._u_last_order(phi.source, 0, tuple(weights)),
+        tangent_order(phi.source, weights),
     )
     weights = [1] * 4 + [len(cols) for _, _, cols in gz.flag_minors(3)]
     kernel_by_saturation(
@@ -656,53 +659,74 @@ def test_initial_comparison_n3():
     assert rep["dimension"] == rep["generic_dimension"] == 13
 
 
-def proof_initial_ideal(n):
-    """delta_initial_ideal of J generated by tangent_kernel's basis, as
-    initial_comparison forms it."""
+def proof_initial_forms(n):
+    """The delta-initial forms of tangent_kernel's basis, as
+    initial_comparison forms them, and the proof's order."""
     phi = build_phi(n, n)
-    basis = tangent_kernel(n, phi)[0]
-    return delta_initial_ideal(Ideal(phi.source, basis), presentation_weights(n, n))
+    basis, order, _ = tangent_kernel(n, phi)
+    delta = delta_weights(phi.source)
+    return [weight_initial(g, delta) for g in basis], order
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_the_delta_initial_forms_are_a_grevlex_basis(n):
-    # Prop. 1.13 of Sturmfels 1996: the weight-initial forms of a basis
-    # under the weights refined by grevlex are a grevlex basis of in_delta(J)
-    initial = proof_initial_ideal(n)
-    assert is_groebner_basis(initial.gens, grevlex(initial.ring))
+def test_the_delta_initial_forms_are_a_basis_under_the_proof_order(n):
+    # Prop. 1.13 of Sturmfels 1996: the order refines -delta within each
+    # degree, so the delta-initial forms of its basis are a basis of
+    # in_delta(J) under it
+    forms, order = proof_initial_forms(n)
+    assert is_groebner_basis(forms, order)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_initial_comparison_dimension_matches_a_fresh_grevlex_basis(n):
-    assert initial_comparison(n)["dimension"] == zero_set_dimension(proof_initial_ideal(n))
+    forms, _ = proof_initial_forms(n)
+    ideal = Ideal(forms[0].ring, forms)
+    assert initial_comparison(n)["dimension"] == zero_set_dimension(ideal)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_initial_comparison_computes_two_bases(monkeypatch, n):
+    # the kernel proof's basis and the quiver ideal's grevlex basis; the
+    # initial forms are a basis already
+    orders, buchberger = [], poly.buchberger
+
+    def recorded(gens, order):
+        orders.append(order.rows)
+        return buchberger(gens, order)
+
+    monkeypatch.setattr(poly, "buchberger", recorded)
+    report = initial_comparison(n)
+    ring = build_phi(n, n).source
+    assert report["equal"]
+    assert orders == [tangent_order(ring, presentation_weights(n, n)).rows, grevlex(ring).rows]
+
+
+@pytest.mark.parametrize("change", ["dropped", "added"])
+def test_initial_comparison_fails_on_a_changed_quiver_ideal(monkeypatch, change):
+    # a dropped minor leaves a form outside the quiver ideal; an added x_0
+    # lies outside in_delta(J), since x_0 divides no lead of the proof basis
+    quiver = quiver_ideal(2)
+    gens = quiver.gens[:-1] if change == "dropped" else quiver.gens + [quiver.ring.var("x0")]
+    monkeypatch.setattr(cox, "quiver_ideal", lambda n: Ideal(quiver.ring, gens))
+    assert not initial_comparison(2)["equal"]
 
 
 def test_initial_forms_of_the_proof_basis_misread_the_dimension(monkeypatch):
-    # the initial forms of the x_0-last basis still generate the quiver
-    # ideal, but they are no grevlex basis at n = 3: their leads read one
+    # the initial forms of the proof basis generate the quiver ideal, but
+    # they are no grevlex basis at n = 3: their grevlex leads read one
     # dimension too many, and the suite check fails
-    def proof_basis_forms(ideal, grading):
-        w = delta_weights(ideal.ring)
-        return Ideal(ideal.ring, [weight_initial(g, w) for g in ideal.gens])
+    forms, _ = proof_initial_forms(3)
+    leads = cox.leading_monomials
 
-    monkeypatch.setattr(cox, "delta_initial_ideal", proof_basis_forms)
+    def grevlex_leads(gens, order):
+        return leads(gens, grevlex(gens[0].ring) if gens == forms else order)
+
+    monkeypatch.setattr(cox, "leading_monomials", grevlex_leads)
     rep = initial_comparison(3)
     assert rep["equal"] and (rep["dimension"], rep["expected_dimension"]) == (14, 13)
+    assert rep["generic_dimension"] == 13
     with pytest.raises(AssertionError, match="dimension 14 != 13 at n = 3"):
         suite.check_initial_ideal("full")
-
-
-def test_delta_initial_ideal_rejects_inhomogeneous_input(monkeypatch):
-    # delta_order puts 1 above W, so dividing by W + 1 never ends; the
-    # grading check comes before Buchberger is reached
-    def unreachable(*args, **kwargs):
-        raise AssertionError("Buchberger was reached")
-
-    monkeypatch.setattr(poly, "buchberger", unreachable)
-    ring = PolyRing(["x", "y", "W"])
-    x, y, w = ring.gens()
-    with pytest.raises(ValueError, match="not homogeneous"):
-        delta_initial_ideal(Ideal(ring, [w + 1, x * y]), [1] * ring.nvars)
 
 
 def test_euler_complete_intersection_codimension():

@@ -42,7 +42,7 @@ from tvbcox import cli, poly
 from tvbcox.bundle import BundleData, example_514_bundle, tangent_bundle, uniform_sparse_bundle
 from tvbcox.cox import (
     build_phi,
-    delta_initial_ideal,
+    delta_weights,
     lemma_ideal,
     quiver_ideal,
     row_completing_order,
@@ -57,7 +57,15 @@ from tvbcox.gz import (
     relation_families,
     word_to_text,
 )
-from tvbcox.poly import PolyRing, buchberger, grevlex, poly_to_text, ring_map_kernel
+from tvbcox.poly import (
+    Ideal,
+    PolyRing,
+    buchberger,
+    grevlex,
+    poly_to_text,
+    ring_map_kernel,
+    weight_initial,
+)
 from oracles import kaneyama_bundle, placed_sparse_bundle, serialize_bundle
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "analyze.json")
@@ -267,8 +275,13 @@ def engine_answers():
         with counting_s_polynomials() as calls:
             buchberger(gens, grevlex(gens[0].ring))
         counts[name] = calls[0]
-    ker_phi_2 = kernels["ker phi 2"]
-    kernels["delta initial 2"] = delta_initial_ideal(ker_phi_2, [1] * ker_phi_2.ring.nvars)
+    # in_delta(ker phi) at n = 2, generated by the delta-initial forms of
+    # the kernel proof's basis
+    phi = build_phi(2, 2)
+    delta = delta_weights(phi.source)
+    kernels["delta initial 2"] = Ideal(
+        phi.source, [weight_initial(g, delta) for g in tangent_kernel(2, phi)[0]]
+    )
     texts = {name: gb_text(kernels[name]) for name in kernels}
     for n in (2, 3):
         texts[f"quiver {n}"] = gb_text(quiver_ideal(n))

@@ -282,6 +282,22 @@ def test_lead_order_compares_monomials_by_the_leads_of_their_images(n):
 
 
 @pytest.mark.parametrize("n", [3, 4])
+def test_lead_order_is_the_proof_order_of_the_image_leads(n):
+    # the weights, each diagonal row read off the leads of the images, then
+    # revlex from the last variable back: the rows gz.lead_order has always
+    # had, now built by cox.proof_order with the last variable last
+    psi = build_psi(n)
+    weights = [1] * (n + 1) + [len(cols) for _, _, cols in gz.flag_minors(n)]
+    diagonal = diagonal_order(psi.target, n)
+    leads = [psi.images[name].leading_term(diagonal)[0] for name in psi.source.names]
+    rows = [[sum(r * e for r, e in zip(row, lead)) for lead in leads] for row in diagonal.rows]
+    count = len(weights)
+    revlex = [[-int(k == r) for k in range(count)] for r in reversed(range(count))]
+    expected = tuple(map(tuple, [weights, *rows, *revlex]))
+    assert gz.lead_order(psi, n, weights).rows == expected
+
+
+@pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("dropped", ["first Plucker", "first Euler-type", "last"])
 def test_the_flag_proof_fails_with_a_relation_dropped(monkeypatch, n, dropped):
     # every relation of flag_presentation(n) lies in ker(psi), so the
@@ -548,6 +564,17 @@ def test_straightening_preserves_pattern_sum():
     canon, steps = canonicalize(word, n)
     assert word_pattern_sum(canon, n) == before
     assert steps  # at least the straightening step ran
+
+
+@pytest.mark.parametrize("n, incomparable", [(3, 2), (4, 24), (5, 178), (6, 1061)])
+def test_every_straightening_adds_a_join_and_a_meet(n, incomparable):
+    # two nonempty column sets have a nonempty meet: its last prefix count
+    # is the smaller size, so no straightening drops a flag
+    t = gz._codes(n)
+    added = [gz._straighten(n, a, b) for a, b in combinations(range(t.flags), 2)]
+    added = [codes for codes in added if codes is not None]
+    assert len(added) == incomparable
+    assert all(len(codes) == 2 and max(codes) < t.flags for codes in added)
 
 
 def test_rewrite_step_that_breaks_the_pattern_sum_raises():

@@ -28,12 +28,12 @@ from tvbcox.poly import (
     weight_initial,
 )
 from tvbcox.cox import (
-    _u_last_order,
     build_phi,
-    delta_order,
     delta_weights,
     lemma_ring,
     phi_target_ring,
+    presentation_weights,
+    proof_order,
     row_completing_order,
     yy_name,
 )
@@ -205,7 +205,7 @@ def test_order_keys_match_textbook_comparators():
             ),
             (elim, lambda a, b: block_greater(a, b, [drop, keep])),
             (
-                delta_order(ring),
+                MatrixOrder(([-w for w in weights],) + grevlex(ring).rows),
                 lambda a, b: min_weight_greater(
                     a, b, weights, lambda a, b: grevlex_greater(a, b, every)
                 ),
@@ -236,7 +236,9 @@ def test_every_order_the_package_builds_has_full_column_rank():
         (source, grevlex(source)),
         (source, lex(source, source.names)),
         (graph, elimination_order(graph, target.names)),
-        (source, delta_order(source)),
+        (source, proof_order(
+            tuple(presentation_weights(3, 3)), (tuple(-w for w in delta_weights(source)),), 0
+        )),
         (lemma_ring(3), row_completing_order(lemma_ring(3), 3)),
         (phi_target_ring(3, 2), diagonal_order(phi_target_ring(3, 2), 3)),
     ]
@@ -739,8 +741,9 @@ def test_packed_monomials_compare_as_their_keys(size):
         grevlex(ring),
         lex(ring, ["y", "W1", "x0", "W0", "x1"]),
         elimination_order(ring, ["x1", "W0"]),
-        _u_last_order(ring, 2, (1, 2, 3, 1, 2)),
-        delta_order(ring),  # its first row is negative
+        proof_order((1, 2, 3, 1, 2), (), 2),
+        # the row -delta on top of grevlex: its first row is negative
+        MatrixOrder(([-w for w in delta_weights(ring)],) + grevlex(ring).rows),
     ]
     top = (1 << 8 * size - 1) - 1
     rng = random.Random(size)

@@ -16,7 +16,7 @@ from sympy.polys.orderings import ProductOrder
 from sympy.polys.orderings import grevlex as sympy_grevlex
 
 from tvbcox import cox
-from tvbcox.cox import delta_initial_ideal, presentation_weights, quiver_ideal, tangent_cox_ideal
+from tvbcox.cox import build_phi, quiver_ideal, tangent_cox_ideal, tangent_kernel
 from tvbcox.poly import (
     Ideal,
     PolyRing,
@@ -27,6 +27,7 @@ from tvbcox.poly import (
     lex,
     normal_form,
     ring_map_kernel,
+    weight_initial,
 )
 from oracles import from_terms
 
@@ -235,12 +236,21 @@ def grevlex_basis(gens, syms):
     return sympy.groebner([to_sympy(g, syms) for g in gens], *syms, order="grevlex")
 
 
+def proof_initial_forms(n):
+    """The delta-initial forms of tangent_kernel(n)'s basis, the
+    generators of in_delta(J) that cox.initial_comparison reads."""
+    phi = build_phi(n, n)
+    delta = cox.delta_weights(phi.source)
+    return [weight_initial(g, delta) for g in tangent_kernel(n, phi)[0]]
+
+
 @pytest.mark.parametrize("negated", [False, True])
 @pytest.mark.parametrize("n", [2, 3])
 def test_delta_initial_ideal_matches_the_flat_degeneration(monkeypatch, n, negated):
-    """delta_initial_ideal and the quiver ideal against the t = 0 fibre of
-    the W-weight family; with the delta weight negated in the library, the
-    degeneration goes the other way and the check fails."""
+    """The delta-initial forms of tangent_kernel's basis and the quiver
+    ideal against the t = 0 fibre of the W-weight family; with the delta
+    weight negated in the library, the degeneration goes the other way and
+    the check fails."""
     claimed = tangent_cox_ideal(n, n)
     syms = sympy.symbols(claimed.ring.names)
     weights = [1 if name.startswith("W") else 0 for name in claimed.ring.names]
@@ -248,8 +258,7 @@ def test_delta_initial_ideal_matches_the_flat_degeneration(monkeypatch, n, negat
     assert grevlex_basis(quiver_ideal(n).gens, syms).exprs == oracle.exprs
     if negated:
         monkeypatch.setattr(cox, "delta_weights", lambda ring: [-w for w in weights])
-    initial = delta_initial_ideal(claimed, presentation_weights(n, n))
-    initial = grevlex_basis(initial.gens, syms)
+    initial = grevlex_basis(proof_initial_forms(n), syms)
     if negated:
         assert initial.exprs != oracle.exprs
     else:

@@ -22,7 +22,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvbcox.cox import delta_order
 from tvbcox.poly import (
     Ideal,
     MatrixOrder,
@@ -275,11 +274,11 @@ W_RING = PolyRing(["x", "y", "W"])
 CUBIC = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
 BY_DEGREE = [[e for e in MONOMIALS if sum(e) == d] for d in (1, 2)]
 # (ring, order, generator monomials): lex, grevlex, an elimination order
-# and delta_order.  delta_order puts 1 above W, so it is no well-order and
-# division by W + 1 never ends; homogeneous generators keep each division
-# step inside one degree.
+# and the row -delta on top of grevlex.  That puts 1 above W, so it is no
+# well-order and division by W + 1 never ends; homogeneous generators keep
+# each division step inside one degree.
 REDUCE_CASES = [(RING, order, [MONOMIALS]) for order in ORDERS] + [
-    (W_RING, delta_order(W_RING), BY_DEGREE)
+    (W_RING, MatrixOrder(((0, 0, -1),) + grevlex(W_RING).rows), BY_DEGREE)
 ]
 
 
