@@ -476,7 +476,11 @@ def test_saturation_orders_are_built_once_per_ring_variable_and_weights():
     assert cox.proof_order((1, 2, 3), ((0, 0, -1),), 0) is not order
     # x^2 and y have weighted degree 2; with x last, the one without x leads
     assert order.key((0, 1, 0)) > order.key((2, 0, 0))
-    # tangent_kernel's order, built once per ring, keys as a fresh order
+
+
+def test_delta_order_is_built_once_per_ring_and_keys_as_a_fresh_order():
+    # tangent_kernel's order, which carries the -delta row, is built once
+    # per ring and keys as a fresh order
     ring, weights = build_phi(2, 2).source, presentation_weights(2, 2)
     order = tangent_order(ring, weights)
     assert tangent_order(PolyRing(ring.names), weights) is order
