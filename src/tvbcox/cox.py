@@ -7,10 +7,10 @@ the Plucker identification at n = 2.
 
 Some of it serves the flag-ring map psi of gz.py as well: a presentation
 map is minor_map on a table of minors, each sent to its Euler minor;
-column_action and column_symmetries permute the matrix columns of any
-such table, minor_sigma reads the map's left inverse off it, and
-minor_kernel passes both to kernel_by_saturation, which proves the
-kernel of either map.
+column_action and column_symmetries permute its matrix columns as
+signed permutations of the variables, minor_sigma reads the map's left
+inverse off it, and minor_kernel passes both to kernel_by_saturation,
+which proves the kernel of either map.
 """
 
 from functools import lru_cache
@@ -164,28 +164,30 @@ def build_phi(n: int, m: int):
     return minor_map(n, m, presentation_minors(n, m))
 
 
-def column_action(ring, minors, perm):
-    """The ring map of the permutation perm of the n + 1 matrix columns:
-    x_j -> x_perm[j], and the minor on (rows, S) -> e times the minor on
-    (rows, perm(S)), e the sign that sorts perm over sorted S.  The
-    matrix's rows sum to 0 in any column order, so permuting its columns
-    and the t_j is a map h of the target with h(phi(v)) = phi(g(v)) for
-    the map phi of the table; g keeps ker(phi)."""
-    named = {(rows, cols): name for name, rows, cols in minors}
-    images = {x_name(j): ring.var(x_name(p)) for j, p in enumerate(perm)}
-    for name, rows, cols in minors:
+def column_action(minors, perm):
+    """The permutation perm of the n + 1 matrix columns as the move g =
+    (targets, signs), variable i -> signs[i] variable targets[i], with
+    x_0..x_n then the minors in table order: x_j -> x_perm[j], and the
+    minor on (rows, S) -> e times the minor on (rows, perm(S)), e the sign
+    that sorts perm over sorted S.  The matrix's rows sum to 0 in any
+    column order, so permuting its columns and the t_j is a map h of the
+    target with h(phi(v)) = phi(g(v)) for the map phi of the table; g
+    keeps ker(phi)."""
+    where = {(rows, cols): k for k, (_, rows, cols) in enumerate(minors, start=len(perm))}
+    targets, signs = list(perm), [1] * len(perm)
+    for _, rows, cols in minors:
         moved = [perm[c] for c in cols]
-        image = ring.var(named[rows, tuple(sorted(moved))])
-        images[name] = image if sorting_sign(moved) > 0 else -image
-    return RingMap(ring, ring, images)
+        targets.append(where[rows, tuple(sorted(moved))])
+        signs.append(sorting_sign(moved))
+    return targets, signs
 
 
-def column_symmetries(ring, minors, n):
-    """The column_action on the ring of a minor table of the swap of columns
-    0 and 1 and the cycle j -> j + 1 mod n + 1, which generate the column
+def column_symmetries(minors, n):
+    """The column_action on a minor table of the swap of columns 0 and 1
+    and the cycle j -> j + 1 mod n + 1, which generate the column
     permutations: the symmetries the kernel proofs of phi and psi pass."""
     swap, cycle = [1, 0] + list(range(2, n + 1)), [(j + 1) % (n + 1) for j in range(n + 1)]
-    return [column_action(ring, minors, perm) for perm in (swap, cycle)]
+    return [column_action(minors, perm) for perm in (swap, cycle)]
 
 
 def sorting_sign(seq):
@@ -216,8 +218,8 @@ def tangent_cox_ideal(n: int, m: int):
     m = n: Euler relations plus det Y(j) - (-1)^j x_j W.  phi sends
     column 0 to minus the sum of the others, so in phi(det Y(j)) only -y_j
     survives there, and moving it to its place among columns 1..n gives
-    phi(det Y(j)) = (-1)^j phi(x_j W).  The contained certificate of
-    kernel_by_saturation checks every sign against phi.
+    phi(det Y(j)) = (-1)^j phi(x_j W).  tangent_kernel checks every sign
+    against phi.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got n = {n}")
@@ -264,15 +266,14 @@ def require_homogeneous(gens, weights):
 
 
 def kernel_by_saturation(claimed, phi, sigma, weights, symmetries, order):
-    """Certificates that ker(phi) is the ideal J = claimed, with no
-    elimination: the swap of an elimination for a saturation used for
+    """Certificates that K = ker(phi) lies in the ideal J = claimed, with
+    no elimination: the swap of an elimination for a saturation used for
     toric ideals (Sturmfels 1996, ch. 12; Bigatti, La Scala & Robbiano
-    1999).  Let K = ker(phi), v the product of the variables that sigma
-    inverts and G the Groebner basis of J under order, a term order (the
-    callers' put the positive weights first), the one basis the proof
-    computes.
+    1999).  Whoever builds J proves J in K, once, so K = J when all three
+    hold.  Let v be the product of the variables that sigma inverts and G
+    the Groebner basis of J under order, a term order (the callers' put
+    the positive weights first), the one basis the proof computes.
 
-    - contained: every generator of J maps to 0, so J lies in K.
     - left_inverse: sigma, a map from phi's target into the source with
       Laurent images, inverts phi modulo J once v is inverted: for every
       source variable s, v^a (sigma(phi(s)) - s) lies in J.  Then each f
@@ -284,14 +285,14 @@ def kernel_by_saturation(claimed, phi, sigma, weights, symmetries, order):
       divides in(f), which forces f = 0.  Bayer & Stillman (1987) is the
       u-last revlex case, where for a reduced basis the condition is
       also necessary.
-    - symmetric: each of symmetries sends every generator into J.  Each
-      must permute the variables up to sign and keep the weights
-      (ValueError otherwise), and J is homogeneous for the positive
-      weights (checked), so g maps each degree of J onto itself and
-      carries J : u = J to J : g(u) = J: J is saturated by every
-      variable of the orbit.
+    - symmetric: each of symmetries, a move of column_action, sends
+      every generator into J.  Each must be a bijection of the variables
+      that keeps the weights (ValueError otherwise), and J is homogeneous
+      for the positive weights (checked), so g maps each degree of J onto
+      itself and carries J : u = J to J : g(u) = J: J is saturated by
+      every variable of the orbit.
 
-    All four give K = J : v^inf = J.  G decides every membership tested
+    All three give K in J : v^inf = J.  G decides every membership tested
     here.  Where membership is plain no division is made: an image that
     is +- a generator of J lies in J, and so does sigma(phi(s)) - s = 0.
     Returns G, order and the certificates by name, each True when it
@@ -299,7 +300,12 @@ def kernel_by_saturation(claimed, phi, sigma, weights, symmetries, order):
     """
     ring = claimed.ring
     require_homogeneous(claimed.gens, weights)
-    moves = [_variable_permutation(g, weights) for g in symmetries]
+    for targets, _ in symmetries:
+        if sorted(targets) != list(range(ring.nvars)):
+            raise ValueError("a symmetry sends two variables to one: not a permutation")
+        moved = [ring.names[i] for i, p in enumerate(targets) if weights[i] != weights[p]]
+        if moved:
+            raise ValueError(f"a symmetry moves the weight of {', '.join(moved)}")
     inverted = {
         i for img in sigma.images.values() for m in img.terms for i, e in enumerate(m) if e < 0
     }
@@ -308,14 +314,13 @@ def kernel_by_saturation(claimed, phi, sigma, weights, symmetries, order):
     signed_gens = set(claimed.gens) | {-f for f in claimed.gens}
     differences = (sigma(phi.images[s]) - ring.var(s) for s in ring.names)
     return basis, order, {
-        "contained": all(phi(g) == 0 for g in claimed.gens),
         "left_inverse": all(not d or in_claimed(_clear_denominators(d)) for d in differences),
         "saturated": None not in _free_members(
-            ring, leading_monomials(basis, order), inverted, moves
+            ring, leading_monomials(basis, order), inverted, symmetries
         ).values(),
         "symmetric": all(
             image in signed_gens or in_claimed(image)
-            for image in (_permuted(f, move) for move in moves for f in claimed.gens)
+            for image in (_permuted(f, move) for move in symmetries for f in claimed.gens)
         ),
     }
 
@@ -355,32 +360,11 @@ def proof_order(weights, rows, last):
     )
 
 
-def _variable_permutation(g, weights):
-    """The ring map g read as (perm, signs), g(x_i) = signs[i] x_perm[i];
-    raises ValueError unless g permutes the variables of its source up to
-    sign and keeps the weights."""
-    ring, perm, signs = g.source, [], []
-    for name in ring.names:
-        terms = g.images[name].terms
-        m, c = next(iter(terms.items()), (None, 0))
-        if g.target != ring or len(terms) != 1 or abs(c) != 1 or sum(m) != 1 or min(m) < 0:
-            raise ValueError(f"a symmetry sends {name} to {g.images[name]}, not to +-a variable")
-        perm.append(m.index(1))
-        signs.append(c)
-    if sorted(perm) != list(range(ring.nvars)):
-        raise ValueError("a symmetry sends two variables to one: not a permutation")
-    moved = [ring.names[i] for i, p in enumerate(perm) if weights[i] != weights[p]]
-    if moved:
-        raise ValueError(f"a symmetry moves the weight of {', '.join(moved)}")
-    return perm, signs
-
-
 def _permuted(f, move):
     """f under the signed permutation move = (perm, signs) of its ring's
     variables, x_i -> signs[i] x_perm[i]: each exponent tuple permuted, its
-    coefficient times the signs of the variables it holds to odd powers.
-    The image under the ring map that _variable_permutation read, with no
-    product taken."""
+    coefficient times the signs of the variables it holds to odd powers,
+    with no product taken."""
     perm, signs = move
     inverse = [0] * len(perm)
     for i, p in enumerate(perm):
@@ -425,8 +409,7 @@ def minor_kernel(claimed, phi, minors, n, weights, order):
     minor table: J = claimed, minor_sigma's left inverse and the table's
     column_symmetries, which carry x_0 to every x_j."""
     return kernel_by_saturation(
-        claimed, phi, minor_sigma(phi, minors, n), weights,
-        column_symmetries(phi.source, minors, n), order,
+        claimed, phi, minor_sigma(phi, minors, n), weights, column_symmetries(minors, n), order
     )
 
 
@@ -438,11 +421,14 @@ def tangent_kernel(n, phi):
     forms are a basis of in_delta(J) (Sturmfels 1996, Prop. 1.13), which
     initial_comparison reads.  At n = 2..6 the basis, and the S-pairs
     formed, are those of the plain x_0-last order; without the row that
-    is a coincidence, and the forms need not be a basis."""
+    is a coincidence, and the forms need not be a basis.  contained, J in
+    ker(phi), is proved here: every generator of J maps to 0."""
     claimed, weights = tangent_cox_ideal(n, n), presentation_weights(n, n)
     minus_delta = tuple(-w for w in delta_weights(claimed.ring))
     order = proof_order(tuple(weights), (minus_delta,), 0)
-    return minor_kernel(claimed, phi, presentation_minors(n, n), n, weights, order)
+    basis, _, certificates = minor_kernel(claimed, phi, presentation_minors(n, n), n, weights,
+                                          order)
+    return basis, order, {"contained": all(phi(g) == 0 for g in claimed.gens), **certificates}
 
 
 KERNEL_DEFAULT_CAP = 4
@@ -450,7 +436,7 @@ KERNEL_DEFAULT_CAP = 4
 
 def verify_kernel(n, allow_large=False):
     """Check that ker(phi) equals the tangent Cox ideal J by the
-    certificates of kernel_by_saturation; nothing is eliminated.
+    certificates of tangent_kernel; nothing is eliminated.
 
     n <= 4 by default; n >= 5 only behind allow_large.  Returns a report
     dict.  kernel_generators and kernel_gb_size are both the size of the

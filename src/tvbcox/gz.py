@@ -40,6 +40,8 @@ from .poly import (
 SWEEP_CAP = 2**16
 # Largest number of P-variable pairs quadratic_plucker_relations maps.
 PAIR_CAP = 2**11
+# Largest count a cap message writes in digits; a larger one is a power of 2.
+COUNT_DIGITS_LIMIT = 2**64
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +344,8 @@ def plucker_pair_count(n):
     count = comb(column_set_count(n) + 1, 2)
     if count > PAIR_CAP:
         raise CapExceeded(
-            f"n = {n} has {count} P-variable pairs, over the cap {PAIR_CAP}", size=count
+            f"n = {n} has {_count_text(count)} P-variable pairs, over the cap {PAIR_CAP}",
+            size=count,
         )
     return count
 
@@ -403,30 +406,31 @@ def _vanishes(coeffs, rows):
 
 
 def _euler_quadrics(n, psi, columns):
-    """The Euler-type quadrics for every tau in columns with |tau| <= n - 2."""
-    return [euler_flag_relation(n, tau, psi)
-            for size in range(0, n - 1) for tau in combinations(columns, size)]
+    """The Euler-type quadrics for every tau in columns with |tau| <= n - 2,
+    each proved through psi; raises AssertionError("relations with nonzero
+    image: ...") naming the quadrics whose image is not zero."""
+    quadrics = [euler_flag_relation(n, tau, psi)
+                for size in range(0, n - 1) for tau in combinations(columns, size)]
+    bad = [poly_to_text(r) for r in quadrics if psi(r) != 0]
+    if bad:
+        raise AssertionError(f"relations with nonzero image: {bad[:3]}")
+    return quadrics
 
 
 def relation_families(n, psi):
     """All emitted relations: quadratic Plucker exchanges plus the
-    Euler-type quadrics with tau in [n]; raises AssertionError unless
-    every element has presentation image zero.  quadratic_plucker_relations
-    proves its own relations on its pair images; the Euler-type quadrics
-    are sent through psi here."""
-    plucker = quadratic_plucker_relations(n, psi)
-    euler = _euler_quadrics(n, psi, range(1, n + 1))
-    bad = [poly_to_text(r) for r in euler if psi(r) != 0]
-    if bad:
-        raise AssertionError(f"relations with nonzero image: {bad[:3]}")
-    return plucker + euler
+    Euler-type quadrics with tau in [n].  Each builder returns only the
+    relations it has proved to lie in ker(psi) and raises AssertionError
+    naming any other: quadratic_plucker_relations on its pair images,
+    _euler_quadrics through psi."""
+    return quadratic_plucker_relations(n, psi) + _euler_quadrics(n, psi, range(1, n + 1))
 
 
 def flag_presentation(n, psi):
     """relation_families(n, psi) plus the Euler-type quadrics whose column
     sets contain 0, tau = {0} | tau' with |tau'| <= n - 3: the relations
-    whose ideal psi_kernel proves to be ker(psi).  The Euler-type images
-    are not checked here; the contained certificate checks them."""
+    whose ideal psi_kernel proves to be ker(psi), each proved to lie in
+    ker(psi) as relation_families proves its own."""
     return quadratic_plucker_relations(n, psi) + _euler_quadrics(n, psi, range(n + 1))
 
 
@@ -449,12 +453,14 @@ def flag_kernel(n, psi):
     per relation and every S-polynomial reduces to 0.  The column
     symmetries carry x_0 to every x_j and P_{1..k} to every P_S with
     |S| = k, and x_{n-1}, x_n, P_n, P_{n-1,n}, ..., P_{2..n} divide no
-    lead: a free variable in each orbit."""
+    lead: a free variable in each orbit.  contained holds once
+    flag_presentation returns: it proves every relation it returns."""
     ring, minors = psi.source, flag_minors(n)
     # x_j weighs 1 and P over cols weighs |cols|: every relation is homogeneous
     weights = [1] * (n + 1) + [len(cols) for _, _, cols in minors]
-    return minor_kernel(Ideal(ring, flag_presentation(n, psi)), psi, minors, n, weights,
-                        lead_order(psi, n, weights))
+    basis, order, certificates = minor_kernel(Ideal(ring, flag_presentation(n, psi)), psi,
+                                              minors, n, weights, lead_order(psi, n, weights))
+    return basis, order, {"contained": True, **certificates}
 
 
 PSI_KERNEL_CAP = 5
@@ -496,7 +502,6 @@ class _Codes(NamedTuple):
 
     gens: tuple  # the generator of each code
     code: dict  # generator -> code
-    text: tuple  # generator_to_text of each code
     flags: int  # codes below this are flags, the rest negated variables
     value: tuple  # the mark of each code
     cap: tuple  # the capacity of each code's column set
@@ -512,12 +517,13 @@ def _codes(n):
         raise ValueError("need n >= 1")
     count = generator_count(n)
     if count > SWEEP_CAP:
-        raise CapExceeded(f"n = {n} has {count} generators, over the cap {SWEEP_CAP}", size=count)
+        raise CapExceeded(
+            f"n = {n} has {_count_text(count)} generators, over the cap {SWEEP_CAP}", size=count
+        )
     gens = tuple(sorted(all_generators(n), key=MarkedGenerator.sort_key))
     code = {gen: c for c, gen in enumerate(gens)}
     return _Codes(
-        gens, code, tuple(map(generator_to_text, gens)), sum(bool(gen.sigma) for gen in gens),
-        tuple(gen.mark for gen in gens),
+        gens, code, sum(bool(gen.sigma) for gen in gens), tuple(gen.mark for gen in gens),
         tuple(_capacity(gen.sigma, n) for gen in gens), {},
     )
 
@@ -594,7 +600,9 @@ def _with_mark(t, c, mark):
     """The code of the generator on code c's column set carrying `mark`;
     _Codes numbers marks descending, so mark 0 there is c + value[c]."""
     if mark > t.cap[c]:
-        raise AssertionError(f"mark {mark} does not fit the column set of {t.text[c]}")
+        raise AssertionError(
+            f"mark {mark} does not fit the column set of {generator_to_text(t.gens[c])}"
+        )
     return c + t.value[c] - mark
 
 
@@ -698,10 +706,13 @@ def canonicalize(word, n):
         gen.check(n)
     t = _codes(n)
     canon, steps = _rewrite([t.code[gen] for gen in word], n)
-    text = t.text.__getitem__
+
+    def text(codes):
+        return [generator_to_text(t.gens[c]) for c in codes]
+
     return tuple(map(t.gens.__getitem__, canon)), [
-        {"rule": rule, "removed": list(map(text, removed)), "added": list(map(text, added)),
-         "word": ",".join(map(text, new_word))}
+        {"rule": rule, "removed": text(removed), "added": text(added),
+         "word": ",".join(text(new_word))}
         for rule, removed, added, new_word in steps
     ]
 
@@ -715,6 +726,7 @@ def subduct(word1, word2, n):
     word1, word2 = tuple(word1), tuple(word2)
     for gen in word1 + word2:
         gen.check(n)
+    _codes(n)  # its generator cap, before any pattern sum
     if word_pattern_sum(word1, n) != word_pattern_sum(word2, n):
         raise SubductionError("words have different extended-pattern sums")
     canon1, steps1 = canonicalize(word1, n)
@@ -748,17 +760,31 @@ def generator_count(n):
 
 def sweep_word_count(n, max_len):
     """Number of words of 1 to max_len generators at n.  Raises ValueError
-    for max_len < 1, a sweep of no word, and CapExceeded past SWEEP_CAP."""
+    for max_len < 1, a sweep of no word, and CapExceeded past SWEEP_CAP.
+    The count is summed length by length, each C(g + k - 1, k) for g
+    generators from the one before, and stops past the cap once it passes
+    COUNT_DIGITS_LIMIT too, or the lengths run out: the message then gives
+    the count exactly or, summed in part, its power of 2."""
     if max_len < 1:
         raise ValueError(f"the largest word length must be at least 1, got {max_len}")
-    gens = generator_count(n)
-    count = sum(comb(gens + k - 1, k) for k in range(1, max_len + 1))
-    if count > SWEEP_CAP:
-        raise CapExceeded(
-            f"n = {n} has {count} words up to length {max_len}, over the cap {SWEEP_CAP}",
-            size=count,
-        )
+    gens, count, words = generator_count(n), 0, 1
+    for k in range(1, max_len + 1):
+        words = words * (gens + k - 1) // k
+        count += words
+        if count > SWEEP_CAP and (k == max_len or count > COUNT_DIGITS_LIMIT):
+            raise CapExceeded(
+                f"n = {n} has {_count_text(count)} words up to length {max_len}, over the cap "
+                f"{SWEEP_CAP}", size=count,
+            )
     return count
+
+
+def _count_text(count):
+    """count in digits up to COUNT_DIGITS_LIMIT, and past it as the power of
+    2 it reaches, which takes no conversion of a long int to decimal."""
+    if count <= COUNT_DIGITS_LIMIT:
+        return str(count)
+    return f"at least 2^{count.bit_length() - 1}"
 
 
 def confluence_sweep(n, max_len):
@@ -805,15 +831,18 @@ def confluence_sweep(n, max_len):
                     clashes.append((key, neg + f))
     rank = {key: i for i, key in enumerate(groups)} if clashes else {}
     clashes.sort(key=lambda clash: rank[clash[0]])
-    text = t.text.__getitem__
+
+    def text(word):
+        return word_to_text(t.gens[c] for c in word)
+
     return {
         "n": n,
         "max_len": max_len,
         "words": words,
         "groups": len(groups),
         "confluent": not clashes,
-        "clashes": [(",".join(map(text, groups[key][1] + groups[key][2])),
-                     ",".join(map(text, word))) for key, word in clashes[:5]],
+        "clashes": [(text(groups[key][1] + groups[key][2]), text(word))
+                    for key, word in clashes[:5]],
     }
 
 

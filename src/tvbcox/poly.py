@@ -214,6 +214,11 @@ class Polynomial:
 # term orders
 
 
+# Most variables an order may have: its rank check is cubic in the count,
+# about 0.5 s at the cap on a 2-core host.
+ORDER_CAP = 2**8
+
+
 class MatrixOrder:
     """Term order given by an integer matrix (Robbiano 1985).
 
@@ -221,14 +226,20 @@ class MatrixOrder:
     max(key) is the lead term.  Lex, grevlex, weight and block orders are
     all matrix orders, built by the constructors below.  Full column rank
     keeps keys distinct.  packings holds the engine's packings of the
-    order, one per field width, built when first used.
+    order, one per field width, built when first used.  Raises
+    CapExceeded, before the rank check, past ORDER_CAP variables.
     """
 
     __slots__ = ("rows", "key", "packings")
 
     def __init__(self, rows):
         self.rows = tuple(map(tuple, rows))
-        rank, ncols = rational_rank(self.rows), len(self.rows[0]) if self.rows else 0
+        ncols = len(self.rows[0]) if self.rows else 0
+        if ncols > ORDER_CAP:
+            raise CapExceeded(
+                f"an order on {ncols} variables, over the cap {ORDER_CAP}", size=ncols
+            )
+        rank = rational_rank(self.rows)
         if rank < ncols:
             raise ValueError(f"order matrix has rank {rank} < {ncols} columns: not a total order")
         self.key = eval(f"lambda e: ({''.join(p + ',' for p in _row_sums(self.rows))})")

@@ -519,6 +519,42 @@ def test_gz_commands_exit_at_the_cap_at_n40(capsys, monkeypatch, args, message):
     assert f"{message}, over the cap 65536" in err
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["verify", "--n", "5000"], "n = 5000 has at least 2^5000 words up to length 3"),
+        (["verify", "--n", "2", "--max-word-length", "3000000"],
+         "n = 2 has at least 2^64 words up to length 3000000"),
+        (["subduct", "--n", "100000", "--word1", "[-0]", "--word2", "[-0]"],
+         "n = 100000 has at least 2^100000 generators"),
+    ],
+    ids=["verify-n", "verify-length", "subduct-n"],
+)
+def test_gz_counts_past_the_digit_limit_exit_3(capsys, monkeypatch, args, message):
+    # an internal count too long for decimal is no input error, and no
+    # pattern sum is formed before the cap
+    def summed(word, n):
+        raise AssertionError("a pattern sum was formed past the generator cap")
+
+    monkeypatch.setattr(gz, "word_pattern_sum", summed)
+    code, out, err = run(capsys, "gz", *args)
+    assert code == EXIT_CAP
+    assert out == ""
+    assert f"cap exceeded: {message}, over the cap 65536" in err
+
+
+def test_cox_tangent_refuses_an_order_past_the_cap_before_its_rank_check(capsys, monkeypatch):
+    # 801 x_j and 801 Y1_j: the cubic rank check is not reached
+    def ranked(rows):
+        raise AssertionError("an order was ranked past the cap")
+
+    monkeypatch.setattr(poly, "rational_rank", ranked)
+    code, out, err = run(capsys, "cox", "tangent", "--n", "800", "--m", "1")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert "cap exceeded: an order on 1602 variables, over the cap 256" in err
+
+
 def test_gz_subduct_unequal_sums(capsys):
     for n, word1, word2 in (("2", "[-1]", "[-2]"), ("3", "[-0]", "[-1]")):
         code, out, err = run(capsys, "gz", "subduct", "--n", n, "--word1", word1, "--word2", word2)

@@ -314,15 +314,46 @@ def test_the_flag_proof_fails_with_a_relation_dropped(monkeypatch, n, dropped):
 
 
 def test_contained_certificate_rejects_a_flipped_zero_column_sign(monkeypatch):
+    # the flag proof's contained certificate is its relations' own proof:
+    # a sign flipped where the zero-column quadric is built is refused by
+    # name where it is built, by flag_presentation and so by psi_kernel;
+    # relation_families builds no zero-column quadric and still passes
     psi = build_psi(3)
     v = psi.source.var
     flipped = v("x1") * v("P01") - v("x2") * v("P02") + v("x3") * v("P03")
-    monkeypatch.setattr(
-        gz, "flag_presentation", lambda n, psi: relation_families(n, psi) + [flipped]
-    )
-    got = flag_kernel(3, psi)[-1]
-    assert got["contained"] is False
-    assert got["left_inverse"]
+    original = gz.euler_flag_relation
+
+    def zero_column_sign_flipped(n, tau, psi):
+        rel = original(n, tau, psi)
+        return rel - 2 * psi.source.var("x2") * psi.source.var("P02") if 0 in tau else rel
+
+    monkeypatch.setattr(gz, "euler_flag_relation", zero_column_sign_flipped)
+    refused = re.escape(f"relations with nonzero image: [{poly_to_text(flipped)!r}]")
+    with pytest.raises(AssertionError, match=refused):
+        flag_presentation(3, psi)
+    with pytest.raises(AssertionError, match=refused):
+        psi_kernel(3)
+    assert len(relation_families(3, psi)) == 9
+
+
+@pytest.mark.parametrize("n, quadrics", [(3, 5), (4, 16)])
+def test_the_flag_proof_sends_only_the_euler_type_quadrics_through_psi(monkeypatch, n, quadrics):
+    # the Plucker relations are proved on their pair rows and never reach
+    # psi; each Euler-type quadric goes through psi once, where it is built
+    psi = build_psi(n)
+    relations = flag_presentation(n, psi)
+    plucker = len(quadratic_plucker_relations(n, psi))
+    assert len(relations) - plucker == quadrics
+    sent, call = [], RingMap.__call__
+
+    def recorded(self, f):
+        if self is psi:
+            sent.append(f)
+        return call(self, f)
+
+    monkeypatch.setattr(RingMap, "__call__", recorded)
+    assert all(flag_kernel(n, psi)[-1].values())
+    assert sent == relations[plucker:]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -423,6 +454,34 @@ def test_caps_are_checked_before_any_enumeration(monkeypatch):
             canonicalize(word, n)
         with pytest.raises(poly.CapExceeded, match="over the cap 65536"):
             subduct(word, word, n)
+
+
+@pytest.mark.parametrize("n, max_len, message", [
+    (5000, 3, "n = 5000 has at least 2^5000 words up to length 3"),
+    (10**7, 3, "n = 10000000 has at least 2^10000000 words up to length 3"),
+    (2, 3 * 10**6, "n = 2 has at least 2^64 words up to length 3000000"),
+])
+def test_the_word_count_stops_once_past_the_cap(n, max_len, message):
+    # a count past COUNT_DIGITS_LIMIT is written as its power of 2, never
+    # converted to decimal, and the lengths after it are not summed
+    with pytest.raises(poly.CapExceeded, match=f"{re.escape(message)}, over the cap 65536"):
+        gz.sweep_word_count(n, max_len)
+
+
+def test_a_count_is_written_in_digits_up_to_the_limit():
+    limit = gz.COUNT_DIGITS_LIMIT
+    assert gz._count_text(limit) == str(limit)
+    assert gz._count_text(limit + 1) == "at least 2^64"
+
+
+def test_subduct_checks_the_generator_cap_before_any_pattern_sum(monkeypatch):
+    def summed(word, n):
+        raise AssertionError("a pattern sum was formed past the generator cap")
+
+    monkeypatch.setattr(gz, "word_pattern_sum", summed)
+    word = [MarkedGenerator.neg(0)]
+    with pytest.raises(poly.CapExceeded, match="n = 2000 has at least 2\\^2000 generators"):
+        subduct(word, word, 2000)
 
 
 def test_lead_pattern_verified_up_to_n5():
@@ -872,7 +931,8 @@ def first_vector_perturbed(monkeypatch):
     monkeypatch.setattr(gz, "left_kernel_basis", perturbed)
 
 
-@pytest.mark.parametrize("family", [quadratic_plucker_relations, relation_families])
+@pytest.mark.parametrize("family", [quadratic_plucker_relations, relation_families,
+                                    flag_presentation])
 def test_a_perturbed_plucker_coefficient_is_refused_by_name(monkeypatch, family):
     psi = build_psi(3)
     first_vector_perturbed(monkeypatch)
@@ -892,9 +952,10 @@ def test_a_flipped_euler_sign_is_refused_by_name(monkeypatch):
         return rel - 2 * v("x1") * v("P1") if not tau else rel
 
     monkeypatch.setattr(gz, "euler_flag_relation", one_sign_flipped)
-    with pytest.raises(AssertionError, match=re.escape(
-            f"relations with nonzero image: [{poly_to_text(flipped)!r}]")):
-        relation_families(3, psi)
+    for family in (relation_families, flag_presentation):
+        with pytest.raises(AssertionError, match=re.escape(
+                f"relations with nonzero image: [{poly_to_text(flipped)!r}]")):
+            family(3, psi)
 
 
 def test_gz_relation_check_reuses_psi(monkeypatch):

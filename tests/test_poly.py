@@ -255,6 +255,17 @@ def test_order_matrix_without_full_column_rank_is_rejected(xyz):
         MatrixOrder([[1, 1, 1], [2, 2, 2], [0, 0, -1]])
 
 
+def test_an_order_past_the_cap_is_refused_before_its_rank_check():
+    # one row of ones: at the cap the rank check runs and refuses it, one
+    # variable past the cap the count does, with no rank taken
+    cap = poly.ORDER_CAP
+    with pytest.raises(ValueError, match=f"rank 1 < {cap} columns"):
+        MatrixOrder([[1] * cap])
+    with pytest.raises(poly.CapExceeded, match=f"an order on {cap + 1} variables") as exc:
+        MatrixOrder([[1] * (cap + 1)])
+    assert exc.value.size == cap + 1
+
+
 def test_order_matrix_entries_must_be_ints():
     # an entry is taken as given, never truncated: 3/2 is not 1, 2.7 not 2
     with pytest.raises(ValueError, match=r"matrix entry Fraction\(3, 2\) is not an int"):
