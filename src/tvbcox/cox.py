@@ -15,7 +15,7 @@ which proves the kernel of either map.
 
 from functools import lru_cache
 from itertools import combinations
-from operator import mul
+from operator import add, itemgetter, mul
 
 from . import poly
 from .poly import (
@@ -88,7 +88,8 @@ def phi_target_ring(n, m):
 def euler_generators(ring, n, m):
     """The m Euler relations f_i = sum_j x_j Y_ij."""
     return [
-        sum((ring.var(x_name(j)) * ring.var(y_name(i, j)) for j in range(n + 1)), ring.zero())
+        Polynomial(ring, {ring.exponents({x_name(j): 1, y_name(i, j): 1}): 1
+                          for j in range(n + 1)})
         for i in range(1, m + 1)
     ]
 
@@ -126,8 +127,10 @@ def euler_minors(target, n, minors):
     for top in squares:
         if any(len(s) > len(top) and s[: len(top)] == top for s in squares):
             continue
-        y = [[target.var(yy_name(i, j)) for j in range(1, n + 1)] for i in top]
-        matrix = [[-sum(r, target.zero())] + r for r in y]
+        matrix = []
+        for i in top:
+            y = [target.var(yy_name(i, j)) for j in range(1, n + 1)]
+            matrix.append([Polynomial(target, {m: -1 for f in y for m in f.terms})] + y)
         found.update((((top[0],), (c,)), entry) for c, entry in enumerate(matrix[0]))
         used = sorted({c for k in range(2, len(top) + 1) for s in squares.get(top[:k], ())
                        for c in s})
@@ -136,10 +139,11 @@ def euler_minors(target, n, minors):
                 found[top[: len(cols)], tuple(used[c] for c in cols)] = minor
     images = {}
     for name, rows, square, cols in table:
-        t = [0] * target.nvars
-        for j in cols:
-            t[target.index[t_name(j)]] = 1
-        images[name] = found[rows, square] * Polynomial(target, {tuple(t): 1})
+        # times t^cols: a shift of the minor's exponent tuples
+        shift = target.exponents({t_name(j): 1 for j in cols})
+        images[name] = Polynomial(target, {
+            tuple(map(add, m, shift)): c for m, c in found[rows, square].terms.items()
+        })
     return images
 
 
@@ -150,7 +154,8 @@ def minor_map(n, m, minors):
     phi and psi are this map on their tables."""
     source = PolyRing([x_name(j) for j in range(n + 1)] + [name for name, _, _ in minors])
     target = phi_target_ring(n, m)
-    images = {x_name(j): target.var(t_name(j)) ** -1 for j in range(n + 1)}
+    images = {x_name(j): target.monomial(target.exponents({t_name(j): -1}))
+              for j in range(n + 1)}
     images.update(euler_minors(target, n, minors))
     return RingMap(source, target, images)
 
@@ -228,9 +233,9 @@ def tangent_cox_ideal(n: int, m: int):
     ring = PolyRing([name for name, _ in presentation_variables(n, m)])
     gens = euler_generators(ring, n, m)
     if m == n:
-        w = ring.var(w_name())
         for j, minor in enumerate(maximal_minors(ring, n)):
-            gens.append(minor - (-1) ** j * ring.var(x_name(j)) * w)
+            x_w = ring.exponents({x_name(j): 1, w_name(): 1})
+            gens.append(minor - ring.monomial(x_w, (-1) ** j))
     return Ideal(ring, gens)
 
 
@@ -369,10 +374,13 @@ def _permuted(f, move):
     inverse = [0] * len(perm)
     for i, p in enumerate(perm):
         inverse[p] = i
-    negated = [i for i, sign in enumerate(signs) if sign < 0]
+    # an itemgetter of one index returns the bare entry: the one permutation
+    # of a one-variable ring is the identity, and reading variable 0 twice
+    # more keeps the parity of the negated exponents
+    moved = itemgetter(*inverse) if len(inverse) > 1 else tuple
+    odd = itemgetter(*(i for i, sign in enumerate(signs) if sign < 0), 0, 0)
     return Polynomial(f.ring, {
-        tuple(map(m.__getitem__, inverse)): -c if sum(map(m.__getitem__, negated)) & 1 else c
-        for m, c in f.terms.items()
+        moved(m): -c if sum(odd(m)) & 1 else c for m, c in f.terms.items()
     })
 
 
@@ -395,12 +403,15 @@ def minor_sigma(phi, minors, n):
     ring, target = phi.source, phi.target
     named = {(rows, cols): name for name, rows, cols in minors}
     images = {name: ring.zero() for name in target.names}
-    images.update({t_name(j): ring.var(x_name(j)) ** -1 for j in range(n + 1)})
+    images.update({t_name(j): ring.monomial(ring.exponents({x_name(j): -1}))
+                   for j in range(n + 1)})
     for (rows, cols), name in named.items():
         r, j = len(rows), cols[-1]
         if cols[:-1] == tuple(range(1, r)) and j >= r:
-            below = ring.var(named[rows[:-1], cols[:-1]]) ** -1 if r > 1 else ring.one()
-            images[yy_name(rows[-1], j)] = ring.var(x_name(j)) * ring.var(name) * below
+            powers = {x_name(j): 1, name: 1}
+            if r > 1:
+                powers[named[rows[:-1], cols[:-1]]] = -1
+            images[yy_name(rows[-1], j)] = ring.monomial(ring.exponents(powers))
     return RingMap(target, ring, images)
 
 

@@ -11,6 +11,7 @@ against two relation families until words reach a canonical form.
 
 import re
 from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, combinations_with_replacement, zip_longest
 from math import comb, lcm
@@ -300,12 +301,9 @@ def lead_pattern(gen, n, psi):
     declared = gen.extended_pattern(n)
     target = psi.target
     lead, coeff = psi.images[gen.variable_name()].leading_term(diagonal_order(target, n))
-    expected = [0] * target.nvars
-    for j, e in enumerate(declared.zvec):
-        expected[target.index[t_name(j)]] = e
-    for row, col in enumerate(sorted(gen.sigma), start=1):
-        expected[target.index[yy_name(row, col)]] = 1
-    if abs(coeff) != 1 or list(lead) != expected:
+    expected = {t_name(j): e for j, e in enumerate(declared.zvec)}
+    expected.update((yy_name(row, col), 1) for row, col in enumerate(sorted(gen.sigma), start=1))
+    if abs(coeff) != 1 or lead != target.exponents(expected):
         raise AssertionError(f"initial term of {gen!r} is not its declared pattern")
     return declared
 
@@ -328,14 +326,12 @@ def euler_flag_relation(n, tau, psi):
     if not tau <= frozenset(range(n + 1)) or len(tau) > n - 2:
         raise ValueError("tau must be a subset of {0..n} with |tau| <= n - 2")
     source = psi.source
-    # each term is x_j P_{tau+j} for its own j: distinct monomials, built as
-    # exponent tuples
-    terms = {}
-    for j in sorted(set(range(n + 1)) - tau):
-        exps = [0] * source.nvars
-        exps[source.index[x_name(j)]] = exps[source.index[p_name(tau | {j})]] = 1
-        terms[tuple(exps)] = (-1) ** sum(0 < t < j for t in tau)
-    return Polynomial(source, terms)
+    # each term is x_j P_{tau+j} for its own j: distinct monomials
+    return Polynomial(source, {
+        source.exponents({x_name(j): 1, p_name(tau | {j}): 1}):
+            (-1) ** sum(0 < t < j for t in tau)
+        for j in sorted(set(range(n + 1)) - tau)
+    })
 
 
 def plucker_pair_count(n):
@@ -376,7 +372,7 @@ def quadratic_plucker_relations(n, psi):
     images = [psi.images[name] for name in names]
     # a pair monomial is the sum of two P-variables' exponent vectors, and
     # its image the product of their images
-    exps = [next(iter(source.var(name).terms)) for name in names]
+    exps = [source.exponents({name: 1}) for name in names]
     relations, bad = [], []
     for pairs, rows in zip(groups, product_rows(images, groups, diagonal_order(psi.target, n))):
         monomials = [tuple(map(add, exps[i], exps[j])) for i, j in pairs]
@@ -862,15 +858,11 @@ def lift_step_check(step, n, kernel_gb, order, psi):
     flag_after = next(g for g in added if g.sigma)
     if min(flag_before.mark, flag_after.mark) != 0:
         return None  # composite exchange, not a single Euler-family lift
-    source = psi.source
     tau = flag_after.sigma - {flag_after.mark}
     relation = euler_flag_relation(n, tau, psi)
     if normal_form(relation, kernel_gb, order):
         return False
-    monos = set()
-    for pair in (removed, added):
-        prod = source.one()
-        for g in pair:
-            prod = prod * source.var(g.variable_name())
-        monos.add(next(iter(prod.terms)))
+    # each word monomial as its exponent tuple: its variables' counts
+    monos = {psi.source.exponents(Counter(g.variable_name() for g in pair))
+             for pair in (removed, added)}
     return monos <= set(relation.terms)

@@ -58,7 +58,7 @@ class PolyRing:
         return Polynomial(self, {})
 
     def const(self, c):
-        c = _engine(Fraction(c))
+        c = _coefficient(c)
         if c == 0:
             return self.zero()
         return Polynomial(self, {(0,) * self.nvars: c})
@@ -67,19 +67,25 @@ class PolyRing:
         return self.const(1)
 
     def var(self, name):
-        i = self.index[name]
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return Polynomial(self, {tuple(exps): 1})
+        return Polynomial(self, {self.exponents({name: 1}): 1})
 
     def gens(self):
         return tuple(self.var(name) for name in self.names)
+
+    def exponents(self, powers):
+        """The exponent tuple of the monomial with powers, a {variable
+        name: exponent} map; an exponent may be negative, and a variable
+        left out has exponent 0."""
+        exps = [0] * self.nvars
+        for name, e in powers.items():
+            exps[self.index[name]] = e
+        return tuple(exps)
 
     def monomial(self, exps, coeff=1):
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise ValueError("exponent vector length mismatch")
-        c = _engine(Fraction(coeff))
+        c = _coefficient(coeff)
         if c == 0:
             return self.zero()
         return Polynomial(self, {exps: c})
@@ -395,6 +401,14 @@ def _packed_run(polys, order, run):
 def _engine(c):
     """c as the engine holds it: an int when integral, else a Fraction."""
     return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _coefficient(c):
+    """An int or Fraction c as _engine holds it; TypeError for any other
+    type, bool included, by the exact-type test of Polynomial._operand."""
+    if type(c) not in (int, Fraction):
+        raise TypeError(f"coefficient must be an int or Fraction, not {type(c).__name__}")
+    return _engine(c)
 
 
 def _polynomial(ring, terms):

@@ -14,7 +14,9 @@ marks on column sets of every size, and column permutations applied to
 the presentation matrix instead of to a table of minors, and the left
 inverses of the presentation maps in closed form instead of read off a
 table of minors, and pair products multiplied by Polynomial * on exponent
-tuples instead of on packed terms.  It also holds
+tuples instead of on packed terms, and the presentations and their maps
+built by Polynomial operators, each minor its own determinant, instead
+of written as exponent tuples.  It also holds
 helpers that only tests use.
 """
 
@@ -24,7 +26,16 @@ from functools import cmp_to_key
 from itertools import combinations, permutations
 
 from tvbcox import bundle, poly
-from tvbcox.cox import lemma_ring, maximal_minors, t_name, x_name, y_name, yy_name
+from tvbcox.cox import (
+    lemma_ring,
+    maximal_minors,
+    presentation_variables,
+    t_name,
+    w_name,
+    x_name,
+    y_name,
+    yy_name,
+)
 from tvbcox.gz import MarkedGenerator, p_name
 
 
@@ -201,6 +212,55 @@ def left_inverse_images(kind, source, n):
     return images
 
 
+def euler_relations_by_products(ring, n, m):
+    """cox.euler_generators by Polynomial operators: each Euler relation a
+    sum of products x_j Y_ij."""
+    var = ring.var
+    return [sum((var(x_name(j)) * var(y_name(i, j)) for j in range(n + 1)), ring.zero())
+            for i in range(1, m + 1)]
+
+
+def tangent_cox_gens_by_products(n, m):
+    """The generators of cox.tangent_cox_ideal(n, m), 1 <= m <= n, built by
+    Polynomial operators: the Euler relations, and at m = n each
+    det Y(j) - (-1)^j x_j W with x_j W a product of variables."""
+    ring = poly.PolyRing([name for name, _ in presentation_variables(n, m)])
+    gens = euler_relations_by_products(ring, n, m)
+    if m == n:
+        gens += [minor - (-1) ** j * ring.var(x_name(j)) * ring.var(w_name())
+                 for j, minor in enumerate(maximal_minors(ring, n))]
+    return gens
+
+
+def quiver_gens_by_products(n):
+    """The generators of cox.quiver_ideal(n): the Euler relations by
+    Polynomial operators, then the maximal minors det Y(j)."""
+    ring = poly.PolyRing([name for name, _ in presentation_variables(n, n)])
+    return euler_relations_by_products(ring, n, n) + maximal_minors(ring, n)
+
+
+def presentation_images_by_products(target, n, minors):
+    """The images of cox.minor_map on a minor table, by Polynomial
+    operators: x_j -> t_j ** -1, and each (name, rows, cols) to the
+    determinant of its rows and square columns, the last |rows| of cols,
+    in the matrix whose column 0 is -sum_j y_ij and column j is y_ij, times
+    t_j for each j in cols.  Each minor is its own poly.symbolic_det, not
+    read off a pass over its rows shared with other minors."""
+    images = {x_name(j): target.var(t_name(j)) ** -1 for j in range(n + 1)}
+    for name, rows, cols in minors:
+        cols = sorted(cols)
+        matrix = []
+        for i in rows:
+            y = [target.var(yy_name(i, j)) for j in range(1, n + 1)]
+            full = [-sum(y, target.zero())] + y
+            matrix.append([full[c] for c in cols[len(cols) - len(rows):]])
+        image = poly.symbolic_det(matrix)
+        for j in cols:
+            image = image * target.var(t_name(j))
+        images[name] = image
+    return images
+
+
 def zero_set_dimension(ideal):
     """Dimension of the zero set, via the leads of the ideal's grevlex
     Groebner basis (the dimension does not depend on the order)."""
@@ -290,7 +350,7 @@ def normal_form_by_division(f, gens, greater):
         for lead, g in divisors:
             if all(a <= b for a, b in zip(lead, m)):
                 shift = [a - b for a, b in zip(m, lead)]
-                rest = rest - ring.monomial(shift, c / g.terms[lead]) * g
+                rest = rest - ring.monomial(shift, Fraction(c) / g.terms[lead]) * g
                 break
         else:
             term = ring.monomial(m, c)

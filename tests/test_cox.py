@@ -52,6 +52,9 @@ from oracles import (
     left_inverse_images,
     minors_only_dimension,
     permuted_columns,
+    presentation_images_by_products,
+    quiver_gens_by_products,
+    tangent_cox_gens_by_products,
     zero_set_dimension,
 )
 
@@ -372,19 +375,52 @@ def test_left_inverse_certificate_rejects_a_wrong_w_image(n):
     assert got["saturated"] and got["symmetric"]
 
 
-@pytest.mark.parametrize(
-    "case", [f"phi {n}" for n in range(1, 7)] + [f"psi {n}" for n in range(2, 6)]
-)
-def test_the_left_inverse_read_off_the_table_has_the_closed_forms(case):
+MAP_CASES = [f"phi {n}" for n in range(1, 7)] + [f"psi {n}" for n in range(2, 7)]
+
+
+def map_and_table(case):
     kind, n = case.split()
     n = int(n)
     if kind == "phi":
-        phi, minors = build_phi(n, n), presentation_minors(n, n)
-    else:
-        phi, minors = gz.build_psi(n), gz.flag_minors(n)
+        return kind, n, build_phi(n, n), presentation_minors(n, n)
+    return kind, n, gz.build_psi(n), gz.flag_minors(n)
+
+
+def assert_int_coefficients(polys):
+    assert all(type(c) is int for f in polys for c in f.terms.values())
+
+
+@pytest.mark.parametrize("case", MAP_CASES)
+def test_the_left_inverse_read_off_the_table_has_the_closed_forms(case):
+    kind, n, phi, minors = map_and_table(case)
     sigma = minor_sigma(phi, minors, n)
     assert list(sigma.images) == list(phi.target.names)
     assert sigma.images == left_inverse_images(kind, phi.source, n)
+    assert_int_coefficients(sigma.images.values())
+
+
+@pytest.mark.parametrize("case", MAP_CASES)
+def test_the_presentation_maps_write_what_the_operators_build(case):
+    # the images are written as exponent tuples; the reference multiplies
+    # variables and takes each minor as its own determinant
+    _, n, phi, minors = map_and_table(case)
+    want = presentation_images_by_products(phi.target, n, minors)
+    assert list(phi.images) == list(want) and phi.images == want
+    assert_int_coefficients(phi.images.values())
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in range(1, 7) for m in range(1, n + 1)])
+def test_the_tangent_presentation_writes_what_the_operators_build(n, m):
+    gens = tangent_cox_ideal(n, m).gens
+    assert gens == tangent_cox_gens_by_products(n, m)
+    assert_int_coefficients(gens)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_the_quiver_ideal_writes_what_the_operators_build(n):
+    gens = quiver_ideal(n).gens
+    assert gens == quiver_gens_by_products(n)
+    assert_int_coefficients(gens)
 
 
 @pytest.mark.parametrize("n, m", [(1, 2), (2, 3), (2, 4), (3, 4)])

@@ -139,6 +139,31 @@ def test_a_bool_is_not_a_constant_in_a_comparison(xyz):
     assert not zero == False and zero != False
 
 
+def test_exponents_write_a_monomial_by_name(xyz):
+    assert xyz.exponents({"z": 2, "x": -1}) == (-1, 0, 2)
+    assert xyz.exponents({}) == (0, 0, 0)
+    assert xyz.var("y").terms == {(0, 1, 0): 1}
+    with pytest.raises(KeyError):
+        xyz.exponents({"w": 1})
+
+
+# what the operators refuse: a float's binary value, a bool and a string
+# that Fraction would parse
+NOT_COEFFICIENTS = [0.1, 0.5, True, False, "1/2"]
+
+
+@pytest.mark.parametrize("c", NOT_COEFFICIENTS, ids=repr)
+def test_const_takes_only_an_int_or_a_fraction(xyz, c):
+    with pytest.raises(TypeError, match=f"not {type(c).__name__}"):
+        xyz.const(c)
+
+
+@pytest.mark.parametrize("c", NOT_COEFFICIENTS, ids=repr)
+def test_monomial_takes_only_an_int_or_a_fraction(xyz, c):
+    with pytest.raises(TypeError, match=f"not {type(c).__name__}"):
+        xyz.monomial([1, 0, 2], c)
+
+
 def test_products_and_powers_have_fraction_coefficients(xyz):
     x, y, _ = xyz.gens()
     f = x * Fraction(1, 2) - 2 * y

@@ -1,4 +1,5 @@
-"""Hypothesis properties of the Groebner engine.
+"""Hypothesis properties of the Groebner engine, and of cox._permuted,
+the signed permutations the kernel proofs apply, against substitution.
 
 The inputs stay small (3 variables, up to 3 generators of up to 3 terms of
 degree at most 2; the division check also uses 6 of 70 variables, so that
@@ -19,9 +20,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tvbcox.cox import _permuted
 from tvbcox.poly import (
     Ideal,
     MatrixOrder,
@@ -458,3 +460,41 @@ def test_a_ring_map_gives_the_same_image_on_every_call(data):
     for f in fs:
         fresh = RingMap(ABC, ST, dict(zip(ABC.names, images)))
         assert phi(f) == fresh(f) == _product_expansion(f, images, ST)
+
+
+# cox._permuted applies a signed permutation of the variables to the
+# exponent tuples; the reference substitutes x_i -> signs[i] x_perm[i].
+@st.composite
+def signed_moves(draw):
+    """A polynomial with exponents up to 3 in 1 to 5 variables and a move
+    (perm, signs) of them: the identity or any permutation, and no
+    variable, exactly one, every one or any set of them negated."""
+    nvars = draw(st.integers(1, 5))
+    perm = draw(st.just(list(range(nvars))) | st.permutations(range(nvars)))
+    negated = draw(st.sampled_from([set(), set(range(nvars))])
+                   | st.integers(0, nvars - 1).map(lambda i: {i})
+                   | st.sets(st.integers(0, nvars - 1)))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return _move_case(nvars, list(perm), negated,
+                      draw(st.lists(st.tuples(exps, scales), max_size=6)))
+
+
+def _move_case(nvars, perm, negated, terms):
+    """The polynomial of terms in variables v0..v(nvars - 1), and the move
+    perm with the variables in negated negated."""
+    ring = PolyRing([f"v{i}" for i in range(nvars)])
+    return from_terms(ring, terms), (perm, [-1 if i in negated else 1 for i in range(nvars)])
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(signed_moves())
+@example(_move_case(3, [0, 1, 2], (), [((1, 2, 3), 2), ((0, 1, 0), -1)]))  # the identity
+@example(_move_case(3, [2, 0, 1], (1,), [((1, 2, 3), 2), ((0, 1, 0), -1)]))  # one negated
+@example(_move_case(3, [1, 0, 2], (0, 1, 2), [((1, 2, 3), 2), ((0, 3, 1), -1)]))  # all negated
+@example(_move_case(1, [0], (0,), [((3,), 2), ((2,), -1), ((0,), 1)]))  # one variable
+@example(_move_case(1, [0], (), [((3,), 2), ((0,), 1)]))
+def test_a_signed_permutation_is_the_substitution(case):
+    f, (perm, signs) = case
+    ring = f.ring
+    images = [sign * ring.var(ring.names[p]) for p, sign in zip(perm, signs)]
+    assert _permuted(f, (perm, signs)) == f.substitute(images)
